@@ -23,7 +23,7 @@ from .engines import (
 )
 from .features import FEATURE_DIM, CalendarFeatureEncoder
 from .forecaster import RnnForecaster
-from .linalg import Matrix, OpCounter, Rng, diag_scale, matmat, matvec, matvec_t
+from .linalg import Matrix, OpCounter, Rng, matvec, matvec_t
 from .metrics import (
     MetricReport,
     average_pinball_loss,

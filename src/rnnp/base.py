@@ -11,7 +11,6 @@ tools that duck-type against the protocol.
 from __future__ import annotations
 
 import inspect
-import math
 from typing import Any, Iterable
 
 
@@ -81,12 +80,15 @@ def check_fitted(estimator: Any, attributes: Iterable[str]) -> None:
         )
 
 
-def check_finite_values(values: Iterable[float], what: str) -> None:
-    for i, v in enumerate(values):
-        if not math.isfinite(v):
-            raise NumericError(f"non-finite value {v!r} in {what} at index {i}")
+def checkpoint_field(record: Any, *keys: str) -> Any:
+    """``record[keys[0]][keys[1]]...`` of a loaded checkpoint.
 
-
-def check_positive(value: float, what: str) -> None:
-    if not value > 0:
-        raise ConfigError(f"{what} must be positive, got {value!r}")
+    A missing key raises :class:`DataValidationError` naming its path, so
+    a truncated or foreign checkpoint is reported as bad data.
+    """
+    for depth, key in enumerate(keys):
+        if not isinstance(record, dict) or key not in record:
+            path = ".".join(keys[: depth + 1])
+            raise DataValidationError(f"checkpoint has no {path!r} entry")
+        record = record[key]
+    return record

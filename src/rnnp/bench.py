@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from .base import DataValidationError
-from .engines import bptt_gradients, rtrl_gradients, trrl_gradients
+from .engines import ENGINES
 from .linalg import Rng
 from .model import RnnSpec, init_params
 from .training import LossHead
@@ -47,6 +47,8 @@ class BenchRecord:
 
 
 def _run_once(engine: str, spec: RnnSpec, tau: int, seed: int) -> BenchRecord:
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
     rng = Rng(seed)
     params = init_params(spec, rng.spawn(1))
     xin = rng.spawn(2)
@@ -54,15 +56,7 @@ def _run_once(engine: str, spec: RnnSpec, tau: int, seed: int) -> BenchRecord:
     head = LossHead(kind="mse" if spec.y_dim == 1 else "gaussian_nll")
     loss = head.bind(0.3)
     t0 = time.perf_counter()
-    macronodes = None
-    if engine == "trrl":
-        _, counter = trrl_gradients(params, spec, xs, loss)
-    elif engine == "rtrl":
-        _, counter = rtrl_gradients(params, spec, xs, loss)
-    elif engine == "bptt":
-        _, counter, macronodes = bptt_gradients(params, spec, xs, loss)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    _, counter, *macronodes = ENGINES[engine](params, spec, xs, loss)
     elapsed = time.perf_counter() - t0
     return BenchRecord(
         engine=engine,
@@ -73,7 +67,7 @@ def _run_once(engine: str, spec: RnnSpec, tau: int, seed: int) -> BenchRecord:
         mac_count=counter.mac_count,
         peak_floats=counter.peak_floats,
         wall_seconds=elapsed,
-        macronodes=macronodes,
+        macronodes=macronodes[0] if macronodes else None,
     )
 
 

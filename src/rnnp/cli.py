@@ -170,10 +170,20 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not data_path:
         raise ConfigError("no data path (use --data or paths.data)")
     series = ingest_csv(data_path)
-    holidays = frozenset()
+    # Configured pipeline parameters; the rest keep the constructor defaults.
+    params = dict(model_cfg)
+    params.update(
+        (k, v) for k, v in train_cfg.items() if not k.endswith(("_start", "_end"))
+    )
+    if "stride" in params:
+        params["train_stride"] = params.pop("stride")
+    if "lags" in params:
+        params["lags"] = tuple(params["lags"])
+    if "seed" in config:
+        params["seed"] = config["seed"]
     holiday_path = args.holidays or paths.get("holidays")
     if holiday_path:
-        holidays = read_holidays(holiday_path)
+        params["holidays"] = read_holidays(holiday_path)
 
     train_start = _parse_ts(
         train_cfg.get("train_start", series.start.isoformat()), "train_start"
@@ -184,23 +194,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     val_start = train_cfg.get("val_start")
     val_end = train_cfg.get("val_end")
 
-    pipe = LoadForecastPipeline(
-        lags=tuple(model_cfg.get("lags", [1, 2, 24])),
-        hidden_dim=model_cfg.get("hidden_dim", 15),
-        loss=model_cfg.get("loss", "gaussian_nll"),
-        sigma_floor=model_cfg.get("sigma_floor", 1e-4),
-        engine=train_cfg.get("engine", "trrl"),
-        learning_rate=train_cfg.get("learning_rate", 1e-3),
-        batch_size=train_cfg.get("batch_size", 32),
-        max_epochs=train_cfg.get("max_epochs", 500),
-        patience=train_cfg.get("patience", 100),
-        tau=model_cfg.get("tau", 49),
-        train_stride=train_cfg.get("stride", 1),
-        yearly_harmonics=train_cfg.get("yearly_harmonics", 2),
-        include_trend=train_cfg.get("include_trend", True),
-        holidays=holidays,
-        seed=config.get("seed", 0),
-    )
+    pipe = LoadForecastPipeline(**params)
     pipe.fit(
         series,
         train_start,

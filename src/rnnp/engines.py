@@ -32,12 +32,14 @@ import math
 from dataclasses import dataclass
 
 from .base import NumericError, RnnpError
-from .linalg import Matrix, OpCounter, matvec, matvec_t
+from .linalg import Matrix, OpCounter, matvec_t
 from .model import (
     FlatParams,
     ModelParams,
     RnnSpec,
+    check_finite_step,
     forward_sequence,
+    forward_step,
     pack,
     phi_offsets,
     theta_offsets,
@@ -74,12 +76,6 @@ class GradientPair:
         for v in self.d_phi:
             if not math.isfinite(v):
                 raise NumericError("non-finite phi gradient")
-
-
-def _check_finite(vec: list, what: str, step: int) -> None:
-    for v in vec:
-        if not math.isfinite(v):
-            raise NumericError(f"non-finite {what} at step {step}")
 
 
 def _scatter_theta(
@@ -180,7 +176,7 @@ def trrl_gradients(
         h_t = trace.h_steps[t - 1]
         _scatter_phi(d_phi, gi, h_t, spec, counter)
         q = _fold_through_node(params.V, h_t, gi, counter)
-        _check_finite(q, "folded gradient", t)
+        check_finite_step(q, "folded gradient", t)
         feedbacks = [trace.y_at(t - lag) for lag in spec.lag_set]
         _scatter_theta(d_theta, q, xs[t - 1], feedbacks, spec, counter)
         for W_l, lag in zip(params.W, spec.lag_set):
@@ -224,7 +220,7 @@ def rtrl_gradients(
     max_lag = spec.max_lag
     _, w_offs, b_off = theta_offsets(spec)
     v_off, c_off = phi_offsets(spec)
-    U, W, b, V, c = params.U, params.W, params.b, params.V, params.c
+    W, V = params.W, params.V
 
     pair_floats = y * (tsize + psize)
     ring: dict = {}
@@ -237,26 +233,14 @@ def rtrl_gradients(
     y_ring: dict = {s: [0.0] * y for s in range(1 - max_lag, 1)}
     zero_y = [0.0] * y
 
-    h_t: list = []
     for t in range(1, tau + 1):
         x_t = xs[t - 1]
-        if len(x_t) != x:
-            raise ValueError(f"input has length {len(x_t)}, expected {x}")
         # Forward step (shared by every engine, not counted).
-        a_t = matvec(U, x_t)
-        for r in range(h):
-            a_t[r] += b[r]
-        for W_l, lag in zip(W, spec.lag_set):
-            fb = y_ring.get(t - lag, zero_y)
-            wf = matvec(W_l, fb)
-            for r in range(h):
-                a_t[r] += wf[r]
-        _check_finite(a_t, "pre-activation", t)
-        h_t = [_sigmoid(v) for v in a_t]
-        yhat = matvec(V, h_t)
-        for k in range(y):
-            yhat[k] += c[k]
-        _check_finite(yhat, "output", t)
+        a_t, h_t, yhat = forward_step(
+            params, spec, x_t, lambda lag, _t=t: y_ring.get(_t - lag, zero_y)
+        )
+        check_finite_step(a_t, "pre-activation", t)
+        check_finite_step(yhat, "output", t)
 
         # B = V diag(h'), y x h.
         b_rows = []
@@ -423,6 +407,13 @@ def bptt_gradients(
     return grads, counter, visited
 
 
+ENGINES = {
+    "trrl": trrl_gradients,
+    "rtrl": rtrl_gradients,
+    "bptt": bptt_gradients,
+}
+
+
 def finite_difference_gradients(
     params: ModelParams,
     spec: RnnSpec,
@@ -508,10 +499,3 @@ def max_rel_diff(a: list, b: list, floor: float = 1e-12) -> float:
         if d > worst:
             worst = d
     return worst
-
-
-def _sigmoid(a: float) -> float:
-    if a >= 0.0:
-        return 1.0 / (1.0 + math.exp(-a))
-    e = math.exp(a)
-    return e / (1.0 + e)

@@ -21,12 +21,15 @@ import calendar
 import math
 from datetime import datetime
 
-from .base import BaseEstimator, check_fitted
+from .base import BaseEstimator, check_fitted, checkpoint_field
 from .series import HourlySeries
 
 FEATURE_DIM = 13
 
 TWO_PI = 2.0 * math.pi
+
+# Fitted temperature statistics, saved as the checkpoint's "encoder" entry.
+STATE_FIELDS = ("drybulb_mean", "drybulb_std", "wetbulb_mean", "wetbulb_std")
 
 
 def year_fraction(ts: datetime) -> float:
@@ -59,6 +62,22 @@ class CalendarFeatureEncoder(BaseEstimator):
         self.drybulb_mean_, self.drybulb_std_ = _mean_std(series.drybulb_f[i:j])
         self.wetbulb_mean_, self.wetbulb_std_ = _mean_std(series.wetbulb_f[i:j])
         return self
+
+    def state(self) -> dict:
+        """Fitted state as checkpoint extras: ``{"encoder": {...}}``."""
+        check_fitted(self, ["drybulb_mean_"])
+        return {"encoder": {name: getattr(self, name + "_") for name in STATE_FIELDS}}
+
+    @classmethod
+    def from_state(cls, extras: dict, **params) -> "CalendarFeatureEncoder":
+        """The fitted encoder that ``state`` saved into ``extras``.
+
+        ``params`` are the constructor arguments.
+        """
+        encoder = cls(**params)
+        for name in STATE_FIELDS:
+            setattr(encoder, name + "_", checkpoint_field(extras, "encoder", name))
+        return encoder
 
     def encode(self, ts: datetime, drybulb: float, wetbulb: float) -> list:
         check_fitted(self, ["drybulb_mean_"])

@@ -72,13 +72,12 @@ class RnnForecaster(BaseEstimator):
         self.patience = patience
         self.seed = seed
 
-    def fit(self, X, y, validation: tuple | None = None) -> "RnnForecaster":
-        windows = _as_windows(X, y)
-        val_windows = _as_windows(*validation) if validation is not None else None
+    def _training_setup(self, x_dim: int) -> tuple:
+        """(head, spec, config) that ``fit`` trains with on x_dim-wide inputs."""
         head = LossHead(kind=self.loss, sigma_floor=self.sigma_floor)
         spec = RnnSpec(
             lag_set=tuple(self.lags),
-            x_dim=len(windows[0].xs[0]),
+            x_dim=x_dim,
             hidden_dim=self.hidden_dim,
             y_dim=head.y_dim,
         )
@@ -89,6 +88,12 @@ class RnnForecaster(BaseEstimator):
             patience=self.patience,
             seed=self.seed,
         )
+        return head, spec, config
+
+    def fit(self, X, y, validation: tuple | None = None) -> "RnnForecaster":
+        windows = _as_windows(X, y)
+        val_windows = _as_windows(*validation) if validation is not None else None
+        head, spec, config = self._training_setup(len(windows[0].xs[0]))
         params = init_params(spec, Rng(self.seed))
         self.head_ = head
         self.spec_ = spec

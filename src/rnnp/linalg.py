@@ -153,52 +153,6 @@ def matvec_t(m: Matrix, v: list, counter: OpCounter | None = None) -> list:
     return out
 
 
-def matmat(a: Matrix, b: Matrix, counter: OpCounter | None = None) -> Matrix:
-    """a @ b with accumulation over the inner index in increasing order.
-
-    Counts exactly ``a.rows * a.cols * b.cols`` multiply-accumulates.
-    """
-    if a.cols != b.rows:
-        raise ValueError(
-            f"matmat shape mismatch: {a.rows}x{a.cols} @ {b.rows}x{b.cols}"
-        )
-    ad, bd = a.data, b.data
-    inner, out_cols = a.cols, b.cols
-    out = [0.0] * (a.rows * out_cols)
-    for r in range(a.rows):
-        abase = r * inner
-        obase = r * out_cols
-        for k in range(inner):
-            ark = ad[abase + k]
-            bbase = k * out_cols
-            for c in range(out_cols):
-                out[obase + c] += ark * bd[bbase + c]
-    if counter is not None:
-        counter.add_macs(a.rows * inner * out_cols)
-    return Matrix(a.rows, out_cols, out)
-
-
-def diag_scale(d: list, v: list, counter: OpCounter | None = None) -> list:
-    """Elementwise product diag(d) @ v; counts ``len(d)`` multiplies."""
-    if len(d) != len(v):
-        raise ValueError(f"diag_scale length mismatch: {len(d)} vs {len(v)}")
-    if counter is not None:
-        counter.add_macs(len(d))
-    return [d[i] * v[i] for i in range(len(d))]
-
-
-def dot(a: list, b: list, counter: OpCounter | None = None) -> float:
-    """Inner product with left-to-right accumulation; counts ``len(a)`` MACs."""
-    if len(a) != len(b):
-        raise ValueError(f"dot length mismatch: {len(a)} vs {len(b)}")
-    acc = 0.0
-    for i in range(len(a)):
-        acc += a[i] * b[i]
-    if counter is not None:
-        counter.add_macs(len(a))
-    return acc
-
-
 class Rng:
     """Deterministic random stream: identical seed, identical values.
 
@@ -244,7 +198,3 @@ class Rng:
     def randint(self, lo: int, hi: int) -> int:
         return self._gen.randint(lo, hi)
 
-
-def rand_uniform(rng: Rng, lo: float, hi: float, n: int) -> list:
-    """n i.i.d. samples from U[lo, hi); deterministic per seed."""
-    return rng.uniform(lo, hi, n)

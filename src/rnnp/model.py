@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
-from .base import NumericError
+from .base import DataValidationError, NumericError, checkpoint_field
 from .linalg import Matrix, OpCounter, Rng, matvec
 
 CHECKPOINT_MAGIC = "RNNP1"
@@ -218,8 +219,10 @@ def sigmoid(a: float) -> float:
     return e / (1.0 + e)
 
 
-def sigmoid_vec(a: list) -> list:
-    return [sigmoid(v) for v in a]
+def check_finite_step(vec: list, what: str, step: int) -> None:
+    for v in vec:
+        if not math.isfinite(v):
+            raise NumericError(f"non-finite {what} at step {step}")
 
 
 @dataclass
@@ -227,14 +230,9 @@ class ForwardTrace:
     """Per-step activations of one processed sequence (1-based step t)."""
 
     xs: list
-    a_steps: list = field(default_factory=list)
     h_steps: list = field(default_factory=list)
     y_steps: list = field(default_factory=list)
     _zero_y: list = field(default_factory=list)
-
-    @property
-    def tau(self) -> int:
-        return len(self.xs)
 
     def y_at(self, t: int) -> list:
         """Output at step t, the zero vector for t <= 0."""
@@ -269,7 +267,7 @@ def forward_step(
         wf = matvec(W_l, fb, counter)
         for i in range(spec.hidden_dim):
             a[i] += wf[i]
-    h = sigmoid_vec(a)
+    h = [sigmoid(v) for v in a]
     y = matvec(params.V, h, counter)
     for k in range(spec.y_dim):
         y[k] += params.c[k]
@@ -294,13 +292,8 @@ def forward_sequence(
         a, h, y = forward_step(
             params, spec, xs[t - 1], lambda lag, _t=t: trace.y_at(_t - lag), counter
         )
-        for v in a:
-            if not math.isfinite(v):
-                raise NumericError(f"non-finite pre-activation at step {t}")
-        for v in y:
-            if not math.isfinite(v):
-                raise NumericError(f"non-finite output at step {t}")
-        trace.a_steps.append(a)
+        check_finite_step(a, "pre-activation", t)
+        check_finite_step(y, "output", t)
         trace.h_steps.append(h)
         trace.y_steps.append(y)
     return trace
@@ -312,10 +305,13 @@ def save_checkpoint(
     flat: FlatParams,
     extras: dict | None = None,
 ) -> None:
-    """Write a versioned JSON checkpoint (magic ``RNNP1``).
+    """Write a versioned JSON checkpoint (magic ``RNNP1``), atomically.
 
     ``extras`` carries pipeline state (normalization statistics, seasonal
     coefficients, encoder state); the schema is documented in the README.
+    The record goes to a temporary file beside ``path`` that replaces it
+    only once complete, so ``path`` always holds a whole checkpoint: the
+    old one if writing fails, for example on a non-finite value.
     """
     record = {
         "magic": CHECKPOINT_MAGIC,
@@ -324,24 +320,45 @@ def save_checkpoint(
         "phi": list(flat.phi),
         "extras": extras or {},
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(record, f)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            json.dump(record, f, allow_nan=False)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path: str) -> tuple:
-    """Read a checkpoint; returns (spec, flat_params, extras)."""
-    with open(path, "r", encoding="utf-8") as f:
-        record = json.load(f)
-    if record.get("magic") != CHECKPOINT_MAGIC:
-        raise ValueError(
-            f"not a model checkpoint (magic {record.get('magic')!r}, "
+    """Read a checkpoint; returns (spec, flat_params, extras).
+
+    A file that is not a well-formed checkpoint raises
+    ``DataValidationError``.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            record = json.load(f)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataValidationError(
+            f"checkpoint {path} is not valid JSON: {exc}"
+        ) from None
+    magic = record.get("magic") if isinstance(record, dict) else None
+    if magic != CHECKPOINT_MAGIC:
+        raise DataValidationError(
+            f"not a model checkpoint (magic {magic!r}, "
             f"expected {CHECKPOINT_MAGIC!r})"
         )
-    spec = RnnSpec.from_dict(record["spec"])
+    try:
+        spec = RnnSpec.from_dict(checkpoint_field(record, "spec"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataValidationError(f"checkpoint spec is invalid: {exc!r}") from None
     flat = FlatParams(
-        theta=[float(v) for v in record["theta"]],
-        phi=[float(v) for v in record["phi"]],
+        theta=[float(v) for v in checkpoint_field(record, "theta")],
+        phi=[float(v) for v in checkpoint_field(record, "phi")],
     )
     if len(flat.theta) != spec.theta_size or len(flat.phi) != spec.phi_size:
-        raise ValueError("checkpoint parameter lengths do not match its spec")
+        raise DataValidationError(
+            "checkpoint parameter lengths do not match its spec"
+        )
     return spec, flat, record.get("extras", {})

@@ -18,15 +18,15 @@ import math
 from dataclasses import dataclass
 from datetime import datetime
 
-from .base import BaseEstimator, DataValidationError, check_fitted
+from .base import BaseEstimator, DataValidationError, check_fitted, checkpoint_field
 from .features import CalendarFeatureEncoder
 from .forecaster import RnnForecaster, _as_windows
 from .metrics import MetricReport, point_metrics, probabilistic_metrics
-from .model import RnnSpec, load_checkpoint, pack, save_checkpoint, unpack
+from .model import load_checkpoint, pack, save_checkpoint, unpack
 from .seasonal import HourlyDeseasonalizer
 from .series import HourlySeries
 from .stats import lognormal_mean, lognormal_quantile
-from .training import HyperGrid, LossHead, TrainConfig, grid_search
+from .training import HyperGrid, grid_search
 from .windows import make_windows
 
 FORECAST_CSV_HEADER = ["timestamp", "point", "mu_log", "sigma_log", "q05", "q95"]
@@ -82,6 +82,25 @@ class LoadForecastPipeline(BaseEstimator):
         self.holidays = holidays
         self.seed = seed
 
+    def _fit_transforms(
+        self, series: HourlySeries, start: datetime, end: datetime
+    ) -> None:
+        """Fit the feature encoder and the deseasonalizer on [start, end)."""
+        self.encoder_ = CalendarFeatureEncoder(holidays=self.holidays).fit(
+            series, start, end
+        )
+        self.deseasonalizer_ = HourlyDeseasonalizer(
+            yearly_harmonics=self.yearly_harmonics,
+            include_trend=self.include_trend,
+            holidays=self.holidays,
+        ).fit(series, start, end)
+
+    def _make_forecaster(self) -> RnnForecaster:
+        """An unfitted network with this pipeline's parameters of the same name."""
+        return RnnForecaster(
+            **{name: getattr(self, name) for name in RnnForecaster._param_names()}
+        )
+
     def _windows_for_range(
         self, series: HourlySeries, start: datetime, end: datetime, stride: int
     ) -> tuple:
@@ -104,15 +123,7 @@ class LoadForecastPipeline(BaseEstimator):
         val_start: datetime | None = None,
         val_end: datetime | None = None,
     ) -> "LoadForecastPipeline":
-        self.encoder_ = CalendarFeatureEncoder(holidays=self.holidays).fit(
-            series, train_start, train_end
-        )
-        self.deseasonalizer_ = HourlyDeseasonalizer(
-            yearly_harmonics=self.yearly_harmonics,
-            include_trend=self.include_trend,
-            holidays=self.holidays,
-        ).fit(series, train_start, train_end)
-
+        self._fit_transforms(series, train_start, train_end)
         X, y = self._windows_for_range(
             series, train_start, train_end, self.train_stride
         )
@@ -121,18 +132,7 @@ class LoadForecastPipeline(BaseEstimator):
             validation = self._windows_for_range(
                 series, val_start, val_end, self.train_stride
             )
-        self.forecaster_ = RnnForecaster(
-            lags=self.lags,
-            hidden_dim=self.hidden_dim,
-            loss=self.loss,
-            sigma_floor=self.sigma_floor,
-            engine=self.engine,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            max_epochs=self.max_epochs,
-            patience=self.patience,
-            seed=self.seed,
-        ).fit(X, y, validation)
+        self.forecaster_ = self._make_forecaster().fit(X, y, validation)
         return self
 
     def forecast_range(
@@ -196,70 +196,36 @@ class LoadForecastPipeline(BaseEstimator):
         flat = pack(self.forecaster_.params_, self.forecaster_.spec_)
         extras = {
             "pipeline_params": _jsonable_params(self.get_params()),
-            "normalization": {
-                "log_mean": self.deseasonalizer_.log_mean_,
-                "log_std": self.deseasonalizer_.log_std_,
-            },
-            "seasonal": {
-                "fit_origin": self.deseasonalizer_.fit_origin_.isoformat(),
-                "coef": {str(h): c for h, c in self.deseasonalizer_.coef_.items()},
-            },
-            "encoder": {
-                "drybulb_mean": self.encoder_.drybulb_mean_,
-                "drybulb_std": self.encoder_.drybulb_std_,
-                "wetbulb_mean": self.encoder_.wetbulb_mean_,
-                "wetbulb_std": self.encoder_.wetbulb_std_,
-            },
+            **self.deseasonalizer_.state(),
+            **self.encoder_.state(),
         }
         save_checkpoint(path, self.forecaster_.spec_, flat, extras)
 
     @classmethod
     def load(cls, path: str) -> "LoadForecastPipeline":
         spec, flat, extras = load_checkpoint(path)
-        params = extras["pipeline_params"]
+        params = checkpoint_field(extras, "pipeline_params")
         params["holidays"] = frozenset(
             datetime.fromisoformat(d).date() for d in params.get("holidays", [])
         )
-        params["lags"] = tuple(params["lags"])
+        params["lags"] = tuple(checkpoint_field(extras, "pipeline_params", "lags"))
         pipe = cls(**params)
-
-        pipe.encoder_ = CalendarFeatureEncoder(holidays=pipe.holidays)
-        enc = extras["encoder"]
-        pipe.encoder_.drybulb_mean_ = enc["drybulb_mean"]
-        pipe.encoder_.drybulb_std_ = enc["drybulb_std"]
-        pipe.encoder_.wetbulb_mean_ = enc["wetbulb_mean"]
-        pipe.encoder_.wetbulb_std_ = enc["wetbulb_std"]
-
-        pipe.deseasonalizer_ = HourlyDeseasonalizer(
+        pipe.encoder_ = CalendarFeatureEncoder.from_state(
+            extras, holidays=pipe.holidays
+        )
+        pipe.deseasonalizer_ = HourlyDeseasonalizer.from_state(
+            extras,
             yearly_harmonics=pipe.yearly_harmonics,
             include_trend=pipe.include_trend,
             holidays=pipe.holidays,
         )
-        pipe.deseasonalizer_.log_mean_ = extras["normalization"]["log_mean"]
-        pipe.deseasonalizer_.log_std_ = extras["normalization"]["log_std"]
-        pipe.deseasonalizer_.fit_origin_ = datetime.fromisoformat(
-            extras["seasonal"]["fit_origin"]
-        )
-        pipe.deseasonalizer_.coef_ = {
-            int(h): list(c) for h, c in extras["seasonal"]["coef"].items()
-        }
-        pipe.deseasonalizer_.dropped_columns_ = {}
-
-        fc = RnnForecaster(
-            lags=pipe.lags,
-            hidden_dim=spec.hidden_dim,
-            loss=pipe.loss,
-            sigma_floor=pipe.sigma_floor,
-            engine=pipe.engine,
-            learning_rate=pipe.learning_rate,
-            batch_size=pipe.batch_size,
-            max_epochs=pipe.max_epochs,
-            patience=pipe.patience,
-            seed=pipe.seed,
-        )
-        fc.spec_ = spec
+        fc = pipe._make_forecaster()
+        fc.head_, fc.spec_, _ = fc._training_setup(spec.x_dim)
+        if fc.spec_ != spec:
+            raise DataValidationError(
+                "checkpoint spec does not match its pipeline parameters"
+            )
         fc.params_ = unpack(flat, spec)
-        fc.head_ = LossHead(kind=pipe.loss, sigma_floor=pipe.sigma_floor)
         fc.history_ = []
         pipe.forecaster_ = fc
         return pipe
@@ -384,33 +350,15 @@ def run_walk_forward(
 
         probe = LoadForecastPipeline(**kwargs)
         first = splits[0]
-        probe.encoder_ = CalendarFeatureEncoder(holidays=probe.holidays).fit(
-            series, first.train_start, first.train_end
-        )
-        probe.deseasonalizer_ = HourlyDeseasonalizer(
-            yearly_harmonics=probe.yearly_harmonics,
-            include_trend=probe.include_trend,
-            holidays=probe.holidays,
-        ).fit(series, first.train_start, first.train_end)
+        probe._fit_transforms(series, first.train_start, first.train_end)
         X, y = probe._windows_for_range(
             series, first.train_start, first.train_end, train_stride
         )
         Xv, yv = probe._windows_for_range(
             series, first.test_start, first.test_end, train_stride
         )
-        head = LossHead(kind=probe.loss, sigma_floor=probe.sigma_floor)
-        base_spec = RnnSpec(
-            lag_set=tuple(lag_set),
-            x_dim=len(X[0][0]),
-            hidden_dim=probe.hidden_dim,
-            y_dim=head.y_dim,
-        )
-        config = TrainConfig(
-            learning_rate=probe.learning_rate,
-            batch_size=probe.batch_size,
-            max_epochs=probe.max_epochs,
-            patience=probe.patience,
-            seed=probe.seed,
+        head, base_spec, config = probe._make_forecaster()._training_setup(
+            len(X[0][0])
         )
         cells = grid_search(
             base_spec,

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
-from .base import BaseEstimator, DataValidationError, check_fitted
+from .base import BaseEstimator, DataValidationError, check_fitted, checkpoint_field
 from .features import year_fraction
 from .series import HourlySeries
 
@@ -127,10 +127,6 @@ class HourlyDeseasonalizer(BaseEstimator):
         self.include_trend = include_trend
         self.holidays = holidays
 
-    @property
-    def n_regressors(self) -> int:
-        return 1 + 6 + 1 + 2 * self.yearly_harmonics + (1 if self.include_trend else 0)
-
     def regressors(self, ts: datetime) -> list:
         row = [1.0]
         dow = ts.weekday()
@@ -186,6 +182,36 @@ class HourlyDeseasonalizer(BaseEstimator):
             if dropped:
                 self.dropped_columns_[hour] = dropped
         return self
+
+    def state(self) -> dict:
+        """Fitted state as checkpoint extras: its "normalization" and
+        "seasonal" entries."""
+        check_fitted(self, ["coef_"])
+        return {
+            "normalization": {"log_mean": self.log_mean_, "log_std": self.log_std_},
+            "seasonal": {
+                "fit_origin": self.fit_origin_.isoformat(),
+                "coef": {str(h): c for h, c in self.coef_.items()},
+            },
+        }
+
+    @classmethod
+    def from_state(cls, extras: dict, **params) -> "HourlyDeseasonalizer":
+        """The fitted deseasonalizer that ``state`` saved into ``extras``.
+
+        ``params`` are the constructor arguments.  Dropped-column reports
+        are not saved, so the restored ``dropped_columns_`` is empty.
+        """
+        des = cls(**params)
+        des.log_mean_ = checkpoint_field(extras, "normalization", "log_mean")
+        des.log_std_ = checkpoint_field(extras, "normalization", "log_std")
+        des.fit_origin_ = datetime.fromisoformat(
+            checkpoint_field(extras, "seasonal", "fit_origin")
+        )
+        coef = checkpoint_field(extras, "seasonal", "coef")
+        des.coef_ = {int(h): list(c) for h, c in coef.items()}
+        des.dropped_columns_ = {}
+        return des
 
     def seasonal_at(self, ts: datetime) -> float:
         check_fitted(self, ["coef_"])

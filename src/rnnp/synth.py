@@ -88,14 +88,6 @@ class SynthTruth:
             count += 1
         return 100.0 * total / count
 
-    def irreducible_rmse(self, series: HourlySeries, i: int, j: int) -> float:
-        v = self.noise_var(i, j)
-        total = 0.0
-        for k in range(i, j):
-            err = math.exp(self.log_det[k] + 0.5 * v) - series.demand_mwh[k]
-            total += err * err
-        return math.sqrt(total / (j - i))
-
 
 def _temperature_effect(temp_f: float) -> float:
     """U-shaped demand response: heating below ~62F, cooling above."""

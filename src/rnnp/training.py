@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .base import ConfigError, NumericError
-from .engines import bptt_gradients, rtrl_gradients, trrl_gradients
+from .engines import ENGINES
 from .linalg import Rng
 from .model import (
     FlatParams,
@@ -26,6 +26,7 @@ from .model import (
     forward_sequence,
     init_params,
     pack,
+    sigmoid,
     unpack,
 )
 
@@ -65,12 +66,7 @@ def gaussian_nll_loss(
     d_mu = (mu - target) / (sigma * sigma)
     d_sigma = 1.0 / sigma - (target - mu) * (target - mu) / (sigma * sigma * sigma)
     # d softplus / dx is the logistic function.
-    if raw >= 0.0:
-        sp_grad = 1.0 / (1.0 + math.exp(-raw))
-    else:
-        e = math.exp(raw)
-        sp_grad = e / (1.0 + e)
-    return loss, [d_mu, d_sigma * sp_grad]
+    return loss, [d_mu, d_sigma * sigmoid(raw)]
 
 
 @dataclass(frozen=True)
@@ -95,11 +91,6 @@ class LossHead:
             raise ConfigError(
                 f"{self.kind} head needs y_dim={self.y_dim}, spec has {spec.y_dim}"
             )
-
-    def loss_and_grad(self, y_hat: list, target: float) -> tuple:
-        if self.kind == "mse":
-            return mse_loss(y_hat, target)
-        return gaussian_nll_loss(y_hat, target, self.sigma_floor)
 
     def bind(self, target: float):
         """Close over a target; engines call the result on the final output."""
@@ -193,18 +184,6 @@ class EpochStats:
     seconds: float
 
 
-ENGINES = {
-    "trrl": trrl_gradients,
-    "rtrl": rtrl_gradients,
-    "bptt": bptt_gradients,
-}
-
-
-def _sequence_gradients(engine: str, params, spec, xs, loss_fn):
-    result = ENGINES[engine](params, spec, xs, loss_fn)
-    return result[0]  # GradientPair; bptt additionally returns macronodes
-
-
 def evaluate_loss(
     params: ModelParams, spec: RnnSpec, windows: list, head: LossHead
 ) -> float:
@@ -214,7 +193,7 @@ def evaluate_loss(
     total = 0.0
     for w in windows:
         y_final = forward_sequence(params, spec, w.xs).y_final
-        value, _ = head.loss_and_grad(y_final, w.target)
+        value, _ = head.bind(w.target)(y_final)
         total += value
     return total / len(windows)
 
@@ -278,7 +257,8 @@ def train(
                     _captured[0] = value
                     return value, grad
 
-                pair = _sequence_gradients(engine, live, spec, w.xs, recording)
+                # GradientPair first; bptt additionally returns macronodes.
+                pair = ENGINES[engine](live, spec, w.xs, recording)[0]
                 if not math.isfinite(captured[0]):
                     raise NumericError(
                         f"non-finite loss at epoch {epoch}, window {idx}"

@@ -2,7 +2,11 @@
 
 import json
 
+import pytest
+
 from rnnp.cli import main
+from rnnp.linalg import Rng
+from rnnp.model import RnnSpec, init_params, pack, save_checkpoint
 from rnnp.series import ingest_csv
 
 
@@ -70,6 +74,44 @@ class TestConfigValidation:
             )
             == 3
         )
+
+
+class TestMalformedCheckpoint:
+    def write_foreign(self, path):
+        path.write_text('{"magic": "NOPE"}')
+
+    def write_truncated(self, path):
+        path.write_text('{"magic": "RNNP1", "spec": {"lag_set": [1, 2')
+
+    def write_model_only(self, path):
+        spec = RnnSpec(lag_set=(1,), x_dim=13, hidden_dim=2, y_dim=2)
+        save_checkpoint(str(path), spec, pack(init_params(spec, Rng(0)), spec))
+
+    @pytest.mark.parametrize("kind", ["foreign", "truncated", "model_only"])
+    def test_forecast_exits_with_data_error(self, tmp_path, capsys, kind):
+        data = tmp_path / "data.csv"
+        data.write_text(
+            "timestamp,demand_mwh,drybulb_f,wetbulb_f\n"
+            "2007-01-01T00:00:00,100.0,30.0,28.0\n"
+            "2007-01-01T01:00:00,101.0,31.0,29.0\n"
+        )
+        checkpoint = tmp_path / "model.json"
+        getattr(self, "write_" + kind)(checkpoint)
+        argv = [
+            "forecast",
+            "--checkpoint",
+            str(checkpoint),
+            "--data",
+            str(data),
+            "--start",
+            "2007-01-01T01:00:00",
+            "--end",
+            "2007-01-01T02:00:00",
+            "--out",
+            str(tmp_path / "forecast.csv"),
+        ]
+        assert main(argv) == 3
+        assert "data error" in capsys.readouterr().err
 
 
 class TestEndToEndWorkflow:

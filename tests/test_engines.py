@@ -184,6 +184,30 @@ class TestEngineEquivalence:
         assert_close_pairs(trrl, rtrl)
         assert_close_pairs(trrl, bptt)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_trrl_rtrl_agree_at_production_shape(self, seed):
+        """The shape the pipeline trains: lags {1,2,24}, tau 49, x 13, h 15,
+        Gaussian head (y 2)."""
+        spec = RnnSpec(lag_set=(1, 2, 24), x_dim=13, hidden_dim=15, y_dim=2)
+        rng = Rng(300 + seed)
+        params = init_params(spec, rng.spawn(1))
+        xin = rng.spawn(2)
+        xs = [xin.uniform(-1.0, 1.0, spec.x_dim) for _ in range(49)]
+        loss = LossHead(kind="gaussian_nll").bind(rng.uniform(-1.0, 1.0, 1)[0])
+        trrl, _ = trrl_gradients(params, spec, xs, loss)
+        rtrl, _ = rtrl_gradients(params, spec, xs, loss)
+        assert max_rel_diff(trrl.d_theta, rtrl.d_theta) <= 1e-10
+        assert max_rel_diff(trrl.d_phi, rtrl.d_phi) <= 1e-10
+
+    def test_window_shorter_than_largest_lag(self):
+        spec, params, xs, loss = make_case(41, lag_set=(1, 24), tau=5)
+        trrl, _ = trrl_gradients(params, spec, xs, loss)
+        rtrl, _ = rtrl_gradients(params, spec, xs, loss)
+        bptt, _, _ = bptt_gradients(params, spec, xs, loss)
+        for other in (rtrl, bptt):
+            assert max_rel_diff(trrl.d_theta, other.d_theta) <= 1e-10
+            assert max_rel_diff(trrl.d_phi, other.d_phi) <= 1e-10
+
     def test_engines_deterministic_across_calls(self):
         spec, params, xs, loss = make_case(23)
         a, _ = trrl_gradients(params, spec, xs, loss)

@@ -9,12 +9,8 @@ from rnnp.linalg import (
     Matrix,
     OpCounter,
     Rng,
-    diag_scale,
-    dot,
-    matmat,
     matvec,
     matvec_t,
-    rand_uniform,
 )
 
 
@@ -92,44 +88,6 @@ class TestMatvecT:
         assert counter.mac_count == 12
 
 
-class TestMatmat:
-    def test_small_product(self):
-        a = Matrix.from_rows([[1.0, 2.0], [3.0, 4.0]])
-        b = Matrix.from_rows([[0.0, 1.0], [1.0, 0.0]])
-        c = matmat(a, b)
-        assert c.row(0) == [2.0, 1.0]
-        assert c.row(1) == [4.0, 3.0]
-
-    def test_counter(self):
-        counter = OpCounter()
-        matmat(Matrix.zeros(2, 3), Matrix.zeros(3, 4), counter)
-        assert counter.mac_count == 2 * 3 * 4
-
-
-class TestDiagScale:
-    def test_identity_diag(self):
-        assert diag_scale([1.0, 1.0, 1.0], [5.0, 6.0, 7.0]) == [5.0, 6.0, 7.0]
-
-    def test_zero_diag(self):
-        assert diag_scale([0.0, 0.0], [9.0, 9.0]) == [0.0, 0.0]
-
-    def test_hand_product_and_counter(self):
-        counter = OpCounter()
-        assert diag_scale([2.0, 3.0], [4.0, 5.0], counter) == [8.0, 15.0]
-        assert counter.mac_count == 2
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            diag_scale([1.0], [1.0, 2.0])
-
-
-class TestDot:
-    def test_hand_value(self):
-        counter = OpCounter()
-        assert dot([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], counter) == 32.0
-        assert counter.mac_count == 3
-
-
 class TestMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(NumericError):
@@ -175,7 +133,7 @@ class TestRng:
             Rng(1).uniform(1.0, 1.0, 2)
 
     def test_law_of_large_numbers(self):
-        xs = rand_uniform(Rng(2024), 0.0, 1.0, 10_000)
+        xs = Rng(2024).uniform(0.0, 1.0, 10_000)
         mean = sum(xs) / len(xs)
         assert abs(mean - 0.5) < 0.02
         assert all(0.0 <= x < 1.0 for x in xs)

@@ -1,10 +1,11 @@
 """Architecture contracts: parameter counts, packing, forward pass."""
 
+import json
 import math
 
 import pytest
 
-from rnnp.base import NumericError
+from rnnp.base import DataValidationError, NumericError
 from rnnp.linalg import Matrix, Rng
 from rnnp.model import (
     FlatParams,
@@ -157,7 +158,7 @@ class TestForward:
         x = Rng(32).uniform(-1, 1, 3)
         trace = forward_sequence(params, spec, [x])
         a, h, y = forward_step(params, spec, x, lambda lag: [0.0, 0.0])
-        assert trace.a_steps[0] == a
+        assert trace.h_steps[0] == h
         assert trace.y_steps[0] == y
 
     def test_recomputation_is_bit_identical(self):
@@ -167,7 +168,7 @@ class TestForward:
         t1 = forward_sequence(params, spec, xs)
         t2 = forward_sequence(params, spec, xs)
         assert t1.y_steps == t2.y_steps
-        assert t1.a_steps == t2.a_steps
+        assert t1.h_steps == t2.h_steps
 
     def test_hidden_states_in_open_unit_interval(self):
         spec = RnnSpec(lag_set=(1, 2), x_dim=2, hidden_dim=6, y_dim=2)
@@ -266,5 +267,41 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text('{"magic": "NOPE", "spec": {}, "theta": [], "phi": []}')
-        with pytest.raises(ValueError, match="magic"):
+        with pytest.raises(DataValidationError, match="magic"):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize(
+        "drop, match",
+        [("spec", "'spec'"), ("theta", "'theta'"), ("phi", "'phi'"), (None, "lengths")],
+    )
+    def test_malformed_record_rejected(self, tmp_path, drop, match):
+        spec = RnnSpec(lag_set=(1,), x_dim=2, hidden_dim=3, y_dim=1)
+        path = str(tmp_path / "model.json")
+        save_checkpoint(path, spec, pack(init_params(spec, Rng(1)), spec))
+        with open(path) as f:
+            record = json.load(f)
+        if drop is None:
+            record["theta"].pop()
+        else:
+            del record[drop]
+        with open(path, "w") as f:
+            json.dump(record, f)
+        with pytest.raises(DataValidationError, match=match):
+            load_checkpoint(path)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path = tmp_path / "cut.json"
+        path.write_text('{"magic": "RNNP1", "spec": {"lag_set": [1')
+        with pytest.raises(DataValidationError, match="not valid JSON"):
+            load_checkpoint(str(path))
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        spec = RnnSpec(lag_set=(1, 2), x_dim=2, hidden_dim=3, y_dim=2)
+        flat = pack(init_params(spec, Rng(5)), spec)
+        path = tmp_path / "model.json"
+        save_checkpoint(str(path), spec, flat)
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            save_checkpoint(str(path), spec, flat, extras={"x": float("nan")})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]

@@ -5,8 +5,9 @@ tests pin the assembly semantics: zero-network identities, checkpoint
 round-trips, forecast file formats, and the walk-forward driver shape.
 """
 
+import json
 import math
-from datetime import datetime
+from datetime import date, datetime
 
 import pytest
 
@@ -185,6 +186,28 @@ class TestCheckpoint:
         assert [f.point for f in got] == [f.point for f in want]
         assert [f.mu_log for f in got] == [f.mu_log for f in want]
         assert again.get_params() == pipe.get_params()
+
+    def test_save_load_save_is_byte_stable(self, tmp_path):
+        series, _ = make_series(years=1, seed=59)
+        holidays = frozenset({date(2007, 1, 1), date(2007, 7, 4), date(2007, 12, 25)})
+        pipe = quick_pipeline(holidays=holidays)
+        pipe.fit(series, series.start, series.end)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        pipe.save(str(first))
+        LoadForecastPipeline.load(str(first)).save(str(second))
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_missing_state_entry_is_named(self, tmp_path):
+        series, _ = make_series(years=1, seed=59)
+        pipe = quick_pipeline()
+        pipe.fit(series, series.start, series.end)
+        path = tmp_path / "model.json"
+        pipe.save(str(path))
+        record = json.loads(path.read_text())
+        del record["extras"]["encoder"]["wetbulb_std"]
+        path.write_text(json.dumps(record))
+        with pytest.raises(DataValidationError, match="encoder.wetbulb_std"):
+            LoadForecastPipeline.load(str(path))
 
 
 class TestWalkForward:
