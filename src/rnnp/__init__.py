@@ -61,7 +61,7 @@ from .pipeline import (
     run_walk_forward,
     write_forecast_csv,
 )
-from .seasonal import HourlyDeseasonalizer, NormalizedResidualSeries, reseasonalize
+from .seasonal import HourlyDeseasonalizer, NormalizedResidualSeries
 from .series import HourlySeries, ingest_csv, read_holidays, write_csv
 from .synth import SynthConfig, SynthTruth, synth_generate
 from .training import (

@@ -5,8 +5,9 @@ rejected.  All randomness flows from one root seed, so identical
 configuration and seed reproduce identical primary outputs (wall-clock
 columns aside).
 
-Exit codes: 0 ok, 2 configuration error, 3 data validation error,
-4 numeric failure, 5 acceptance/verification failure.
+Exit codes: 0 ok, 2 configuration error, 3 data validation error
+(including a missing or unreadable file), 4 numeric failure,
+5 acceptance/verification failure.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .bench import emit_csv, gain_factors, sweep_neurons, sweep_tau
 from .engines import DEFAULT_BPTT_GUARD, macronode_count
 from .gradcheck import run_gradient_check, write_report
 from .linalg import Rng
-from .metrics import point_metrics, probabilistic_metrics
 from .model import RnnSpec
 from .pbonacci import (
     build_table,
@@ -33,6 +33,7 @@ from .pbonacci import (
 from .pipeline import (
     LoadForecastPipeline,
     read_forecast_csv,
+    score_forecasts,
     write_forecast_csv,
 )
 from .series import ingest_csv, read_holidays, write_csv
@@ -231,14 +232,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     series = ingest_csv(args.data)
-    rows = read_forecast_csv(args.forecasts)
-    realized = [series.demand_mwh[series.index_of(ts)] for ts, _, _, _ in rows]
-    points = [p for _, p, _, _ in rows]
-    if all(sigma is not None for _, _, _, sigma in rows):
-        dists = [(m, s) for _, _, m, s in rows]
-        report = probabilistic_metrics(points, dists, realized)
-    else:
-        report = point_metrics(points, realized)
+    report = score_forecasts(read_forecast_csv(args.forecasts), series)
     print(report.render_text())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
@@ -399,7 +393,7 @@ def main(argv: list | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataValidationError as exc:
+    except (DataValidationError, OSError) as exc:  # OSError names its file
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericError, OverflowError) as exc:

@@ -45,8 +45,7 @@ from .model import (
     theta_offsets,
     unpack,
 )
-
-U128_MAX = (1 << 128) - 1
+from .pbonacci import U128_MAX
 
 DEFAULT_BPTT_GUARD = 25
 
@@ -88,8 +87,7 @@ def _scatter_theta(
 ) -> None:
     """dest += (da/dtheta)^T q, exploiting one nonzero per theta column.
 
-    Counts y*h + ... precisely h*x + p*h*y multiplies; the bias columns
-    are pure additions.
+    Counts h*x + p*h*y multiplies; the bias columns are pure additions.
     """
     h, x, y = spec.hidden_dim, spec.x_dim, spec.y_dim
     _, w_offs, b_off = theta_offsets(spec)
@@ -152,9 +150,9 @@ def trrl_gradients(
     params.validate(spec)
     counter = OpCounter()
     trace = forward_sequence(params, spec, xs)
-    # Stored trace (a, h, yhat per step plus the inputs) is what the
+    # Stored trace (h and yhat per step plus the inputs) is what the
     # backward sweep consumes.
-    trace_floats = tau * (spec.x_dim + 2 * spec.hidden_dim + spec.y_dim)
+    trace_floats = tau * (spec.x_dim + spec.hidden_dim + spec.y_dim)
     counter.grad_floats_alloc(trace_floats)
 
     _, g0 = loss(trace.y_final)
@@ -215,10 +213,9 @@ def rtrl_gradients(
         raise ValueError("empty input sequence")
     params.validate(spec)
     counter = OpCounter()
-    h, x, y = spec.hidden_dim, spec.x_dim, spec.y_dim
+    h, y = spec.hidden_dim, spec.y_dim
     tsize, psize = spec.theta_size, spec.phi_size
     max_lag = spec.max_lag
-    _, w_offs, b_off = theta_offsets(spec)
     v_off, c_off = phi_offsets(spec)
     W, V = params.W, params.V
 
@@ -302,19 +299,7 @@ def rtrl_gradients(
 
         feedbacks = [y_ring.get(t - lag, zero_y) for lag in spec.lag_set]
         for k in range(y):
-            bk = b_rows[k]
-            acc_t = new_jth[k]
-            for r in range(h):
-                bkr = bk[r]
-                base = r * x
-                for cidx in range(x):
-                    acc_t[base + cidx] += bkr * x_t[cidx]
-                for w_off, fb in zip(w_offs, feedbacks):
-                    wbase = w_off + r * y
-                    for m in range(y):
-                        acc_t[wbase + m] += bkr * fb[m]
-                acc_t[b_off + r] += bkr
-        counter.add_macs(y * (h * x + spec.p * h * y))
+            _scatter_theta(new_jth[k], b_rows[k], x_t, feedbacks, spec, counter)
 
         for k in range(y):
             acc_p = new_jph[k]
@@ -374,7 +359,7 @@ def bptt_gradients(
     params.validate(spec)
     counter = OpCounter()
     trace = forward_sequence(params, spec, xs)
-    trace_floats = tau * (spec.x_dim + 2 * spec.hidden_dim + spec.y_dim)
+    trace_floats = tau * (spec.x_dim + spec.hidden_dim + spec.y_dim)
     counter.grad_floats_alloc(trace_floats)
 
     _, g0 = loss(trace.y_final)

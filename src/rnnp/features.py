@@ -23,6 +23,7 @@ from datetime import datetime
 
 from .base import BaseEstimator, check_fitted, checkpoint_field
 from .series import HourlySeries
+from .stats import mean_std
 
 FEATURE_DIM = 13
 
@@ -54,13 +55,9 @@ class CalendarFeatureEncoder(BaseEstimator):
         start: datetime | None = None,
         end: datetime | None = None,
     ) -> "CalendarFeatureEncoder":
-        i, j = (
-            series.index_range(start, end)
-            if start is not None and end is not None
-            else (0, len(series))
-        )
-        self.drybulb_mean_, self.drybulb_std_ = _mean_std(series.drybulb_f[i:j])
-        self.wetbulb_mean_, self.wetbulb_std_ = _mean_std(series.wetbulb_f[i:j])
+        i, j = series.index_range(start, end)
+        self.drybulb_mean_, self.drybulb_std_ = mean_std(series.drybulb_f[i:j])
+        self.wetbulb_mean_, self.wetbulb_std_ = mean_std(series.wetbulb_f[i:j])
         return self
 
     def state(self) -> dict:
@@ -96,12 +93,19 @@ class CalendarFeatureEncoder(BaseEstimator):
         row.append((wetbulb - self.wetbulb_mean_) / self.wetbulb_std_)
         return row
 
-    def transform(self, series: HourlySeries) -> list:
-        """Encode every hour of the series; rows are FEATURE_DIM wide."""
+    def transform(
+        self,
+        series: HourlySeries,
+        start: datetime | None = None,
+        end: datetime | None = None,
+    ) -> list:
+        """Encode the hours in [start, end), by default the whole series;
+        rows are FEATURE_DIM wide."""
+        i, j = series.index_range(start, end)
         return [
             self.encode(ts, dry, wet)
             for ts, dry, wet in zip(
-                series.timestamps, series.drybulb_f, series.wetbulb_f
+                series.timestamps[i:j], series.drybulb_f[i:j], series.wetbulb_f[i:j]
             )
         ]
 
@@ -112,13 +116,3 @@ class CalendarFeatureEncoder(BaseEstimator):
         end: datetime | None = None,
     ) -> list:
         return self.fit(series, start, end).transform(series)
-
-
-def _mean_std(values: list) -> tuple:
-    n = len(values)
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / n
-    std = math.sqrt(var)
-    if std == 0.0:
-        std = 1.0  # constant channel: leave it centered, unscaled
-    return mean, std

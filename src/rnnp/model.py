@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass, field
 
 from .base import DataValidationError, NumericError, checkpoint_field
-from .linalg import Matrix, OpCounter, Rng, matvec
+from .linalg import Matrix, Rng, matvec
 
 CHECKPOINT_MAGIC = "RNNP1"
 
@@ -246,11 +246,7 @@ class ForwardTrace:
 
 
 def forward_step(
-    params: ModelParams,
-    spec: RnnSpec,
-    x_t: list,
-    past_outputs,
-    counter: OpCounter | None = None,
+    params: ModelParams, spec: RnnSpec, x_t: list, past_outputs
 ) -> tuple:
     """One step of the recurrence; ``past_outputs(lag)`` supplies feedbacks.
 
@@ -259,27 +255,22 @@ def forward_step(
     """
     if len(x_t) != spec.x_dim:
         raise ValueError(f"input has length {len(x_t)}, expected {spec.x_dim}")
-    a = matvec(params.U, x_t, counter)
+    a = matvec(params.U, x_t)
     for i in range(spec.hidden_dim):
         a[i] += params.b[i]
     for W_l, lag in zip(params.W, spec.lag_set):
         fb = past_outputs(lag)
-        wf = matvec(W_l, fb, counter)
+        wf = matvec(W_l, fb)
         for i in range(spec.hidden_dim):
             a[i] += wf[i]
     h = [sigmoid(v) for v in a]
-    y = matvec(params.V, h, counter)
+    y = matvec(params.V, h)
     for k in range(spec.y_dim):
         y[k] += params.c[k]
     return a, h, y
 
 
-def forward_sequence(
-    params: ModelParams,
-    spec: RnnSpec,
-    xs: list,
-    counter: OpCounter | None = None,
-) -> ForwardTrace:
+def forward_sequence(params: ModelParams, spec: RnnSpec, xs: list) -> ForwardTrace:
     """Closed-loop forward pass over a sequence of input vectors.
 
     Feedbacks are the model's own outputs from earlier steps of the same
@@ -290,7 +281,7 @@ def forward_sequence(
     trace = ForwardTrace(xs=xs, _zero_y=[0.0] * spec.y_dim)
     for t in range(1, len(xs) + 1):
         a, h, y = forward_step(
-            params, spec, xs[t - 1], lambda lag, _t=t: trace.y_at(_t - lag), counter
+            params, spec, xs[t - 1], lambda lag, _t=t: trace.y_at(_t - lag)
         )
         check_finite_step(a, "pre-activation", t)
         check_finite_step(y, "output", t)

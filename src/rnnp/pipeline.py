@@ -104,14 +104,8 @@ class LoadForecastPipeline(BaseEstimator):
     def _windows_for_range(
         self, series: HourlySeries, start: datetime, end: datetime, stride: int
     ) -> tuple:
-        i, j = series.index_range(start, end)
         residuals = self.deseasonalizer_.transform(series, start, end)
-        features = [
-            self.encoder_.encode(
-                series.timestamps[k], series.drybulb_f[k], series.wetbulb_f[k]
-            )
-            for k in range(i, j)
-        ]
+        features = self.encoder_.transform(series, start, end)
         windows = make_windows(features, residuals.residuals, self.tau, stride)
         return [w.xs for w in windows], [w.target for w in windows]
 
@@ -151,10 +145,13 @@ class LoadForecastPipeline(BaseEstimator):
                 f"forecasting {start.isoformat()} needs {self.tau - 1} hours of "
                 f"exogenous history before it"
             )
-        features = self.encoder_.transform(series)
+        # Encode only the hours the windows read, from tau - 1 before start.
+        features = self.encoder_.transform(
+            series, series.timestamps[i0 - self.tau + 1], end
+        )
         out = []
         for k in range(i0, i1):
-            xs = features[k - self.tau + 1 : k + 1]
+            xs = features[k - i0 : k - i0 + self.tau]
             y_final = self.forecaster_.predict_output(xs)
             mu_z, sigma_z = self.forecaster_.head_.mean_and_sigma(y_final)
             ts = series.timestamps[k]
@@ -182,14 +179,10 @@ class LoadForecastPipeline(BaseEstimator):
     def evaluate(
         self, forecasts: list, series: HourlySeries
     ) -> MetricReport:
-        realized = [
-            series.demand_mwh[series.index_of(f.timestamp)] for f in forecasts
-        ]
-        points = [f.point for f in forecasts]
-        if self.loss == "gaussian_nll":
-            dists = [(f.mu_log, f.sigma_log) for f in forecasts]
-            return probabilistic_metrics(points, dists, realized)
-        return point_metrics(points, realized)
+        return score_forecasts(
+            [(f.timestamp, f.point, f.mu_log, f.sigma_log) for f in forecasts],
+            series,
+        )
 
     def save(self, path: str) -> None:
         check_fitted(self, ["forecaster_"])
@@ -205,9 +198,19 @@ class LoadForecastPipeline(BaseEstimator):
     def load(cls, path: str) -> "LoadForecastPipeline":
         spec, flat, extras = load_checkpoint(path)
         params = checkpoint_field(extras, "pipeline_params")
-        params["holidays"] = frozenset(
-            datetime.fromisoformat(d).date() for d in params.get("holidays", [])
-        )
+        unknown = sorted(set(params) - set(cls._param_names()))
+        if unknown:
+            raise DataValidationError(
+                f"checkpoint pipeline_params has unknown keys {unknown}"
+            )
+        try:
+            params["holidays"] = frozenset(
+                datetime.fromisoformat(d).date() for d in params.get("holidays", [])
+            )
+        except (TypeError, ValueError) as exc:
+            raise DataValidationError(
+                f"checkpoint has a bad holiday date: {exc}"
+            ) from None
         params["lags"] = tuple(checkpoint_field(extras, "pipeline_params", "lags"))
         pipe = cls(**params)
         pipe.encoder_ = CalendarFeatureEncoder.from_state(
@@ -236,6 +239,20 @@ def _jsonable_params(params: dict) -> dict:
     out["lags"] = list(params["lags"])
     out["holidays"] = sorted(d.isoformat() for d in params["holidays"])
     return out
+
+
+def score_forecasts(rows: list, series: HourlySeries) -> MetricReport:
+    """Score (timestamp, point, mu_log, sigma_log) rows against realized demand.
+
+    Probabilistic metrics when every row has a ``sigma_log``, point
+    metrics otherwise.
+    """
+    realized = [series.demand_mwh[series.index_of(ts)] for ts, _, _, _ in rows]
+    points = [point for _, point, _, _ in rows]
+    if all(sigma is not None for _, _, _, sigma in rows):
+        dists = [(mu, sigma) for _, _, mu, sigma in rows]
+        return probabilistic_metrics(points, dists, realized)
+    return point_metrics(points, realized)
 
 
 def write_forecast_csv(forecasts: list, path: str) -> None:

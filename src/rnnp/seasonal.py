@@ -19,6 +19,7 @@ from datetime import datetime, timedelta
 from .base import BaseEstimator, DataValidationError, check_fitted, checkpoint_field
 from .features import year_fraction
 from .series import HourlySeries
+from .stats import mean_std
 
 TWO_PI = 2.0 * math.pi
 MIN_WINDOW = timedelta(days=365)
@@ -91,27 +92,14 @@ def qr_lstsq(rows: list, ys: list, rcond: float = 1e-10) -> tuple:
 
 @dataclass
 class NormalizedResidualSeries:
-    """z-scored log demand minus the per-hour seasonal fit.
-
-    The source demand values are retained so that reseasonalizing
-    in-sample points reproduces the input bit for bit instead of drifting
-    through log/exp round trips.
-    """
+    """z-scored log demand minus the per-hour seasonal fit."""
 
     timestamps: list
     residuals: list
     seasonal: list
-    log_mean: float
-    log_std: float
-    source_demand: list
 
     def __len__(self) -> int:
         return len(self.residuals)
-
-
-def reseasonalize(nrs: NormalizedResidualSeries) -> list:
-    """Exact inverse of the in-sample transform."""
-    return list(nrs.source_demand)
 
 
 class HourlyDeseasonalizer(BaseEstimator):
@@ -147,8 +135,8 @@ class HourlyDeseasonalizer(BaseEstimator):
         start: datetime | None = None,
         end: datetime | None = None,
     ) -> "HourlyDeseasonalizer":
-        if start is None or end is None:
-            start, end = series.start, series.end
+        start = series.start if start is None else start
+        end = series.end if end is None else end
         if end - start < MIN_WINDOW:
             raise DataValidationError(
                 f"seasonal fit window {start.isoformat()} .. {end.isoformat()} "
@@ -156,12 +144,7 @@ class HourlyDeseasonalizer(BaseEstimator):
             )
         i, j = series.index_range(start, end)
         logs = [math.log(d) for d in series.demand_mwh[i:j]]
-        n = len(logs)
-        mean = sum(logs) / n
-        var = sum((v - mean) ** 2 for v in logs) / n
-        std = math.sqrt(var)
-        self.log_mean_ = mean
-        self.log_std_ = std if std > 0.0 else 1.0
+        self.log_mean_, self.log_std_ = mean_std(logs)
         self.fit_origin_ = start
 
         by_hour_rows: dict = {h: [] for h in range(24)}
@@ -233,11 +216,7 @@ class HourlyDeseasonalizer(BaseEstimator):
         end: datetime | None = None,
     ) -> NormalizedResidualSeries:
         check_fitted(self, ["coef_"])
-        i, j = (
-            series.index_range(start, end)
-            if start is not None and end is not None
-            else (0, len(series))
-        )
+        i, j = series.index_range(start, end)
         timestamps = series.timestamps[i:j]
         seasonal = [self.seasonal_at(ts) for ts in timestamps]
         residuals = [
@@ -248,9 +227,6 @@ class HourlyDeseasonalizer(BaseEstimator):
             timestamps=timestamps,
             residuals=residuals,
             seasonal=seasonal,
-            log_mean=self.log_mean_,
-            log_std=self.log_std_,
-            source_demand=series.demand_mwh[i:j],
         )
 
     def to_log_params(self, z_mean: float, z_sigma: float | None) -> tuple:

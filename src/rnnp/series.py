@@ -82,13 +82,18 @@ class HourlySeries:
             )
         return int(hours)
 
-    def index_range(self, start: datetime, end: datetime) -> tuple:
-        """Half-open index range [i, j) for timestamps in [start, end)."""
+    def index_range(
+        self, start: datetime | None = None, end: datetime | None = None
+    ) -> tuple:
+        """Half-open index range [i, j) for timestamps in [start, end).
+
+        A missing bound is the series' own first hour or end.
+        """
+        start = self.start if start is None else start
+        end = self.end if end is None else end
         if end <= start:
             raise DataValidationError("empty time range")
-        i = self.index_of(start)
-        j = self.index_of(end - HOUR) + 1
-        return i, j
+        return self.index_of(start), self.index_of(end - HOUR) + 1
 
 
 def ingest_csv(path: str) -> HourlySeries:

@@ -1,4 +1,5 @@
-"""Scalar normal/lognormal helpers used by forecasting and metrics."""
+"""Scalar statistics helpers: z-score statistics and the normal/lognormal
+functions used by forecasting and metrics."""
 
 from __future__ import annotations
 
@@ -37,6 +38,19 @@ _D = (
     3.754408661907416e00,
 )
 _P_LOW = 0.02425
+
+
+def mean_std(values: list) -> tuple:
+    """Population mean and standard deviation, the z-score statistics.
+
+    A constant channel gets std 1.0, so z-scoring leaves it centered and
+    unscaled.
+    """
+    n = len(values)
+    mean = sum(values) / n
+    var = sum((v - mean) ** 2 for v in values) / n
+    std = math.sqrt(var)
+    return mean, (std if std > 0.0 else 1.0)
 
 
 def normal_cdf(x: float) -> float:

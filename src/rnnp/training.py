@@ -32,6 +32,11 @@ from .model import (
 
 LOG_2PI = math.log(2.0 * math.pi)
 
+# Adam moment decay rates and denominator guard (Kingma & Ba defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def softplus(x: float) -> float:
     if x > 30.0:
@@ -120,13 +125,7 @@ class AdamState:
 
 
 def adam_step(
-    values: list,
-    grads: list,
-    state: AdamState,
-    learning_rate: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    values: list, grads: list, state: AdamState, learning_rate: float
 ) -> None:
     """One bias-corrected Adam update, in place on ``values``."""
     if len(values) != len(grads) or len(values) != len(state.m):
@@ -136,14 +135,16 @@ def adam_step(
             raise NumericError("non-finite gradient passed to Adam")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     m, v = state.m, state.v
     for i in range(len(values)):
         g = grads[i]
-        m[i] = beta1 * m[i] + (1.0 - beta1) * g
-        v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
-        values[i] -= learning_rate * (m[i] / bc1) / (math.sqrt(v[i] / bc2) + eps)
+        m[i] = ADAM_BETA1 * m[i] + (1.0 - ADAM_BETA1) * g
+        v[i] = ADAM_BETA2 * v[i] + (1.0 - ADAM_BETA2) * g * g
+        values[i] -= (
+            learning_rate * (m[i] / bc1) / (math.sqrt(v[i] / bc2) + ADAM_EPS)
+        )
 
 
 @dataclass(frozen=True)
@@ -152,9 +153,6 @@ class TrainConfig:
     batch_size: int = 32
     max_epochs: int = 500
     patience: int = 100
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -270,15 +268,7 @@ def train(
                     g_sum[n_theta + i] += g
             inv = 1.0 / len(batch)
             grads = [g * inv for g in g_sum]
-            adam_step(
-                values,
-                grads,
-                adam,
-                config.learning_rate,
-                config.adam_beta1,
-                config.adam_beta2,
-                config.adam_eps,
-            )
+            adam_step(values, grads, adam, config.learning_rate)
             live = current_params()
 
         train_loss = epoch_loss / len(windows)

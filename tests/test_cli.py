@@ -1,13 +1,24 @@
 """Subcommand behavior, exit codes, and the end-to-end CSV workflow."""
 
 import json
+from datetime import datetime
 
 import pytest
 
 from rnnp.cli import main
 from rnnp.linalg import Rng
 from rnnp.model import RnnSpec, init_params, pack, save_checkpoint
-from rnnp.series import ingest_csv
+from rnnp.pipeline import LoadForecastPipeline, write_forecast_csv
+from rnnp.series import ingest_csv, write_csv
+from rnnp.synth import SynthConfig, synth_generate
+
+
+def fitted_pipeline(loss="gaussian_nll"):
+    series, _ = synth_generate(SynthConfig(years=1), Rng(61))
+    pipe = LoadForecastPipeline(
+        lags=(1,), hidden_dim=3, loss=loss, max_epochs=1, tau=12, train_stride=97
+    )
+    return series, pipe.fit(series, series.start, series.end)
 
 
 class TestPbonacci:
@@ -112,6 +123,77 @@ class TestMalformedCheckpoint:
         ]
         assert main(argv) == 3
         assert "data error" in capsys.readouterr().err
+
+    def test_unknown_pipeline_param_exits_with_data_error(self, tmp_path, capsys):
+        series, pipe = fitted_pipeline()
+        data, checkpoint = tmp_path / "data.csv", tmp_path / "model.json"
+        write_csv(series, str(data))
+        pipe.save(str(checkpoint))
+        record = json.loads(checkpoint.read_text())
+        record["extras"]["pipeline_params"]["bogus"] = 1
+        checkpoint.write_text(json.dumps(record))
+        argv = [
+            "forecast",
+            "--checkpoint",
+            str(checkpoint),
+            "--data",
+            str(data),
+            "--start",
+            "2007-06-01T00:00:00",
+            "--end",
+            "2007-06-01T01:00:00",
+            "--out",
+            str(tmp_path / "forecast.csv"),
+        ]
+        assert main(argv) == 3
+        assert "bogus" in capsys.readouterr().err
+
+
+class TestMissingFiles:
+    def test_forecast_missing_checkpoint(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text(
+            "timestamp,demand_mwh,drybulb_f,wetbulb_f\n"
+            "2007-01-01T00:00:00,100.0,30.0,28.0\n"
+        )
+        argv = [
+            "forecast",
+            "--checkpoint",
+            "nope.json",
+            "--data",
+            str(data),
+            "--start",
+            "2007-01-01T00:00:00",
+            "--end",
+            "2007-01-01T01:00:00",
+            "--out",
+            str(tmp_path / "forecast.csv"),
+        ]
+        assert main(argv) == 3
+        assert "nope.json" in capsys.readouterr().err
+
+    def test_train_missing_data(self, tmp_path, capsys):
+        argv = ["train", "--data", "nope.csv", "--out", str(tmp_path / "ck.json")]
+        assert main(argv) == 3
+        assert "nope.csv" in capsys.readouterr().err
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("loss", ["mse", "gaussian_nll"])
+    def test_cli_scores_like_the_pipeline(self, tmp_path, loss):
+        series, pipe = fitted_pipeline(loss)
+        forecasts = pipe.forecast_range(
+            series, datetime(2007, 8, 1), datetime(2007, 8, 3)
+        )
+        data, csv_path, report = (
+            str(tmp_path / name) for name in ("data.csv", "fc.csv", "report.json")
+        )
+        write_csv(series, data)
+        write_forecast_csv(forecasts, csv_path)
+        argv = ["evaluate", "--forecasts", csv_path, "--data", data, "--out", report]
+        assert main(argv) == 0
+        with open(report) as f:
+            assert json.load(f) == pipe.evaluate(forecasts, series).to_dict()
 
 
 class TestEndToEndWorkflow:

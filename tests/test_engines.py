@@ -344,6 +344,19 @@ class TestCounters:
         _, cb, _ = bptt_gradients(params, spec, xs, loss)
         assert ct.mac_count == cb.mac_count
 
+    def test_peak_floats_count_the_stored_trace_exactly(self):
+        # The trace holds tau * (x + h + y) = 80 floats.  On top of it trrl
+        # keeps two live y-vectors; bptt keeps y + h per level of its
+        # depth-10 lag-1 chain.
+        spec = RnnSpec(lag_set=(1,), x_dim=3, hidden_dim=4, y_dim=1)
+        params = init_params(spec, Rng(71))
+        xs = [Rng(72).spawn(t).uniform(-1, 1, 3) for t in range(10)]
+        loss = lambda y_hat: mse_loss(y_hat, 0.2)
+        _, ct = trrl_gradients(params, spec, xs, loss)
+        _, cb, _ = bptt_gradients(params, spec, xs, loss)
+        assert ct.peak_floats == 82
+        assert cb.peak_floats == 130
+
 
 class TestNumericSafety:
     def test_non_finite_reported_with_step(self):

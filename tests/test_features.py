@@ -63,6 +63,15 @@ class TestEncoding:
         z = [r[11] for r in rows[:48]]
         assert sum(z) / len(z) == pytest.approx(0.0, abs=1e-12)
 
+    def test_range_transform_is_the_slice_of_the_whole(self):
+        series = tiny_series(24 * 3)
+        enc = fitted_encoder(series, holidays=frozenset({date(2007, 1, 2)}))
+        whole = enc.transform(series)
+        start, end = datetime(2007, 1, 1, 20), datetime(2007, 1, 2, 9)
+        assert enc.transform(series, start, end) == whole[20:33]
+        assert enc.transform(series, start) == whole[20:]
+        assert enc.transform(series, end=end) == whole[:33]
+
     def test_unfitted_rejected(self):
         with pytest.raises(NotFittedError):
             CalendarFeatureEncoder().encode(datetime(2007, 1, 1), 50.0, 45.0)

@@ -7,11 +7,12 @@ round-trips, forecast file formats, and the walk-forward driver shape.
 
 import json
 import math
-from datetime import date, datetime
+from datetime import date, datetime, timedelta
 
 import pytest
 
 from rnnp.base import DataValidationError
+from rnnp.features import CalendarFeatureEncoder
 from rnnp.linalg import Matrix, Rng
 from rnnp.model import ModelParams
 from rnnp.pipeline import (
@@ -140,6 +141,23 @@ class TestForecastAssembly:
         with pytest.raises(DataValidationError, match="history"):
             pipe.forecast_range(series, series.start, datetime(2007, 1, 2))
 
+    def test_forecast_encodes_only_the_hours_its_windows_read(self, monkeypatch):
+        series, _ = make_series(years=1, seed=57)
+        pipe = quick_pipeline()
+        pipe.fit(series, series.start, series.end)
+        calls = []
+        encode = CalendarFeatureEncoder.encode
+
+        def counting_encode(self, ts, dry, wet):
+            calls.append(ts)
+            return encode(self, ts, dry, wet)
+
+        monkeypatch.setattr(CalendarFeatureEncoder, "encode", counting_encode)
+        start = datetime(2007, 6, 1)
+        pipe.forecast_range(series, start, datetime(2007, 6, 2))
+        assert len(calls) == pipe.tau - 1 + 24
+        assert calls[0] == start - timedelta(hours=pipe.tau - 1)
+
     def test_forecast_csv_round_trip(self, tmp_path):
         series, _ = make_series(years=1, seed=55)
         pipe = quick_pipeline()
@@ -207,6 +225,18 @@ class TestCheckpoint:
         del record["extras"]["encoder"]["wetbulb_std"]
         path.write_text(json.dumps(record))
         with pytest.raises(DataValidationError, match="encoder.wetbulb_std"):
+            LoadForecastPipeline.load(str(path))
+
+    def test_bad_holiday_date_rejected(self, tmp_path):
+        series, _ = make_series(years=1, seed=59)
+        pipe = quick_pipeline()
+        pipe.fit(series, series.start, series.end)
+        path = tmp_path / "model.json"
+        pipe.save(str(path))
+        record = json.loads(path.read_text())
+        record["extras"]["pipeline_params"]["holidays"] = ["2007-13-01"]
+        path.write_text(json.dumps(record))
+        with pytest.raises(DataValidationError, match="holiday"):
             LoadForecastPipeline.load(str(path))
 
 

@@ -7,11 +7,7 @@ import pytest
 
 from rnnp.base import DataValidationError
 from rnnp.linalg import Rng
-from rnnp.seasonal import (
-    HourlyDeseasonalizer,
-    qr_lstsq,
-    reseasonalize,
-)
+from rnnp.seasonal import HourlyDeseasonalizer, qr_lstsq
 from rnnp.synth import SynthConfig, synth_generate
 
 
@@ -112,12 +108,6 @@ class TestDeseasonalizer:
             HourlyDeseasonalizer().fit(
                 series, datetime(2007, 1, 1), datetime(2007, 6, 1)
             )
-
-    def test_reseasonalize_is_bitwise_inverse(self):
-        series, _ = one_year_series(seed=4)
-        model = HourlyDeseasonalizer().fit(series)
-        nrs = model.transform(series)
-        assert reseasonalize(nrs) == series.demand_mwh
 
     def test_holiday_column_dropped_without_holidays(self):
         """No holidays in the window: the dummy column is reported, not fatal."""

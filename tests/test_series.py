@@ -98,6 +98,12 @@ class TestIndexing:
         i, j = series.index_range(datetime(2007, 1, 1, 2), datetime(2007, 1, 1, 7))
         assert (i, j) == (2, 7)
 
+    def test_index_range_missing_bound_is_the_series_own(self):
+        series = tiny_series(24)
+        assert series.index_range() == (0, 24)
+        assert series.index_range(start=datetime(2007, 1, 1, 5)) == (5, 24)
+        assert series.index_range(end=datetime(2007, 1, 1, 7)) == (0, 7)
+
     def test_out_of_range(self):
         series = tiny_series(5)
         with pytest.raises(DataValidationError):
