@@ -23,7 +23,7 @@ from .engines import (
 )
 from .features import FEATURE_DIM, CalendarFeatureEncoder
 from .forecaster import RnnForecaster
-from .linalg import Matrix, OpCounter, Rng, matvec, matvec_t
+from .linalg import Matrix, OpCounter, Rng, matvec_t
 from .metrics import (
     MetricReport,
     average_pinball_loss,
@@ -39,7 +39,7 @@ from .model import (
     ModelParams,
     RnnSpec,
     forward_sequence,
-    forward_step,
+    forward_steps,
     init_params,
     load_checkpoint,
     pack,

@@ -39,7 +39,7 @@ from .model import (
     RnnSpec,
     check_finite_step,
     forward_sequence,
-    forward_step,
+    forward_steps,
     pack,
     phi_offsets,
     theta_offsets,
@@ -227,17 +227,13 @@ def rtrl_gradients(
             [[0.0] * psize for _ in range(y)],
         )
         counter.grad_floats_alloc(pair_floats)
+    # Recent outputs, the feedbacks _scatter_theta differentiates against.
     y_ring: dict = {s: [0.0] * y for s in range(1 - max_lag, 1)}
     zero_y = [0.0] * y
 
-    for t in range(1, tau + 1):
+    # The forward steps are shared by every engine and not counted.
+    for t, (h_t, yhat) in enumerate(forward_steps(params, spec, xs), 1):
         x_t = xs[t - 1]
-        # Forward step (shared by every engine, not counted).
-        a_t, h_t, yhat = forward_step(
-            params, spec, x_t, lambda lag, _t=t: y_ring.get(_t - lag, zero_y)
-        )
-        check_finite_step(a_t, "pre-activation", t)
-        check_finite_step(yhat, "output", t)
 
         # B = V diag(h'), y x h.
         b_rows = []

@@ -111,27 +111,6 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def matvec(m: Matrix, v: list, counter: OpCounter | None = None) -> list:
-    """m @ v with accumulation over columns in increasing index.
-
-    Counts exactly ``rows * cols`` multiply-accumulates.
-    """
-    if m.cols != len(v):
-        raise ValueError(f"matvec shape mismatch: {m.rows}x{m.cols} @ {len(v)}")
-    data = m.data
-    out = []
-    base = 0
-    for _ in range(m.rows):
-        acc = 0.0
-        for c in range(m.cols):
-            acc += data[base + c] * v[c]
-        out.append(acc)
-        base += m.cols
-    if counter is not None:
-        counter.add_macs(m.rows * m.cols)
-    return out
-
-
 def matvec_t(m: Matrix, v: list, counter: OpCounter | None = None) -> list:
     """m.T @ v with accumulation over rows in increasing index.
 

@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass, field
 
 from .base import DataValidationError, NumericError, checkpoint_field
-from .linalg import Matrix, Rng, matvec
+from .linalg import Matrix, Rng
 
 CHECKPOINT_MAGIC = "RNNP1"
 
@@ -220,9 +220,8 @@ def sigmoid(a: float) -> float:
 
 
 def check_finite_step(vec: list, what: str, step: int) -> None:
-    for v in vec:
-        if not math.isfinite(v):
-            raise NumericError(f"non-finite {what} at step {step}")
+    if not all(map(math.isfinite, vec)):
+        raise NumericError(f"non-finite {what} at step {step}")
 
 
 @dataclass
@@ -245,33 +244,71 @@ class ForwardTrace:
         return self.y_steps[-1]
 
 
-def forward_step(
-    params: ModelParams, spec: RnnSpec, x_t: list, past_outputs
-) -> tuple:
-    """One step of the recurrence; ``past_outputs(lag)`` supplies feedbacks.
+def forward_steps(params: ModelParams, spec: RnnSpec, xs: list):
+    """Closed-loop recurrence over ``xs``, yielding ``(h, yhat)`` per step.
 
-    The callback must return the zero vector for any step index <= 0.
-    Returns (a, h, yhat).
+    This is the only forward implementation; every engine and every
+    forecast runs it.  Each sum has one fixed order, so all callers get
+    the same bits:
+
+        a_r    = ((sum_c U[r,c] x_c) + b_r) + (W_l1 yhat(t-l1))_r + ...
+        yhat_k = (sum_j V[k,j] h_j) + c_k
+
+    where every matrix-row sum starts from 0.0 and runs over increasing
+    column index, and each lag term is its own row sum, added in lag-set
+    order.  A lag reaching before the window start is skipped: its
+    feedback is the zero vector, and adding its +0.0 row sum cannot change
+    a pre-activation, which is never -0.0.  A non-finite pre-activation or
+    output raises ``NumericError`` naming the 1-based step.
     """
-    if len(x_t) != spec.x_dim:
-        raise ValueError(f"input has length {len(x_t)}, expected {spec.x_dim}")
-    a = matvec(params.U, x_t)
-    for i in range(spec.hidden_dim):
-        a[i] += params.b[i]
-    for W_l, lag in zip(params.W, spec.lag_set):
-        fb = past_outputs(lag)
-        wf = matvec(W_l, fb)
-        for i in range(spec.hidden_dim):
-            a[i] += wf[i]
-    h = [sigmoid(v) for v in a]
-    y = matvec(params.V, h)
-    for k in range(spec.y_dim):
-        y[k] += params.c[k]
-    return a, h, y
+    x_dim, h_dim, y_dim = spec.x_dim, spec.hidden_dim, spec.y_dim
+    u, v = params.U.data, params.V.data
+    # Per hidden row: its U row, its bias and its row of each W_l.
+    rows = [
+        (
+            u[r * x_dim : (r + 1) * x_dim],
+            params.b[r],
+            [w.data[r * y_dim : (r + 1) * y_dim] for w in params.W],
+        )
+        for r in range(h_dim)
+    ]
+    v_rows = [(v[k * h_dim : (k + 1) * h_dim], params.c[k]) for k in range(y_dim)]
+    x_cols, h_cols, y_cols = range(x_dim), range(h_dim), range(y_dim)
+    lags = spec.lag_set
+    ys: list = []
+    for t, x_t in enumerate(xs, 1):
+        if len(x_t) != x_dim:
+            raise ValueError(f"input has length {len(x_t)}, expected {x_dim}")
+        # Lags increase, so those reaching inside the window are a prefix
+        # of the lag set, and zip() pairs each with its W_l row.
+        feedbacks = [ys[t - 1 - lag] for lag in lags if lag < t]
+        a = []
+        for u_r, b_r, w_r in rows:
+            acc = 0.0
+            for c in x_cols:
+                acc += u_r[c] * x_t[c]
+            acc += b_r
+            for w_rl, fb in zip(w_r, feedbacks):
+                wf = 0.0
+                for k in y_cols:
+                    wf += w_rl[k] * fb[k]
+                acc += wf
+            a.append(acc)
+        check_finite_step(a, "pre-activation", t)
+        h = [sigmoid(a_r) for a_r in a]
+        y = []
+        for v_k, c_k in v_rows:
+            acc = 0.0
+            for j in h_cols:
+                acc += v_k[j] * h[j]
+            y.append(acc + c_k)
+        check_finite_step(y, "output", t)
+        ys.append(y)
+        yield h, y
 
 
 def forward_sequence(params: ModelParams, spec: RnnSpec, xs: list) -> ForwardTrace:
-    """Closed-loop forward pass over a sequence of input vectors.
+    """Closed-loop forward pass over a sequence, collected into a trace.
 
     Feedbacks are the model's own outputs from earlier steps of the same
     window; steps before the window start contribute zero vectors.
@@ -279,12 +316,7 @@ def forward_sequence(params: ModelParams, spec: RnnSpec, xs: list) -> ForwardTra
     if not xs:
         raise ValueError("empty input sequence")
     trace = ForwardTrace(xs=xs, _zero_y=[0.0] * spec.y_dim)
-    for t in range(1, len(xs) + 1):
-        a, h, y = forward_step(
-            params, spec, xs[t - 1], lambda lag, _t=t: trace.y_at(_t - lag)
-        )
-        check_finite_step(a, "pre-activation", t)
-        check_finite_step(y, "output", t)
+    for h, y in forward_steps(params, spec, xs):
         trace.h_steps.append(h)
         trace.y_steps.append(y)
     return trace

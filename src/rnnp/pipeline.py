@@ -281,21 +281,32 @@ def write_forecast_csv(forecasts: list, path: str) -> None:
 
 
 def read_forecast_csv(path: str) -> list:
-    """Read back (timestamp, point, mu_log, sigma_log or None) rows."""
+    """Read back (timestamp, point, mu_log, sigma_log or None) rows.
+
+    A file without rows, or a field that does not parse, raises
+    ``DataValidationError`` naming the file or the line.
+    """
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.DictReader(f)
         if reader.fieldnames != FORECAST_CSV_HEADER:
             raise DataValidationError(f"bad forecast header {reader.fieldnames!r}")
         for rec in reader:
-            rows.append(
-                (
-                    datetime.fromisoformat(rec["timestamp"]),
-                    float(rec["point"]),
-                    float(rec["mu_log"]),
-                    float(rec["sigma_log"]) if rec["sigma_log"] else None,
+            try:
+                rows.append(
+                    (
+                        datetime.fromisoformat(rec["timestamp"]),
+                        float(rec["point"]),
+                        float(rec["mu_log"]),
+                        float(rec["sigma_log"]) if rec["sigma_log"] else None,
+                    )
                 )
-            )
+            except (TypeError, ValueError) as exc:  # TypeError: a missing field
+                raise DataValidationError(
+                    f"{path} line {reader.line_num}: {exc}"
+                ) from None
+    if not rows:
+        raise DataValidationError(f"forecast file {path} has no rows")
     return rows
 
 

@@ -8,7 +8,11 @@ import pytest
 from rnnp.cli import main
 from rnnp.linalg import Rng
 from rnnp.model import RnnSpec, init_params, pack, save_checkpoint
-from rnnp.pipeline import LoadForecastPipeline, write_forecast_csv
+from rnnp.pipeline import (
+    FORECAST_CSV_HEADER,
+    LoadForecastPipeline,
+    write_forecast_csv,
+)
 from rnnp.series import ingest_csv, write_csv
 from rnnp.synth import SynthConfig, synth_generate
 
@@ -194,6 +198,31 @@ class TestEvaluate:
         assert main(argv) == 0
         with open(report) as f:
             assert json.load(f) == pipe.evaluate(forecasts, series).to_dict()
+
+
+    @pytest.mark.parametrize(
+        "body, named",
+        [
+            ("", "fc.csv"),
+            ("not-a-time,1.0,0.1,0.2,1.0,2.0\n", "line 2"),
+            ("2007-01-01T00:00:00,1.0,0.1,0.2,1.0,2.0\n"
+             "2007-01-01T01:00:00,many,0.1,0.2,1.0,2.0\n", "line 3"),
+        ],
+        ids=["header_only", "bad_timestamp", "bad_number"],
+    )
+    def test_malformed_forecasts_exit_with_data_error(
+        self, tmp_path, capsys, body, named
+    ):
+        data, forecasts = tmp_path / "data.csv", tmp_path / "fc.csv"
+        data.write_text(
+            "timestamp,demand_mwh,drybulb_f,wetbulb_f\n"
+            "2007-01-01T00:00:00,100.0,30.0,28.0\n"
+            "2007-01-01T01:00:00,101.0,30.0,28.0\n"
+        )
+        forecasts.write_text(",".join(FORECAST_CSV_HEADER) + "\n" + body)
+        argv = ["evaluate", "--forecasts", str(forecasts), "--data", str(data)]
+        assert main(argv) == 3
+        assert named in capsys.readouterr().err
 
 
 class TestEndToEndWorkflow:

@@ -368,6 +368,22 @@ class TestNumericSafety:
         with pytest.raises(NumericError, match="step 1"):
             trrl_gradients(params, spec, xs, loss)
 
+    def test_non_finite_output_reported_with_step(self):
+        # Pre-activations stay at +-50; V and c near the float maximum make
+        # the output overflow once h is close to 1, at step 2.
+        spec = RnnSpec(lag_set=(1,), x_dim=1, hidden_dim=1, y_dim=1)
+        params = zero_params(spec)
+        params.U.data[0] = 1.0
+        params.V.data[0] = 1e308
+        params.c[0] = 8e307
+        xs = [[-50.0], [50.0], [0.0]]
+        loss = lambda y_hat: mse_loss(y_hat, 0.0)
+        with pytest.raises(NumericError, match="non-finite output at step 2"):
+            forward_sequence(params, spec, xs)
+        for engine in (trrl_gradients, rtrl_gradients):
+            with pytest.raises(NumericError, match="non-finite output at step 2"):
+                engine(params, spec, xs, loss)
+
     def test_empty_sequence_rejected(self):
         spec, params, _, loss = make_case(71)
         for engine in (trrl_gradients, rtrl_gradients):

@@ -9,62 +9,8 @@ from rnnp.linalg import (
     Matrix,
     OpCounter,
     Rng,
-    matvec,
     matvec_t,
 )
-
-
-def naive_matvec(rows, v):
-    """Independent double-loop reference, columns accumulated in order."""
-    out = []
-    for row in rows:
-        acc = 0.0
-        for c in range(len(v)):
-            acc += row[c] * v[c]
-        out.append(acc)
-    return out
-
-
-class TestMatvec:
-    def test_identity(self):
-        m = Matrix.from_rows([[1.0, 0.0], [0.0, 1.0]])
-        assert matvec(m, [3.0, 4.0]) == [3.0, 4.0]
-
-    def test_zero_matrix(self):
-        m = Matrix.zeros(3, 2)
-        assert matvec(m, [7.0, -1.0]) == [0.0, 0.0, 0.0]
-
-    def test_hand_multiplication_and_counter(self):
-        m = Matrix.from_rows([[1.0, 2.0], [3.0, 4.0]])
-        counter = OpCounter()
-        assert matvec(m, [1.0, 1.0], counter) == [3.0, 7.0]
-        assert counter.mac_count == 4
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matvec(Matrix.zeros(2, 3), [1.0, 2.0])
-
-    def test_counter_increment_is_exactly_rows_times_cols(self):
-        rng = Rng(7)
-        for rows, cols in [(1, 1), (3, 5), (8, 2), (13, 13)]:
-            m = Matrix(rows, cols, rng.uniform(-1, 1, rows * cols))
-            v = rng.uniform(-1, 1, cols)
-            counter = OpCounter()
-            before = counter.mac_count
-            matvec(m, v, counter)
-            assert counter.mac_count - before == rows * cols
-
-    def test_bitwise_agreement_with_naive_reference(self):
-        rng = Rng(123)
-        for _ in range(50):
-            rows = rng.randint(1, 9)
-            cols = rng.randint(1, 9)
-            flat = rng.uniform(-10, 10, rows * cols)
-            v = rng.uniform(-10, 10, cols)
-            m = Matrix(rows, cols, flat)
-            ref = naive_matvec([m.row(r) for r in range(rows)], v)
-            got = matvec(m, v)
-            assert got == ref  # zero-ULP: identical summation order
 
 
 class TestMatvecT:
@@ -86,6 +32,33 @@ class TestMatvecT:
         counter = OpCounter()
         matvec_t(Matrix.zeros(4, 3), [0.0] * 4, counter)
         assert counter.mac_count == 12
+
+    def test_identity(self):
+        m = Matrix.from_rows([[1.0, 0.0], [0.0, 1.0]])
+        assert matvec_t(m, [3.0, 4.0]) == [3.0, 4.0]
+
+    def test_zero_matrix(self):
+        m = Matrix.zeros(3, 2)
+        assert matvec_t(m, [7.0, -1.0, 2.0]) == [0.0, 0.0]
+
+    def test_hand_multiplication_and_counter(self):
+        m = Matrix.from_rows([[1.0, 2.0], [3.0, 4.0]])
+        counter = OpCounter()
+        assert matvec_t(m, [1.0, 1.0], counter) == [4.0, 6.0]
+        assert counter.mac_count == 4
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            matvec_t(Matrix.zeros(3, 2), [1.0, 2.0])
+
+    def test_counter_increment_is_exactly_rows_times_cols(self):
+        rng = Rng(7)
+        for rows, cols in [(1, 1), (3, 5), (8, 2), (13, 13)]:
+            m = Matrix(rows, cols, rng.uniform(-1, 1, rows * cols))
+            v = rng.uniform(-1, 1, rows)
+            counter = OpCounter()
+            matvec_t(m, v, counter)
+            assert counter.mac_count == rows * cols
 
 
 class TestMatrix:

@@ -12,7 +12,6 @@ from rnnp.model import (
     ModelParams,
     RnnSpec,
     forward_sequence,
-    forward_step,
     init_params,
     load_checkpoint,
     pack,
@@ -125,10 +124,9 @@ class TestForward:
     def test_all_zero_params_give_constant_half_hidden(self):
         spec = RnnSpec(lag_set=(1,), x_dim=2, hidden_dim=3, y_dim=1)
         params = zero_params(spec)
-        a, h, y = forward_step(params, spec, [1.0, -1.0], lambda lag: [0.0])
-        assert a == [0.0, 0.0, 0.0]
-        assert h == [0.5, 0.5, 0.5]
-        assert y == [0.0]
+        trace = forward_sequence(params, spec, [[1.0, -1.0]])
+        assert trace.h_steps == [[0.5, 0.5, 0.5]]
+        assert trace.y_steps == [[0.0]]
 
     def test_constant_output_bias(self):
         spec = RnnSpec(lag_set=(1, 2), x_dim=1, hidden_dim=2, y_dim=1)
@@ -147,19 +145,19 @@ class TestForward:
             V=Matrix(1, 1, [1.0]),
             c=[0.0],
         )
-        a, h, y = forward_step(params, spec, [0.0], lambda lag: [0.0])
-        assert a == [0.0]
-        assert h == [0.5]
-        assert y == [0.5]
+        trace = forward_sequence(params, spec, [[0.0]])
+        assert trace.h_steps == [[0.5]]
+        assert trace.y_steps == [[0.5]]
 
     def test_tau_one_equals_single_step(self):
+        # A first step sees only zero feedbacks, whatever follows it.
         spec = RnnSpec(lag_set=(1, 2), x_dim=3, hidden_dim=4, y_dim=2)
         params = init_params(spec, Rng(31))
-        x = Rng(32).uniform(-1, 1, 3)
-        trace = forward_sequence(params, spec, [x])
-        a, h, y = forward_step(params, spec, x, lambda lag: [0.0, 0.0])
-        assert trace.h_steps[0] == h
-        assert trace.y_steps[0] == y
+        xs = [Rng(32).spawn(t).uniform(-1, 1, 3) for t in range(4)]
+        one = forward_sequence(params, spec, xs[:1])
+        longer = forward_sequence(params, spec, xs)
+        assert one.h_steps == longer.h_steps[:1]
+        assert one.y_steps == longer.y_steps[:1]
 
     def test_recomputation_is_bit_identical(self):
         spec = RnnSpec(lag_set=(1, 3), x_dim=2, hidden_dim=5, y_dim=1)
@@ -249,6 +247,64 @@ class TestForward:
         params.U.data[0] = 1e308
         with pytest.raises(NumericError, match="step 2"):
             forward_sequence(params, spec, [[0.0], [1e308], [0.0]])
+
+
+class TestForwardKernel:
+    """forward_sequence against a double loop in the documented order."""
+
+    @staticmethod
+    def reference(params, spec, xs):
+        h_steps, y_steps = [], []
+        for t in range(1, len(xs) + 1):
+            a = []
+            for r in range(spec.hidden_dim):
+                acc = 0.0
+                for c in range(spec.x_dim):
+                    acc += params.U.at(r, c) * xs[t - 1][c]
+                acc += params.b[r]
+                for W_l, lag in zip(params.W, spec.lag_set):
+                    if t - lag < 1:
+                        continue  # zero feedback before the window start
+                    wf = 0.0
+                    for k in range(spec.y_dim):
+                        wf += W_l.at(r, k) * y_steps[t - lag - 1][k]
+                    acc += wf
+                a.append(acc)
+            h = [sigmoid(v) for v in a]
+            y = []
+            for k in range(spec.y_dim):
+                acc = 0.0
+                for j in range(spec.hidden_dim):
+                    acc += params.V.at(k, j) * h[j]
+                y.append(acc + params.c[k])
+            h_steps.append(h)
+            y_steps.append(y)
+        return h_steps, y_steps
+
+    def check(self, spec, seed, tau):
+        params = init_params(spec, Rng(seed))
+        xin = Rng(seed).spawn(1)
+        xs = [xin.uniform(-2.0, 2.0, spec.x_dim) for _ in range(tau)]
+        trace = forward_sequence(params, spec, xs)
+        h_steps, y_steps = self.reference(params, spec, xs)
+        assert len(trace.h_steps) == len(trace.y_steps) == tau
+        for t in range(tau):
+            assert trace.h_steps[t] == h_steps[t]
+            assert trace.y_steps[t] == y_steps[t]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_identical_at_production_shape(self, seed):
+        spec = RnnSpec(lag_set=(1, 2, 24), x_dim=13, hidden_dim=15, y_dim=2)
+        self.check(spec, seed, tau=49)
+
+    def test_bit_identical_on_window_shorter_than_largest_lag(self):
+        spec = RnnSpec(lag_set=(1, 24), x_dim=3, hidden_dim=4, y_dim=2)
+        self.check(spec, 7, tau=5)
+
+    def test_input_length_mismatch(self):
+        spec = RnnSpec(lag_set=(1,), x_dim=2, hidden_dim=3, y_dim=1)
+        with pytest.raises(ValueError, match="input has length 1"):
+            forward_sequence(zero_params(spec), spec, [[0.0, 0.0], [0.0]])
 
 
 class TestCheckpoint:
