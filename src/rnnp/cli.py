@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime
 
 from .base import ConfigError, DataValidationError, NumericError
@@ -71,27 +71,8 @@ KNOWN_KEYS = {
         "yearly_harmonics",
         "include_trend",
     },
-    "synth": {
-        "start_year",
-        "years",
-        "base_log_mwh",
-        "trend_per_year",
-        "yearly_amp",
-        "daily_amp",
-        "daily_second_amp",
-        "weekend_drop",
-        "holiday_drop",
-        "temp_coeff",
-        "temp_coeff_lag24",
-        "ar1",
-        "ar24",
-        "noise_sigma",
-        "temp_base_f",
-        "temp_yearly_swing_f",
-        "temp_daily_swing_f",
-        "temp_noise_f",
-        "temp_ar",
-    },
+    # Every SynthConfig field but the holiday set, which JSON cannot spell.
+    "synth": {f.name for f in fields(SynthConfig)} - {"holidays"},
     "bench": {"tau_min", "tau_max", "engines", "lag_sets", "hidden_dims"},
 }
 
@@ -272,13 +253,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
         emit_csv(records, args.out)
         print(f"wrote {len(records)} tau-sweep records to {args.out}")
     else:
-        records = sweep_neurons(
-            lag_sets=tuple(
-                tuple(l) for l in section.get("lag_sets", [[1], [1, 2], [1, 2, 24]])
-            ),
-            hidden_dims=tuple(section.get("hidden_dims", [5, 10, 15])),
-            seed=config.get("seed", 0),
-        )
+        # Configured sweep settings; the rest keep sweep_neurons' defaults.
+        sweep = {}
+        if "lag_sets" in section:
+            sweep["lag_sets"] = tuple(tuple(l) for l in section["lag_sets"])
+        if "hidden_dims" in section:
+            sweep["hidden_dims"] = tuple(section["hidden_dims"])
+        if "seed" in config:
+            sweep["seed"] = config["seed"]
+        records = sweep_neurons(**sweep)
         emit_csv(records, args.out)
         print(f"wrote {len(records)} records to {args.out}")
         print(f"{'lags':>12} {'hidden':>6} {'gain':>8} {'theory':>7}")

@@ -115,4 +115,4 @@ class CalendarFeatureEncoder(BaseEstimator):
         start: datetime | None = None,
         end: datetime | None = None,
     ) -> list:
-        return self.fit(series, start, end).transform(series)
+        return self.fit(series, start, end).transform(series, start, end)

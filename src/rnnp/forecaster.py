@@ -93,6 +93,12 @@ class RnnForecaster(BaseEstimator):
     def fit(self, X, y, validation: tuple | None = None) -> "RnnForecaster":
         windows = _as_windows(X, y)
         val_windows = _as_windows(*validation) if validation is not None else None
+        return self._fit_windows(windows, val_windows)
+
+    def _fit_windows(
+        self, windows: list, val_windows: list | None
+    ) -> "RnnForecaster":
+        """Train on ``TrainingWindow`` lists whose inputs are already checked."""
         head, spec, config = self._training_setup(len(windows[0].xs[0]))
         params = init_params(spec, Rng(self.seed))
         self.head_ = head

@@ -92,13 +92,6 @@ class Matrix:
     def at(self, r: int, c: int) -> float:
         return self.data[r * self.cols + c]
 
-    def row(self, r: int) -> list:
-        base = r * self.cols
-        return self.data[base : base + self.cols]
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, list(self.data))
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Matrix)

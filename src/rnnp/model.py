@@ -122,15 +122,6 @@ class ModelParams:
         if len(self.c) != y:
             raise ValueError(f"c has length {len(self.c)}, expected {y}")
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            U=self.U.copy(),
-            W=[w.copy() for w in self.W],
-            b=list(self.b),
-            V=self.V.copy(),
-            c=list(self.c),
-        )
-
 
 @dataclass(frozen=True)
 class FlatParams:
@@ -228,7 +219,6 @@ def check_finite_step(vec: list, what: str, step: int) -> None:
 class ForwardTrace:
     """Per-step activations of one processed sequence (1-based step t)."""
 
-    xs: list
     h_steps: list = field(default_factory=list)
     y_steps: list = field(default_factory=list)
     _zero_y: list = field(default_factory=list)
@@ -315,7 +305,7 @@ def forward_sequence(params: ModelParams, spec: RnnSpec, xs: list) -> ForwardTra
     """
     if not xs:
         raise ValueError("empty input sequence")
-    trace = ForwardTrace(xs=xs, _zero_y=[0.0] * spec.y_dim)
+    trace = ForwardTrace(_zero_y=[0.0] * spec.y_dim)
     for h, y in forward_steps(params, spec, xs):
         trace.h_steps.append(h)
         trace.y_steps.append(y)

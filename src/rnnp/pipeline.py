@@ -20,7 +20,7 @@ from datetime import datetime
 
 from .base import BaseEstimator, DataValidationError, check_fitted, checkpoint_field
 from .features import CalendarFeatureEncoder
-from .forecaster import RnnForecaster, _as_windows
+from .forecaster import RnnForecaster
 from .metrics import MetricReport, point_metrics, probabilistic_metrics
 from .model import load_checkpoint, pack, save_checkpoint, unpack
 from .seasonal import HourlyDeseasonalizer
@@ -82,10 +82,21 @@ class LoadForecastPipeline(BaseEstimator):
         self.holidays = holidays
         self.seed = seed
 
-    def _fit_transforms(
-        self, series: HourlySeries, start: datetime, end: datetime
-    ) -> None:
-        """Fit the feature encoder and the deseasonalizer on [start, end)."""
+    def _prepare_windows(
+        self,
+        series: HourlySeries,
+        start: datetime,
+        end: datetime,
+        val_start: datetime | None,
+        val_end: datetime | None,
+    ) -> tuple:
+        """Fit the feature encoder and the deseasonalizer on [start, end).
+
+        Returns ``(train_windows, val_windows)``: the residual windows of
+        [start, end) and, when both validation bounds are given, of
+        [val_start, val_end), else None.  ``HourlySeries`` has checked the
+        data, so the windows go to training without another check.
+        """
         self.encoder_ = CalendarFeatureEncoder(holidays=self.holidays).fit(
             series, start, end
         )
@@ -95,19 +106,22 @@ class LoadForecastPipeline(BaseEstimator):
             holidays=self.holidays,
         ).fit(series, start, end)
 
+        def windows(i: datetime, j: datetime) -> list:
+            residuals = self.deseasonalizer_.transform(series, i, j)
+            features = self.encoder_.transform(series, i, j)
+            return make_windows(
+                features, residuals.residuals, self.tau, self.train_stride
+            )
+
+        if val_start is None or val_end is None:
+            return windows(start, end), None
+        return windows(start, end), windows(val_start, val_end)
+
     def _make_forecaster(self) -> RnnForecaster:
         """An unfitted network with this pipeline's parameters of the same name."""
         return RnnForecaster(
             **{name: getattr(self, name) for name in RnnForecaster._param_names()}
         )
-
-    def _windows_for_range(
-        self, series: HourlySeries, start: datetime, end: datetime, stride: int
-    ) -> tuple:
-        residuals = self.deseasonalizer_.transform(series, start, end)
-        features = self.encoder_.transform(series, start, end)
-        windows = make_windows(features, residuals.residuals, self.tau, stride)
-        return [w.xs for w in windows], [w.target for w in windows]
 
     def fit(
         self,
@@ -117,16 +131,12 @@ class LoadForecastPipeline(BaseEstimator):
         val_start: datetime | None = None,
         val_end: datetime | None = None,
     ) -> "LoadForecastPipeline":
-        self._fit_transforms(series, train_start, train_end)
-        X, y = self._windows_for_range(
-            series, train_start, train_end, self.train_stride
+        windows, val_windows = self._prepare_windows(
+            series, train_start, train_end, val_start, val_end
         )
-        validation = None
-        if val_start is not None and val_end is not None:
-            validation = self._windows_for_range(
-                series, val_start, val_end, self.train_stride
-            )
-        self.forecaster_ = self._make_forecaster().fit(X, y, validation)
+        self.forecaster_ = self._make_forecaster()._fit_windows(
+            windows, val_windows
+        )
         return self
 
     def forecast_range(
@@ -283,8 +293,10 @@ def write_forecast_csv(forecasts: list, path: str) -> None:
 def read_forecast_csv(path: str) -> list:
     """Read back (timestamp, point, mu_log, sigma_log or None) rows.
 
-    A file without rows, or a field that does not parse, raises
-    ``DataValidationError`` naming the file or the line.
+    A file without rows, a field that does not parse, a non-finite
+    ``point`` or ``mu_log``, or a ``sigma_log`` that is present but not a
+    finite positive number raises ``DataValidationError`` naming the file
+    or the line.
     """
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as f:
@@ -293,14 +305,18 @@ def read_forecast_csv(path: str) -> list:
             raise DataValidationError(f"bad forecast header {reader.fieldnames!r}")
         for rec in reader:
             try:
-                rows.append(
-                    (
-                        datetime.fromisoformat(rec["timestamp"]),
-                        float(rec["point"]),
-                        float(rec["mu_log"]),
-                        float(rec["sigma_log"]) if rec["sigma_log"] else None,
+                ts = datetime.fromisoformat(rec["timestamp"])
+                point, mu_log = float(rec["point"]), float(rec["mu_log"])
+                sigma_log = float(rec["sigma_log"]) if rec["sigma_log"] else None
+                if not (math.isfinite(point) and math.isfinite(mu_log)):
+                    raise ValueError("point and mu_log must be finite")
+                if sigma_log is not None and not (
+                    math.isfinite(sigma_log) and sigma_log > 0.0
+                ):
+                    raise ValueError(
+                        f"sigma_log {sigma_log!r} is not a finite positive number"
                     )
-                )
+                rows.append((ts, point, mu_log, sigma_log))
             except (TypeError, ValueError) as exc:  # TypeError: a missing field
                 raise DataValidationError(
                     f"{path} line {reader.line_num}: {exc}"
@@ -372,39 +388,37 @@ def run_walk_forward(
         raise ValueError("empty walk-forward plan")
     rows = []
     for lag_set in lag_sets:
-        kwargs = dict(pipeline_kwargs)
-        kwargs["lags"] = tuple(lag_set)
-        kwargs["train_stride"] = train_stride
-
+        kwargs = {
+            **pipeline_kwargs,
+            "lags": tuple(lag_set),
+            "train_stride": train_stride,
+        }
         probe = LoadForecastPipeline(**kwargs)
         first = splits[0]
-        probe._fit_transforms(series, first.train_start, first.train_end)
-        X, y = probe._windows_for_range(
-            series, first.train_start, first.train_end, train_stride
-        )
-        Xv, yv = probe._windows_for_range(
-            series, first.test_start, first.test_end, train_stride
+        windows, val_windows = probe._prepare_windows(
+            series,
+            first.train_start,
+            first.train_end,
+            first.test_start,
+            first.test_end,
         )
         head, base_spec, config = probe._make_forecaster()._training_setup(
-            len(X[0][0])
+            len(windows[0].xs[0])
         )
         cells = grid_search(
-            base_spec,
-            _as_windows(X, y),
-            _as_windows(Xv, yv),
-            head,
-            probe.engine,
-            grid,
-            config,
+            base_spec, windows, val_windows, head, probe.engine, grid, config
         )
         best = cells[0]
 
         for split in splits:
-            kwargs_run = dict(kwargs)
-            kwargs_run["hidden_dim"] = best.hidden_dim
-            kwargs_run["learning_rate"] = best.learning_rate
-            kwargs_run["batch_size"] = best.batch_size
-            pipe = LoadForecastPipeline(**kwargs_run)
+            pipe = LoadForecastPipeline(
+                **{
+                    **kwargs,
+                    "hidden_dim": best.hidden_dim,
+                    "learning_rate": best.learning_rate,
+                    "batch_size": best.batch_size,
+                }
+            )
             pipe.fit(series, split.train_start, split.train_end)
             forecasts = pipe.forecast_range(
                 series, split.test_start, split.test_end

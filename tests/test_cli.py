@@ -58,6 +58,20 @@ class TestBench:
         with open(out) as f:
             assert len(f.read().strip().splitlines()) == 5  # header + 4 taus
 
+    def test_neurons_sweep_writes_csv_and_gain_table(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"bench": {"lag_sets": [[1]], "hidden_dims": [3]}})
+        )
+        out = str(tmp_path / "table.csv")
+        argv = ["bench", "--mode", "neurons", "--config", str(config), "--out", out]
+        assert main(argv) == 0
+        with open(out) as f:
+            assert len(f.read().strip().splitlines()) == 3  # header + trrl, rtrl
+        gain_rows = capsys.readouterr().out.strip().splitlines()[2:]
+        assert len(gain_rows) == 1
+        assert gain_rows[0].split()[:2] == ["{1}", "3"]
+
 
 class TestConfigValidation:
     def test_unknown_section_rejected(self, tmp_path):
@@ -207,8 +221,18 @@ class TestEvaluate:
             ("not-a-time,1.0,0.1,0.2,1.0,2.0\n", "line 2"),
             ("2007-01-01T00:00:00,1.0,0.1,0.2,1.0,2.0\n"
              "2007-01-01T01:00:00,many,0.1,0.2,1.0,2.0\n", "line 3"),
+            ("2007-01-01T00:00:00,nan,0.1,0.2,1.0,2.0\n", "line 2"),
+            ("2007-01-01T00:00:00,1.0,inf,0.2,1.0,2.0\n", "line 2"),
+            ("2007-01-01T00:00:00,1.0,0.1,-0.2,1.0,2.0\n", "line 2"),
         ],
-        ids=["header_only", "bad_timestamp", "bad_number"],
+        ids=[
+            "header_only",
+            "bad_timestamp",
+            "bad_number",
+            "nan_point",
+            "inf_mu_log",
+            "negative_sigma_log",
+        ],
     )
     def test_malformed_forecasts_exit_with_data_error(
         self, tmp_path, capsys, body, named

@@ -72,6 +72,14 @@ class TestEncoding:
         assert enc.transform(series, start) == whole[20:]
         assert enc.transform(series, end=end) == whole[:33]
 
+    def test_fit_transform_encodes_the_fitted_range(self):
+        series = tiny_series(24 * 3)
+        start, end = datetime(2007, 1, 1, 20), datetime(2007, 1, 2, 9)
+        rows = CalendarFeatureEncoder().fit_transform(series, start, end)
+        fitted = CalendarFeatureEncoder().fit(series, start, end)
+        assert rows == fitted.transform(series, start, end)
+        assert len(rows) == 13
+
     def test_unfitted_rejected(self):
         with pytest.raises(NotFittedError):
             CalendarFeatureEncoder().encode(datetime(2007, 1, 1), 50.0, 45.0)

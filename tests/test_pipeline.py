@@ -11,6 +11,7 @@ from datetime import date, datetime, timedelta
 
 import pytest
 
+import rnnp.forecaster
 from rnnp.base import DataValidationError
 from rnnp.features import CalendarFeatureEncoder
 from rnnp.linalg import Matrix, Rng
@@ -238,6 +239,57 @@ class TestCheckpoint:
         path.write_text(json.dumps(record))
         with pytest.raises(DataValidationError, match="holiday"):
             LoadForecastPipeline.load(str(path))
+
+
+class TestTrainingHandOff:
+    """The pipeline trains on its own windows, without the (X, y) checks."""
+
+    def test_pipeline_skips_the_estimator_input_check(self, monkeypatch):
+        def refuse(X, y):
+            raise AssertionError("pipeline windows were re-validated")
+
+        monkeypatch.setattr(rnnp.forecaster, "_as_windows", refuse)
+        series, _ = make_series(years=2, seed=59)
+        pipe = quick_pipeline(max_epochs=1)
+        pipe.fit(
+            series,
+            datetime(2007, 1, 1),
+            datetime(2008, 1, 1),
+            datetime(2008, 1, 1),
+            datetime(2008, 3, 1),
+        )
+        assert len(pipe.forecaster_.history_) == 1
+        rows = run_walk_forward(
+            series,
+            build_walk_forward_plan(2007, 1, 1),
+            lag_sets=[(1,)],
+            grid=HyperGrid(hidden_dims=(3,), learning_rates=(5e-3,), batch_sizes=(32,)),
+            pipeline_kwargs=dict(
+                loss="mse", max_epochs=1, patience=5, tau=12, seed=3
+            ),
+            train_stride=96,
+        )
+        assert len(rows) == 1
+
+    def test_estimator_fit_on_pipeline_windows_gives_the_same_parameters(self):
+        series, _ = make_series(years=2, seed=60)
+        bounds = (
+            datetime(2007, 1, 1),
+            datetime(2008, 1, 1),
+            datetime(2008, 1, 1),
+            datetime(2008, 3, 1),
+        )
+        pipe = quick_pipeline().fit(series, *bounds)
+        windows, val_windows = quick_pipeline()._prepare_windows(series, *bounds)
+        est = pipe._make_forecaster().fit(
+            [w.xs for w in windows],
+            [w.target for w in windows],
+            ([w.xs for w in val_windows], [w.target for w in val_windows]),
+        )
+        assert est.params_ == pipe.forecaster_.params_
+        assert [h.val_loss for h in est.history_] == [
+            h.val_loss for h in pipe.forecaster_.history_
+        ]
 
 
 class TestWalkForward:
