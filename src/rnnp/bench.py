@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .base import DataValidationError
 from .engines import ENGINES
-from .linalg import Rng
+from .linalg import Rng, _left_sum
 from .model import RnnSpec, init_params
 from .training import LossHead
 
@@ -46,17 +46,23 @@ class BenchRecord:
     macronodes: int | None = None
 
 
-def _run_once(engine: str, spec: RnnSpec, tau: int, seed: int) -> BenchRecord:
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
+def _seeded_case(spec: RnnSpec, tau: int, seed: int) -> tuple:
+    """(params, xs, head) for one engine run: parameters from
+    ``Rng(seed).spawn(1)``, tau inputs in [-1, 1) from ``.spawn(2)`` (child
+    streams depend only on the seed) and the head that fits ``spec.y_dim``."""
     rng = Rng(seed)
     params = init_params(spec, rng.spawn(1))
     xin = rng.spawn(2)
     xs = [xin.uniform(-1.0, 1.0, spec.x_dim) for _ in range(tau)]
-    head = LossHead(kind="mse" if spec.y_dim == 1 else "gaussian_nll")
-    loss = head.bind(0.3)
+    return params, xs, LossHead(kind="mse" if spec.y_dim == 1 else "gaussian_nll")
+
+
+def _run_once(engine: str, spec: RnnSpec, tau: int, seed: int) -> BenchRecord:
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
+    params, xs, head = _seeded_case(spec, tau, seed)
     t0 = time.perf_counter()
-    _, counter, *macronodes = ENGINES[engine](params, spec, xs, loss)
+    _, counter, *macronodes = ENGINES[engine](params, spec, xs, head.bind(0.3))
     elapsed = time.perf_counter() - t0
     return BenchRecord(
         engine=engine,
@@ -181,16 +187,16 @@ def linear_fit_r2(xs: list, ys: list) -> float:
     n = len(xs)
     if n < 2:
         raise ValueError("need at least two points")
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    mx = _left_sum(xs) / n
+    my = _left_sum(ys) / n
+    sxx = _left_sum((x - mx) ** 2 for x in xs)
+    sxy = _left_sum((x - mx) * (y - my) for x, y in zip(xs, ys))
     if sxx == 0.0:
         raise ValueError("degenerate x values")
     slope = sxy / sxx
     intercept = my - slope * mx
-    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    ss_tot = sum((y - my) ** 2 for y in ys)
+    ss_res = _left_sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    ss_tot = _left_sum((y - my) ** 2 for y in ys)
     if ss_tot == 0.0:
         return 1.0
     return 1.0 - ss_res / ss_tot

@@ -19,7 +19,9 @@ the packed parameter vectors theta (input-to-hidden) and phi
 The returned ``OpCounter`` tallies the multiply-accumulates of the
 gradient computation itself.  The forward sweep is identical for every
 engine and is excluded, so counters compare the algorithms like for like.
-``loss`` arguments are callables ``yhat -> (loss_value, d_loss_d_yhat)``.
+``loss`` arguments are callables ``yhat -> (loss_value, d_loss_d_yhat)``;
+the value comes back on ``GradientPair.loss``.  trrl and bptt share the
+work at each tree node (``_backward_node``) and differ only in traversal.
 
 Engines are pure functions of (params, xs): parameters are never
 mutated, every call owns its counter and workspace, and concurrent calls
@@ -32,9 +34,10 @@ import math
 from dataclasses import dataclass
 
 from .base import NumericError, RnnpError
-from .linalg import Matrix, OpCounter, matvec_t
+from .linalg import OpCounter, matvec_t
 from .model import (
     FlatParams,
+    ForwardTrace,
     ModelParams,
     RnnSpec,
     check_finite_step,
@@ -61,10 +64,12 @@ class BpttInfeasibleError(RnnpError):
 
 @dataclass
 class GradientPair:
-    """Common output contract of all engines: packed gradients."""
+    """Common output contract of all engines: the packed gradients and the
+    loss value they are the gradients of."""
 
     d_theta: list
     d_phi: list
+    loss: float
 
     def validate(self, spec: RnnSpec) -> None:
         if len(self.d_theta) != spec.theta_size or len(self.d_phi) != spec.phi_size:
@@ -119,18 +124,31 @@ def _scatter_phi(
     counter.add_macs(y * h)
 
 
-def _fold_through_node(
-    V: Matrix, h_t: list, g: list, counter: OpCounter
+def _backward_node(
+    params: ModelParams,
+    spec: RnnSpec,
+    trace: ForwardTrace,
+    xs: list,
+    t: int,
+    g: list,
+    grads: GradientPair,
+    counter: OpCounter,
 ) -> list:
-    """(V diag(h'))^T g for the sigmoid derivative h' = h (1 - h)."""
-    vt = matvec_t(V, g, counter)
-    n = len(h_t)
-    out = [0.0] * n
-    for j in range(n):
-        hj = h_t[j]
-        out[j] = vt[j] * (hj * (1.0 - hj))
-    counter.add_macs(2 * n)  # derivative values plus the diagonal product
-    return out
+    """Backpropagate the output gradient g of step t through its node.
+
+    Adds the node's terms to ``grads`` and returns the folded gradient
+    q = (V diag(h'))^T g, with h' = h (1 - h) the sigmoid derivative, from
+    which the caller pushes W_l^T q to step t - l.
+    """
+    h_t = trace.h_steps[t - 1]
+    _scatter_phi(grads.d_phi, g, h_t, spec, counter)
+    vt = matvec_t(params.V, g, counter)
+    q = [v * (hj * (1.0 - hj)) for v, hj in zip(vt, h_t)]
+    counter.add_macs(2 * len(h_t))  # derivative values plus the diagonal product
+    check_finite_step(q, "folded gradient", t)
+    feedbacks = [trace.y_at(t - lag) for lag in spec.lag_set]
+    _scatter_theta(grads.d_theta, q, xs[t - 1], feedbacks, spec, counter)
+    return q
 
 
 def trrl_gradients(
@@ -155,12 +173,11 @@ def trrl_gradients(
     trace_floats = tau * (spec.x_dim + spec.hidden_dim + spec.y_dim)
     counter.grad_floats_alloc(trace_floats)
 
-    _, g0 = loss(trace.y_final)
+    loss_value, g0 = loss(trace.y_final)
     if len(g0) != spec.y_dim:
         raise ValueError("loss gradient has wrong dimension")
+    grads = GradientPair([0.0] * spec.theta_size, [0.0] * spec.phi_size, loss_value)
     y = spec.y_dim
-    d_theta = [0.0] * spec.theta_size
-    d_phi = [0.0] * spec.phi_size
 
     g_store = {0: list(g0)}
     counter.grad_floats_alloc(y)
@@ -171,12 +188,7 @@ def trrl_gradients(
             # No contribution flows through this offset (possible when the
             # lag set skips it near the window end).
             continue
-        h_t = trace.h_steps[t - 1]
-        _scatter_phi(d_phi, gi, h_t, spec, counter)
-        q = _fold_through_node(params.V, h_t, gi, counter)
-        check_finite_step(q, "folded gradient", t)
-        feedbacks = [trace.y_at(t - lag) for lag in spec.lag_set]
-        _scatter_theta(d_theta, q, xs[t - 1], feedbacks, spec, counter)
+        q = _backward_node(params, spec, trace, xs, t, gi, grads, counter)
         for W_l, lag in zip(params.W, spec.lag_set):
             if i + lag < tau:
                 push = matvec_t(W_l, q, counter)
@@ -189,8 +201,6 @@ def trrl_gradients(
                         target[k] += push[k]
         counter.grad_floats_free(y)
     counter.grad_floats_free(trace_floats)
-
-    grads = GradientPair(d_theta=d_theta, d_phi=d_phi)
     grads.validate(spec)
     return grads, counter
 
@@ -309,7 +319,7 @@ def rtrl_gradients(
         y_ring.pop(t - max_lag, None)
 
     yhat_final = y_ring[tau]
-    _, g_final = loss(yhat_final)
+    loss_value, g_final = loss(yhat_final)
     if len(g_final) != y:
         raise ValueError("loss gradient has wrong dimension")
     jth_final, jph_final = ring[tau]
@@ -325,7 +335,7 @@ def rtrl_gradients(
             d_phi[j] += gk * row[j]
     counter.add_macs(y * (tsize + psize))
 
-    grads = GradientPair(d_theta=d_theta, d_phi=d_phi)
+    grads = GradientPair(d_theta=d_theta, d_phi=d_phi, loss=loss_value)
     grads.validate(spec)
     return grads, counter
 
@@ -358,11 +368,10 @@ def bptt_gradients(
     trace_floats = tau * (spec.x_dim + spec.hidden_dim + spec.y_dim)
     counter.grad_floats_alloc(trace_floats)
 
-    _, g0 = loss(trace.y_final)
+    loss_value, g0 = loss(trace.y_final)
     if len(g0) != spec.y_dim:
         raise ValueError("loss gradient has wrong dimension")
-    d_theta = [0.0] * spec.theta_size
-    d_phi = [0.0] * spec.phi_size
+    grads = GradientPair([0.0] * spec.theta_size, [0.0] * spec.phi_size, loss_value)
     level_floats = spec.y_dim + spec.hidden_dim
     visited = 0
 
@@ -370,11 +379,7 @@ def bptt_gradients(
         nonlocal visited
         visited += 1
         counter.grad_floats_alloc(level_floats)
-        h_t = trace.h_steps[t - 1]
-        _scatter_phi(d_phi, r_vec, h_t, spec, counter)
-        q = _fold_through_node(params.V, h_t, r_vec, counter)
-        feedbacks = [trace.y_at(t - lag) for lag in spec.lag_set]
-        _scatter_theta(d_theta, q, xs[t - 1], feedbacks, spec, counter)
+        q = _backward_node(params, spec, trace, xs, t, r_vec, grads, counter)
         for W_l, lag in zip(params.W, spec.lag_set):
             if t - lag >= 1:
                 visit(t - lag, matvec_t(W_l, q, counter))
@@ -382,8 +387,6 @@ def bptt_gradients(
 
     visit(tau, list(g0))
     counter.grad_floats_free(trace_floats)
-
-    grads = GradientPair(d_theta=d_theta, d_phi=d_phi)
     grads.validate(spec)
     return grads, counter, visited
 
@@ -402,7 +405,10 @@ def finite_difference_gradients(
     loss,
     step: float = 1e-5,
 ) -> GradientPair:
-    """Central-difference gradient oracle over every packed parameter."""
+    """Central-difference gradient oracle over every packed parameter.
+
+    ``loss`` on the result is the loss at the unperturbed parameters.
+    """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     flat = pack(params, spec)
@@ -428,7 +434,8 @@ def finite_difference_gradients(
             out.append((lp - lm) / (2.0 * step))
         return out
 
-    return GradientPair(d_theta=sweep(theta), d_phi=sweep(phi))
+    loss_value = loss_at()
+    return GradientPair(d_theta=sweep(theta), d_phi=sweep(phi), loss=loss_value)
 
 
 def macronode_count(tau: int, lag_set) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
+from .bench import _seeded_case
 from .engines import (
     DEFAULT_BPTT_GUARD,
     bptt_gradients,
@@ -21,8 +22,7 @@ from .engines import (
     trrl_gradients,
 )
 from .linalg import Rng
-from .model import RnnSpec, init_params
-from .training import LossHead
+from .model import RnnSpec
 
 CSV_HEADER = ["engine", "seed", "tau", "lagset", "max_rel_err", "max_abs_err", "ok"]
 
@@ -46,37 +46,29 @@ class GradCheckRow:
 
 def _random_instance(seed: int, lag_sets) -> tuple:
     rng = Rng(seed)
-    lag_set = lag_sets[seed % len(lag_sets)]
-    y_dim = 1 + seed % 2
     spec = RnnSpec(
-        lag_set=lag_set,
+        lag_set=lag_sets[seed % len(lag_sets)],
         x_dim=rng.randint(1, 5),
         hidden_dim=rng.randint(2, 8),
-        y_dim=y_dim,
+        y_dim=1 + seed % 2,
     )
     tau = rng.randint(max(1, spec.max_lag), 12)
-    params = init_params(spec, rng.spawn(1))
-    xin = rng.spawn(2)
-    xs = [xin.uniform(-1.0, 1.0, spec.x_dim) for _ in range(tau)]
+    params, xs, head = _seeded_case(spec, tau, seed)
     target = rng.uniform(-1.0, 1.0, 1)[0]
-    head = LossHead(kind="mse" if y_dim == 1 else "gaussian_nll")
     return spec, params, xs, head.bind(target)
 
 
 def _fd_ok(engine_pair, fd_pair) -> tuple:
-    worst_rel, worst_abs, ok = 0.0, 0.0, True
-    for ve, vf in (
-        (engine_pair.d_theta, fd_pair.d_theta),
-        (engine_pair.d_phi, fd_pair.d_phi),
-    ):
-        for a, b in zip(ve, vf):
-            err = abs(a - b)
-            rel = err / max(abs(a), abs(b), 1e-12)
-            worst_abs = max(worst_abs, err)
-            worst_rel = max(worst_rel, rel)
-            if err > FD_ABS_TOL and rel > FD_REL_TOL:
-                ok = False
-    return worst_rel, worst_abs, ok
+    """(max relative error, max absolute error, ok) against the oracle.
+
+    A coordinate fails when its error exceeds both FD_ABS_TOL and FD_REL_TOL
+    relative to its magnitude, which is a relative error above FD_REL_TOL
+    with the magnitude floored at FD_ABS_TOL / FD_REL_TOL.
+    """
+    a = engine_pair.d_theta + engine_pair.d_phi
+    b = fd_pair.d_theta + fd_pair.d_phi
+    ok = max_rel_diff(a, b, floor=FD_ABS_TOL / FD_REL_TOL) <= FD_REL_TOL
+    return max_rel_diff(a, b), max_abs_diff(a, b), ok
 
 
 def run_gradient_check(
@@ -117,18 +109,11 @@ def run_gradient_check(
         names = sorted(engines)
         for i, a in enumerate(names):
             for b in names[i + 1 :]:
-                pa, pb = engines[a], engines[b]
-                worst_abs = max(
-                    max_abs_diff(pa.d_theta, pb.d_theta),
-                    max_abs_diff(pa.d_phi, pb.d_phi),
-                )
-                worst_rel = max(
-                    max_rel_diff(pa.d_theta, pb.d_theta),
-                    max_rel_diff(pa.d_phi, pb.d_phi),
-                )
-                scale = 1.0 + max(
-                    (abs(v) for v in pb.d_theta + pb.d_phi), default=0.0
-                )
+                va = engines[a].d_theta + engines[a].d_phi
+                vb = engines[b].d_theta + engines[b].d_phi
+                worst_abs = max_abs_diff(va, vb)
+                worst_rel = max_rel_diff(va, vb)
+                scale = 1.0 + max(abs(v) for v in vb)
                 ok = worst_abs <= PAIRWISE_TOL * scale
                 rows.append(
                     GradCheckRow(

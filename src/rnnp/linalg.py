@@ -78,17 +78,6 @@ class Matrix:
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls(rows, cols, [0.0] * (rows * cols))
 
-    @classmethod
-    def from_rows(cls, rows: list) -> "Matrix":
-        n_rows = len(rows)
-        n_cols = len(rows[0]) if n_rows else 0
-        flat: list = []
-        for r in rows:
-            if len(r) != n_cols:
-                raise ValueError("ragged rows")
-            flat.extend(float(v) for v in r)
-        return cls(n_rows, n_cols, flat)
-
     def at(self, r: int, c: int) -> float:
         return self.data[r * self.cols + c]
 
@@ -104,7 +93,7 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def matvec_t(m: Matrix, v: list, counter: OpCounter | None = None) -> list:
+def matvec_t(m: Matrix, v: list, counter: OpCounter) -> list:
     """m.T @ v with accumulation over rows in increasing index.
 
     Counts exactly ``rows * cols`` multiply-accumulates.
@@ -120,9 +109,20 @@ def matvec_t(m: Matrix, v: list, counter: OpCounter | None = None) -> list:
         for c in range(cols):
             out[c] += data[base + c] * vr
         base += cols
-    if counter is not None:
-        counter.add_macs(m.rows * cols)
+    counter.add_macs(m.rows * cols)
     return out
+
+
+def _left_sum(values) -> float:
+    """Sum from 0.0 in iteration order.
+
+    Stands in for the builtin ``sum``, which Python 3.12 made compensated
+    for floats, so its result would depend on the interpreter version.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 class Rng:

@@ -33,7 +33,6 @@ class RnnSpec:
     x_dim: int
     hidden_dim: int
     y_dim: int
-    hidden_activation: str = "sigmoid"
 
     def __post_init__(self) -> None:
         lags = tuple(int(l) for l in self.lag_set)
@@ -47,10 +46,6 @@ class RnnSpec:
         for name in ("x_dim", "hidden_dim", "y_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.hidden_activation != "sigmoid":
-            raise ValueError(
-                f"unsupported hidden activation {self.hidden_activation!r}"
-            )
 
     @property
     def p(self) -> int:
@@ -80,17 +75,19 @@ class RnnSpec:
             "x_dim": self.x_dim,
             "hidden_dim": self.hidden_dim,
             "y_dim": self.y_dim,
-            "hidden_activation": self.hidden_activation,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "RnnSpec":
+        # Older checkpoints name the hidden activation; sigmoid is the only one.
+        activation = d.get("hidden_activation", "sigmoid")
+        if activation != "sigmoid":
+            raise ValueError(f"unsupported hidden activation {activation!r}")
         return cls(
             lag_set=tuple(d["lag_set"]),
             x_dim=d["x_dim"],
             hidden_dim=d["hidden_dim"],
             y_dim=d["y_dim"],
-            hidden_activation=d.get("hidden_activation", "sigmoid"),
         )
 
 

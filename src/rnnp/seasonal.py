@@ -18,6 +18,7 @@ from datetime import datetime, timedelta
 
 from .base import BaseEstimator, DataValidationError, check_fitted, checkpoint_field
 from .features import year_fraction
+from .linalg import _left_sum
 from .series import HourlySeries
 from .stats import mean_std
 
@@ -44,13 +45,13 @@ def qr_lstsq(rows: list, ys: list, rcond: float = 1e-10) -> tuple:
 
     scale = 0.0
     for j in range(n):
-        norm = math.sqrt(sum(a[i][j] * a[i][j] for i in range(m)))
+        norm = math.sqrt(_left_sum(a[i][j] * a[i][j] for i in range(m)))
         scale = max(scale, norm)
     tol = rcond * (scale if scale > 0.0 else 1.0)
 
     dropped: list = []
     for j in range(min(n, m)):
-        norm2 = sum(a[i][j] * a[i][j] for i in range(j, m))
+        norm2 = _left_sum(a[i][j] * a[i][j] for i in range(j, m))
         norm = math.sqrt(norm2)
         if norm <= tol:
             dropped.append(j)
@@ -59,7 +60,7 @@ def qr_lstsq(rows: list, ys: list, rcond: float = 1e-10) -> tuple:
         sign = 1.0 if v0 >= 0.0 else -1.0
         v = [a[i][j] for i in range(j, m)]
         v[0] += sign * norm
-        beta = 2.0 / sum(vi * vi for vi in v)
+        beta = 2.0 / _left_sum(vi * vi for vi in v)
         for k in range(j + 1, n):
             dot = 0.0
             for i in range(j, m):

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import math
 
+from .linalg import _left_sum
+
 _SQRT2 = math.sqrt(2.0)
 
 # Coefficients of Acklam's rational approximation to the inverse normal CDF.
@@ -47,8 +49,8 @@ def mean_std(values: list) -> tuple:
     unscaled.
     """
     n = len(values)
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / n
+    mean = _left_sum(values) / n
+    var = _left_sum((v - mean) ** 2 for v in values) / n
     std = math.sqrt(var)
     return mean, (std if std > 0.0 else 1.0)
 

@@ -18,7 +18,7 @@ from datetime import datetime, timedelta
 
 from .base import ConfigError
 from .features import year_fraction
-from .linalg import Rng
+from .linalg import Rng, _left_sum
 from .series import HourlySeries
 
 TWO_PI = 2.0 * math.pi
@@ -68,8 +68,8 @@ class SynthTruth:
 
     def noise_var(self, i: int, j: int) -> float:
         chunk = self.noise[i:j]
-        mean = sum(chunk) / len(chunk)
-        return sum((v - mean) ** 2 for v in chunk) / len(chunk)
+        mean = _left_sum(chunk) / len(chunk)
+        return _left_sum((v - mean) ** 2 for v in chunk) / len(chunk)
 
     def irreducible_mape(self, series: HourlySeries, i: int, j: int) -> float:
         """MAPE of the best exogenous-information forecast on [i, j).

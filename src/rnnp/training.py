@@ -247,21 +247,13 @@ def train(
             g_sum = [0.0] * len(values)
             for idx in batch:
                 w = windows[idx]
-                captured: list = [math.nan]
-                inner = head.bind(w.target)
-
-                def recording(y_hat, _inner=inner, _captured=captured):
-                    value, grad = _inner(y_hat)
-                    _captured[0] = value
-                    return value, grad
-
                 # GradientPair first; bptt additionally returns macronodes.
-                pair = ENGINES[engine](live, spec, w.xs, recording)[0]
-                if not math.isfinite(captured[0]):
+                pair = ENGINES[engine](live, spec, w.xs, head.bind(w.target))[0]
+                if not math.isfinite(pair.loss):
                     raise NumericError(
                         f"non-finite loss at epoch {epoch}, window {idx}"
                     )
-                epoch_loss += captured[0]
+                epoch_loss += pair.loss
                 for i, g in enumerate(pair.d_theta):
                     g_sum[i] += g
                 for i, g in enumerate(pair.d_phi):

@@ -167,6 +167,31 @@ class TestMalformedCheckpoint:
         assert "bogus" in capsys.readouterr().err
 
 
+    def test_unknown_hidden_activation_exits_with_data_error(self, tmp_path, capsys):
+        series, pipe = fitted_pipeline()
+        data, checkpoint = tmp_path / "data.csv", tmp_path / "model.json"
+        write_csv(series, str(data))
+        pipe.save(str(checkpoint))
+        record = json.loads(checkpoint.read_text())
+        record["spec"]["hidden_activation"] = "tanh"
+        checkpoint.write_text(json.dumps(record))
+        argv = [
+            "forecast",
+            "--checkpoint",
+            str(checkpoint),
+            "--data",
+            str(data),
+            "--start",
+            "2007-06-01T00:00:00",
+            "--end",
+            "2007-06-01T01:00:00",
+            "--out",
+            str(tmp_path / "forecast.csv"),
+        ]
+        assert main(argv) == 3
+        assert "tanh" in capsys.readouterr().err
+
+
 class TestMissingFiles:
     def test_forecast_missing_checkpoint(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

@@ -4,6 +4,7 @@ import pytest
 
 from rnnp.base import NumericError
 from rnnp.engines import (
+    ENGINES,
     BpttInfeasibleError,
     bptt_gradients,
     finite_difference_gradients,
@@ -215,6 +216,44 @@ class TestEngineEquivalence:
         assert a.d_theta == b.d_theta and a.d_phi == b.d_phi
 
 
+class TestEngineContract:
+    """Every engine returns the loss it evaluated, bit for bit."""
+
+    @staticmethod
+    def forward_loss(params, spec, xs, head, target):
+        return head.bind(target)(forward_sequence(params, spec, xs).y_final)[0]
+
+    @pytest.mark.parametrize("y_dim", [1, 2])
+    @pytest.mark.parametrize("name", sorted(ENGINES))
+    def test_loss_on_toy_shape(self, name, y_dim):
+        spec = RnnSpec(lag_set=(1, 2), x_dim=3, hidden_dim=4, y_dim=y_dim)
+        rng = Rng(500 + y_dim)
+        params = init_params(spec, rng.spawn(1))
+        xin = rng.spawn(2)
+        xs = [xin.uniform(-1.0, 1.0, spec.x_dim) for _ in range(8)]
+        head = LossHead(kind="mse" if y_dim == 1 else "gaussian_nll")
+        target = rng.uniform(-1.0, 1.0, 1)[0]
+        pair = ENGINES[name](params, spec, xs, head.bind(target))[0]
+        assert pair.loss == self.forward_loss(params, spec, xs, head, target)
+
+    @pytest.mark.parametrize("name", ["trrl", "rtrl"])
+    def test_loss_at_production_shape(self, name):
+        spec = RnnSpec(lag_set=(1, 2, 24), x_dim=13, hidden_dim=15, y_dim=2)
+        rng = Rng(310)
+        params = init_params(spec, rng.spawn(1))
+        xin = rng.spawn(2)
+        xs = [xin.uniform(-1.0, 1.0, spec.x_dim) for _ in range(49)]
+        head = LossHead(kind="gaussian_nll")
+        target = rng.uniform(-1.0, 1.0, 1)[0]
+        pair, _ = ENGINES[name](params, spec, xs, head.bind(target))
+        assert pair.loss == self.forward_loss(params, spec, xs, head, target)
+
+    def test_finite_differences_report_the_unperturbed_loss(self):
+        spec, params, xs, loss = make_case(17)
+        fd = finite_difference_gradients(params, spec, xs, loss)
+        assert fd.loss == loss(forward_sequence(params, spec, xs).y_final)[0]
+
+
 class TestBptt:
     def test_chain_macronode_count_for_single_lag(self):
         spec, params, xs, loss = make_case(31, lag_set=(1,), tau=9)
@@ -382,6 +421,19 @@ class TestNumericSafety:
             forward_sequence(params, spec, xs)
         for engine in (trrl_gradients, rtrl_gradients):
             with pytest.raises(NumericError, match="non-finite output at step 2"):
+                engine(params, spec, xs, loss)
+
+    def test_non_finite_folded_gradient_reported_with_step(self):
+        # The output stays finite (5e307) but V^T g overflows at the root.
+        spec = RnnSpec(lag_set=(1,), x_dim=1, hidden_dim=1, y_dim=1)
+        params = zero_params(spec)
+        params.V.data[0] = 1e308
+        xs = [[0.0], [0.0]]
+        loss = lambda y_hat: mse_loss(y_hat, 0.0)
+        for engine in (trrl_gradients, bptt_gradients):
+            with pytest.raises(
+                NumericError, match="non-finite folded gradient at step 2"
+            ):
                 engine(params, spec, xs, loss)
 
     def test_empty_sequence_rejected(self):

@@ -18,9 +18,16 @@ from rnnp.stats import (
     lognormal_central_interval,
     lognormal_mean,
     lognormal_quantile,
+    mean_std,
     normal_cdf,
     normal_ppf,
 )
+
+
+class TestMeanStd:
+    def test_sums_left_to_right_from_zero(self):
+        # A compensated sum (Python >= 3.12 builtin sum) gives a mean of 1/3.
+        assert mean_std([1e16, 1.0, -1e16])[0] == 0.0
 
 
 class TestNormalPpf:

@@ -62,10 +62,12 @@ class TestRnnSpec:
             RnnSpec(lag_set=lags, x_dim=1, hidden_dim=1, y_dim=1)
 
     def test_only_sigmoid_supported(self):
-        with pytest.raises(ValueError):
-            RnnSpec(
-                lag_set=(1,), x_dim=1, hidden_dim=1, y_dim=1, hidden_activation="relu"
-            )
+        d = {"lag_set": [1], "x_dim": 1, "hidden_dim": 1, "y_dim": 1}
+        assert RnnSpec.from_dict({**d, "hidden_activation": "sigmoid"}) == (
+            RnnSpec.from_dict(d)
+        )
+        with pytest.raises(ValueError, match="relu"):
+            RnnSpec.from_dict({**d, "hidden_activation": "relu"})
 
 
 class TestInitParams:

@@ -206,6 +206,28 @@ class TestCheckpoint:
         assert [f.mu_log for f in got] == [f.mu_log for f in want]
         assert again.get_params() == pipe.get_params()
 
+    def test_checkpoint_naming_the_hidden_activation_still_loads(self, tmp_path):
+        """Older checkpoints carry "hidden_activation": "sigmoid" in the spec;
+        they load and forecast as before, and any other activation is
+        rejected."""
+        series, _ = make_series(years=1, seed=56)
+        pipe = quick_pipeline()
+        pipe.fit(series, series.start, series.end)
+        start, end = datetime(2007, 4, 1), datetime(2007, 4, 1, 8)
+        want = pipe.forecast_range(series, start, end)
+        path = tmp_path / "model.rnnp.json"
+        pipe.save(str(path))
+        record = json.loads(path.read_text())
+        assert "hidden_activation" not in record["spec"]
+        record["spec"]["hidden_activation"] = "sigmoid"
+        path.write_text(json.dumps(record))
+        got = LoadForecastPipeline.load(str(path)).forecast_range(series, start, end)
+        assert got == want
+        record["spec"]["hidden_activation"] = "relu"
+        path.write_text(json.dumps(record))
+        with pytest.raises(DataValidationError, match="relu"):
+            LoadForecastPipeline.load(str(path))
+
     def test_save_load_save_is_byte_stable(self, tmp_path):
         series, _ = make_series(years=1, seed=59)
         holidays = frozenset({date(2007, 1, 1), date(2007, 7, 4), date(2007, 12, 25)})
