@@ -43,6 +43,7 @@ from .model import (
     init_params,
     load_checkpoint,
     pack,
+    project_inputs,
     save_checkpoint,
     unpack,
 )

@@ -14,7 +14,6 @@ import csv
 import time
 from dataclasses import dataclass
 
-from .base import DataValidationError
 from .engines import ENGINES
 from .linalg import Rng, _left_sum
 from .model import RnnSpec, init_params
@@ -157,29 +156,6 @@ def emit_csv(records: list, path: str) -> None:
                     "" if r.macronodes is None else r.macronodes,
                 ]
             )
-
-
-def read_csv(path: str) -> list:
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != CSV_HEADER:
-            raise DataValidationError(f"bad bench header {reader.fieldnames!r}")
-        for rec in reader:
-            records.append(
-                BenchRecord(
-                    engine=rec["engine"],
-                    lag_set=tuple(int(v) for v in rec["lag_set"].split(";")),
-                    hidden_dim=int(rec["hidden_dim"]),
-                    y_dim=int(rec["y_dim"]),
-                    tau=int(rec["tau"]),
-                    mac_count=int(rec["mac_count"]),
-                    peak_floats=int(rec["peak_floats"]),
-                    wall_seconds=float(rec["wall_seconds"]),
-                    macronodes=int(rec["macronodes"]) if rec["macronodes"] else None,
-                )
-            )
-    return records
 
 
 def linear_fit_r2(xs: list, ys: list) -> float:

@@ -108,10 +108,14 @@ class RnnForecaster(BaseEstimator):
         )
         return self
 
-    def predict_output(self, xs: list) -> list:
-        """Raw final output vector for one window."""
+    def predict_output(self, xs, projected: bool = False) -> list:
+        """Raw final output vector for one window.
+
+        ``xs`` holds the window's input rows, or with ``projected=True``
+        their ``project_inputs`` rows under the fitted parameters.
+        """
         check_fitted(self, ["params_"])
-        return forward_sequence(self.params_, self.spec_, xs).y_final
+        return forward_sequence(self.params_, self.spec_, xs, projected).y_final
 
     def predict(self, X) -> list:
         """Predicted mean of the final-step target, one value per window."""

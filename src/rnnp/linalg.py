@@ -78,9 +78,6 @@ class Matrix:
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls(rows, cols, [0.0] * (rows * cols))
 
-    def at(self, r: int, c: int) -> float:
-        return self.data[r * self.cols + c]
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Matrix)

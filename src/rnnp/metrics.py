@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .stats import lognormal_central_interval, lognormal_quantile
+from .stats import central_z, lognormal_at_z, normal_ppf
 
 DEFAULT_QUANTILES = tuple(q / 100.0 for q in range(1, 100))
 DEFAULT_ALPHAS = tuple(a / 100.0 for a in range(90, 100))
@@ -60,7 +60,8 @@ def average_pinball_loss(
     """Pinball loss averaged over a quantile grid, then over hours.
 
     ``distributions`` holds (mu_log, sigma_log) lognormal parameters per
-    hour; quantile forecasts come from the lognormal quantile function.
+    hour; quantile forecasts come from the lognormal quantile function,
+    with each level's normal score computed once per call.
     """
     _check_lengths(distributions, realized)
     if not quantiles:
@@ -68,11 +69,12 @@ def average_pinball_loss(
     for q in quantiles:
         if not 0.0 < q < 1.0:
             raise ValueError(f"quantile {q} outside (0, 1)")
+    levels = [(q, normal_ppf(q)) for q in quantiles]
     total = 0.0
     for (mu_log, sigma_log), r in zip(distributions, realized):
         hour_sum = 0.0
-        for q in quantiles:
-            hour_sum += pinball(q, lognormal_quantile(mu_log, sigma_log, q), r)
+        for q, z in levels:
+            hour_sum += pinball(q, lognormal_at_z(mu_log, sigma_log, z), r)
         total += hour_sum / len(quantiles)
     return total / len(distributions)
 
@@ -82,13 +84,18 @@ def ci_backtest(
     realized: list,
     alphas: tuple = DEFAULT_ALPHAS,
 ) -> dict:
-    """Empirical coverage of central lognormal intervals per level alpha."""
+    """Empirical coverage of central lognormal intervals per level alpha.
+
+    Each level's normal score is computed once per call.
+    """
     _check_lengths(distributions, realized)
     coverage = {}
     for alpha in alphas:
+        z = central_z(alpha)
         hits = 0
         for (mu_log, sigma_log), r in zip(distributions, realized):
-            lo, hi = lognormal_central_interval(mu_log, sigma_log, alpha)
+            lo = lognormal_at_z(mu_log, sigma_log, -z)
+            hi = lognormal_at_z(mu_log, sigma_log, z)
             if lo <= r <= hi:
                 hits += 1
         coverage[alpha] = hits / len(realized)

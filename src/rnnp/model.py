@@ -231,12 +231,46 @@ class ForwardTrace:
         return self.y_steps[-1]
 
 
-def forward_steps(params: ModelParams, spec: RnnSpec, xs: list):
+def project_inputs(params: ModelParams, spec: RnnSpec, xs):
+    """Projection stage: yields ``U x(t) + b`` for each input row of ``xs``.
+
+    Each yielded list holds, per hidden row r, ``(sum_c U[r,c] x_c) + b_r``
+    with the sum from 0.0 over increasing column index.  This is the only
+    forward code that reads ``U`` and ``b``.  A projection depends on the
+    parameters and its own input row alone, so a caller whose parameters
+    are fixed can project each row once and pass the result to every
+    window that contains it (see ``forward_steps``).  Rows are projected
+    as they are pulled, so ``xs`` may be any iterable.
+    """
+    x_dim = spec.x_dim
+    u = params.U.data
+    # Per hidden row: its U row and its bias.
+    rows = [
+        (u[r * x_dim : (r + 1) * x_dim], params.b[r]) for r in range(spec.hidden_dim)
+    ]
+    x_cols = range(x_dim)
+    for x_t in xs:
+        if len(x_t) != x_dim:
+            raise ValueError(f"input has length {len(x_t)}, expected {x_dim}")
+        a = []
+        for u_r, b_r in rows:
+            acc = 0.0
+            for c in x_cols:
+                acc += u_r[c] * x_t[c]
+            a.append(acc + b_r)
+        yield a
+
+
+def forward_steps(
+    params: ModelParams, spec: RnnSpec, xs, projected: bool = False
+):
     """Closed-loop recurrence over ``xs``, yielding ``(h, yhat)`` per step.
 
     This is the only forward implementation; every engine and every
-    forecast runs it.  Each sum has one fixed order, so all callers get
-    the same bits:
+    forecast runs it.  It has two stages.  The projection stage,
+    ``project_inputs``, gives ``U x(t) + b``; the recurrence stage adds
+    the lag terms and runs ``V``.  Each sum has one fixed order, so all
+    callers get the same bits:
 
         a_r    = ((sum_c U[r,c] x_c) + b_r) + (W_l1 yhat(t-l1))_r + ...
         yhat_k = (sum_j V[k,j] h_j) + c_k
@@ -247,40 +281,48 @@ def forward_steps(params: ModelParams, spec: RnnSpec, xs: list):
     feedback is the zero vector, and adding its +0.0 row sum cannot change
     a pre-activation, which is never -0.0.  A non-finite pre-activation or
     output raises ``NumericError`` naming the 1-based step.
+
+    By default ``xs`` holds input rows and the window projects them itself,
+    adding the lag terms in place into each freshly projected row.  With
+    ``projected=True``, ``xs`` holds rows ``project_inputs`` already made
+    for the same parameters; the outputs are bit-identical, since the
+    order above is unchanged.  Only ``LoadForecastPipeline.forecast_range``
+    passes projections: its parameters are fixed and consecutive hourly
+    windows share all but one row, so it projects each hour once and keeps
+    the last tau projections in a ring, which bounds its memory.  Passed-in
+    rows are shared between windows, so each is copied before the lag
+    terms are added and is never mutated.
     """
-    x_dim, h_dim, y_dim = spec.x_dim, spec.hidden_dim, spec.y_dim
-    u, v = params.U.data, params.V.data
-    # Per hidden row: its U row, its bias and its row of each W_l.
-    rows = [
-        (
-            u[r * x_dim : (r + 1) * x_dim],
-            params.b[r],
-            [w.data[r * y_dim : (r + 1) * y_dim] for w in params.W],
-        )
-        for r in range(h_dim)
+    h_dim, y_dim = spec.hidden_dim, spec.y_dim
+    v = params.V.data
+    # Per hidden row, its row of each W_l.
+    w_rows = [
+        [w.data[r * y_dim : (r + 1) * y_dim] for w in params.W] for r in range(h_dim)
     ]
     v_rows = [(v[k * h_dim : (k + 1) * h_dim], params.c[k]) for k in range(y_dim)]
-    x_cols, h_cols, y_cols = range(x_dim), range(h_dim), range(y_dim)
+    h_cols, y_cols = range(h_dim), range(y_dim)
     lags = spec.lag_set
+    rows = xs if projected else project_inputs(params, spec, xs)
     ys: list = []
-    for t, x_t in enumerate(xs, 1):
-        if len(x_t) != x_dim:
-            raise ValueError(f"input has length {len(x_t)}, expected {x_dim}")
+    for t, a in enumerate(rows, 1):
+        if projected:
+            if len(a) != h_dim:
+                raise ValueError(
+                    f"projected input has length {len(a)}, expected {h_dim}"
+                )
+            a = list(a)
         # Lags increase, so those reaching inside the window are a prefix
         # of the lag set, and zip() pairs each with its W_l row.
         feedbacks = [ys[t - 1 - lag] for lag in lags if lag < t]
-        a = []
-        for u_r, b_r, w_r in rows:
-            acc = 0.0
-            for c in x_cols:
-                acc += u_r[c] * x_t[c]
-            acc += b_r
-            for w_rl, fb in zip(w_r, feedbacks):
-                wf = 0.0
-                for k in y_cols:
-                    wf += w_rl[k] * fb[k]
-                acc += wf
-            a.append(acc)
+        if feedbacks:
+            for r, w_r in enumerate(w_rows):
+                acc = a[r]
+                for w_rl, fb in zip(w_r, feedbacks):
+                    wf = 0.0
+                    for k in y_cols:
+                        wf += w_rl[k] * fb[k]
+                    acc += wf
+                a[r] = acc
         check_finite_step(a, "pre-activation", t)
         h = [sigmoid(a_r) for a_r in a]
         y = []
@@ -294,16 +336,21 @@ def forward_steps(params: ModelParams, spec: RnnSpec, xs: list):
         yield h, y
 
 
-def forward_sequence(params: ModelParams, spec: RnnSpec, xs: list) -> ForwardTrace:
+def forward_sequence(
+    params: ModelParams, spec: RnnSpec, xs, projected: bool = False
+) -> ForwardTrace:
     """Closed-loop forward pass over a sequence, collected into a trace.
 
     Feedbacks are the model's own outputs from earlier steps of the same
     window; steps before the window start contribute zero vectors.
+    ``xs`` holds input rows, or with ``projected=True`` their
+    ``project_inputs`` rows, which are read but never mutated; see
+    ``forward_steps`` for the two stages and their fixed order.
     """
     if not xs:
         raise ValueError("empty input sequence")
     trace = ForwardTrace(_zero_y=[0.0] * spec.y_dim)
-    for h, y in forward_steps(params, spec, xs):
+    for h, y in forward_steps(params, spec, xs, projected):
         trace.h_steps.append(h)
         trace.y_steps.append(y)
     return trace

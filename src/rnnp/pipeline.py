@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import deque
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import islice
 
 from .base import BaseEstimator, DataValidationError, check_fitted, checkpoint_field
 from .features import CalendarFeatureEncoder
 from .forecaster import RnnForecaster
 from .metrics import MetricReport, point_metrics, probabilistic_metrics
-from .model import load_checkpoint, pack, save_checkpoint, unpack
+from .model import load_checkpoint, pack, project_inputs, save_checkpoint, unpack
 from .seasonal import HourlyDeseasonalizer
 from .series import HourlySeries
 from .stats import lognormal_mean, lognormal_quantile
@@ -146,7 +148,10 @@ class LoadForecastPipeline(BaseEstimator):
 
         Each hour runs a fresh window of length tau ending at that hour,
         feedbacks zero-initialized at the window start, exogenous inputs
-        (calendar + realized weather) taken as known.
+        (calendar + realized weather) taken as known.  Each encoded hour is
+        projected once (``project_inputs``) and its projection is shared by
+        the tau windows that contain it; the outputs equal those of
+        ``forward_sequence`` on each raw window, bit for bit.
         """
         check_fitted(self, ["forecaster_"])
         i0, i1 = series.index_range(start, end)
@@ -159,10 +164,17 @@ class LoadForecastPipeline(BaseEstimator):
         features = self.encoder_.transform(
             series, series.timestamps[i0 - self.tau + 1], end
         )
+        # The parameters are fixed, so each hour's input projection is made
+        # once and reused by every window containing it.  The ring keeps the
+        # last tau of them: memory does not grow with the range.
+        projections = project_inputs(
+            self.forecaster_.params_, self.forecaster_.spec_, features
+        )
+        window = deque(islice(projections, self.tau - 1), maxlen=self.tau)
         out = []
-        for k in range(i0, i1):
-            xs = features[k - i0 : k - i0 + self.tau]
-            y_final = self.forecaster_.predict_output(xs)
+        for k, projection in zip(range(i0, i1), projections):
+            window.append(projection)
+            y_final = self.forecaster_.predict_output(window, projected=True)
             mu_z, sigma_z = self.forecaster_.head_.mean_and_sigma(y_final)
             ts = series.timestamps[k]
             s_z = self.deseasonalizer_.seasonal_at(ts)

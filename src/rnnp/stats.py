@@ -97,18 +97,29 @@ def lognormal_mean(mu_log: float, sigma_log: float) -> float:
     return math.exp(mu_log + 0.5 * sigma_log * sigma_log)
 
 
+def lognormal_at_z(mu_log: float, sigma_log: float, z: float) -> float:
+    """Value of exp(N(mu_log, sigma_log^2)) at standard normal score z.
+
+    The one expression every lognormal quantile goes through; callers that
+    score many hours at one level compute its z once and pass it here.
+    """
+    return math.exp(mu_log + sigma_log * z)
+
+
 def lognormal_quantile(mu_log: float, sigma_log: float, q: float) -> float:
-    return math.exp(mu_log + sigma_log * normal_ppf(q))
+    return lognormal_at_z(mu_log, sigma_log, normal_ppf(q))
+
+
+def central_z(alpha: float) -> float:
+    """Half-width, in standard scores, of the central interval holding alpha."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    return normal_ppf(0.5 + alpha / 2.0)
 
 
 def lognormal_central_interval(
     mu_log: float, sigma_log: float, alpha: float
 ) -> tuple:
     """Equal-tail interval containing probability ``alpha``."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    z = normal_ppf(0.5 + alpha / 2.0)
-    return (
-        math.exp(mu_log - sigma_log * z),
-        math.exp(mu_log + sigma_log * z),
-    )
+    z = central_z(alpha)
+    return lognormal_at_z(mu_log, sigma_log, -z), lognormal_at_z(mu_log, sigma_log, z)

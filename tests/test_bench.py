@@ -1,13 +1,15 @@
 """Counter-based complexity sweeps and their CSV surface."""
 
+import csv
+
 import pytest
 
 from rnnp.bench import (
     CSV_HEADER,
+    BenchRecord,
     emit_csv,
     gain_factors,
     linear_fit_r2,
-    read_csv,
     sweep_neurons,
     sweep_tau,
 )
@@ -79,6 +81,27 @@ class TestSweepNeurons:
             assert r.peak_floats == rtrl_space_floats(spec)
 
 
+def read_back(path):
+    """Parse a bench CSV into BenchRecords, checking its header."""
+    with open(path, encoding="utf-8", newline="") as f:
+        reader = csv.DictReader(f)
+        assert reader.fieldnames == CSV_HEADER
+        return [
+            BenchRecord(
+                engine=rec["engine"],
+                lag_set=tuple(int(v) for v in rec["lag_set"].split(";")),
+                hidden_dim=int(rec["hidden_dim"]),
+                y_dim=int(rec["y_dim"]),
+                tau=int(rec["tau"]),
+                mac_count=int(rec["mac_count"]),
+                peak_floats=int(rec["peak_floats"]),
+                wall_seconds=float(rec["wall_seconds"]),
+                macronodes=int(rec["macronodes"]) if rec["macronodes"] else None,
+            )
+            for rec in reader
+        ]
+
+
 class TestCsvRoundTrip:
     def test_empty_records_header_only(self, tmp_path):
         path = str(tmp_path / "bench.csv")
@@ -93,7 +116,7 @@ class TestCsvRoundTrip:
         )
         path = str(tmp_path / "bench.csv")
         emit_csv(records, path)
-        again = read_csv(path)
+        again = read_back(path)
         assert again == records
 
     def test_overwrite_not_append(self, tmp_path):
@@ -101,7 +124,7 @@ class TestCsvRoundTrip:
         records = sweep_tau("trrl", small_spec(), [4])
         emit_csv(records, path)
         emit_csv(records, path)
-        assert len(read_csv(path)) == 1
+        assert len(read_back(path)) == 1
 
 
 class TestLinearFit:

@@ -107,7 +107,7 @@ class TestSingleStepBackprop:
         trace = forward_sequence(params, spec, [x])
         h = trace.h_steps[0]
         g = 2.0 * (trace.y_final[0] - target)
-        q = [params.V.at(0, j) * h[j] * (1 - h[j]) * g for j in range(3)]
+        q = [params.V.data[j] * h[j] * (1 - h[j]) * g for j in range(3)]
         want_dU = [q[r] * x[c] for r in range(3) for c in range(2)]
         want_db = q
         want_dV = [g * h[j] for j in range(3)]

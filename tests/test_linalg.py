@@ -25,7 +25,7 @@ class TestMatvecT:
             ref = [0.0] * cols
             for r in range(rows):
                 for c in range(cols):
-                    ref[c] += m.at(r, c) * v[r]
+                    ref[c] += m.data[r * cols + c] * v[r]
             assert matvec_t(m, v, OpCounter()) == ref
 
     def test_counter(self):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from rnnp import metrics
 from rnnp.linalg import Rng
 from rnnp.metrics import (
     average_pinball_loss,
@@ -125,6 +126,19 @@ class TestPinball:
         got = average_pinball_loss(dists, realized, quantiles)
         assert got == pytest.approx(want, rel=1e-12)
 
+    def test_equals_per_hour_quantile_loop(self):
+        """Computing each level's z once per call changes no bit."""
+        rng = Rng(10)
+        dists = list(zip(rng.uniform(4.0, 5.0, 30), rng.uniform(0.05, 0.4, 30)))
+        realized = [math.exp(v) for v in rng.uniform(4.0, 5.0, 30)]
+        total = 0.0
+        for (m, s), r in zip(dists, realized):
+            hour_sum = 0.0
+            for q in metrics.DEFAULT_QUANTILES:
+                hour_sum += pinball(q, lognormal_quantile(m, s, q), r)
+            total += hour_sum / len(metrics.DEFAULT_QUANTILES)
+        assert average_pinball_loss(dists, realized) == total / len(dists)
+
     def test_permutation_invariance(self):
         dists = [(math.log(x), 0.1) for x in (80.0, 90.0, 110.0)]
         realized = [85.0, 95.0, 100.0]
@@ -166,6 +180,22 @@ class TestCiBacktest:
         coverage = ci_backtest(dists, draws, alphas=(0.90, 0.95, 0.99))
         for alpha, cov in coverage.items():
             assert abs(cov - alpha) < 0.02
+
+    def test_equals_per_hour_interval_loop(self):
+        """Computing each level's z once per call changes no bit."""
+        rng = Rng(34)
+        dists = list(zip(rng.uniform(4.0, 5.0, 200), rng.uniform(0.05, 0.4, 200)))
+        realized = [math.exp(v) for v in rng.uniform(4.0, 5.0, 200)]
+        want = {}
+        for alpha in metrics.DEFAULT_ALPHAS:
+            hits = 0
+            for (m, s), r in zip(dists, realized):
+                lo, hi = lognormal_central_interval(m, s, alpha)
+                hits += lo <= r <= hi
+            want[alpha] = hits / len(realized)
+        assert ci_backtest(dists, realized) == want
+        with pytest.raises(ValueError, match="alpha must be in"):
+            ci_backtest(dists, realized, alphas=(0.9, 1.0))
 
     def test_monotone_in_alpha(self):
         rng = Rng(33)

@@ -15,6 +15,7 @@ from rnnp.model import (
     init_params,
     load_checkpoint,
     pack,
+    project_inputs,
     save_checkpoint,
     sigmoid,
     unpack,
@@ -196,19 +197,19 @@ class TestForward:
             for r in range(spec.hidden_dim):
                 acc = 0.0
                 for c in range(spec.x_dim):
-                    acc += params.U.at(r, c) * xs[t - 1][c]
+                    acc += params.U.data[r * spec.x_dim + c] * xs[t - 1][c]
                 acc += params.b[r]
                 for W_l, lag in zip(params.W, spec.lag_set):
                     fb = outputs[t - lag - 1] if t - lag >= 1 else [0.0, 0.0]
                     for k in range(spec.y_dim):
-                        acc += W_l.at(r, k) * fb[k]
+                        acc += W_l.data[r * spec.y_dim + k] * fb[k]
                 a.append(acc)
             h = [ref_sigmoid(v) for v in a]
             y = []
             for k in range(spec.y_dim):
                 acc = 0.0
                 for j in range(spec.hidden_dim):
-                    acc += params.V.at(k, j) * h[j]
+                    acc += params.V.data[k * spec.hidden_dim + j] * h[j]
                 y.append(acc + params.c[k])
             outputs.append(y)
 
@@ -228,9 +229,9 @@ class TestForward:
         y = [0.0]
         orbit = []
         for _ in range(8):
-            a = [params.b[r] + params.W[0].at(r, 0) * y[0] for r in range(3)]
+            a = [params.b[r] + params.W[0].data[r] * y[0] for r in range(3)]
             h = [sigmoid(v) for v in a]
-            y = [params.c[0] + sum(params.V.at(0, j) * h[j] for j in range(3))]
+            y = [params.c[0] + sum(params.V.data[j] * h[j] for j in range(3))]
             orbit.append(y[0])
         got = [v[0] for v in trace.y_steps]
         assert all(
@@ -256,43 +257,53 @@ class TestForwardKernel:
 
     @staticmethod
     def reference(params, spec, xs):
-        h_steps, y_steps = [], []
+        h_steps, y_steps, projections = [], [], []
         for t in range(1, len(xs) + 1):
-            a = []
+            a, projected = [], []
             for r in range(spec.hidden_dim):
                 acc = 0.0
                 for c in range(spec.x_dim):
-                    acc += params.U.at(r, c) * xs[t - 1][c]
+                    acc += params.U.data[r * spec.x_dim + c] * xs[t - 1][c]
                 acc += params.b[r]
+                projected.append(acc)
                 for W_l, lag in zip(params.W, spec.lag_set):
                     if t - lag < 1:
                         continue  # zero feedback before the window start
                     wf = 0.0
                     for k in range(spec.y_dim):
-                        wf += W_l.at(r, k) * y_steps[t - lag - 1][k]
+                        wf += W_l.data[r * spec.y_dim + k] * y_steps[t - lag - 1][k]
                     acc += wf
                 a.append(acc)
+            projections.append(projected)
             h = [sigmoid(v) for v in a]
             y = []
             for k in range(spec.y_dim):
                 acc = 0.0
                 for j in range(spec.hidden_dim):
-                    acc += params.V.at(k, j) * h[j]
+                    acc += params.V.data[k * spec.hidden_dim + j] * h[j]
                 y.append(acc + params.c[k])
             h_steps.append(h)
             y_steps.append(y)
-        return h_steps, y_steps
+        return h_steps, y_steps, projections
 
     def check(self, spec, seed, tau):
         params = init_params(spec, Rng(seed))
         xin = Rng(seed).spawn(1)
         xs = [xin.uniform(-2.0, 2.0, spec.x_dim) for _ in range(tau)]
         trace = forward_sequence(params, spec, xs)
-        h_steps, y_steps = self.reference(params, spec, xs)
+        h_steps, y_steps, want_projections = self.reference(params, spec, xs)
         assert len(trace.h_steps) == len(trace.y_steps) == tau
         for t in range(tau):
             assert trace.h_steps[t] == h_steps[t]
             assert trace.y_steps[t] == y_steps[t]
+        # The projection stage alone, then the recurrence on its rows: the
+        # same bits, and the caller's rows are left as they were.
+        projections = list(project_inputs(params, spec, xs))
+        assert projections == want_projections
+        projected = forward_sequence(params, spec, projections, projected=True)
+        assert projected.h_steps == trace.h_steps
+        assert projected.y_steps == trace.y_steps
+        assert projections == want_projections
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bit_identical_at_production_shape(self, seed):
@@ -305,8 +316,23 @@ class TestForwardKernel:
 
     def test_input_length_mismatch(self):
         spec = RnnSpec(lag_set=(1,), x_dim=2, hidden_dim=3, y_dim=1)
-        with pytest.raises(ValueError, match="input has length 1"):
-            forward_sequence(zero_params(spec), spec, [[0.0, 0.0], [0.0]])
+        params = zero_params(spec)
+        xs = [[0.0, 0.0], [0.0]]
+        with pytest.raises(ValueError, match="input has length 1, expected 2"):
+            forward_sequence(params, spec, xs)
+        with pytest.raises(ValueError, match="input has length 1, expected 2"):
+            list(project_inputs(params, spec, xs))
+        rows = [[0.0, 0.0, 0.0], [0.0, 0.0]]
+        with pytest.raises(ValueError, match="input has length 2, expected 3"):
+            forward_sequence(params, spec, rows, projected=True)
+
+    def test_non_finite_pre_activation_named_with_projections(self):
+        spec = RnnSpec(lag_set=(1,), x_dim=1, hidden_dim=1, y_dim=1)
+        params = zero_params(spec)
+        params.U.data[0] = 1e308
+        projections = list(project_inputs(params, spec, [[0.0], [1e308], [0.0]]))
+        with pytest.raises(NumericError, match="pre-activation at step 2"):
+            forward_sequence(params, spec, projections, projected=True)
 
 
 class TestCheckpoint:

@@ -15,7 +15,7 @@ import rnnp.forecaster
 from rnnp.base import DataValidationError
 from rnnp.features import CalendarFeatureEncoder
 from rnnp.linalg import Matrix, Rng
-from rnnp.model import ModelParams
+from rnnp.model import ModelParams, forward_sequence
 from rnnp.pipeline import (
     LoadForecastPipeline,
     build_walk_forward_plan,
@@ -189,6 +189,57 @@ class TestForecastAssembly:
         assert all(sigma is None for _, _, _, sigma in rows)
         with open(path) as f:
             assert f.read().count(",,") > 0  # empty quantile columns
+
+
+class TestProjectedForecasts:
+    """forecast_range projects each hour once and hands predict_output the
+    window's projections; its outputs equal forward_sequence on each raw
+    window, and predict_output runs once per forecast hour."""
+
+    @pytest.fixture(scope="class", params=["mse", "gaussian_nll"])
+    def fitted(self, request):
+        series, _ = make_series(years=1, seed=57)
+        pipe = quick_pipeline(loss=request.param, lags=(1, 2, 24), tau=30)
+        pipe.fit(series, series.start, series.end)
+        return series, pipe
+
+    @pytest.mark.parametrize(
+        "first, hours",
+        [
+            (29, 40),  # the first window starts at the series' first hour
+            (29, 1),
+            (3000, 1),
+            (3000, 30),
+        ],
+    )
+    def test_equals_raw_windows_one_call_per_hour(
+        self, fitted, monkeypatch, first, hours
+    ):
+        series, pipe = fitted
+        fc = pipe.forecaster_
+        start = series.timestamps[first]
+        end = series.timestamps[first + hours]
+        features = pipe.encoder_.transform(series)
+        want = [
+            forward_sequence(
+                fc.params_, fc.spec_, features[k - pipe.tau + 1 : k + 1]
+            ).y_final
+            for k in range(first, first + hours)
+        ]
+        predict_output = rnnp.forecaster.RnnForecaster.predict_output
+        got = []
+
+        def recording(self, *args, **kwargs):
+            got.append(predict_output(self, *args, **kwargs))
+            return got[-1]
+
+        monkeypatch.setattr(rnnp.forecaster.RnnForecaster, "predict_output", recording)
+        forecasts = pipe.forecast_range(series, start, end)
+        assert got == want
+        assert len(forecasts) == hours
+        assert [(f.mu_z, f.sigma_z) for f in forecasts] == [
+            fc.head_.mean_and_sigma(y) for y in want
+        ]
 
 
 class TestCheckpoint:
