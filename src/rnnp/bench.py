@@ -19,6 +19,11 @@ from .linalg import Rng, _left_sum
 from .model import RnnSpec, init_params
 from .training import LossHead
 
+# The neuron sweep runs at the pipeline's shape: 13 encoded inputs and the
+# Gaussian head's two outputs.
+SWEEP_X_DIM = 13
+SWEEP_Y_DIM = 2
+
 CSV_HEADER = [
     "engine",
     "lag_set",
@@ -88,8 +93,6 @@ def sweep_neurons(
     lag_sets: tuple = ((1,), (1, 2), (1, 2, 24)),
     hidden_dims: tuple = (5, 10, 15),
     tau: int = 49,
-    y_dim: int = 2,
-    x_dim: int = 13,
     seed: int = 0,
 ) -> list:
     """Grid of engine runs across lag sets and hidden sizes at fixed tau."""
@@ -97,7 +100,10 @@ def sweep_neurons(
     for lag_set in lag_sets:
         for h in hidden_dims:
             spec = RnnSpec(
-                lag_set=tuple(lag_set), x_dim=x_dim, hidden_dim=h, y_dim=y_dim
+                lag_set=tuple(lag_set),
+                x_dim=SWEEP_X_DIM,
+                hidden_dim=h,
+                y_dim=SWEEP_Y_DIM,
             )
             for engine in engines:
                 records.append(_run_once(engine, spec, tau, seed))

@@ -20,7 +20,7 @@ from datetime import datetime
 
 from .base import ConfigError, DataValidationError, NumericError
 from .bench import emit_csv, gain_factors, sweep_neurons, sweep_tau
-from .engines import DEFAULT_BPTT_GUARD, macronode_count
+from .engines import BPTT_GUARD, macronode_count
 from .gradcheck import run_gradient_check, write_report
 from .linalg import Rng
 from .model import RnnSpec
@@ -56,7 +56,7 @@ CONFIG_SECTIONS = {
 
 KNOWN_KEYS = {
     "paths": {"data", "holidays", "checkpoint", "history", "out"},
-    "model": {"lags", "hidden_dim", "loss", "sigma_floor", "tau"},
+    "model": {"lags", "hidden_dim", "loss", "tau"},
     "train": {
         "engine",
         "learning_rate",
@@ -68,8 +68,6 @@ KNOWN_KEYS = {
         "train_end",
         "val_start",
         "val_end",
-        "yearly_harmonics",
-        "include_trend",
     },
     # Every SynthConfig field but the holiday set, which JSON cannot spell.
     "synth": {f.name for f in fields(SynthConfig)} - {"holidays"},
@@ -177,13 +175,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     val_end = train_cfg.get("val_end")
 
     pipe = LoadForecastPipeline(**params)
-    pipe.fit(
-        series,
-        train_start,
-        train_end,
-        _parse_ts(val_start, "val_start") if val_start else None,
-        _parse_ts(val_end, "val_end") if val_end else None,
-    )
+    try:
+        pipe.fit(
+            series,
+            train_start,
+            train_end,
+            _parse_ts(val_start, "val_start") if val_start else None,
+            _parse_ts(val_end, "val_end") if val_end else None,
+        )
+    except ValueError as exc:  # a configured lag set, size or length fit rejects
+        raise ConfigError(str(exc)) from None
     checkpoint = args.out or paths.get("checkpoint")
     if not checkpoint:
         raise ConfigError("no checkpoint path (use --out or paths.checkpoint)")
@@ -238,31 +239,38 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_ACCEPTANCE
 
 
+def _bench_records(mode: str, section: dict, config: dict) -> list:
+    """The records of one bench sweep under the configured settings."""
+    if mode == "tau":
+        spec = RnnSpec(lag_set=(1, 2), x_dim=13, hidden_dim=15, y_dim=1)
+        taus = range(section.get("tau_min", 3), section.get("tau_max", 48) + 1)
+        records = []
+        for engine in section.get("engines", ["trrl", "rtrl", "bptt"]):
+            use = [t for t in taus if engine != "bptt" or t <= BPTT_GUARD]
+            records.extend(sweep_tau(engine, spec, use, seed=config.get("seed", 0)))
+        return records
+    # Configured sweep settings; the rest keep sweep_neurons' defaults.
+    sweep = {}
+    if "lag_sets" in section:
+        sweep["lag_sets"] = tuple(tuple(l) for l in section["lag_sets"])
+    if "hidden_dims" in section:
+        sweep["hidden_dims"] = tuple(section["hidden_dims"])
+    if "seed" in config:
+        sweep["seed"] = config["seed"]
+    return sweep_neurons(**sweep)
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     section = config.get("bench", {})
+    try:
+        records = _bench_records(args.mode, section, config)
+    except ValueError as exc:  # a configured engine, lag set or size the sweep rejects
+        raise ConfigError(str(exc)) from None
+    emit_csv(records, args.out)
     if args.mode == "tau":
-        spec = RnnSpec(lag_set=(1, 2), x_dim=13, hidden_dim=15, y_dim=1)
-        tau_min = section.get("tau_min", 3)
-        tau_max = section.get("tau_max", 48)
-        taus = list(range(tau_min, tau_max + 1))
-        records = []
-        for engine in section.get("engines", ["trrl", "rtrl", "bptt"]):
-            use = [t for t in taus if engine != "bptt" or t <= DEFAULT_BPTT_GUARD]
-            records.extend(sweep_tau(engine, spec, use, seed=config.get("seed", 0)))
-        emit_csv(records, args.out)
         print(f"wrote {len(records)} tau-sweep records to {args.out}")
     else:
-        # Configured sweep settings; the rest keep sweep_neurons' defaults.
-        sweep = {}
-        if "lag_sets" in section:
-            sweep["lag_sets"] = tuple(tuple(l) for l in section["lag_sets"])
-        if "hidden_dims" in section:
-            sweep["hidden_dims"] = tuple(section["hidden_dims"])
-        if "seed" in config:
-            sweep["seed"] = config["seed"]
-        records = sweep_neurons(**sweep)
-        emit_csv(records, args.out)
         print(f"wrote {len(records)} records to {args.out}")
         print(f"{'lags':>12} {'hidden':>6} {'gain':>8} {'theory':>7}")
         for row in gain_factors(records):

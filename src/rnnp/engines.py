@@ -50,7 +50,8 @@ from .model import (
 )
 from .pbonacci import U128_MAX
 
-DEFAULT_BPTT_GUARD = 25
+# Longest sequence bptt_gradients accepts.
+BPTT_GUARD = 25
 
 
 class BpttInfeasibleError(RnnpError):
@@ -341,11 +342,7 @@ def rtrl_gradients(
 
 
 def bptt_gradients(
-    params: ModelParams,
-    spec: RnnSpec,
-    xs: list,
-    loss,
-    max_tau_guard: int = DEFAULT_BPTT_GUARD,
+    params: ModelParams, spec: RnnSpec, xs: list, loss
 ) -> tuple:
     """Literal depth-first backpropagation over the unrolled tree.
 
@@ -357,9 +354,9 @@ def bptt_gradients(
     tau = len(xs)
     if tau < 1:
         raise ValueError("empty input sequence")
-    if tau > max_tau_guard:
+    if tau > BPTT_GUARD:
         raise BpttInfeasibleError(
-            f"tau={tau} exceeds the guard ({max_tau_guard}): the unrolled "
+            f"tau={tau} exceeds the guard ({BPTT_GUARD}): the unrolled "
             f"tree would hold {macronode_count(tau, spec.lag_set)} macronodes"
         )
     params.validate(spec)

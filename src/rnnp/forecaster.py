@@ -53,7 +53,6 @@ class RnnForecaster(BaseEstimator):
         lags: tuple = (1,),
         hidden_dim: int = 10,
         loss: str = "mse",
-        sigma_floor: float = 1e-4,
         engine: str = "trrl",
         learning_rate: float = 1e-3,
         batch_size: int = 32,
@@ -64,7 +63,6 @@ class RnnForecaster(BaseEstimator):
         self.lags = lags
         self.hidden_dim = hidden_dim
         self.loss = loss
-        self.sigma_floor = sigma_floor
         self.engine = engine
         self.learning_rate = learning_rate
         self.batch_size = batch_size
@@ -74,7 +72,7 @@ class RnnForecaster(BaseEstimator):
 
     def _training_setup(self, x_dim: int) -> tuple:
         """(head, spec, config) that ``fit`` trains with on x_dim-wide inputs."""
-        head = LossHead(kind=self.loss, sigma_floor=self.sigma_floor)
+        head = LossHead(kind=self.loss)
         spec = RnnSpec(
             lag_set=tuple(self.lags),
             x_dim=x_dim,

@@ -145,12 +145,12 @@ def probabilistic_metrics(
     point_forecast: list,
     distributions: list,
     realized: list,
-    quantiles: tuple = DEFAULT_QUANTILES,
-    alphas: tuple = DEFAULT_ALPHAS,
 ) -> MetricReport:
+    """Point metrics plus the pinball loss over ``DEFAULT_QUANTILES`` and
+    the coverage at ``DEFAULT_ALPHAS``."""
     return MetricReport(
         rmse_mwh=rmse(point_forecast, realized),
         mape_pct=mape(point_forecast, realized),
-        apl_mwh=average_pinball_loss(distributions, realized, quantiles),
-        coverage=ci_backtest(distributions, realized, alphas),
+        apl_mwh=average_pinball_loss(distributions, realized),
+        coverage=ci_backtest(distributions, realized),
     )

@@ -45,7 +45,7 @@ class RnnSpec:
             raise ValueError(f"lag set must be strictly increasing, got {lags}")
         for name in ("x_dim", "hidden_dim", "y_dim"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def p(self) -> int:

@@ -25,13 +25,21 @@ from .features import CalendarFeatureEncoder
 from .forecaster import RnnForecaster
 from .metrics import MetricReport, point_metrics, probabilistic_metrics
 from .model import load_checkpoint, pack, project_inputs, save_checkpoint, unpack
-from .seasonal import HourlyDeseasonalizer
+from .seasonal import YEARLY_HARMONICS, HourlyDeseasonalizer
 from .series import HourlySeries
 from .stats import lognormal_mean, lognormal_quantile
-from .training import HyperGrid, grid_search
+from .training import SIGMA_FLOOR, HyperGrid, grid_search
 from .windows import make_windows
 
 FORECAST_CSV_HEADER = ["timestamp", "point", "mu_log", "sigma_log", "q05", "q95"]
+
+# Settings that older checkpoints carry in pipeline_params and that are now
+# fixed: each loads only at the one value the library uses.
+RETIRED_PARAMS = {
+    "sigma_floor": SIGMA_FLOOR,
+    "yearly_harmonics": YEARLY_HARMONICS,
+    "include_trend": True,
+}
 
 
 @dataclass
@@ -55,7 +63,6 @@ class LoadForecastPipeline(BaseEstimator):
         lags: tuple = (1, 2, 24),
         hidden_dim: int = 15,
         loss: str = "gaussian_nll",
-        sigma_floor: float = 1e-4,
         engine: str = "trrl",
         learning_rate: float = 1e-3,
         batch_size: int = 32,
@@ -63,15 +70,12 @@ class LoadForecastPipeline(BaseEstimator):
         patience: int = 100,
         tau: int = 49,
         train_stride: int = 1,
-        yearly_harmonics: int = 2,
-        include_trend: bool = True,
         holidays: frozenset = frozenset(),
         seed: int = 0,
     ) -> None:
         self.lags = lags
         self.hidden_dim = hidden_dim
         self.loss = loss
-        self.sigma_floor = sigma_floor
         self.engine = engine
         self.learning_rate = learning_rate
         self.batch_size = batch_size
@@ -79,8 +83,6 @@ class LoadForecastPipeline(BaseEstimator):
         self.patience = patience
         self.tau = tau
         self.train_stride = train_stride
-        self.yearly_harmonics = yearly_harmonics
-        self.include_trend = include_trend
         self.holidays = holidays
         self.seed = seed
 
@@ -102,11 +104,9 @@ class LoadForecastPipeline(BaseEstimator):
         self.encoder_ = CalendarFeatureEncoder(holidays=self.holidays).fit(
             series, start, end
         )
-        self.deseasonalizer_ = HourlyDeseasonalizer(
-            yearly_harmonics=self.yearly_harmonics,
-            include_trend=self.include_trend,
-            holidays=self.holidays,
-        ).fit(series, start, end)
+        self.deseasonalizer_ = HourlyDeseasonalizer(holidays=self.holidays).fit(
+            series, start, end
+        )
 
         def windows(i: datetime, j: datetime) -> list:
             residuals = self.deseasonalizer_.transform(series, i, j)
@@ -220,6 +220,12 @@ class LoadForecastPipeline(BaseEstimator):
     def load(cls, path: str) -> "LoadForecastPipeline":
         spec, flat, extras = load_checkpoint(path)
         params = checkpoint_field(extras, "pipeline_params")
+        for key, value in RETIRED_PARAMS.items():
+            if key in params and params.pop(key) != value:
+                raise DataValidationError(
+                    f"checkpoint pipeline_params {key!r} must be {value!r}, "
+                    f"the only value this version supports"
+                )
         unknown = sorted(set(params) - set(cls._param_names()))
         if unknown:
             raise DataValidationError(
@@ -239,10 +245,7 @@ class LoadForecastPipeline(BaseEstimator):
             extras, holidays=pipe.holidays
         )
         pipe.deseasonalizer_ = HourlyDeseasonalizer.from_state(
-            extras,
-            yearly_harmonics=pipe.yearly_harmonics,
-            include_trend=pipe.include_trend,
-            holidays=pipe.holidays,
+            extras, holidays=pipe.holidays
         )
         fc = pipe._make_forecaster()
         fc.head_, fc.spec_, _ = fc._training_setup(spec.x_dim)

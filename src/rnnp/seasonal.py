@@ -2,7 +2,7 @@
 
 Each of the 24 hours of the day gets its own ordinary-least-squares fit of
 the z-scored log demand on calendar regressors only: intercept, six
-day-of-week dummies, a holiday dummy, one or more yearly sin/cos
+day-of-week dummies, a holiday dummy, two yearly sin/cos
 harmonics, and a linear trend.  Temperatures deliberately stay out; the
 recurrent network downstream owns the weather response.  Fits use
 Householder QR; a linearly dependent column (for example a holiday dummy
@@ -24,13 +24,15 @@ from .stats import mean_std
 
 TWO_PI = 2.0 * math.pi
 MIN_WINDOW = timedelta(days=365)
+YEARLY_HARMONICS = 2
+RCOND = 1e-10
 
 
-def qr_lstsq(rows: list, ys: list, rcond: float = 1e-10) -> tuple:
+def qr_lstsq(rows: list, ys: list) -> tuple:
     """Least-squares solve via Householder QR.
 
     Returns (coefficients, dropped_column_indices).  A column whose
-    reduced norm falls below ``rcond`` times the largest original column
+    reduced norm falls below ``RCOND`` times the largest original column
     norm is treated as linearly dependent: it is skipped and its
     coefficient set to zero.
     """
@@ -47,7 +49,7 @@ def qr_lstsq(rows: list, ys: list, rcond: float = 1e-10) -> tuple:
     for j in range(n):
         norm = math.sqrt(_left_sum(a[i][j] * a[i][j] for i in range(m)))
         scale = max(scale, norm)
-    tol = rcond * (scale if scale > 0.0 else 1.0)
+    tol = RCOND * (scale if scale > 0.0 else 1.0)
 
     dropped: list = []
     for j in range(min(n, m)):
@@ -106,14 +108,7 @@ class NormalizedResidualSeries:
 class HourlyDeseasonalizer(BaseEstimator):
     """24 independent calendar regressions on z-scored log demand."""
 
-    def __init__(
-        self,
-        yearly_harmonics: int = 2,
-        include_trend: bool = True,
-        holidays: frozenset = frozenset(),
-    ) -> None:
-        self.yearly_harmonics = yearly_harmonics
-        self.include_trend = include_trend
+    def __init__(self, holidays: frozenset = frozenset()) -> None:
         self.holidays = holidays
 
     def regressors(self, ts: datetime) -> list:
@@ -122,12 +117,11 @@ class HourlyDeseasonalizer(BaseEstimator):
         row.extend(1.0 if dow == d else 0.0 for d in range(6))
         row.append(1.0 if ts.date() in self.holidays else 0.0)
         yf = TWO_PI * year_fraction(ts)
-        for k in range(1, self.yearly_harmonics + 1):
+        for k in range(1, YEARLY_HARMONICS + 1):
             row.append(math.sin(k * yf))
             row.append(math.cos(k * yf))
-        if self.include_trend:
-            origin = self.fit_origin_ if hasattr(self, "fit_origin_") else ts
-            row.append((ts - origin) / timedelta(days=365.25))
+        origin = self.fit_origin_ if hasattr(self, "fit_origin_") else ts
+        row.append((ts - origin) / timedelta(days=365.25))
         return row
 
     def fit(

@@ -116,10 +116,3 @@ def central_z(alpha: float) -> float:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     return normal_ppf(0.5 + alpha / 2.0)
 
-
-def lognormal_central_interval(
-    mu_log: float, sigma_log: float, alpha: float
-) -> tuple:
-    """Equal-tail interval containing probability ``alpha``."""
-    z = central_z(alpha)
-    return lognormal_at_z(mu_log, sigma_log, -z), lognormal_at_z(mu_log, sigma_log, z)

@@ -37,6 +37,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# Added to softplus(raw) so the Gaussian head's sigma stays positive.
+SIGMA_FLOOR = 1e-4
+
 
 def softplus(x: float) -> float:
     if x > 30.0:
@@ -52,12 +55,10 @@ def mse_loss(y_hat: list, target: float) -> tuple:
     return err * err, [2.0 * err]
 
 
-def gaussian_nll_loss(
-    y_hat: list, target: float, sigma_floor: float = 1e-4
-) -> tuple:
+def gaussian_nll_loss(y_hat: list, target: float) -> tuple:
     """Gaussian negative log-likelihood with a softplus-positive sigma.
 
-    mu = yhat[0], sigma = softplus(yhat[1]) + sigma_floor,
+    mu = yhat[0], sigma = softplus(yhat[1]) + SIGMA_FLOOR,
     loss = 0.5 log(2 pi sigma^2) + (r - mu)^2 / (2 sigma^2).
     """
     if len(y_hat) != 2:
@@ -65,7 +66,7 @@ def gaussian_nll_loss(
             f"gaussian head needs y_dim=2, got output of length {len(y_hat)}"
         )
     mu, raw = y_hat[0], y_hat[1]
-    sigma = softplus(raw) + sigma_floor
+    sigma = softplus(raw) + SIGMA_FLOOR
     z = (target - mu) / sigma
     loss = 0.5 * (LOG_2PI + 2.0 * math.log(sigma)) + 0.5 * z * z
     d_mu = (mu - target) / (sigma * sigma)
@@ -79,13 +80,10 @@ class LossHead:
     """Selects the training objective and knows its output-vector layout."""
 
     kind: str  # "mse" or "gaussian_nll"
-    sigma_floor: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.kind not in ("mse", "gaussian_nll"):
             raise ConfigError(f"unknown loss head {self.kind!r}")
-        if self.sigma_floor <= 0:
-            raise ConfigError("sigma_floor must be positive")
 
     @property
     def y_dim(self) -> int:
@@ -101,14 +99,13 @@ class LossHead:
         """Close over a target; engines call the result on the final output."""
         if self.kind == "mse":
             return lambda y_hat: mse_loss(y_hat, target)
-        floor = self.sigma_floor
-        return lambda y_hat: gaussian_nll_loss(y_hat, target, floor)
+        return lambda y_hat: gaussian_nll_loss(y_hat, target)
 
     def mean_and_sigma(self, y_hat: list) -> tuple:
         """Predicted (mean, sigma); sigma is None for the point head."""
         if self.kind == "mse":
             return y_hat[0], None
-        return y_hat[0], softplus(y_hat[1]) + self.sigma_floor
+        return y_hat[0], softplus(y_hat[1]) + SIGMA_FLOOR
 
 
 @dataclass

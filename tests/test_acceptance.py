@@ -151,8 +151,6 @@ class TestCriterion5GainFactor:
             lag_sets=((1,), (1, 2), (1, 2, 24)),
             hidden_dims=(15,),
             tau=49,
-            y_dim=2,
-            x_dim=13,
         )
         rows = gain_factors(records)
         gain_ok = all(

@@ -17,6 +17,13 @@ from rnnp.series import ingest_csv, write_csv
 from rnnp.synth import SynthConfig, synth_generate
 
 
+@pytest.fixture(scope="module")
+def one_year_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "data.csv"
+    write_csv(synth_generate(SynthConfig(years=1), Rng(61))[0], str(path))
+    return str(path)
+
+
 def fitted_pipeline(loss="gaussian_nll"):
     series, _ = synth_generate(SynthConfig(years=1), Rng(61))
     pipe = LoadForecastPipeline(
@@ -87,6 +94,54 @@ class TestConfigValidation:
 
     def test_missing_config_file(self):
         assert main(["synth", "--config", "/nonexistent.json", "--out", "x.csv"]) == 2
+
+    def test_retired_model_key_rejected(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": {"sigma_floor": 1e-4}}))
+        argv = ["train", "--config", str(config), "--out", str(tmp_path / "ck.json")]
+        assert main(argv) == 2
+        assert "sigma_floor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "model, named",
+        [
+            ({"lags": [0]}, "(0,)"),
+            ({"hidden_dim": 0}, "hidden_dim must be >= 1, got 0"),
+            ({"tau": 0}, "tau must be >= 1, got 0"),
+        ],
+        ids=["lags", "hidden_dim", "tau"],
+    )
+    def test_bad_model_value_is_a_config_error(
+        self, tmp_path, capsys, one_year_csv, model, named
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": model, "train": {"stride": 97}}))
+        checkpoint = tmp_path / "ck.json"
+        argv = ["train", "--config", str(config), "--data", one_year_csv]
+        assert main(argv + ["--out", str(checkpoint)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert not checkpoint.exists()
+
+    @pytest.mark.parametrize(
+        "mode, bench, named",
+        [
+            ("tau", {"engines": ["sgd"]}, "'sgd'"),
+            ("neurons", {"lag_sets": [[0]]}, "(0,)"),
+        ],
+        ids=["engines", "lag_sets"],
+    )
+    def test_bad_bench_value_is_a_config_error(
+        self, tmp_path, capsys, mode, bench, named
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"bench": {"tau_max": 4, **bench}}))
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--mode", mode, "--config", str(config), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert not out.exists()
 
     def test_data_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -190,6 +245,34 @@ class TestMalformedCheckpoint:
         ]
         assert main(argv) == 3
         assert "tanh" in capsys.readouterr().err
+
+
+    def test_retired_setting_at_another_value_exits_with_data_error(
+        self, tmp_path, capsys
+    ):
+        series, pipe = fitted_pipeline()
+        data, checkpoint = tmp_path / "data.csv", tmp_path / "model.json"
+        write_csv(series, str(data))
+        pipe.save(str(checkpoint))
+        record = json.loads(checkpoint.read_text())
+        record["extras"]["pipeline_params"]["include_trend"] = False
+        checkpoint.write_text(json.dumps(record))
+        argv = [
+            "forecast",
+            "--checkpoint",
+            str(checkpoint),
+            "--data",
+            str(data),
+            "--start",
+            "2007-06-01T00:00:00",
+            "--end",
+            "2007-06-01T01:00:00",
+            "--out",
+            str(tmp_path / "forecast.csv"),
+        ]
+        assert main(argv) == 3
+        assert "include_trend" in capsys.readouterr().err
+        assert not (tmp_path / "forecast.csv").exists()
 
 
 class TestMissingFiles:

@@ -265,11 +265,6 @@ class TestBptt:
         _, _, visited = bptt_gradients(params, spec, xs, loss)
         assert visited == 7  # F_6 - 1 = 8 - 1
 
-    def test_guard_rejects_long_sequences(self):
-        spec, params, xs, loss = make_case(35, lag_set=(1, 2), tau=12)
-        with pytest.raises(BpttInfeasibleError):
-            bptt_gradients(params, spec, xs, loss, max_tau_guard=11)
-
     def test_default_guard_value(self):
         spec, params, _, loss = make_case(37, lag_set=(1, 2), tau=3)
         xs = [[0.0] * spec.x_dim] * 26
@@ -438,9 +433,16 @@ class TestNumericSafety:
 
     def test_empty_sequence_rejected(self):
         spec, params, _, loss = make_case(71)
-        for engine in (trrl_gradients, rtrl_gradients):
-            with pytest.raises(ValueError):
+        for engine in ENGINES.values():
+            with pytest.raises(ValueError, match="empty input sequence"):
                 engine(params, spec, [], loss)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_loss_gradient_of_wrong_dimension_rejected(self, engine):
+        spec, params, xs, _ = make_case(72, tau=4)
+        loss = lambda y_hat: (0.0, [0.0] * (spec.y_dim + 1))
+        with pytest.raises(ValueError, match="loss gradient has wrong dimension"):
+            ENGINES[engine](params, spec, xs, loss)
 
 
 class TestErrorMetrics:

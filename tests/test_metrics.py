@@ -16,7 +16,8 @@ from rnnp.metrics import (
     rmse,
 )
 from rnnp.stats import (
-    lognormal_central_interval,
+    central_z,
+    lognormal_at_z,
     lognormal_mean,
     lognormal_quantile,
     mean_std,
@@ -56,7 +57,8 @@ class TestLognormal:
         assert lognormal_quantile(1.2, 0.3, 0.5) == pytest.approx(math.exp(1.2))
 
     def test_interval_is_central(self):
-        lo, hi = lognormal_central_interval(0.0, 1.0, 0.95)
+        z = central_z(0.95)
+        lo, hi = lognormal_at_z(0.0, 1.0, -z), lognormal_at_z(0.0, 1.0, z)
         assert lo == pytest.approx(math.exp(-1.959963985), rel=1e-8)
         assert hi == pytest.approx(math.exp(1.959963985), rel=1e-8)
 
@@ -190,8 +192,8 @@ class TestCiBacktest:
         for alpha in metrics.DEFAULT_ALPHAS:
             hits = 0
             for (m, s), r in zip(dists, realized):
-                lo, hi = lognormal_central_interval(m, s, alpha)
-                hits += lo <= r <= hi
+                z = normal_ppf(0.5 + alpha / 2.0)
+                hits += math.exp(m - s * z) <= r <= math.exp(m + s * z)
             want[alpha] = hits / len(realized)
         assert ci_backtest(dists, realized) == want
         with pytest.raises(ValueError, match="alpha must be in"):

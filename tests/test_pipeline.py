@@ -24,7 +24,7 @@ from rnnp.pipeline import (
     write_forecast_csv,
 )
 from rnnp.synth import SynthConfig, synth_generate
-from rnnp.training import HyperGrid, softplus
+from rnnp.training import SIGMA_FLOOR, HyperGrid, softplus
 
 
 def make_series(years=2, seed=50, **overrides):
@@ -83,7 +83,7 @@ class TestZeroNetworkIdentities:
         pipe.fit(series, series.start, series.end)
         zero_out(pipe)
         f = pipe.forecast_range(series, datetime(2007, 7, 1), datetime(2007, 7, 1, 6))
-        rest_sigma = softplus(0.0) + pipe.sigma_floor
+        rest_sigma = softplus(0.0) + SIGMA_FLOOR
         for fc in f:
             assert fc.sigma_z == pytest.approx(rest_sigma, rel=1e-12)
             assert fc.mu_z == 0.0
@@ -278,6 +278,37 @@ class TestCheckpoint:
         path.write_text(json.dumps(record))
         with pytest.raises(DataValidationError, match="relu"):
             LoadForecastPipeline.load(str(path))
+
+    def test_checkpoint_naming_retired_settings_still_loads(self, tmp_path):
+        """Older checkpoints carry sigma_floor, yearly_harmonics and
+        include_trend in pipeline_params; at the values the library now
+        fixes they load and forecast as before, at any other value they are
+        rejected naming the key."""
+        series, _ = make_series(years=1, seed=56)
+        pipe = quick_pipeline()
+        pipe.fit(series, series.start, series.end)
+        start, end = datetime(2007, 4, 1), datetime(2007, 4, 1, 8)
+        want = pipe.forecast_range(series, start, end)
+        path = tmp_path / "model.rnnp.json"
+        pipe.save(str(path))
+        record = json.loads(path.read_text())
+        params = record["extras"]["pipeline_params"]
+        legacy = {"sigma_floor": 1e-4, "yearly_harmonics": 2, "include_trend": True}
+        assert not set(legacy) & set(params)
+        params.update(legacy)
+        path.write_text(json.dumps(record))
+        got = LoadForecastPipeline.load(str(path)).forecast_range(series, start, end)
+        assert got == want
+        for key, other in (
+            ("sigma_floor", 1e-3),
+            ("yearly_harmonics", 3),
+            ("include_trend", False),
+        ):
+            params[key] = other
+            path.write_text(json.dumps(record))
+            with pytest.raises(DataValidationError, match=key):
+                LoadForecastPipeline.load(str(path))
+            params[key] = legacy[key]
 
     def test_save_load_save_is_byte_stable(self, tmp_path):
         series, _ = make_series(years=1, seed=59)

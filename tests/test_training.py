@@ -8,6 +8,7 @@ from rnnp.base import ConfigError, NumericError
 from rnnp.linalg import Matrix, Rng
 from rnnp.model import ModelParams, RnnSpec, init_params, pack
 from rnnp.training import (
+    SIGMA_FLOOR,
     AdamState,
     HyperGrid,
     LossHead,
@@ -61,9 +62,8 @@ class TestMseLoss:
 
 class TestGaussianNllLoss:
     def test_standardized_residual_zero(self):
-        floor = 1e-4
-        raw = math.log(math.exp(1.0 - floor) - 1.0)  # softplus(raw) + floor = 1
-        loss, grad = gaussian_nll_loss([0.3, raw], 0.3, floor)
+        raw = math.log(math.exp(1.0 - SIGMA_FLOOR) - 1.0)  # sigma = 1
+        loss, grad = gaussian_nll_loss([0.3, raw], 0.3)
         assert loss == pytest.approx(0.5 * math.log(2 * math.pi), rel=1e-12)
         assert grad[0] == pytest.approx(0.0, abs=1e-15)
 
@@ -89,7 +89,7 @@ class TestGaussianNllLoss:
                 assert abs(g - fd) < 1e-7
 
     def test_sigma_floored_away_from_zero(self):
-        loss, _ = gaussian_nll_loss([0.0, -50.0], 0.0, sigma_floor=1e-4)
+        loss, _ = gaussian_nll_loss([0.0, -50.0], 0.0)
         assert math.isfinite(loss)
 
 
@@ -105,7 +105,7 @@ class TestLossHead:
             LossHead(kind="huber")
 
     def test_mean_and_sigma(self):
-        head = LossHead(kind="gaussian_nll", sigma_floor=1e-4)
+        head = LossHead(kind="gaussian_nll")
         mu, sigma = head.mean_and_sigma([0.2, 0.0])
         assert mu == 0.2
         assert sigma == pytest.approx(softplus(0.0) + 1e-4)
