@@ -11,6 +11,8 @@ tools that duck-type against the protocol.
 from __future__ import annotations
 
 import inspect
+import os
+from contextlib import contextmanager
 from typing import Any, Iterable
 
 
@@ -92,3 +94,17 @@ def checkpoint_field(record: Any, *keys: str) -> Any:
             raise DataValidationError(f"checkpoint has no {path!r} entry")
         record = record[key]
     return record
+
+
+@contextmanager
+def atomic_write(path: str):
+    """A utf-8 text file (``newline=""``) that replaces ``path`` only once
+    the block completes; if it raises, ``path`` is left as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)

@@ -14,6 +14,7 @@ import csv
 import time
 from dataclasses import dataclass
 
+from .base import atomic_write
 from .engines import ENGINES
 from .linalg import Rng, _left_sum
 from .model import RnnSpec, init_params
@@ -145,7 +146,7 @@ def gain_factors(records: list) -> list:
 
 def emit_csv(records: list, path: str) -> None:
     """Write records with a stable column order; overwrites on re-run."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with atomic_write(path) as f:
         writer = csv.writer(f)
         writer.writerow(CSV_HEADER)
         for r in records:

@@ -1,9 +1,9 @@
 """Command-line entry point: every workflow as a subcommand.
 
-Configuration is a JSON file with optional sections; unknown keys are
-rejected.  All randomness flows from one root seed, so identical
-configuration and seed reproduce identical primary outputs (wall-clock
-columns aside).
+Configuration is a JSON file with optional sections; unknown keys and
+values of the wrong JSON type are rejected (``KNOWN_KEYS``).  All
+randomness flows from one root seed, so identical configuration and seed
+reproduce identical primary outputs (wall-clock columns aside).
 
 Exit codes: 0 ok, 2 configuration error, 3 data validation error
 (including a missing or unreadable file), 4 numeric failure,
@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict, fields
 from datetime import datetime
 
-from .base import ConfigError, DataValidationError, NumericError
+from .base import ConfigError, DataValidationError, NumericError, atomic_write
 from .bench import emit_csv, gain_factors, sweep_neurons, sweep_tau
 from .engines import BPTT_GUARD, macronode_count
 from .gradcheck import run_gradient_check, write_report
@@ -45,34 +45,55 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_ACCEPTANCE = 5
 
-CONFIG_SECTIONS = {
-    "seed": int,
-    "paths": dict,
-    "model": dict,
-    "train": dict,
-    "synth": dict,
-    "bench": dict,
+# The JSON type of every config entry: a type, a tuple of types, [kind]
+# for a list of kind, or a dict of kinds for an object with those keys and
+# no others.  A bool is never a number.
+NUMBER = (int, float)
+
+# The bench keys each --mode reads.
+BENCH_KEYS = {
+    "tau": {"tau_min": int, "tau_max": int, "engines": [str]},
+    "neurons": {"lag_sets": [[int]], "hidden_dims": [int]},
 }
 
 KNOWN_KEYS = {
-    "paths": {"data", "holidays", "checkpoint", "history", "out"},
-    "model": {"lags", "hidden_dim", "loss", "tau"},
+    "seed": int,
+    "paths": dict.fromkeys(("data", "holidays", "checkpoint", "history"), str),
+    "model": {"lags": [int], "hidden_dim": int, "loss": str, "tau": int},
     "train": {
-        "engine",
-        "learning_rate",
-        "batch_size",
-        "max_epochs",
-        "patience",
-        "stride",
-        "train_start",
-        "train_end",
-        "val_start",
-        "val_end",
+        "engine": str,
+        "learning_rate": NUMBER,
+        **dict.fromkeys(("batch_size", "max_epochs", "patience", "stride"), int),
+        **dict.fromkeys(("train_start", "train_end", "val_start", "val_end"), str),
     },
     # Every SynthConfig field but the holiday set, which JSON cannot spell.
-    "synth": {f.name for f in fields(SynthConfig)} - {"holidays"},
-    "bench": {"tau_min", "tau_max", "engines", "lag_sets", "hidden_dims"},
+    "synth": {
+        f.name: int if isinstance(f.default, int) else NUMBER
+        for f in fields(SynthConfig)
+        if f.name != "holidays"
+    },
+    "bench": {**BENCH_KEYS["tau"], **BENCH_KEYS["neurons"]},
 }
+
+
+def _check_kind(value, kind, name: str = "") -> None:
+    """Raise ``ConfigError`` naming ``name`` unless ``value`` has ``kind``."""
+    if isinstance(kind, dict):
+        where = name or "root"
+        if not isinstance(value, dict):
+            raise ConfigError(f"config {where} must be a JSON object")
+        unknown = set(value) - set(kind)
+        if unknown:
+            raise ConfigError(f"unknown keys in config {where}: {sorted(unknown)}")
+        for key, item in value.items():
+            _check_kind(item, kind[key], f"{name}.{key}" if name else key)
+    elif isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"config value {name} must be a JSON list")
+        for item in value:
+            _check_kind(item, kind[0], name)
+    elif isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"config value {name} has the wrong type: {value!r}")
 
 
 def load_config(path: str | None) -> dict:
@@ -85,21 +106,7 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(config, dict):
-        raise ConfigError("config root must be a JSON object")
-    for key, value in config.items():
-        if key not in CONFIG_SECTIONS:
-            raise ConfigError(
-                f"unknown config section {key!r}; known: {sorted(CONFIG_SECTIONS)}"
-            )
-        if not isinstance(value, CONFIG_SECTIONS[key]):
-            raise ConfigError(f"config section {key!r} has the wrong type")
-        if key in KNOWN_KEYS and isinstance(value, dict):
-            unknown = set(value) - KNOWN_KEYS[key]
-            if unknown:
-                raise ConfigError(
-                    f"unknown keys in config section {key!r}: {sorted(unknown)}"
-                )
+    _check_kind(config, KNOWN_KEYS)
     return config
 
 
@@ -118,14 +125,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.start_year is not None:
         section["start_year"] = args.start_year
     seed = args.seed if args.seed is not None else config.get("seed", 0)
-    try:
-        synth_config = SynthConfig(**section)
-    except TypeError as exc:
-        raise ConfigError(f"bad synth config: {exc}") from None
-    series, truth = synth_generate(synth_config, Rng(seed))
+    series, truth = synth_generate(SynthConfig(**section), Rng(seed))
     write_csv(series, args.out)
     if args.truth_out:
-        with open(args.truth_out, "w", encoding="utf-8") as f:
+        with atomic_write(args.truth_out) as f:
             json.dump(
                 {
                     "log_det": truth.log_det,
@@ -149,6 +152,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     data_path = args.data or paths.get("data")
     if not data_path:
         raise ConfigError("no data path (use --data or paths.data)")
+    checkpoint = args.out or paths.get("checkpoint")
+    if not checkpoint:
+        raise ConfigError("no checkpoint path (use --out or paths.checkpoint)")
     series = ingest_csv(data_path)
     # Configured pipeline parameters; the rest keep the constructor defaults.
     params = dict(model_cfg)
@@ -165,33 +171,26 @@ def cmd_train(args: argparse.Namespace) -> int:
     if holiday_path:
         params["holidays"] = read_holidays(holiday_path)
 
-    train_start = _parse_ts(
-        train_cfg.get("train_start", series.start.isoformat()), "train_start"
-    )
-    train_end = _parse_ts(
-        train_cfg.get("train_end", series.end.isoformat()), "train_end"
-    )
-    val_start = train_cfg.get("val_start")
-    val_end = train_cfg.get("val_end")
+
+    def when(key: str, default: datetime | None = None) -> datetime | None:
+        text = train_cfg.get(key)
+        return default if text is None else _parse_ts(text, key)
 
     pipe = LoadForecastPipeline(**params)
     try:
         pipe.fit(
             series,
-            train_start,
-            train_end,
-            _parse_ts(val_start, "val_start") if val_start else None,
-            _parse_ts(val_end, "val_end") if val_end else None,
+            when("train_start", series.start),
+            when("train_end", series.end),
+            when("val_start"),
+            when("val_end"),
         )
     except ValueError as exc:  # a configured lag set, size or length fit rejects
         raise ConfigError(str(exc)) from None
-    checkpoint = args.out or paths.get("checkpoint")
-    if not checkpoint:
-        raise ConfigError("no checkpoint path (use --out or paths.checkpoint)")
     pipe.save(checkpoint)
     history_path = args.history or paths.get("history")
     if history_path:
-        with open(history_path, "w", encoding="utf-8") as f:
+        with atomic_write(history_path) as f:
             f.write("epoch,train_loss,val_loss,seconds\n")
             for h in pipe.forecaster_.history_:
                 val = "" if h.val_loss is None else repr(h.val_loss)
@@ -217,7 +216,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = score_forecasts(read_forecast_csv(args.forecasts), series)
     print(report.render_text())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
+        with atomic_write(args.out) as f:
             f.write(report.to_json())
     return EXIT_OK
 
@@ -249,20 +248,16 @@ def _bench_records(mode: str, section: dict, config: dict) -> list:
             use = [t for t in taus if engine != "bptt" or t <= BPTT_GUARD]
             records.extend(sweep_tau(engine, spec, use, seed=config.get("seed", 0)))
         return records
-    # Configured sweep settings; the rest keep sweep_neurons' defaults.
-    sweep = {}
-    if "lag_sets" in section:
-        sweep["lag_sets"] = tuple(tuple(l) for l in section["lag_sets"])
-    if "hidden_dims" in section:
-        sweep["hidden_dims"] = tuple(section["hidden_dims"])
-    if "seed" in config:
-        sweep["seed"] = config["seed"]
-    return sweep_neurons(**sweep)
+    # Configured lag_sets and hidden_dims; the rest keep sweep_neurons' defaults.
+    return sweep_neurons(**section, seed=config.get("seed", 0))
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     section = config.get("bench", {})
+    unread = set(section) - set(BENCH_KEYS[args.mode])
+    if unread:
+        raise ConfigError(f"bench --mode {args.mode} does not read {sorted(unread)}")
     try:
         records = _bench_records(args.mode, section, config)
     except ValueError as exc:  # a configured engine, lag set or size the sweep rejects

@@ -45,6 +45,7 @@ from .model import (
     forward_steps,
     pack,
     phi_offsets,
+    project_inputs,
     theta_offsets,
     unpack,
 )
@@ -164,11 +165,9 @@ def trrl_gradients(
     otherwise replicate.  Works for any lag set, contiguous or not.
     """
     tau = len(xs)
-    if tau < 1:
-        raise ValueError("empty input sequence")
     params.validate(spec)
     counter = OpCounter()
-    trace = forward_sequence(params, spec, xs)
+    trace = forward_sequence(params, spec, xs)  # rejects an empty sequence
     # Stored trace (h and yhat per step plus the inputs) is what the
     # backward sweep consumes.
     trace_floats = tau * (spec.x_dim + spec.hidden_dim + spec.y_dim)
@@ -243,7 +242,8 @@ def rtrl_gradients(
     zero_y = [0.0] * y
 
     # The forward steps are shared by every engine and not counted.
-    for t, (h_t, yhat) in enumerate(forward_steps(params, spec, xs), 1):
+    rows = project_inputs(params, spec, xs)
+    for t, (h_t, yhat) in enumerate(forward_steps(params, spec, rows), 1):
         x_t = xs[t - 1]
 
         # B = V diag(h'), y x h.
@@ -352,8 +352,6 @@ def bptt_gradients(
     macronodes visited alongside the gradients.
     """
     tau = len(xs)
-    if tau < 1:
-        raise ValueError("empty input sequence")
     if tau > BPTT_GUARD:
         raise BpttInfeasibleError(
             f"tau={tau} exceeds the guard ({BPTT_GUARD}): the unrolled "
@@ -361,7 +359,7 @@ def bptt_gradients(
         )
     params.validate(spec)
     counter = OpCounter()
-    trace = forward_sequence(params, spec, xs)
+    trace = forward_sequence(params, spec, xs)  # rejects an empty sequence
     trace_floats = tau * (spec.x_dim + spec.hidden_dim + spec.y_dim)
     counter.grad_floats_alloc(trace_floats)
 

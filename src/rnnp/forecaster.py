@@ -6,7 +6,7 @@ import math
 
 from .base import BaseEstimator, check_fitted
 from .linalg import Rng
-from .model import forward_sequence, init_params, RnnSpec
+from .model import forward_steps, init_params, project_inputs, RnnSpec
 from .training import LossHead, TrainConfig, TrainingWindow, train
 
 
@@ -113,7 +113,12 @@ class RnnForecaster(BaseEstimator):
         their ``project_inputs`` rows under the fitted parameters.
         """
         check_fitted(self, ["params_"])
-        return forward_sequence(self.params_, self.spec_, xs, projected).y_final
+        if not xs:
+            raise ValueError("empty input sequence")
+        rows = xs if projected else project_inputs(self.params_, self.spec_, xs)
+        for _, y in forward_steps(self.params_, self.spec_, rows):
+            pass
+        return y
 
     def predict(self, X) -> list:
         """Predicted mean of the final-step target, one value per window."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
+from .base import atomic_write
 from .bench import _seeded_case
 from .engines import ENGINES, finite_difference_gradients, max_abs_diff, max_rel_diff
 from .linalg import Rng
@@ -117,7 +118,7 @@ def run_gradient_check(n_seeds: int = 20, base_seed: int = 0) -> tuple:
 
 
 def write_report(rows: list, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with atomic_write(path) as f:
         writer = csv.writer(f)
         writer.writerow(CSV_HEADER)
         for r in rows:

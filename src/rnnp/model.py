@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
-from .base import DataValidationError, NumericError, checkpoint_field
+from .base import DataValidationError, NumericError, atomic_write, checkpoint_field
 from .linalg import Matrix, Rng
 
 CHECKPOINT_MAGIC = "RNNP1"
@@ -261,16 +260,14 @@ def project_inputs(params: ModelParams, spec: RnnSpec, xs):
         yield a
 
 
-def forward_steps(
-    params: ModelParams, spec: RnnSpec, xs, projected: bool = False
-):
-    """Closed-loop recurrence over ``xs``, yielding ``(h, yhat)`` per step.
+def forward_steps(params: ModelParams, spec: RnnSpec, rows):
+    """Recurrence stage: closed-loop steps over projected rows.
 
-    This is the only forward implementation; every engine and every
-    forecast runs it.  It has two stages.  The projection stage,
-    ``project_inputs``, gives ``U x(t) + b``; the recurrence stage adds
-    the lag terms and runs ``V``.  Each sum has one fixed order, so all
-    callers get the same bits:
+    ``rows`` holds ``project_inputs`` rows made under the same parameters,
+    one per step; each ``(h, yhat)`` pair is yielded as it is computed.
+    This is the only forward recurrence; every engine and every forecast
+    runs it.  Each sum has one fixed order, so all callers get the same
+    bits:
 
         a_r    = ((sum_c U[r,c] x_c) + b_r) + (W_l1 yhat(t-l1))_r + ...
         yhat_k = (sum_j V[k,j] h_j) + c_k
@@ -282,16 +279,10 @@ def forward_steps(
     a pre-activation, which is never -0.0.  A non-finite pre-activation or
     output raises ``NumericError`` naming the 1-based step.
 
-    By default ``xs`` holds input rows and the window projects them itself,
-    adding the lag terms in place into each freshly projected row.  With
-    ``projected=True``, ``xs`` holds rows ``project_inputs`` already made
-    for the same parameters; the outputs are bit-identical, since the
-    order above is unchanged.  Only ``LoadForecastPipeline.forecast_range``
-    passes projections: its parameters are fixed and consecutive hourly
-    windows share all but one row, so it projects each hour once and keeps
-    the last tau projections in a ring, which bounds its memory.  Passed-in
-    rows are shared between windows, so each is copied before the lag
-    terms are added and is never mutated.
+    A row is never mutated: when lag terms apply, the step's pre-activation
+    is a new list; when none do, the row is used as it is.  A caller with
+    fixed parameters can therefore share one projection between all the
+    windows that contain its hour, as ``forecast_range`` does.
     """
     h_dim, y_dim = spec.hidden_dim, spec.y_dim
     v = params.V.data
@@ -302,27 +293,23 @@ def forward_steps(
     v_rows = [(v[k * h_dim : (k + 1) * h_dim], params.c[k]) for k in range(y_dim)]
     h_cols, y_cols = range(h_dim), range(y_dim)
     lags = spec.lag_set
-    rows = xs if projected else project_inputs(params, spec, xs)
     ys: list = []
     for t, a in enumerate(rows, 1):
-        if projected:
-            if len(a) != h_dim:
-                raise ValueError(
-                    f"projected input has length {len(a)}, expected {h_dim}"
-                )
-            a = list(a)
+        if len(a) != h_dim:
+            raise ValueError(f"projected input has length {len(a)}, expected {h_dim}")
         # Lags increase, so those reaching inside the window are a prefix
         # of the lag set, and zip() pairs each with its W_l row.
         feedbacks = [ys[t - 1 - lag] for lag in lags if lag < t]
         if feedbacks:
-            for r, w_r in enumerate(w_rows):
-                acc = a[r]
+            pre = []
+            for acc, w_r in zip(a, w_rows):
                 for w_rl, fb in zip(w_r, feedbacks):
                     wf = 0.0
                     for k in y_cols:
                         wf += w_rl[k] * fb[k]
                     acc += wf
-                a[r] = acc
+                pre.append(acc)
+            a = pre
         check_finite_step(a, "pre-activation", t)
         h = [sigmoid(a_r) for a_r in a]
         y = []
@@ -336,21 +323,17 @@ def forward_steps(
         yield h, y
 
 
-def forward_sequence(
-    params: ModelParams, spec: RnnSpec, xs, projected: bool = False
-) -> ForwardTrace:
-    """Closed-loop forward pass over a sequence, collected into a trace.
+def forward_sequence(params: ModelParams, spec: RnnSpec, xs) -> ForwardTrace:
+    """Closed-loop forward pass over input rows, collected into a trace.
 
+    Runs the two stages, ``forward_steps`` over ``project_inputs(xs)``.
     Feedbacks are the model's own outputs from earlier steps of the same
     window; steps before the window start contribute zero vectors.
-    ``xs`` holds input rows, or with ``projected=True`` their
-    ``project_inputs`` rows, which are read but never mutated; see
-    ``forward_steps`` for the two stages and their fixed order.
     """
     if not xs:
         raise ValueError("empty input sequence")
     trace = ForwardTrace(_zero_y=[0.0] * spec.y_dim)
-    for h, y in forward_steps(params, spec, xs, projected):
+    for h, y in forward_steps(params, spec, project_inputs(params, spec, xs)):
         trace.h_steps.append(h)
         trace.y_steps.append(y)
     return trace
@@ -366,9 +349,9 @@ def save_checkpoint(
 
     ``extras`` carries pipeline state (normalization statistics, seasonal
     coefficients, encoder state); the schema is documented in the README.
-    The record goes to a temporary file beside ``path`` that replaces it
-    only once complete, so ``path`` always holds a whole checkpoint: the
-    old one if writing fails, for example on a non-finite value.
+    The record is written through ``atomic_write``, so ``path`` always
+    holds a whole checkpoint: the old one if writing fails, for example on
+    a non-finite value.
     """
     record = {
         "magic": CHECKPOINT_MAGIC,
@@ -377,14 +360,8 @@ def save_checkpoint(
         "phi": list(flat.phi),
         "extras": extras or {},
     }
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(record, f, allow_nan=False)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with atomic_write(path) as f:
+        json.dump(record, f, allow_nan=False)
 
 
 def load_checkpoint(path: str) -> tuple:

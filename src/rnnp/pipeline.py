@@ -20,7 +20,13 @@ from dataclasses import dataclass
 from datetime import datetime
 from itertools import islice
 
-from .base import BaseEstimator, DataValidationError, check_fitted, checkpoint_field
+from .base import (
+    BaseEstimator,
+    DataValidationError,
+    atomic_write,
+    check_fitted,
+    checkpoint_field,
+)
 from .features import CalendarFeatureEncoder
 from .forecaster import RnnForecaster
 from .metrics import MetricReport, point_metrics, probabilistic_metrics
@@ -282,7 +288,7 @@ def score_forecasts(rows: list, series: HourlySeries) -> MetricReport:
 
 def write_forecast_csv(forecasts: list, path: str) -> None:
     """Forecast CSV: timestamp, point, lognormal parameters, 5%/95% quantiles."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with atomic_write(path) as f:
         writer = csv.writer(f)
         writer.writerow(FORECAST_CSV_HEADER)
         for fc in forecasts:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 
-from .base import DataValidationError
+from .base import DataValidationError, atomic_write
 
 CSV_HEADER = ["timestamp", "demand_mwh", "drybulb_f", "wetbulb_f"]
 HOUR = timedelta(hours=1)
@@ -133,7 +133,7 @@ def ingest_csv(path: str) -> HourlySeries:
 
 def write_csv(series: HourlySeries, path: str) -> None:
     """Write the series; floats use shortest round-trip formatting."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with atomic_write(path) as f:
         writer = csv.writer(f)
         writer.writerow(CSV_HEADER)
         for ts, d, dry, wet in zip(

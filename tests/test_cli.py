@@ -80,6 +80,20 @@ class TestBench:
         assert gain_rows[0].split()[:2] == ["{1}", "3"]
 
 
+# (section, key, value) of config entries whose JSON type is wrong.
+WRONGLY_TYPED = [
+    ("model", "hidden_dim", "3"),
+    ("model", "lags", [1, 2.5]),
+    ("model", "tau", True),
+    ("train", "learning_rate", True),
+    ("train", "stride", 97.0),
+    ("train", "train_start", 2007),
+    ("paths", "data", 5),
+    ("synth", "years", 1.5),
+    ("bench", "lag_sets", [[1, "2"]]),
+]
+
+
 class TestConfigValidation:
     def test_unknown_section_rejected(self, tmp_path):
         config = tmp_path / "config.json"
@@ -126,7 +140,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "mode, bench, named",
         [
-            ("tau", {"engines": ["sgd"]}, "'sgd'"),
+            ("tau", {"tau_max": 4, "engines": ["sgd"]}, "'sgd'"),
             ("neurons", {"lag_sets": [[0]]}, "(0,)"),
         ],
         ids=["engines", "lag_sets"],
@@ -135,12 +149,78 @@ class TestConfigValidation:
         self, tmp_path, capsys, mode, bench, named
     ):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"bench": {"tau_max": 4, **bench}}))
+        config.write_text(json.dumps({"bench": bench}))
         out = tmp_path / "bench.csv"
         argv = ["bench", "--mode", mode, "--config", str(config), "--out", str(out)]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        WRONGLY_TYPED,
+        ids=[f"{section}.{key}" for section, key, _ in WRONGLY_TYPED],
+    )
+    def test_wrongly_typed_value_is_a_config_error(
+        self, tmp_path, capsys, one_year_csv, section, key, value
+    ):
+        config = {
+            "model": {"hidden_dim": 3, "tau": 12},
+            "train": {"stride": 97, "max_epochs": 1},
+        }
+        config.setdefault(section, {})[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        checkpoint = tmp_path / "ck.json"
+        argv = ["train", "--config", str(path), "--data", one_year_csv]
+        assert main(argv + ["--out", str(checkpoint)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{section}.{key} " in err
+        assert not checkpoint.exists()
+
+    def test_unread_paths_out_rejected(self, tmp_path, capsys, one_year_csv):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "paths": {"out": str(tmp_path / "x.csv")},
+                    "model": {"hidden_dim": 3, "tau": 12},
+                    "train": {"stride": 97, "max_epochs": 1},
+                }
+            )
+        )
+        checkpoint = tmp_path / "ck.json"
+        argv = ["train", "--config", str(config), "--data", one_year_csv]
+        assert main(argv + ["--out", str(checkpoint)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'out'" in err
+        assert not checkpoint.exists()
+
+    @pytest.mark.parametrize(
+        "mode, bench, unread",
+        [
+            ("neurons", {"engines": ["sgd"]}, "engines"),
+            ("neurons", {"tau_max": 4}, "tau_max"),
+            ("tau", {"hidden_dims": [3]}, "hidden_dims"),
+        ],
+        ids=["neurons-engines", "neurons-tau_max", "tau-hidden_dims"],
+    )
+    def test_key_the_mode_does_not_read_is_a_config_error(
+        self, tmp_path, capsys, mode, bench, unread
+    ):
+        config = tmp_path / "config.json"
+        # Each sweep otherwise runs a small case.
+        small = {
+            "tau": {"tau_min": 3, "tau_max": 4, "engines": ["trrl"]},
+            "neurons": {"lag_sets": [[1]], "hidden_dims": [3]},
+        }
+        config.write_text(json.dumps({"bench": {**small[mode], **bench}}))
+        out = tmp_path / "bench.csv"
+        argv = ["bench", "--mode", mode, "--config", str(config), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(unread) in err
         assert not out.exists()
 
     def test_data_error_exit_code(self, tmp_path):

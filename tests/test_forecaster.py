@@ -1,12 +1,14 @@
 """Estimator-protocol behavior and window-regressor semantics."""
 
 import math
+from collections import deque
 
 import pytest
 
 from rnnp.base import ConfigError, NotFittedError
 from rnnp.forecaster import RnnForecaster
 from rnnp.linalg import Rng
+from rnnp.model import forward_sequence, project_inputs
 
 
 def toy_data(n=30, tau=4, seed=2):
@@ -110,3 +112,16 @@ class TestPrediction:
         est = RnnForecaster(hidden_dim=3, max_epochs=4, patience=10, seed=11)
         est.fit(X, y, validation=(Xv, yv))
         assert all(h.val_loss is not None for h in est.history_)
+
+    def test_predict_output_on_input_or_projected_rows(self):
+        X, y = toy_data(8, tau=5, seed=12)
+        est = RnnForecaster(lags=(1, 2), hidden_dim=3, max_epochs=1, seed=13)
+        est.fit(X, y)
+        for xs in X:
+            want = forward_sequence(est.params_, est.spec_, xs).y_final
+            rows = list(project_inputs(est.params_, est.spec_, xs))
+            assert est.predict_output(xs) == want
+            assert est.predict_output(deque(rows), projected=True) == want
+        for projected in (False, True):
+            with pytest.raises(ValueError, match="empty input sequence"):
+                est.predict_output(deque(), projected=projected)

@@ -12,6 +12,7 @@ from rnnp.model import (
     ModelParams,
     RnnSpec,
     forward_sequence,
+    forward_steps,
     init_params,
     load_checkpoint,
     pack,
@@ -300,9 +301,9 @@ class TestForwardKernel:
         # same bits, and the caller's rows are left as they were.
         projections = list(project_inputs(params, spec, xs))
         assert projections == want_projections
-        projected = forward_sequence(params, spec, projections, projected=True)
-        assert projected.h_steps == trace.h_steps
-        assert projected.y_steps == trace.y_steps
+        steps = list(forward_steps(params, spec, projections))
+        assert [h for h, _ in steps] == trace.h_steps
+        assert [y for _, y in steps] == trace.y_steps
         assert projections == want_projections
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -324,7 +325,7 @@ class TestForwardKernel:
             list(project_inputs(params, spec, xs))
         rows = [[0.0, 0.0, 0.0], [0.0, 0.0]]
         with pytest.raises(ValueError, match="input has length 2, expected 3"):
-            forward_sequence(params, spec, rows, projected=True)
+            list(forward_steps(params, spec, rows))
 
     def test_non_finite_pre_activation_named_with_projections(self):
         spec = RnnSpec(lag_set=(1,), x_dim=1, hidden_dim=1, y_dim=1)
@@ -332,7 +333,7 @@ class TestForwardKernel:
         params.U.data[0] = 1e308
         projections = list(project_inputs(params, spec, [[0.0], [1e308], [0.0]]))
         with pytest.raises(NumericError, match="pre-activation at step 2"):
-            forward_sequence(params, spec, projections, projected=True)
+            list(forward_steps(params, spec, projections))
 
 
 class TestCheckpoint:
