@@ -97,12 +97,27 @@ def checkpoint_field(record: Any, *keys: str) -> Any:
 
 
 @contextmanager
+def open_utf8(path: str):
+    """``path`` opened for reading as utf-8 text (``newline=""``); bytes
+    that are not utf-8 raise ``DataValidationError`` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as f:
+            yield f
+    except UnicodeDecodeError as exc:
+        raise DataValidationError(f"{path} is not utf-8 text ({exc.reason})") from None
+
+
+@contextmanager
 def atomic_write(path: str):
     """A utf-8 text file (``newline=""``) that replaces ``path`` only once
     the block completes; if it raises, ``path`` is left as it was."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as f:
+        f = open(tmp, "w", encoding="utf-8", newline="")
+    except OSError as exc:  # name the destination, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with f:
             yield f
         os.replace(tmp, path)
     finally:

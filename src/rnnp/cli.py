@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, fields
 from datetime import datetime
@@ -104,8 +105,8 @@ def load_config(path: str | None) -> dict:
             config = json.load(f)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     _check_kind(config, KNOWN_KEYS)
     return config
 
@@ -155,6 +156,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     checkpoint = args.out or paths.get("checkpoint")
     if not checkpoint:
         raise ConfigError("no checkpoint path (use --out or paths.checkpoint)")
+    history_path = args.history or paths.get("history")
+    for out in (checkpoint, history_path):  # before the data is read and trained on
+        if out and not os.path.isdir(os.path.dirname(out) or "."):
+            raise ConfigError(f"the directory of output path {out} does not exist")
     series = ingest_csv(data_path)
     # Configured pipeline parameters; the rest keep the constructor defaults.
     params = dict(model_cfg)
@@ -170,7 +175,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     holiday_path = args.holidays or paths.get("holidays")
     if holiday_path:
         params["holidays"] = read_holidays(holiday_path)
-
 
     def when(key: str, default: datetime | None = None) -> datetime | None:
         text = train_cfg.get(key)
@@ -188,7 +192,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     except ValueError as exc:  # a configured lag set, size or length fit rejects
         raise ConfigError(str(exc)) from None
     pipe.save(checkpoint)
-    history_path = args.history or paths.get("history")
     if history_path:
         with atomic_write(history_path) as f:
             f.write("epoch,train_loss,val_loss,seconds\n")

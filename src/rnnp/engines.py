@@ -20,8 +20,8 @@ The returned ``OpCounter`` tallies the multiply-accumulates of the
 gradient computation itself.  The forward sweep is identical for every
 engine and is excluded, so counters compare the algorithms like for like.
 ``loss`` arguments are callables ``yhat -> (loss_value, d_loss_d_yhat)``;
-the value comes back on ``GradientPair.loss``.  trrl and bptt share the
-work at each tree node (``_backward_node``) and differ only in traversal.
+the value comes back on ``GradientPair.loss``.  trrl and bptt share all
+but their traversal (``_tree_gradients``, ``_backward_node``).
 
 Engines are pure functions of (params, xs): parameters are never
 mutated, every call owns its counter and workspace, and concurrent calls
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .base import NumericError, RnnpError
 from .linalg import OpCounter, matvec_t
@@ -131,10 +132,10 @@ def _backward_node(
     spec: RnnSpec,
     trace: ForwardTrace,
     xs: list,
-    t: int,
-    g: list,
     grads: GradientPair,
     counter: OpCounter,
+    t: int,
+    g: list,
 ) -> list:
     """Backpropagate the output gradient g of step t through its node.
 
@@ -153,6 +154,35 @@ def _backward_node(
     return q
 
 
+def _loss_gradient(loss, y_final: list, spec: RnnSpec) -> tuple:
+    """``loss(y_final)`` as (value, d_loss_d_yhat); every engine's one call."""
+    value, grad = loss(y_final)
+    if len(grad) != spec.y_dim:
+        raise ValueError("loss gradient has wrong dimension")
+    return value, grad
+
+
+def _tree_gradients(params: ModelParams, spec: RnnSpec, xs: list, loss, walk) -> tuple:
+    """The work trrl and bptt share; ``walk``, their traversal, is called as
+    ``walk(node, tau, g0, counter)`` on the unrolled tree's root.
+
+    The stored trace (h and yhat per step plus the inputs) is charged until
+    the walk ends.  ``node(t, g)`` is ``_backward_node`` on step t.
+    """
+    params.validate(spec)
+    counter = OpCounter()
+    trace = forward_sequence(params, spec, xs)  # rejects an empty sequence
+    trace_floats = len(xs) * (spec.x_dim + spec.hidden_dim + spec.y_dim)
+    counter.grad_floats_alloc(trace_floats)
+    loss_value, g0 = _loss_gradient(loss, trace.y_final, spec)
+    grads = GradientPair([0.0] * spec.theta_size, [0.0] * spec.phi_size, loss_value)
+    node = partial(_backward_node, params, spec, trace, xs, grads, counter)
+    walk(node, len(xs), g0, counter)
+    counter.grad_floats_free(trace_floats)
+    grads.validate(spec)
+    return grads, counter
+
+
 def trrl_gradients(
     params: ModelParams, spec: RnnSpec, xs: list, loss
 ) -> tuple:
@@ -164,45 +194,31 @@ def trrl_gradients(
     the recombination of the identical subtrees the unrolled network would
     otherwise replicate.  Works for any lag set, contiguous or not.
     """
-    tau = len(xs)
-    params.validate(spec)
-    counter = OpCounter()
-    trace = forward_sequence(params, spec, xs)  # rejects an empty sequence
-    # Stored trace (h and yhat per step plus the inputs) is what the
-    # backward sweep consumes.
-    trace_floats = tau * (spec.x_dim + spec.hidden_dim + spec.y_dim)
-    counter.grad_floats_alloc(trace_floats)
-
-    loss_value, g0 = loss(trace.y_final)
-    if len(g0) != spec.y_dim:
-        raise ValueError("loss gradient has wrong dimension")
-    grads = GradientPair([0.0] * spec.theta_size, [0.0] * spec.phi_size, loss_value)
     y = spec.y_dim
 
-    g_store = {0: list(g0)}
-    counter.grad_floats_alloc(y)
-    for i in range(tau):
-        t = tau - i
-        gi = g_store.pop(i, None)
-        if gi is None:
-            # No contribution flows through this offset (possible when the
-            # lag set skips it near the window end).
-            continue
-        q = _backward_node(params, spec, trace, xs, t, gi, grads, counter)
-        for W_l, lag in zip(params.W, spec.lag_set):
-            if i + lag < tau:
-                push = matvec_t(W_l, q, counter)
-                target = g_store.get(i + lag)
-                if target is None:
-                    g_store[i + lag] = push
-                    counter.grad_floats_alloc(y)
-                else:
-                    for k in range(y):
-                        target[k] += push[k]
-        counter.grad_floats_free(y)
-    counter.grad_floats_free(trace_floats)
-    grads.validate(spec)
-    return grads, counter
+    def walk(node, tau: int, g0: list, counter: OpCounter) -> None:
+        g_store = {0: g0}
+        counter.grad_floats_alloc(y)
+        for i in range(tau):
+            gi = g_store.pop(i, None)
+            if gi is None:
+                # No contribution flows through this offset (possible when the
+                # lag set skips it near the window end).
+                continue
+            q = node(tau - i, gi)
+            for W_l, lag in zip(params.W, spec.lag_set):
+                if i + lag < tau:
+                    push = matvec_t(W_l, q, counter)
+                    target = g_store.get(i + lag)
+                    if target is None:
+                        g_store[i + lag] = push
+                        counter.grad_floats_alloc(y)
+                    else:
+                        for k in range(y):
+                            target[k] += push[k]
+            counter.grad_floats_free(y)
+
+    return _tree_gradients(params, spec, xs, loss, walk)
 
 
 def rtrl_gradients(
@@ -319,10 +335,7 @@ def rtrl_gradients(
         y_ring[t] = yhat
         y_ring.pop(t - max_lag, None)
 
-    yhat_final = y_ring[tau]
-    loss_value, g_final = loss(yhat_final)
-    if len(g_final) != y:
-        raise ValueError("loss gradient has wrong dimension")
+    loss_value, g_final = _loss_gradient(loss, y_ring[tau], spec)
     jth_final, jph_final = ring[tau]
     d_theta = [0.0] * tsize
     d_phi = [0.0] * psize
@@ -357,32 +370,20 @@ def bptt_gradients(
             f"tau={tau} exceeds the guard ({BPTT_GUARD}): the unrolled "
             f"tree would hold {macronode_count(tau, spec.lag_set)} macronodes"
         )
-    params.validate(spec)
-    counter = OpCounter()
-    trace = forward_sequence(params, spec, xs)  # rejects an empty sequence
-    trace_floats = tau * (spec.x_dim + spec.hidden_dim + spec.y_dim)
-    counter.grad_floats_alloc(trace_floats)
-
-    loss_value, g0 = loss(trace.y_final)
-    if len(g0) != spec.y_dim:
-        raise ValueError("loss gradient has wrong dimension")
-    grads = GradientPair([0.0] * spec.theta_size, [0.0] * spec.phi_size, loss_value)
     level_floats = spec.y_dim + spec.hidden_dim
     visited = 0
 
-    def visit(t: int, r_vec: list) -> None:
+    def visit(node, t: int, g: list, counter: OpCounter) -> None:
         nonlocal visited
         visited += 1
         counter.grad_floats_alloc(level_floats)
-        q = _backward_node(params, spec, trace, xs, t, r_vec, grads, counter)
+        q = node(t, g)
         for W_l, lag in zip(params.W, spec.lag_set):
             if t - lag >= 1:
-                visit(t - lag, matvec_t(W_l, q, counter))
+                visit(node, t - lag, matvec_t(W_l, q, counter), counter)
         counter.grad_floats_free(level_floats)
 
-    visit(tau, list(g0))
-    counter.grad_floats_free(trace_floats)
-    grads.validate(spec)
+    grads, counter = _tree_gradients(params, spec, xs, loss, visit)
     return grads, counter, visited
 
 

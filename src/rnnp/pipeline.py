@@ -26,6 +26,7 @@ from .base import (
     atomic_write,
     check_fitted,
     checkpoint_field,
+    open_utf8,
 )
 from .features import CalendarFeatureEncoder
 from .forecaster import RnnForecaster
@@ -320,7 +321,7 @@ def read_forecast_csv(path: str) -> list:
     or the line.
     """
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    with open_utf8(path) as f:
         reader = csv.DictReader(f)
         if reader.fieldnames != FORECAST_CSV_HEADER:
             raise DataValidationError(f"bad forecast header {reader.fieldnames!r}")

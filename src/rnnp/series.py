@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 
-from .base import DataValidationError, atomic_write
+from .base import DataValidationError, atomic_write, open_utf8
 
 CSV_HEADER = ["timestamp", "demand_mwh", "drybulb_f", "wetbulb_f"]
 HOUR = timedelta(hours=1)
@@ -102,7 +102,7 @@ def ingest_csv(path: str) -> HourlySeries:
     demand: list = []
     dry: list = []
     wet: list = []
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    with open_utf8(path) as f:
         reader = csv.reader(f)
         try:
             header = next(reader)
@@ -145,7 +145,7 @@ def write_csv(series: HourlySeries, path: str) -> None:
 def read_holidays(path: str) -> frozenset:
     """Read a holiday calendar: one ISO date per line, blanks ignored."""
     days = set()
-    with open(path, "r", encoding="utf-8") as f:
+    with open_utf8(path) as f:
         for lineno, line in enumerate(f, start=1):
             text = line.strip()
             if not text or text.startswith("#"):

@@ -223,11 +223,10 @@ def train(
     adam = AdamState.zeros(len(values))
     rng = Rng(config.seed)
 
-    def current_params() -> ModelParams:
-        return unpack(
-            FlatParams(theta=values[:n_theta], phi=values[n_theta:]), spec
-        )
+    def params_of(vec: list) -> ModelParams:
+        return unpack(FlatParams(theta=vec[:n_theta], phi=vec[n_theta:]), spec)
 
+    live = params_of(values)
     best_monitored = math.inf
     best_values = list(values)
     bad_epochs = 0
@@ -238,7 +237,6 @@ def train(
         order = list(range(len(windows)))
         rng.shuffle(order)
         epoch_loss = 0.0
-        live = current_params()
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
             g_sum = [0.0] * len(values)
@@ -258,7 +256,7 @@ def train(
             inv = 1.0 / len(batch)
             grads = [g * inv for g in g_sum]
             adam_step(values, grads, adam, config.learning_rate)
-            live = current_params()
+            live = params_of(values)
 
         train_loss = epoch_loss / len(windows)
         val_loss = (
@@ -282,10 +280,7 @@ def train(
             if bad_epochs >= config.patience:
                 break
 
-    best = unpack(
-        FlatParams(theta=best_values[:n_theta], phi=best_values[n_theta:]), spec
-    )
-    return best, history
+    return params_of(best_values), history
 
 
 @dataclass(frozen=True)
@@ -327,8 +322,10 @@ def grid_search(
 ) -> list:
     """Train every grid cell and rank by validation loss.
 
-    A failed cell is recorded with its error message and sorted last
-    instead of aborting the whole search.
+    A cell scores the best validation loss in its training history, which
+    is the loss of the parameters ``train`` returns.  A failed cell is
+    recorded with its error message and sorted last instead of aborting
+    the whole search.
     """
     if not grid.cells():
         raise ValueError("empty hyperparameter grid")
@@ -336,41 +333,27 @@ def grid_search(
         raise ValueError("grid search needs validation windows")
     report: list = []
     for cell_idx, (hd, lr, bs) in enumerate(grid.cells()):
-        spec = RnnSpec(
-            lag_set=base_spec.lag_set,
-            x_dim=base_spec.x_dim,
-            hidden_dim=hd,
-            y_dim=base_spec.y_dim,
-        )
+        spec = replace(base_spec, hidden_dim=hd)
         config = replace(base_config, learning_rate=lr, batch_size=bs)
         t0 = time.perf_counter()
+        val_loss, epochs_run, error = math.inf, 0, None
         try:
             params = init_params(spec, Rng(base_config.seed).spawn(cell_idx))
-            model, history = train(
-                params, spec, windows, engine, head, config, val_windows
-            )
-            val = evaluate_loss(model, spec, val_windows, head)
-            report.append(
-                GridCell(
-                    hidden_dim=hd,
-                    learning_rate=lr,
-                    batch_size=bs,
-                    val_loss=val,
-                    epochs_run=len(history),
-                    seconds=time.perf_counter() - t0,
-                )
-            )
+            _, history = train(params, spec, windows, engine, head, config, val_windows)
+            val_loss = min(epoch.val_loss for epoch in history)
+            epochs_run = len(history)
         except (NumericError, ValueError) as exc:
-            report.append(
-                GridCell(
-                    hidden_dim=hd,
-                    learning_rate=lr,
-                    batch_size=bs,
-                    val_loss=math.inf,
-                    epochs_run=0,
-                    seconds=time.perf_counter() - t0,
-                    error=str(exc),
-                )
+            error = str(exc)
+        report.append(
+            GridCell(
+                hidden_dim=hd,
+                learning_rate=lr,
+                batch_size=bs,
+                val_loss=val_loss,
+                epochs_run=epochs_run,
+                seconds=time.perf_counter() - t0,
+                error=error,
             )
+        )
     report.sort(key=lambda cell: (cell.val_loss, cell.hidden_dim))
     return report

@@ -77,3 +77,11 @@ def test_completed_write_replaces_file(tmp_path):
         f.write("a,b\r\nc\n")
     assert path.read_bytes() == b"a,b\r\nc\n"  # utf-8, newlines untranslated
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_missing_directory_names_the_destination(tmp_path):
+    path = str(tmp_path / "no_such_dir" / "out.csv")
+    with pytest.raises(FileNotFoundError) as info:
+        with atomic_write(path) as f:
+            f.write("never written\n")
+    assert info.value.filename == path

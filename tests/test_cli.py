@@ -383,6 +383,63 @@ class TestMissingFiles:
         assert main(argv) == 3
         assert "nope.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--out", "--history"])
+    def test_train_output_directory_missing_exits_before_training(
+        self, tmp_path, capsys, one_year_csv, flag
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "model": {"lags": [1], "hidden_dim": 3, "tau": 12},
+                    "train": {"stride": 97, "max_epochs": 1},
+                }
+            )
+        )
+        checkpoint = tmp_path / "ck.json"
+        missing = str(tmp_path / "no_such_dir" / "out.file")
+        args = {
+            "--config": str(config),
+            "--data": one_year_csv,
+            "--out": str(checkpoint),
+            "--history": str(tmp_path / "h.csv"),
+            flag: missing,
+        }
+        assert main(["train", *(a for item in args.items() for a in item)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and missing in err
+        assert not checkpoint.exists()
+
+    def test_unwritable_output_names_the_destination(self, tmp_path, capsys):
+        out = str(tmp_path / "no_such_dir" / "series.csv")
+        assert main(["synth", "--out", out, "--years", "1"]) == 3
+        err = capsys.readouterr().err
+        assert repr(out) in err and ".tmp" not in err
+
+
+class TestNonUtf8Input:
+    """A file that is not utf-8 is bad data (or a bad config), named."""
+
+    @pytest.mark.parametrize(
+        "flag, code",
+        [("--data", 3), ("--config", 2), ("--holidays", 3), ("--forecasts", 3)],
+    )
+    def test_exits_naming_the_file(self, tmp_path, capsys, one_year_csv, flag, code):
+        bad = str(tmp_path / "bad.txt")
+        with open(bad, "wb") as f:  # a utf-16 file with its byte-order mark
+            f.write(b"\xff\xfe" + "2007-01-01\n".encode("utf-16-le"))
+        if flag == "--forecasts":
+            args = {"--forecasts": bad, "--data": one_year_csv}
+            command = "evaluate"
+        else:
+            args = {"--data": one_year_csv, "--out": str(tmp_path / "ck.json")}
+            args[flag] = bad
+            command = "train"
+        assert main([command, *(a for item in args.items() for a in item)]) == code
+        err = capsys.readouterr().err
+        assert bad in err and "utf-8" in err
+        assert not (tmp_path / "ck.json").exists()
+
 
 class TestEvaluate:
     @pytest.mark.parametrize("loss", ["mse", "gaussian_nll"])

@@ -380,6 +380,12 @@ class TestCheckpoint:
         with pytest.raises(DataValidationError, match="not valid JSON"):
             load_checkpoint(str(path))
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "ck.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(DataValidationError, match="ck.json is not valid JSON"):
+            load_checkpoint(str(path))
+
     def test_failed_save_keeps_previous_file(self, tmp_path):
         spec = RnnSpec(lag_set=(1, 2), x_dim=2, hidden_dim=3, y_dim=2)
         flat = pack(init_params(spec, Rng(5)), spec)

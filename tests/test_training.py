@@ -243,7 +243,7 @@ class TestTrain:
         )
         best_recorded = min(h.val_loss for h in history)
         achieved = evaluate_loss(model, spec, val_windows, LossHead("mse"))
-        assert achieved == pytest.approx(best_recorded, rel=1e-12)
+        assert achieved == best_recorded
 
     def test_engine_name_validated(self):
         spec = RnnSpec(lag_set=(1,), x_dim=1, hidden_dim=1, y_dim=1)
@@ -275,8 +275,26 @@ class TestGridSearch:
             params, spec, windows, "trrl", LossHead("mse"), config, val
         )
         want = evaluate_loss(model, spec, val, LossHead("mse"))
-        assert report[0].val_loss == pytest.approx(want, rel=1e-12)
+        assert report[0].val_loss == want
         assert report[0].epochs_run == len(history)
+
+    def test_failed_cell_recorded_and_sorted_last(self):
+        """A learning rate of 1e200 overflows the pre-activations in the
+        first epoch; the search records that cell and trains the next."""
+        spec = RnnSpec(lag_set=(1,), x_dim=1, hidden_dim=3, y_dim=1)
+        windows, _ = ar1_windows(16, 3, seed=14)
+        val, _ = ar1_windows(8, 3, seed=15)
+        grid = HyperGrid(
+            hidden_dims=(3,), learning_rates=(1e200, 1e-2), batch_sizes=(8,)
+        )
+        config = TrainConfig(max_epochs=3, patience=100, seed=6)
+        report = grid_search(spec, windows, val, LossHead("mse"), "trrl", grid, config)
+        ok, failed = report
+        assert (ok.learning_rate, ok.error, ok.epochs_run) == (1e-2, None, 3)
+        assert math.isfinite(ok.val_loss)
+        assert failed.learning_rate == 1e200
+        assert "non-finite" in failed.error
+        assert (failed.val_loss, failed.epochs_run) == (math.inf, 0)
 
     def test_full_grid_has_18_rows_sorted(self):
         spec = RnnSpec(lag_set=(1,), x_dim=1, hidden_dim=5, y_dim=1)
