@@ -118,7 +118,19 @@ def _parse_ts(text: str, what: str) -> datetime:
         raise ConfigError(f"{what} is not an ISO timestamp: {text!r}") from None
 
 
+def _check_out_dirs(*paths) -> None:
+    """Reject an output path whose directory does not exist.
+
+    Every subcommand calls this before it reads or computes anything, so a
+    mistyped ``--out`` costs no work; unset (None) paths are skipped.
+    """
+    for out in paths:
+        if out and not os.path.isdir(os.path.dirname(out) or "."):
+            raise ConfigError(f"the directory of output path {out} does not exist")
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
+    _check_out_dirs(args.out, args.truth_out)
     config = load_config(args.config)
     section = dict(config.get("synth", {}))
     if args.years is not None:
@@ -157,9 +169,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not checkpoint:
         raise ConfigError("no checkpoint path (use --out or paths.checkpoint)")
     history_path = args.history or paths.get("history")
-    for out in (checkpoint, history_path):  # before the data is read and trained on
-        if out and not os.path.isdir(os.path.dirname(out) or "."):
-            raise ConfigError(f"the directory of output path {out} does not exist")
+    _check_out_dirs(checkpoint, history_path)
     series = ingest_csv(data_path)
     # Configured pipeline parameters; the rest keep the constructor defaults.
     params = dict(model_cfg)
@@ -204,6 +214,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_forecast(args: argparse.Namespace) -> int:
+    _check_out_dirs(args.out)
     series = ingest_csv(args.data)
     pipe = LoadForecastPipeline.load(args.checkpoint)
     start = _parse_ts(args.start, "--start")
@@ -215,6 +226,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _check_out_dirs(args.out)
     series = ingest_csv(args.data)
     report = score_forecasts(read_forecast_csv(args.forecasts), series)
     print(report.render_text())
@@ -225,6 +237,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    _check_out_dirs(args.out)
     rows, ok = run_gradient_check(n_seeds=args.seeds, base_seed=args.base_seed)
     if args.out:
         write_report(rows, args.out)
@@ -256,6 +269,7 @@ def _bench_records(mode: str, section: dict, config: dict) -> list:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    _check_out_dirs(args.out)
     config = load_config(args.config)
     section = config.get("bench", {})
     unread = set(section) - set(BENCH_KEYS[args.mode])

@@ -21,7 +21,7 @@ gradient computation itself.  The forward sweep is identical for every
 engine and is excluded, so counters compare the algorithms like for like.
 ``loss`` arguments are callables ``yhat -> (loss_value, d_loss_d_yhat)``;
 the value comes back on ``GradientPair.loss``.  trrl and bptt share all
-but their traversal (``_tree_gradients``, ``_backward_node``).
+but their traversal (``_tree_gradients``, ``_node_kernel``).
 
 Engines are pure functions of (params, xs): parameters are never
 mutated, every call owns its counter and workspace, and concurrent calls
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 from .base import NumericError, RnnpError
 from .linalg import OpCounter, matvec_t
@@ -44,6 +43,7 @@ from .model import (
     check_finite_step,
     forward_sequence,
     forward_steps,
+    nonzero_inputs,
     pack,
     phi_offsets,
     project_inputs,
@@ -85,73 +85,95 @@ class GradientPair:
                 raise NumericError("non-finite phi gradient")
 
 
-def _scatter_theta(
-    dest: list,
-    q: list,
-    x_t: list,
-    feedbacks: list,
-    spec: RnnSpec,
-    counter: OpCounter,
-) -> None:
-    """dest += (da/dtheta)^T q, exploiting one nonzero per theta column.
+def _theta_scatter(spec: RnnSpec):
+    """The input-layer update of one engine call, as
+    ``scatter(dest, q, x_nz, feedbacks)``: dest += (da/dtheta)^T q,
+    exploiting one nonzero per theta column.
 
-    Counts h*x + p*h*y multiplies; the bias columns are pure additions.
+    ``x_nz`` holds the input row's ``nonzero_inputs`` pairs and
+    ``feedbacks`` the outputs of the lags that reach inside the window, a
+    prefix of the lag set.  The products of a zero input and the terms of
+    the other lags, whose feedback is the zero vector, are skipped.  The
+    entries of ``dest`` are sums that started at +0.0, so the bits are
+    those of the dense update (see ``project_inputs``).  The caller counts
+    the dense h*x + p*h*y multiplies.
     """
-    h, x, y = spec.hidden_dim, spec.x_dim, spec.y_dim
+    x, y = spec.x_dim, spec.y_dim
     _, w_offs, b_off = theta_offsets(spec)
-    for r in range(h):
-        qr = q[r]
-        base = r * x
-        for cidx in range(x):
-            dest[base + cidx] += qr * x_t[cidx]
-        for w_off, fb in zip(w_offs, feedbacks):
-            wbase = w_off + r * y
-            for k in range(y):
-                dest[wbase + k] += qr * fb[k]
-        dest[b_off + r] += qr
-    counter.add_macs(h * x + spec.p * h * y)
+
+    def scatter(dest: list, q: list, x_nz: list, feedbacks: list) -> None:
+        # Hidden row 0's reachable W_l entries as (theta index, feedback);
+        # row r's lie r*y further on.
+        w_nz = [
+            (off + k, fk)
+            for off, fb in zip(w_offs, feedbacks)
+            for k, fk in enumerate(fb)
+        ]
+        u_base = w_base = 0
+        b_idx = b_off
+        for qr in q:
+            for c, xc in x_nz:
+                dest[u_base + c] += qr * xc
+            for i, fk in w_nz:
+                dest[w_base + i] += qr * fk
+            dest[b_idx] += qr
+            u_base += x
+            w_base += y
+            b_idx += 1
+
+    return scatter
 
 
-def _scatter_phi(
-    dest: list, g: list, h_t: list, spec: RnnSpec, counter: OpCounter
-) -> None:
-    """dest += (dyhat/dphi)^T g; counts y*h multiplies (c columns add)."""
-    h, y = spec.hidden_dim, spec.y_dim
-    v_off, c_off = phi_offsets(spec)
-    for k in range(y):
-        gk = g[k]
-        base = v_off + k * h
-        for j in range(h):
-            dest[base + j] += gk * h_t[j]
-        dest[c_off + k] += gk
-    counter.add_macs(y * h)
-
-
-def _backward_node(
+def _node_kernel(
     params: ModelParams,
     spec: RnnSpec,
     trace: ForwardTrace,
     xs: list,
     grads: GradientPair,
     counter: OpCounter,
-    t: int,
-    g: list,
-) -> list:
-    """Backpropagate the output gradient g of step t through its node.
+):
+    """The backward node of one trrl or bptt call, as ``node(t, g) -> q``.
 
-    Adds the node's terms to ``grads`` and returns the folded gradient
-    q = (V diag(h'))^T g, with h' = h (1 - h) the sigmoid derivative, from
-    which the caller pushes W_l^T q to step t - l.
+    ``node`` backpropagates the output gradient g of step t through its
+    node: it adds the node's terms to ``grads`` and returns the folded
+    gradient q = (V diag(h'))^T g, with h' = h (1 - h) the sigmoid
+    derivative, from which the walk pushes W_l^T q to step t - l.  Built
+    once per call over V's rows, each input row's nonzero entries and the
+    input-layer update, so a node does no set-up.  The products of a zero
+    input, and the W_l terms of a lag reaching before the window start,
+    are skipped; every sum keeps the order of its dense form, so the bits
+    do not change (see ``project_inputs``).  It counts the dense
+    2*y*h + 2*h + h*x + p*h*y multiplies per node.
     """
-    h_t = trace.h_steps[t - 1]
-    _scatter_phi(grads.d_phi, g, h_t, spec, counter)
-    vt = matvec_t(params.V, g, counter)
-    q = [v * (hj * (1.0 - hj)) for v, hj in zip(vt, h_t)]
-    counter.add_macs(2 * len(h_t))  # derivative values plus the diagonal product
-    check_finite_step(q, "folded gradient", t)
-    feedbacks = [trace.y_at(t - lag) for lag in spec.lag_set]
-    _scatter_theta(grads.d_theta, q, xs[t - 1], feedbacks, spec, counter)
-    return q
+    h, x, y = spec.hidden_dim, spec.x_dim, spec.y_dim
+    d_theta, d_phi = grads.d_theta, grads.d_phi
+    h_steps, y_steps = trace.h_steps, trace.y_steps
+    v = params.V.data
+    v_rows = [v[k * h : (k + 1) * h] for k in range(y)]
+    v_off, c_off = phi_offsets(spec)
+    lags = spec.lag_set
+    x_nz = [nonzero_inputs(x_t) for x_t in xs]
+    scatter = _theta_scatter(spec)
+    macs = 2 * y * h + 2 * h + h * x + spec.p * h * y
+
+    def node(t: int, g: list) -> list:
+        h_t = h_steps[t - 1]
+        vt = [0.0] * h
+        for k, gk in enumerate(g):
+            base = v_off + k * h
+            v_k = v_rows[k]
+            for j, hj in enumerate(h_t):
+                d_phi[base + j] += gk * hj
+                vt[j] += v_k[j] * gk
+            d_phi[c_off + k] += gk
+        q = [vj * (hj * (1.0 - hj)) for vj, hj in zip(vt, h_t)]
+        check_finite_step(q, "folded gradient", t)
+        feedbacks = [y_steps[t - 1 - lag] for lag in lags if lag < t]
+        scatter(d_theta, q, x_nz[t - 1], feedbacks)
+        counter.add_macs(macs)
+        return q
+
+    return node
 
 
 def _loss_gradient(loss, y_final: list, spec: RnnSpec) -> tuple:
@@ -167,7 +189,7 @@ def _tree_gradients(params: ModelParams, spec: RnnSpec, xs: list, loss, walk) ->
     ``walk(node, tau, g0, counter)`` on the unrolled tree's root.
 
     The stored trace (h and yhat per step plus the inputs) is charged until
-    the walk ends.  ``node(t, g)`` is ``_backward_node`` on step t.
+    the walk ends.  ``node(t, g)`` is the ``_node_kernel`` on step t.
     """
     params.validate(spec)
     counter = OpCounter()
@@ -176,7 +198,7 @@ def _tree_gradients(params: ModelParams, spec: RnnSpec, xs: list, loss, walk) ->
     counter.grad_floats_alloc(trace_floats)
     loss_value, g0 = _loss_gradient(loss, trace.y_final, spec)
     grads = GradientPair([0.0] * spec.theta_size, [0.0] * spec.phi_size, loss_value)
-    node = partial(_backward_node, params, spec, trace, xs, grads, counter)
+    node = _node_kernel(params, spec, trace, xs, grads, counter)
     walk(node, len(xs), g0, counter)
     counter.grad_floats_free(trace_floats)
     grads.validate(spec)
@@ -253,14 +275,15 @@ def rtrl_gradients(
             [[0.0] * psize for _ in range(y)],
         )
         counter.grad_floats_alloc(pair_floats)
-    # Recent outputs, the feedbacks _scatter_theta differentiates against.
-    y_ring: dict = {s: [0.0] * y for s in range(1 - max_lag, 1)}
-    zero_y = [0.0] * y
+    # Recent outputs, the feedbacks the input-layer update differentiates
+    # against; a step before the window start has none.
+    y_ring: dict = {}
+    scatter = _theta_scatter(spec)
 
     # The forward steps are shared by every engine and not counted.
     rows = project_inputs(params, spec, xs)
     for t, (h_t, yhat) in enumerate(forward_steps(params, spec, rows), 1):
-        x_t = xs[t - 1]
+        x_nz = nonzero_inputs(xs[t - 1])
 
         # B = V diag(h'), y x h.
         b_rows = []
@@ -320,9 +343,10 @@ def rtrl_gradients(
                         acc_p[j] += ckm * row[j]
         counter.add_macs(spec.p * y * y * (tsize + psize))
 
-        feedbacks = [y_ring.get(t - lag, zero_y) for lag in spec.lag_set]
+        feedbacks = [y_ring[t - lag] for lag in spec.lag_set if lag < t]
         for k in range(y):
-            _scatter_theta(new_jth[k], b_rows[k], x_t, feedbacks, spec, counter)
+            scatter(new_jth[k], b_rows[k], x_nz, feedbacks)
+        counter.add_macs(y * (h * spec.x_dim + spec.p * h * y))
 
         for k in range(y):
             acc_p = new_jph[k]

@@ -93,19 +93,19 @@ class Matrix:
 def matvec_t(m: Matrix, v: list, counter: OpCounter) -> list:
     """m.T @ v with accumulation over rows in increasing index.
 
+    Each entry is one column of ``m`` dotted with ``v``, summed from 0.0.
     Counts exactly ``rows * cols`` multiply-accumulates.
     """
     if m.rows != len(v):
         raise ValueError(f"matvec_t shape mismatch: {m.cols}x{m.rows} @ {len(v)}")
     data = m.data
     cols = m.cols
-    out = [0.0] * cols
-    base = 0
-    for r in range(m.rows):
-        vr = v[r]
-        for c in range(cols):
-            out[c] += data[base + c] * vr
-        base += cols
+    out = []
+    for c in range(cols):
+        acc = 0.0
+        for w, vr in zip(data[c::cols], v):
+            acc += w * vr
+        out.append(acc)
     counter.add_macs(m.rows * cols)
     return out
 

@@ -107,7 +107,16 @@ class LoadForecastPipeline(BaseEstimator):
         [start, end) and, when both validation bounds are given, of
         [val_start, val_end), else None.  ``HourlySeries`` has checked the
         data, so the windows go to training without another check.
+
+        A lag of tau or more is rejected first: it reaches before the start
+        of every window, so its feedback is always zero and its weights
+        would never train.
         """
+        if max(self.lags, default=0) >= self.tau >= 1:
+            raise ValueError(
+                f"the largest lag {max(self.lags)} does not fit in a window of "
+                f"tau={self.tau}: use a lag below tau or a longer tau"
+            )
         self.encoder_ = CalendarFeatureEncoder(holidays=self.holidays).fit(
             series, start, end
         )

@@ -5,6 +5,7 @@ from datetime import datetime
 
 import pytest
 
+from rnnp import cli
 from rnnp.cli import main
 from rnnp.linalg import Rng
 from rnnp.model import RnnSpec, init_params, pack, save_checkpoint
@@ -122,8 +123,9 @@ class TestConfigValidation:
             ({"lags": [0]}, "(0,)"),
             ({"hidden_dim": 0}, "hidden_dim must be >= 1, got 0"),
             ({"tau": 0}, "tau must be >= 1, got 0"),
+            ({"lags": [1, 24], "tau": 12}, "lag 24 does not fit in a window of tau=12"),
         ],
-        ids=["lags", "hidden_dim", "tau"],
+        ids=["lags", "hidden_dim", "tau", "lag_reach"],
     )
     def test_bad_model_value_is_a_config_error(
         self, tmp_path, capsys, one_year_csv, model, named
@@ -412,9 +414,45 @@ class TestMissingFiles:
 
     def test_unwritable_output_names_the_destination(self, tmp_path, capsys):
         out = str(tmp_path / "no_such_dir" / "series.csv")
-        assert main(["synth", "--out", out, "--years", "1"]) == 3
+        assert main(["synth", "--out", out, "--years", "1"]) == 2
         err = capsys.readouterr().err
-        assert repr(out) in err and ".tmp" not in err
+        assert out in err and ".tmp" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--out", "series.csv", "--truth-out", "MISSING"],
+            ["forecast", "--checkpoint", "ck.json", "--data", "data.csv",
+             "--start", "2007-01-03T00:00:00", "--end", "2007-01-04T00:00:00",
+             "--out", "MISSING"],
+            ["evaluate", "--forecasts", "fc.csv", "--data", "data.csv",
+             "--out", "MISSING"],
+            ["gradcheck", "--seeds", "1", "--out", "MISSING"],
+            ["bench", "--config", "config.json", "--out", "MISSING"],
+        ],
+        ids=["synth-truth", "forecast", "evaluate", "gradcheck", "bench"],
+    )
+    def test_output_directory_missing_exits_before_any_work(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the subcommand started work")
+
+        for name in (
+            "load_config",
+            "ingest_csv",
+            "synth_generate",
+            "run_gradient_check",
+            "_bench_records",
+        ):
+            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.chdir(tmp_path)
+        missing = str(tmp_path / "no_such_dir" / "out.file")
+        assert main([missing if a == "MISSING" else a for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and missing in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestNonUtf8Input:

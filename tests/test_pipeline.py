@@ -345,6 +345,27 @@ class TestCheckpoint:
             LoadForecastPipeline.load(str(path))
 
 
+class TestLagReach:
+    @pytest.mark.parametrize("lags, tau", [((1, 168), 49), ((1, 12), 12)])
+    def test_lag_the_window_cannot_reach_is_rejected_before_encoding(
+        self, monkeypatch, lags, tau
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fit encoded the series")
+
+        monkeypatch.setattr(CalendarFeatureEncoder, "fit", refuse)
+        series, _ = make_series(years=1, seed=58)
+        pipe = quick_pipeline(lags=lags, tau=tau)
+        with pytest.raises(ValueError, match=f"lag {lags[-1]} .*tau={tau}"):
+            pipe.fit(series, series.start, series.end)
+
+    def test_largest_lag_below_tau_fits(self):
+        series, _ = make_series(years=1, seed=58)
+        pipe = quick_pipeline(lags=(1, 11), tau=12, max_epochs=1)
+        pipe.fit(series, series.start, series.end)
+        assert len(pipe.forecaster_.history_) == 1
+
+
 class TestTrainingHandOff:
     """The pipeline trains on its own windows, without the (X, y) checks."""
 
