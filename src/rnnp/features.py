@@ -13,6 +13,13 @@ Feature layout (13 values per hour, fixed order):
 
 The day-of-year sinusoid uses the actual year length, so leap years do
 not drift the phase.
+
+The calendar part of a row depends on the date and the hour alone.
+``calendar_pass`` finds each date's day-of-week dummies, holiday flag and
+day of year once and gives every hour of that date its year angle; both
+this encoder and the deseasonalizer build their rows from it, in one
+batch per call.  Every float is the same expression on the same operands
+as a per-timestamp computation, so the rows are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -33,9 +40,45 @@ TWO_PI = 2.0 * math.pi
 STATE_FIELDS = ("drybulb_mean", "drybulb_std", "wetbulb_mean", "wetbulb_std")
 
 
+# sin/cos of the hour-of-day angle, indexed by hour.
+HOUR_TRIG = tuple(
+    (math.sin(angle), math.cos(angle))
+    for angle in (TWO_PI * hour / 24.0 for hour in range(24))
+)
+
+
+def _fraction(yday: int, hour: int, days: float) -> float:
+    """Fraction of the year elapsed at ``hour`` of day ``yday`` (1-based)
+    in a year of ``days`` days."""
+    return (yday - 1 + hour / 24.0) / days
+
+
 def year_fraction(ts: datetime) -> float:
+    """Fraction of the year elapsed at ``ts``, in [0, 1)."""
     days = 366.0 if calendar.isleap(ts.year) else 365.0
-    return (ts.timetuple().tm_yday - 1 + ts.hour / 24.0) / days
+    return _fraction(ts.timetuple().tm_yday, ts.hour, days)
+
+
+def calendar_pass(timestamps, holidays: frozenset):
+    """Yield ``(hour, year_angle, day)`` for each timestamp.
+
+    ``year_angle`` is ``TWO_PI * year_fraction(ts)``.  ``day`` holds the
+    date's seven 0/1 values: the Monday..Saturday dummies (Sunday is the
+    baseline) and the holiday flag.  It is found once per date, and the
+    same list is shared by every hour of that date, so callers copy it.
+    """
+    last = None
+    for ts in timestamps:
+        d = ts.date()
+        if d != last:
+            last = d
+            dow = d.weekday()  # Monday = 0 .. Sunday = 6
+            day = [1.0 if dow == k else 0.0 for k in range(6)]
+            day.append(1.0 if d in holidays else 0.0)
+            yday = d.timetuple().tm_yday
+            days = 366.0 if calendar.isleap(d.year) else 365.0
+        hour = ts.hour
+        yield hour, TWO_PI * _fraction(yday, hour, days), day
 
 
 class CalendarFeatureEncoder(BaseEstimator):
@@ -77,21 +120,9 @@ class CalendarFeatureEncoder(BaseEstimator):
         return encoder
 
     def encode(self, ts: datetime, drybulb: float, wetbulb: float) -> list:
+        """The input row of one hour: ``_rows`` for a single timestamp."""
         check_fitted(self, ["drybulb_mean_"])
-        hour_angle = TWO_PI * ts.hour / 24.0
-        year_angle = TWO_PI * year_fraction(ts)
-        row = [
-            math.sin(hour_angle),
-            math.cos(hour_angle),
-            math.sin(year_angle),
-            math.cos(year_angle),
-        ]
-        dow = ts.weekday()  # Monday = 0 .. Sunday = 6
-        row.extend(1.0 if dow == d else 0.0 for d in range(6))
-        row.append(1.0 if ts.date() in self.holidays else 0.0)
-        row.append((drybulb - self.drybulb_mean_) / self.drybulb_std_)
-        row.append((wetbulb - self.wetbulb_mean_) / self.wetbulb_std_)
-        return row
+        return self._rows([ts], [drybulb], [wetbulb])[0]
 
     def transform(
         self,
@@ -101,11 +132,28 @@ class CalendarFeatureEncoder(BaseEstimator):
     ) -> list:
         """Encode the hours in [start, end), by default the whole series;
         rows are FEATURE_DIM wide."""
+        check_fitted(self, ["drybulb_mean_"])
         i, j = series.index_range(start, end)
+        return self._rows(
+            series.timestamps[i:j], series.drybulb_f[i:j], series.wetbulb_f[i:j]
+        )
+
+    def _rows(self, timestamps: list, drybulb: list, wetbulb: list) -> list:
+        """The FEATURE_DIM-wide rows of the given hours, in the layout above."""
+        dry_mean, dry_std = self.drybulb_mean_, self.drybulb_std_
+        wet_mean, wet_std = self.wetbulb_mean_, self.wetbulb_std_
+        sin, cos = math.sin, math.cos
         return [
-            self.encode(ts, dry, wet)
-            for ts, dry, wet in zip(
-                series.timestamps[i:j], series.drybulb_f[i:j], series.wetbulb_f[i:j]
+            [
+                *HOUR_TRIG[hour],
+                sin(year_angle),
+                cos(year_angle),
+                *day,
+                (dry - dry_mean) / dry_std,
+                (wet - wet_mean) / wet_std,
+            ]
+            for (hour, year_angle, day), dry, wet in zip(
+                calendar_pass(timestamps, self.holidays), drybulb, wetbulb
             )
         ]
 

@@ -39,6 +39,17 @@ def _as_windows(X, y) -> list:
     return windows
 
 
+def _check_lag_reach(lags: tuple, tau: int) -> None:
+    """Reject a lag of tau or more: it reaches before the start of every
+    window of length tau, so its feedback is always zero and its weights
+    would never train."""
+    if max(lags, default=0) >= tau >= 1:
+        raise ValueError(
+            f"the largest lag {max(lags)} does not fit in a window of "
+            f"tau={tau}: use a lag below tau or a longer tau"
+        )
+
+
 class RnnForecaster(BaseEstimator):
     """Recurrent regressor: fit on windows, predict the final-step value.
 
@@ -90,6 +101,7 @@ class RnnForecaster(BaseEstimator):
 
     def fit(self, X, y, validation: tuple | None = None) -> "RnnForecaster":
         windows = _as_windows(X, y)
+        _check_lag_reach(self.lags, len(windows[0].xs))
         val_windows = _as_windows(*validation) if validation is not None else None
         return self._fit_windows(windows, val_windows)
 

@@ -29,7 +29,7 @@ from .base import (
     open_utf8,
 )
 from .features import CalendarFeatureEncoder
-from .forecaster import RnnForecaster
+from .forecaster import RnnForecaster, _check_lag_reach
 from .metrics import MetricReport, point_metrics, probabilistic_metrics
 from .model import load_checkpoint, pack, project_inputs, save_checkpoint, unpack
 from .seasonal import YEARLY_HARMONICS, HourlyDeseasonalizer
@@ -106,17 +106,10 @@ class LoadForecastPipeline(BaseEstimator):
         Returns ``(train_windows, val_windows)``: the residual windows of
         [start, end) and, when both validation bounds are given, of
         [val_start, val_end), else None.  ``HourlySeries`` has checked the
-        data, so the windows go to training without another check.
-
-        A lag of tau or more is rejected first: it reaches before the start
-        of every window, so its feedback is always zero and its weights
-        would never train.
+        data, so the windows go to training without another check.  A lag
+        no window reaches is rejected first, before any encoding.
         """
-        if max(self.lags, default=0) >= self.tau >= 1:
-            raise ValueError(
-                f"the largest lag {max(self.lags)} does not fit in a window of "
-                f"tau={self.tau}: use a lag below tau or a longer tau"
-            )
+        _check_lag_reach(self.lags, self.tau)
         self.encoder_ = CalendarFeatureEncoder(holidays=self.holidays).fit(
             series, start, end
         )

@@ -8,6 +8,13 @@ recurrent network downstream owns the weather response.  Fits use
 Householder QR; a linearly dependent column (for example a holiday dummy
 with no holidays in the window) is reported and its coefficient forced to
 zero rather than failing the fit.
+
+``fit`` and ``transform`` each build their regressor rows in one batch
+from ``features.calendar_pass``, which finds the calendar part once per
+date, and ``transform`` takes one dot per hour.  The QR works on a
+column-major copy of the design matrix.  Both keep every floating-point
+operation and its order, so coefficients, residuals and seasonal values
+are bit-identical to a per-hour, row-major computation.
 """
 
 from __future__ import annotations
@@ -17,15 +24,22 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 from .base import BaseEstimator, DataValidationError, check_fitted, checkpoint_field
-from .features import year_fraction
-from .linalg import _left_sum
+from .features import calendar_pass
 from .series import HourlySeries
 from .stats import mean_std
 
-TWO_PI = 2.0 * math.pi
 MIN_WINDOW = timedelta(days=365)
 YEARLY_HARMONICS = 2
+TREND_UNIT = timedelta(days=365.25)  # the trend regressor counts years
 RCOND = 1e-10
+
+
+def _dot(a, b) -> float:
+    """Sum of a[i] * b[i], accumulated from 0.0 in increasing i."""
+    acc = 0.0
+    for x, y in zip(a, b):
+        acc += x * y
+    return acc
 
 
 def qr_lstsq(rows: list, ys: list) -> tuple:
@@ -35,48 +49,45 @@ def qr_lstsq(rows: list, ys: list) -> tuple:
     reduced norm falls below ``RCOND`` times the largest original column
     norm is treated as linearly dependent: it is skipped and its
     coefficient set to zero.
+
+    The reflections run on a column-major copy of ``[rows | ys]``, so each
+    column's dot and update is one pass over a list tail.  Every sum still
+    runs over increasing row index, so the result is the same, bit for
+    bit, as the textbook row-major loops.
     """
     m = len(rows)
     if m == 0:
         raise ValueError("no observations")
     n = len(rows[0])
-    a = [list(r) for r in rows]
     y = list(ys)
     if len(y) != m:
         raise ValueError("row/target length mismatch")
+    cols = [list(col) for col in zip(*rows)]  # cols[k][i] == rows[i][k]
+    if len(cols) != n:  # zip stops at the shortest row
+        raise ValueError("rows have unequal lengths")
 
     scale = 0.0
-    for j in range(n):
-        norm = math.sqrt(_left_sum(a[i][j] * a[i][j] for i in range(m)))
+    for col in cols:
+        norm = math.sqrt(_dot(col, col))
         scale = max(scale, norm)
     tol = RCOND * (scale if scale > 0.0 else 1.0)
 
+    cols.append(y)  # y is reflected as column n
     dropped: list = []
     for j in range(min(n, m)):
-        norm2 = _left_sum(a[i][j] * a[i][j] for i in range(j, m))
-        norm = math.sqrt(norm2)
+        v = cols[j][j:]
+        norm = math.sqrt(_dot(v, v))
         if norm <= tol:
             dropped.append(j)
             continue
-        v0 = a[j][j]
-        sign = 1.0 if v0 >= 0.0 else -1.0
-        v = [a[i][j] for i in range(j, m)]
+        sign = 1.0 if v[0] >= 0.0 else -1.0
         v[0] += sign * norm
-        beta = 2.0 / _left_sum(vi * vi for vi in v)
-        for k in range(j + 1, n):
-            dot = 0.0
-            for i in range(j, m):
-                dot += v[i - j] * a[i][k]
-            factor = beta * dot
-            for i in range(j, m):
-                a[i][k] -= factor * v[i - j]
-        dot = 0.0
-        for i in range(j, m):
-            dot += v[i - j] * y[i]
-        factor = beta * dot
-        for i in range(j, m):
-            y[i] -= factor * v[i - j]
-        a[j][j] = -sign * norm
+        beta = 2.0 / _dot(v, v)
+        for col in cols[j + 1 :]:
+            tail = col[j:]
+            factor = beta * _dot(v, tail)
+            col[j:] = [x - factor * vi for x, vi in zip(tail, v)]
+        cols[j][j] = -sign * norm
 
     for j in range(m, n):  # more columns than rows: the tail cannot be fit
         dropped.append(j)
@@ -88,8 +99,8 @@ def qr_lstsq(rows: list, ys: list) -> tuple:
             continue
         s = y[j]
         for k in range(j + 1, n):
-            s -= a[j][k] * coef[k]
-        coef[j] = s / a[j][j]
+            s -= cols[k][j] * coef[k]
+        coef[j] = s / cols[j][j]
     return coef, dropped
 
 
@@ -112,17 +123,38 @@ class HourlyDeseasonalizer(BaseEstimator):
         self.holidays = holidays
 
     def regressors(self, ts: datetime) -> list:
-        row = [1.0]
-        dow = ts.weekday()
-        row.extend(1.0 if dow == d else 0.0 for d in range(6))
-        row.append(1.0 if ts.date() in self.holidays else 0.0)
-        yf = TWO_PI * year_fraction(ts)
-        for k in range(1, YEARLY_HARMONICS + 1):
-            row.append(math.sin(k * yf))
-            row.append(math.cos(k * yf))
-        origin = self.fit_origin_ if hasattr(self, "fit_origin_") else ts
-        row.append((ts - origin) / timedelta(days=365.25))
-        return row
+        """The regressor row of one hour: ``_rows`` for a single timestamp."""
+        check_fitted(self, ["coef_"])
+        return next(self._rows([ts]))
+
+    def _rows(self, timestamps: list):
+        """Yield the regressor row of each timestamp: intercept, day-of-week
+        dummies, holiday dummy, yearly harmonics, trend since the fit start."""
+        origin = self.fit_origin_
+        sin, cos = math.sin, math.cos
+        for (_, year_angle, day), ts in zip(
+            calendar_pass(timestamps, self.holidays), timestamps
+        ):
+            row = [1.0, *day]
+            for k in range(1, YEARLY_HARMONICS + 1):
+                row.append(sin(k * year_angle))
+                row.append(cos(k * year_angle))
+            row.append((ts - origin) / TREND_UNIT)
+            yield row
+
+    def _z_scores(self, logs):
+        """Yield each log demand z-scored with the fitted statistics."""
+        log_mean, log_std = self.log_mean_, self.log_std_
+        for v in logs:
+            yield (v - log_mean) / log_std
+
+    def _seasonal(self, timestamps: list) -> list:
+        """The fitted seasonal value of each timestamp: one dot per hour."""
+        coef = self.coef_
+        return [
+            _dot(coef[ts.hour], row)
+            for ts, row in zip(timestamps, self._rows(timestamps))
+        ]
 
     def fit(
         self,
@@ -144,10 +176,9 @@ class HourlyDeseasonalizer(BaseEstimator):
 
         by_hour_rows: dict = {h: [] for h in range(24)}
         by_hour_z: dict = {h: [] for h in range(24)}
-        for k in range(i, j):
-            ts = series.timestamps[k]
-            z = (logs[k - i] - self.log_mean_) / self.log_std_
-            by_hour_rows[ts.hour].append(self.regressors(ts))
+        timestamps = series.timestamps[i:j]
+        for ts, row, z in zip(timestamps, self._rows(timestamps), self._z_scores(logs)):
+            by_hour_rows[ts.hour].append(row)
             by_hour_z[ts.hour].append(z)
 
         self.coef_: dict = {}
@@ -193,16 +224,11 @@ class HourlyDeseasonalizer(BaseEstimator):
 
     def seasonal_at(self, ts: datetime) -> float:
         check_fitted(self, ["coef_"])
-        coef = self.coef_[ts.hour]
-        row = self.regressors(ts)
-        acc = 0.0
-        for c, r in zip(coef, row):
-            acc += c * r
-        return acc
+        return self._seasonal([ts])[0]
 
     def normalize_log(self, demand: float) -> float:
         check_fitted(self, ["log_mean_"])
-        return (math.log(demand) - self.log_mean_) / self.log_std_
+        return next(self._z_scores([math.log(demand)]))
 
     def transform(
         self,
@@ -213,11 +239,9 @@ class HourlyDeseasonalizer(BaseEstimator):
         check_fitted(self, ["coef_"])
         i, j = series.index_range(start, end)
         timestamps = series.timestamps[i:j]
-        seasonal = [self.seasonal_at(ts) for ts in timestamps]
-        residuals = [
-            self.normalize_log(series.demand_mwh[k]) - seasonal[k - i]
-            for k in range(i, j)
-        ]
+        seasonal = self._seasonal(timestamps)
+        logs = (math.log(d) for d in series.demand_mwh[i:j])
+        residuals = [z - s for z, s in zip(self._z_scores(logs), seasonal)]
         return NormalizedResidualSeries(
             timestamps=timestamps,
             residuals=residuals,

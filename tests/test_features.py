@@ -1,12 +1,18 @@
 """Feature encoder: trig identities, dummies, holiday flag, normalization."""
 
-from datetime import date, datetime
+import math
+from datetime import date, datetime, timedelta
 
 import pytest
 
 from rnnp.base import NotFittedError
-from rnnp.features import FEATURE_DIM, CalendarFeatureEncoder, year_fraction
+from rnnp.features import FEATURE_DIM, TWO_PI, CalendarFeatureEncoder, year_fraction
 from tests.test_series import tiny_series
+
+HOLIDAYS = frozenset(
+    {date(2007, 1, 1), date(2007, 7, 4), date(2007, 12, 31), date(2008, 2, 29),
+     date(2008, 12, 25)}
+)
 
 
 def fitted_encoder(series, holidays=frozenset()):
@@ -85,6 +91,39 @@ class TestEncoding:
             CalendarFeatureEncoder().encode(datetime(2007, 1, 1), 50.0, 45.0)
 
 
+class TestCalendarPassBitIdentity:
+    """Rows built once per date equal rows built per timestamp, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def two_years(self):
+        series = tiny_series(24 * (365 + 366))
+        return series, fitted_encoder(series, HOLIDAYS)
+
+    def test_transform_rows_are_the_per_row_encode(self, two_years):
+        series, enc = two_years
+        rows = enc.transform(series)
+        for ts, dry, wet, row in zip(
+            series.timestamps, series.drybulb_f, series.wetbulb_f, rows
+        ):
+            assert repr(row) == repr(enc.encode(ts, dry, wet)), ts.isoformat()
+
+    def test_calendar_columns_from_the_timestamp_alone(self, two_years):
+        series, enc = two_years
+        assert series.timestamps[-1] == datetime(2008, 12, 31, 23)
+        for ts, row in zip(series.timestamps, enc.transform(series)):
+            hour_angle = TWO_PI * ts.hour / 24.0
+            year_angle = TWO_PI * year_fraction(ts)
+            want = [
+                math.sin(hour_angle),
+                math.cos(hour_angle),
+                math.sin(year_angle),
+                math.cos(year_angle),
+            ]
+            want += [1.0 if ts.weekday() == d else 0.0 for d in range(6)]
+            want.append(1.0 if ts.date() in HOLIDAYS else 0.0)
+            assert repr(row[:11]) == repr(want), ts.isoformat()
+
+
 class TestYearFraction:
     def test_leap_year_alignment(self):
         # End of year approaches 1 regardless of leap status.
@@ -97,3 +136,11 @@ class TestYearFraction:
 
     def test_starts_at_zero(self):
         assert year_fraction(datetime(2007, 1, 1, 0)) == 0.0
+
+    def test_formula_over_a_leap_and_a_common_year(self):
+        ts = datetime(2007, 1, 1)
+        while ts.year < 2009:
+            days = 366.0 if ts.year == 2008 else 365.0
+            want = (ts.timetuple().tm_yday - 1 + ts.hour / 24.0) / days
+            assert repr(year_fraction(ts)) == repr(want), ts.isoformat()
+            ts += timedelta(hours=1)

@@ -5,6 +5,7 @@ from collections import deque
 
 import pytest
 
+import rnnp.forecaster
 from rnnp.base import ConfigError, NotFittedError
 from rnnp.forecaster import RnnForecaster
 from rnnp.linalg import Rng
@@ -77,6 +78,18 @@ class TestValidationHelpers:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             RnnForecaster().fit([], [])
+
+
+    def test_lag_no_window_reaches_rejected_before_training(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the estimator trained")
+
+        monkeypatch.setattr(rnnp.forecaster, "train", refuse)
+        X, y = toy_data(6, tau=5)
+        est = RnnForecaster(lags=(1, 24), hidden_dim=2, loss="mse", max_epochs=2)
+        with pytest.raises(ValueError, match="lag 24 .*tau=5"):
+            est.fit(X, y)
+        assert not hasattr(est, "params_")
 
 
 class TestPrediction:

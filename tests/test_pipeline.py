@@ -147,13 +147,13 @@ class TestForecastAssembly:
         pipe = quick_pipeline()
         pipe.fit(series, series.start, series.end)
         calls = []
-        encode = CalendarFeatureEncoder.encode
+        rows = CalendarFeatureEncoder._rows
 
-        def counting_encode(self, ts, dry, wet):
-            calls.append(ts)
-            return encode(self, ts, dry, wet)
+        def counting_rows(self, timestamps, dry, wet):
+            calls.extend(timestamps)
+            return rows(self, timestamps, dry, wet)
 
-        monkeypatch.setattr(CalendarFeatureEncoder, "encode", counting_encode)
+        monkeypatch.setattr(CalendarFeatureEncoder, "_rows", counting_rows)
         start = datetime(2007, 6, 1)
         pipe.forecast_range(series, start, datetime(2007, 6, 2))
         assert len(calls) == pipe.tau - 1 + 24
