@@ -43,10 +43,10 @@ from .model import (
     check_finite_step,
     forward_sequence,
     forward_steps,
-    nonzero_inputs,
+    nonzero_rows,
     pack,
     phi_offsets,
-    project_inputs,
+    project_nonzero,
     theta_offsets,
     unpack,
 )
@@ -85,78 +85,117 @@ class GradientPair:
                 raise NumericError("non-finite phi gradient")
 
 
-def _theta_scatter(spec: RnnSpec):
-    """The input-layer update of one engine call, as
-    ``scatter(dest, q, x_nz, feedbacks)``: dest += (da/dtheta)^T q,
-    exploiting one nonzero per theta column.
+def _input_layer_terms(spec: RnnSpec):
+    """The input-layer gradient of one engine call, as ``add(dest, log)``:
+    dest += (da/dtheta)^T q summed over the log's entries, into the U, W_l
+    and b entries of ``dest``.
 
-    ``x_nz`` holds the input row's ``nonzero_inputs`` pairs and
-    ``feedbacks`` the outputs of the lags that reach inside the window, a
-    prefix of the lag set.  The products of a zero input and the terms of
-    the other lags, whose feedback is the zero vector, are skipped.  The
-    entries of ``dest`` are sums that started at +0.0, so the bits are
-    those of the dense update (see ``project_inputs``).  The caller counts
-    the dense h*x + p*h*y multiplies.
+    A log entry is ``(q, x_nz, feedbacks)``: a folded gradient, the
+    ``nonzero_rows`` pairs of its step's input row and the outputs of the
+    lags that reach inside the window, a prefix of the lag set.  Each
+    theta entry gets one product per log entry, added in log order to its
+    current value, so the bits are those of adding the entries one at a
+    time.  A log of several entries is summed column by column, each
+    theta entry in a local accumulator; a single entry (a bptt visit, an
+    rtrl output row), where that set-up would cost more than it saves,
+    adds each product in place.  The products of a zero input, and the W_l
+    terms of a lag reaching before the window start, whose feedback is the
+    zero vector, are skipped; the sums started at +0.0, so the bits are
+    those of the dense update (see ``project_nonzero``).  The caller
+    counts the dense h*x + p*h*y multiplies per entry.
     """
-    x, y = spec.x_dim, spec.y_dim
+    h, x, y = spec.hidden_dim, spec.x_dim, spec.y_dim
     _, w_offs, b_off = theta_offsets(spec)
+    # The theta indices of each U column, each W_l column and b, by hidden row.
+    u_idx = [range(c, h * x, x) for c in range(x)]
+    w_idx = [[range(off + k, off + h * y, y) for k in range(y)] for off in w_offs]
+    b_idx = range(b_off, b_off + h)
 
-    def scatter(dest: list, q: list, x_nz: list, feedbacks: list) -> None:
-        # Hidden row 0's reachable W_l entries as (theta index, feedback);
-        # row r's lie r*y further on.
-        w_nz = [
-            (off + k, fk)
-            for off, fb in zip(w_offs, feedbacks)
-            for k, fk in enumerate(fb)
-        ]
-        u_base = w_base = 0
-        b_idx = b_off
-        for qr in q:
-            for c, xc in x_nz:
-                dest[u_base + c] += qr * xc
-            for i, fk in w_nz:
-                dest[w_base + i] += qr * fk
-            dest[b_idx] += qr
-            u_base += x
-            w_base += y
-            b_idx += 1
+    def add(dest: list, log: list) -> None:
+        if len(log) == 1:
+            ((q, x_nz, feedbacks),) = log
+            # Hidden row 0's reachable W_l entries as (theta index,
+            # feedback); row r's lie r*y further on.
+            w_nz = [
+                (off + k, fk)
+                for off, fb in zip(w_offs, feedbacks)
+                for k, fk in enumerate(fb)
+            ]
+            u_base = w_base = 0
+            for qr, b_i in zip(q, b_idx):
+                for c, v in x_nz:
+                    dest[u_base + c] += qr * v
+                for i, fk in w_nz:
+                    dest[w_base + i] += qr * fk
+                dest[b_i] += qr
+                u_base += x
+                w_base += y
+            return
+        q_rows = list(zip(*[q for q, _, _ in log]))  # q_rows[r][pos] = q_pos[r]
+        # Per theta column: its indices and its (log position, factor)
+        # pairs in log order, for a nonzero input or a reachable lag.
+        x_cols = {}
+        for pos, (_, x_nz, _) in enumerate(log):
+            for c, v in x_nz:
+                pairs = x_cols.get(c)
+                if pairs is None:
+                    x_cols[c] = [(pos, v)]
+                else:
+                    pairs.append((pos, v))
+        columns = [(u_idx[c], pairs) for c, pairs in x_cols.items()]
+        for i, idx in enumerate(w_idx):
+            fbs = [(pos, fb[i]) for pos, (_, _, fb) in enumerate(log) if i < len(fb)]
+            if not fbs:
+                break  # nor does any later lag reach
+            for k, ix in enumerate(idx):
+                columns.append((ix, [(pos, fb[k]) for pos, fb in fbs]))
+        for idx, pairs in columns:
+            for i, q_r in zip(idx, q_rows):
+                acc = dest[i]
+                for pos, v in pairs:
+                    acc += q_r[pos] * v
+                dest[i] = acc
+        for i, q_r in zip(b_idx, q_rows):
+            acc = dest[i]
+            for qv in q_r:
+                acc += qv
+            dest[i] = acc
 
-    return scatter
+    return add
 
 
 def _node_kernel(
     params: ModelParams,
     spec: RnnSpec,
     trace: ForwardTrace,
-    xs: list,
     grads: GradientPair,
     counter: OpCounter,
 ):
-    """The backward node of one trrl or bptt call, as ``node(t, g) -> q``.
+    """The backward node of one trrl or bptt call, as
+    ``node(t, g) -> (q, x_nz, feedbacks)``.
 
     ``node`` backpropagates the output gradient g of step t through its
-    node: it adds the node's terms to ``grads`` and returns the folded
-    gradient q = (V diag(h'))^T g, with h' = h (1 - h) the sigmoid
-    derivative, from which the walk pushes W_l^T q to step t - l.  Built
-    once per call over V's rows, each input row's nonzero entries and the
-    input-layer update, so a node does no set-up.  The products of a zero
-    input, and the W_l terms of a lag reaching before the window start,
-    are skipped; every sum keeps the order of its dense form, so the bits
-    do not change (see ``project_inputs``).  It counts the dense
-    2*y*h + 2*h + h*x + p*h*y multiplies per node.
+    node: it adds the node's output-layer terms (V, c) to ``grads`` and
+    returns the folded gradient q = (V diag(h'))^T g, with h' = h (1 - h)
+    the sigmoid derivative, in the input-layer log entry of step t (see
+    ``_input_layer_terms``) with the step's nonzero inputs from the trace
+    and its reachable feedbacks.  The walk pushes W_l^T q to step t - l
+    and hands the entry to the input-layer update.  Built once per call
+    over V's rows, so a node does no set-up.  It counts the dense
+    2*y*h + 2*h + h*x + p*h*y multiplies per node, the input-layer ones
+    included.
     """
     h, x, y = spec.hidden_dim, spec.x_dim, spec.y_dim
-    d_theta, d_phi = grads.d_theta, grads.d_phi
+    d_phi = grads.d_phi
     h_steps, y_steps = trace.h_steps, trace.y_steps
     v = params.V.data
     v_rows = [v[k * h : (k + 1) * h] for k in range(y)]
     v_off, c_off = phi_offsets(spec)
     lags = spec.lag_set
-    x_nz = [nonzero_inputs(x_t) for x_t in xs]
-    scatter = _theta_scatter(spec)
+    x_nz = trace.x_nz
     macs = 2 * y * h + 2 * h + h * x + spec.p * h * y
 
-    def node(t: int, g: list) -> list:
+    def node(t: int, g: list) -> tuple:
         h_t = h_steps[t - 1]
         vt = [0.0] * h
         for k, gk in enumerate(g):
@@ -169,9 +208,8 @@ def _node_kernel(
         q = [vj * (hj * (1.0 - hj)) for vj, hj in zip(vt, h_t)]
         check_finite_step(q, "folded gradient", t)
         feedbacks = [y_steps[t - 1 - lag] for lag in lags if lag < t]
-        scatter(d_theta, q, x_nz[t - 1], feedbacks)
         counter.add_macs(macs)
-        return q
+        return q, x_nz[t - 1], feedbacks
 
     return node
 
@@ -186,10 +224,13 @@ def _loss_gradient(loss, y_final: list, spec: RnnSpec) -> tuple:
 
 def _tree_gradients(params: ModelParams, spec: RnnSpec, xs: list, loss, walk) -> tuple:
     """The work trrl and bptt share; ``walk``, their traversal, is called as
-    ``walk(node, tau, g0, counter)`` on the unrolled tree's root.
+    ``walk(node, add_input_terms, tau, g0, counter)`` on the unrolled
+    tree's root.
 
     The stored trace (h and yhat per step plus the inputs) is charged until
-    the walk ends.  ``node(t, g)`` is the ``_node_kernel`` on step t.
+    the walk ends.  ``node(t, g)`` is the ``_node_kernel`` on step t, and
+    ``add_input_terms(log)`` adds a log of its entries to the theta
+    gradient (``_input_layer_terms``).
     """
     params.validate(spec)
     counter = OpCounter()
@@ -198,8 +239,9 @@ def _tree_gradients(params: ModelParams, spec: RnnSpec, xs: list, loss, walk) ->
     counter.grad_floats_alloc(trace_floats)
     loss_value, g0 = _loss_gradient(loss, trace.y_final, spec)
     grads = GradientPair([0.0] * spec.theta_size, [0.0] * spec.phi_size, loss_value)
-    node = _node_kernel(params, spec, trace, xs, grads, counter)
-    walk(node, len(xs), g0, counter)
+    node = _node_kernel(params, spec, trace, grads, counter)
+    add = _input_layer_terms(spec)
+    walk(node, lambda log: add(grads.d_theta, log), len(xs), g0, counter)
     counter.grad_floats_free(trace_floats)
     grads.validate(spec)
     return grads, counter
@@ -215,10 +257,17 @@ def trrl_gradients(
     through its node once and pushed to offsets i + lag, which is exactly
     the recombination of the identical subtrees the unrolled network would
     otherwise replicate.  Works for any lag set, contiguous or not.
-    """
-    y = spec.y_dim
 
-    def walk(node, tau: int, g0: list, counter: OpCounter) -> None:
+    The node adds only the output-layer terms.  Each visited node's log
+    entry is kept, and after the walk one pass sums the input-layer terms
+    of the whole log in visit order (decreasing t), so every theta entry
+    is one running sum.  The kept q's, h floats per visited node, are
+    charged from their node until that pass ends.
+    """
+    h, y = spec.hidden_dim, spec.y_dim
+
+    def walk(node, add_input_terms, tau: int, g0: list, counter: OpCounter) -> None:
+        log = []
         g_store = {0: g0}
         counter.grad_floats_alloc(y)
         for i in range(tau):
@@ -227,7 +276,10 @@ def trrl_gradients(
                 # No contribution flows through this offset (possible when the
                 # lag set skips it near the window end).
                 continue
-            q = node(tau - i, gi)
+            entry = node(tau - i, gi)
+            log.append(entry)
+            counter.grad_floats_alloc(h)
+            q = entry[0]
             for W_l, lag in zip(params.W, spec.lag_set):
                 if i + lag < tau:
                     push = matvec_t(W_l, q, counter)
@@ -239,6 +291,8 @@ def trrl_gradients(
                         for k in range(y):
                             target[k] += push[k]
             counter.grad_floats_free(y)
+        add_input_terms(log)
+        counter.grad_floats_free(len(log) * h)
 
     return _tree_gradients(params, spec, xs, loss, walk)
 
@@ -278,13 +332,12 @@ def rtrl_gradients(
     # Recent outputs, the feedbacks the input-layer update differentiates
     # against; a step before the window start has none.
     y_ring: dict = {}
-    scatter = _theta_scatter(spec)
+    add_input_terms = _input_layer_terms(spec)
 
     # The forward steps are shared by every engine and not counted.
-    rows = project_inputs(params, spec, xs)
+    x_nz = list(nonzero_rows(spec, xs))
+    rows = project_nonzero(params, spec, x_nz)
     for t, (h_t, yhat) in enumerate(forward_steps(params, spec, rows), 1):
-        x_nz = nonzero_inputs(xs[t - 1])
-
         # B = V diag(h'), y x h.
         b_rows = []
         vdata = V.data
@@ -345,7 +398,7 @@ def rtrl_gradients(
 
         feedbacks = [y_ring[t - lag] for lag in spec.lag_set if lag < t]
         for k in range(y):
-            scatter(new_jth[k], b_rows[k], x_nz, feedbacks)
+            add_input_terms(new_jth[k], [(b_rows[k], x_nz[t - 1], feedbacks)])
         counter.add_macs(y * (h * spec.x_dim + spec.p * h * y))
 
         for k in range(y):
@@ -397,14 +450,18 @@ def bptt_gradients(
     level_floats = spec.y_dim + spec.hidden_dim
     visited = 0
 
-    def visit(node, t: int, g: list, counter: OpCounter) -> None:
+    def visit(node, add_input_terms, t: int, g: list, counter: OpCounter) -> None:
         nonlocal visited
         visited += 1
         counter.grad_floats_alloc(level_floats)
-        q = node(t, g)
+        entry = node(t, g)
+        add_input_terms([entry])
+        q = entry[0]
         for W_l, lag in zip(params.W, spec.lag_set):
             if t - lag >= 1:
-                visit(node, t - lag, matvec_t(W_l, q, counter), counter)
+                visit(
+                    node, add_input_terms, t - lag, matvec_t(W_l, q, counter), counter
+                )
         counter.grad_floats_free(level_floats)
 
     grads, counter = _tree_gradients(params, spec, xs, loss, visit)

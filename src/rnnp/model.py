@@ -213,39 +213,54 @@ def check_finite_step(vec: list, what: str, step: int) -> None:
 
 @dataclass
 class ForwardTrace:
-    """Per-step activations of one processed sequence (1-based step t)."""
+    """Per-step activations of one processed sequence (1-based step t),
+    and the ``nonzero_rows`` of its inputs, which the gradient engines
+    read instead of finding them again."""
 
     h_steps: list = field(default_factory=list)
     y_steps: list = field(default_factory=list)
+    x_nz: list = field(default_factory=list)
 
     @property
     def y_final(self) -> list:
         return self.y_steps[-1]
 
 
-def nonzero_inputs(x_t) -> list:
-    """The ``(column, value)`` pairs of an input row's entries that are not
-    0.0 (nor -0.0), in increasing column order."""
-    return [(c, v) for c, v in enumerate(x_t) if v != 0.0]
+def nonzero_rows(spec: RnnSpec, xs):
+    """Yields, for each input row of ``xs``, the ``(column, value)`` pairs
+    of its entries that are not 0.0 (nor -0.0), in increasing column
+    order.  A row whose length is not ``x_dim`` raises ``ValueError``."""
+    x_dim = spec.x_dim
+    for x_t in xs:
+        if len(x_t) != x_dim:
+            raise ValueError(f"input has length {len(x_t)}, expected {x_dim}")
+        yield [(c, v) for c, v in enumerate(x_t) if v != 0.0]
 
 
 def project_inputs(params: ModelParams, spec: RnnSpec, xs):
     """Projection stage: yields ``U x(t) + b`` for each input row of ``xs``.
 
     Each yielded list holds, per hidden row r, ``(sum_c U[r,c] x_c) + b_r``
-    with the sum from 0.0 over increasing column index.  This is the only
-    forward code that reads ``U`` and ``b``.  A projection depends on the
-    parameters and its own input row alone, so a caller whose parameters
-    are fixed can project each row once and pass the result to every
-    window that contains it (see ``forward_steps``).  Rows are projected
-    as they are pulled, so ``xs`` may be any iterable.
+    with the sum from 0.0 over increasing column index.  A projection
+    depends on the parameters and its own input row alone, so a caller
+    whose parameters are fixed can project each row once and pass the
+    result to every window that contains it (see ``forward_steps``).
+    Rows are projected as they are pulled, so ``xs`` may be any iterable.
+    It is ``project_nonzero`` over the rows' ``nonzero_rows``.
+    """
+    return project_nonzero(params, spec, nonzero_rows(spec, xs))
 
-    The sum runs over the row's ``nonzero_inputs`` alone, found once per
-    row: calendar rows are about half exact zeros.  That skip changes no
-    bit.  A sum that starts at +0.0 is never -0.0 in round-to-nearest, so
-    adding a +0.0 or -0.0 product leaves it as it is, and ``U`` is finite, so a
-    skipped product is never NaN.  The gradient engines skip the same
-    products on the same argument.
+
+def project_nonzero(params: ModelParams, spec: RnnSpec, x_nz):
+    """``project_inputs`` of rows given as their ``nonzero_rows``; the only
+    forward code that reads ``U`` and ``b``.
+
+    The sum runs over the row's nonzero entries alone: calendar rows are
+    about half exact zeros.  That skip changes no bit.  A sum that starts
+    at +0.0 is never -0.0 in round-to-nearest, so adding a +0.0 or -0.0
+    product leaves it as it is, and ``U`` is finite, so a skipped product
+    is never NaN.  The gradient engines skip the same products on the same
+    argument.
     """
     x_dim = spec.x_dim
     u = params.U.data
@@ -253,10 +268,7 @@ def project_inputs(params: ModelParams, spec: RnnSpec, xs):
     rows = [
         (u[r * x_dim : (r + 1) * x_dim], params.b[r]) for r in range(spec.hidden_dim)
     ]
-    for x_t in xs:
-        if len(x_t) != x_dim:
-            raise ValueError(f"input has length {len(x_t)}, expected {x_dim}")
-        nz = nonzero_inputs(x_t)
+    for nz in x_nz:
         a = []
         for u_r, b_r in rows:
             acc = 0.0
@@ -334,12 +346,13 @@ def forward_sequence(params: ModelParams, spec: RnnSpec, xs) -> ForwardTrace:
 
     Runs the two stages, ``forward_steps`` over ``project_inputs(xs)``.
     Feedbacks are the model's own outputs from earlier steps of the same
-    window; steps before the window start contribute zero vectors.
+    window; steps before the window start contribute zero vectors.  The
+    rows' ``nonzero_rows`` are found once and kept on the trace.
     """
     if not xs:
         raise ValueError("empty input sequence")
-    trace = ForwardTrace()
-    for h, y in forward_steps(params, spec, project_inputs(params, spec, xs)):
+    trace = ForwardTrace(x_nz=list(nonzero_rows(spec, xs)))
+    for h, y in forward_steps(params, spec, project_nonzero(params, spec, trace.x_nz)):
         trace.h_steps.append(h)
         trace.y_steps.append(y)
     return trace

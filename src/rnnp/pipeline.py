@@ -113,20 +113,21 @@ class LoadForecastPipeline(BaseEstimator):
         self.encoder_ = CalendarFeatureEncoder(holidays=self.holidays).fit(
             series, start, end
         )
-        self.deseasonalizer_ = HourlyDeseasonalizer(holidays=self.holidays).fit(
-            series, start, end
-        )
+        self.deseasonalizer_ = HourlyDeseasonalizer(holidays=self.holidays)
 
-        def windows(i: datetime, j: datetime) -> list:
-            residuals = self.deseasonalizer_.transform(series, i, j)
+        def windows(i: datetime, j: datetime, residuals) -> list:
             features = self.encoder_.transform(series, i, j)
             return make_windows(
                 features, residuals.residuals, self.tau, self.train_stride
             )
 
+        train_windows = windows(
+            start, end, self.deseasonalizer_.fit_transform(series, start, end)
+        )
         if val_start is None or val_end is None:
-            return windows(start, end), None
-        return windows(start, end), windows(val_start, val_end)
+            return train_windows, None
+        val_residuals = self.deseasonalizer_.transform(series, val_start, val_end)
+        return train_windows, windows(val_start, val_end, val_residuals)
 
     def _make_forecaster(self) -> RnnForecaster:
         """An unfitted network with this pipeline's parameters of the same name."""
@@ -180,13 +181,14 @@ class LoadForecastPipeline(BaseEstimator):
             self.forecaster_.params_, self.forecaster_.spec_, features
         )
         window = deque(islice(projections, self.tau - 1), maxlen=self.tau)
+        timestamps = series.timestamps[i0:i1]
+        # The seasonal value of every forecast hour, in one batch.
+        seasonal = self.deseasonalizer_._seasonal(timestamps)
         out = []
-        for k, projection in zip(range(i0, i1), projections):
+        for ts, s_z, projection in zip(timestamps, seasonal, projections):
             window.append(projection)
             y_final = self.forecaster_.predict_output(window, projected=True)
             mu_z, sigma_z = self.forecaster_.head_.mean_and_sigma(y_final)
-            ts = series.timestamps[k]
-            s_z = self.deseasonalizer_.seasonal_at(ts)
             mu_log, sigma_log = self.deseasonalizer_.to_log_params(
                 s_z + mu_z, sigma_z
             )

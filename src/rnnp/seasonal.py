@@ -11,7 +11,8 @@ zero rather than failing the fit.
 
 ``fit`` and ``transform`` each build their regressor rows in one batch
 from ``features.calendar_pass``, which finds the calendar part once per
-date, and ``transform`` takes one dot per hour.  The QR works on a
+date, and ``transform`` takes one dot per hour; ``fit_transform`` takes
+those dots on the rows its fit built.  The QR works on a
 column-major copy of the design matrix.  Both keep every floating-point
 operation and its order, so coefficients, residuals and seasonal values
 are bit-identical to a per-hour, row-major computation.
@@ -162,6 +163,31 @@ class HourlyDeseasonalizer(BaseEstimator):
         start: datetime | None = None,
         end: datetime | None = None,
     ) -> "HourlyDeseasonalizer":
+        self._fit(series, start, end)
+        return self
+
+    def fit_transform(
+        self,
+        series: HourlySeries,
+        start: datetime | None = None,
+        end: datetime | None = None,
+    ) -> NormalizedResidualSeries:
+        """``fit`` on [start, end), then ``transform`` of the same range,
+        its seasonal values taken on the regressor rows the fit built."""
+        timestamps, by_hour_rows = self._fit(series, start, end)
+        by_hour_seasonal = {}
+        for hour, rows in by_hour_rows.items():
+            coef = self.coef_[hour]
+            by_hour_seasonal[hour] = iter([_dot(coef, row) for row in rows])
+            # The hour's rows are done with: the values of the next hours
+            # reuse their memory, so the peak stays that of the fit.
+            rows.clear()
+        seasonal = [next(by_hour_seasonal[ts.hour]) for ts in timestamps]
+        return self._residuals(series, start, end, seasonal)
+
+    def _fit(self, series: HourlySeries, start, end) -> tuple:
+        """Fit on [start, end); returns the range's timestamps and, per
+        hour of the day, the regressor rows of its hours in time order."""
         start = series.start if start is None else start
         end = series.end if end is None else end
         if end - start < MIN_WINDOW:
@@ -190,7 +216,7 @@ class HourlyDeseasonalizer(BaseEstimator):
             self.coef_[hour] = coef
             if dropped:
                 self.dropped_columns_[hour] = dropped
-        return self
+        return timestamps, by_hour_rows
 
     def state(self) -> dict:
         """Fitted state as checkpoint extras: its "normalization" and
@@ -238,13 +264,20 @@ class HourlyDeseasonalizer(BaseEstimator):
     ) -> NormalizedResidualSeries:
         check_fitted(self, ["coef_"])
         i, j = series.index_range(start, end)
-        timestamps = series.timestamps[i:j]
-        seasonal = self._seasonal(timestamps)
+        return self._residuals(
+            series, start, end, self._seasonal(series.timestamps[i:j])
+        )
+
+    def _residuals(
+        self, series: HourlySeries, start, end, seasonal: list
+    ) -> NormalizedResidualSeries:
+        """The z-scored log demand of [start, end) minus ``seasonal``, the
+        range's seasonal values."""
+        i, j = series.index_range(start, end)
         logs = (math.log(d) for d in series.demand_mwh[i:j])
-        residuals = [z - s for z, s in zip(self._z_scores(logs), seasonal)]
         return NormalizedResidualSeries(
-            timestamps=timestamps,
-            residuals=residuals,
+            timestamps=series.timestamps[i:j],
+            residuals=[z - s for z, s in zip(self._z_scores(logs), seasonal)],
             seasonal=seasonal,
         )
 

@@ -108,9 +108,15 @@ def synth_generate(config: SynthConfig, rng: Rng) -> tuple:
     wet_shocks = wet_rng.normal(0.0, 1.0, n)
     eps = noise_rng.normal(0.0, config.noise_sigma, n)
 
-    timestamps = []
-    drybulb = []
-    wetbulb = []
+    # One pass over the hours, into lists made at full length: growing six
+    # lists side by side would fragment the heap.  ``noise`` is also the
+    # AR process's history.
+    timestamps = [None] * n
+    drybulb = [0.0] * n
+    wetbulb = [0.0] * n
+    log_det = [0.0] * n
+    noise = [0.0] * n
+    demand = [0.0] * n
     w = 0.0
     ts = start
     for t in range(n):
@@ -122,18 +128,10 @@ def synth_generate(config: SynthConfig, rng: Rng) -> tuple:
             + config.temp_daily_swing_f * math.cos(TWO_PI * (ts.hour - 15) / 24.0)
             + w
         )
-        timestamps.append(ts)
-        drybulb.append(dry)
-        wetbulb.append(dry - 4.0 + wet_shocks[t])
-        ts += timedelta(hours=1)
+        timestamps[t] = ts
+        drybulb[t] = dry
+        wetbulb[t] = dry - 4.0 + wet_shocks[t]
 
-    log_det = []
-    noise = []
-    demand = []
-    u_hist = [0.0] * n
-    for t in range(n):
-        ts = timestamps[t]
-        yf = year_fraction(ts)
         det = (
             config.base_log_mwh
             + config.trend_per_year * (t / 8766.0)
@@ -145,19 +143,19 @@ def synth_generate(config: SynthConfig, rng: Rng) -> tuple:
             det -= config.weekend_drop
         if ts.date() in config.holidays:
             det -= config.holiday_drop
-        det += config.temp_coeff * _temperature_effect(drybulb[t])
+        det += config.temp_coeff * _temperature_effect(dry)
         det += config.temp_coeff_lag24 * _temperature_effect(
-            drybulb[t - 24] if t >= 24 else drybulb[t]
+            drybulb[t - 24] if t >= 24 else dry
         )
         u = (
-            config.ar1 * (u_hist[t - 1] if t >= 1 else 0.0)
-            + config.ar24 * (u_hist[t - 24] if t >= 24 else 0.0)
+            config.ar1 * (noise[t - 1] if t >= 1 else 0.0)
+            + config.ar24 * (noise[t - 24] if t >= 24 else 0.0)
             + eps[t]
         )
-        u_hist[t] = u
-        log_det.append(det)
-        noise.append(u)
-        demand.append(math.exp(det + u))
+        log_det[t] = det
+        noise[t] = u
+        demand[t] = math.exp(det + u)
+        ts += timedelta(hours=1)
 
     series = HourlySeries(
         timestamps=timestamps,

@@ -1,7 +1,11 @@
 """Gradient engine equivalence, oracles, and complexity accounting."""
 
+import hashlib
+from datetime import date
+
 import pytest
 
+from rnnp import engines
 from rnnp.base import NumericError
 from rnnp.engines import (
     ENGINES,
@@ -15,9 +19,11 @@ from rnnp.engines import (
     rtrl_space_floats,
     trrl_gradients,
 )
+from rnnp.features import CalendarFeatureEncoder
 from rnnp.linalg import Matrix, Rng
 from rnnp.model import ModelParams, RnnSpec, forward_sequence, init_params
 from rnnp.pbonacci import build_table
+from rnnp.synth import SynthConfig, synth_generate
 from rnnp.training import LossHead, gaussian_nll_loss, mse_loss
 
 LAG_SETS = [(1,), (1, 2), (1, 3), (1, 2, 5)]
@@ -380,7 +386,8 @@ class TestCounters:
 
     def test_peak_floats_count_the_stored_trace_exactly(self):
         # The trace holds tau * (x + h + y) = 80 floats.  On top of it trrl
-        # keeps two live y-vectors; bptt keeps y + h per level of its
+        # keeps the logged q of each of its 10 nodes (h each) and, at the
+        # last node, one live y-vector; bptt keeps y + h per level of its
         # depth-10 lag-1 chain.
         spec = RnnSpec(lag_set=(1,), x_dim=3, hidden_dim=4, y_dim=1)
         params = init_params(spec, Rng(71))
@@ -388,8 +395,195 @@ class TestCounters:
         loss = lambda y_hat: mse_loss(y_hat, 0.2)
         _, ct = trrl_gradients(params, spec, xs, loss)
         _, cb, _ = bptt_gradients(params, spec, xs, loss)
-        assert ct.peak_floats == 82
+        assert ct.peak_floats == 121
         assert cb.peak_floats == 130
+
+
+def production_rows():
+    """A tau-49 window of encoded rows at the pipeline's shape: it starts at
+    hour 0 of Sunday 2007-01-07 (every day-of-week dummy 0, sin 0), runs
+    over the Monday holiday 2007-01-08, and carries an injected -0.0
+    temperature."""
+    holidays = frozenset({date(2007, 1, 8)})
+    series, _ = synth_generate(SynthConfig(years=1, holidays=holidays), Rng(17))
+    rows = CalendarFeatureEncoder(holidays=holidays).fit(series).transform(series)
+    xs = [list(row) for row in rows[6 * 24 : 6 * 24 + 49]]
+    xs[3][11] = -0.0
+    assert xs[0][0] == 0.0 and xs[0][4:10] == [0.0] * 6
+    assert xs[24][4] == 1.0 and xs[24][10] == 1.0
+    return xs
+
+
+def per_entry_terms(spec):
+    """The input-layer update as the engines made it before the walk was
+    logged: each entry's products added to ``dest`` one at a time, zero
+    inputs and unreachable lags skipped."""
+    h, x, y = spec.hidden_dim, spec.x_dim, spec.y_dim
+    w_off, b_off = h * x, h * x + spec.p * h * y
+
+    def add(dest, log):
+        for q, x_nz, feedbacks in log:
+            for r in range(h):
+                for c, v in x_nz:
+                    dest[r * x + c] += q[r] * v
+                for i, fb in enumerate(feedbacks):
+                    for k in range(y):
+                        dest[w_off + i * h * y + r * y + k] += q[r] * fb[k]
+                dest[b_off + r] += q[r]
+
+    return add
+
+
+def node_time_gradients(params, spec, xs, loss, order):
+    """trrl (``order`` "trrl") or bptt ("bptt") adding every node's
+    input-layer terms at the node, in visit order."""
+    h, x, y = spec.hidden_dim, spec.x_dim, spec.y_dim
+    trace = forward_sequence(params, spec, xs)
+    value, g0 = loss(trace.y_final)
+    d_theta = [0.0] * spec.theta_size
+    d_phi = [0.0] * spec.phi_size
+    v = params.V.data
+    terms = per_entry_terms(spec)
+
+    def node(t, g):
+        h_t = trace.h_steps[t - 1]
+        vt = [0.0] * h
+        for k in range(y):
+            for j in range(h):
+                d_phi[k * h + j] += g[k] * h_t[j]
+                vt[j] += v[k * h + j] * g[k]
+            d_phi[y * h + k] += g[k]
+        q = [vt[j] * (h_t[j] * (1.0 - h_t[j])) for j in range(h)]
+        x_nz = [(c, xc) for c, xc in enumerate(xs[t - 1]) if xc != 0.0]
+        feedbacks = [trace.y_steps[t - 1 - lag] for lag in spec.lag_set if lag < t]
+        terms(d_theta, [(q, x_nz, feedbacks)])
+        return q
+
+    def push(i, q):
+        w = params.W[i].data
+        out = []
+        for k in range(y):
+            acc = 0.0
+            for r in range(h):
+                acc += w[r * y + k] * q[r]
+            out.append(acc)
+        return out
+
+    tau = len(xs)
+    if order == "trrl":
+        store = {0: g0}
+        for i in range(tau):
+            gi = store.pop(i, None)
+            if gi is None:
+                continue
+            q = node(tau - i, gi)
+            for li, lag in enumerate(spec.lag_set):
+                if i + lag < tau:
+                    pushed = push(li, q)
+                    target = store.setdefault(i + lag, [0.0] * y)
+                    for k in range(y):
+                        target[k] += pushed[k]
+    else:
+
+        def visit(t, g):
+            q = node(t, g)
+            for li, lag in enumerate(spec.lag_set):
+                if t - lag >= 1:
+                    visit(t - lag, push(li, q))
+
+        visit(tau, g0)
+    return value, d_theta, d_phi
+
+
+def hexes(*vectors):
+    return [v.hex() for vec in vectors for v in vec]
+
+
+def visited_steps(spec, tau):
+    """The offsets a trrl walk visits: those a chain of lags reaches from 0."""
+    seen, todo = set(), [0]
+    while todo:
+        i = todo.pop()
+        if i < tau and i not in seen:
+            seen.add(i)
+            todo.extend(i + lag for lag in spec.lag_set)
+    return len(seen)
+
+
+class TestInputLayerPass:
+    """trrl sums the input-layer terms after its walk, bptt and rtrl add them
+    per node; every engine's bits equal a reference that adds each node's
+    terms at the node, compared by ``float.hex`` so -0.0 would show."""
+
+    # SHA-256 of trrl's gradients and loss (float.hex, one per line) on
+    # ``production_rows`` with init_params(Rng(5)) and a target of 0.3,
+    # as the engine computed them when it added the terms at each node.
+    PRODUCTION_SHA256 = "e6b78f13ac309fda8fc9cde311dac7d102916924e1ff1c648f259835a5d9e001"
+
+    @staticmethod
+    def cases():
+        xs = production_rows()
+        prod = RnnSpec(lag_set=(1, 2, 24), x_dim=13, hidden_dim=15, y_dim=2)
+        gauss, mse = LossHead(kind="gaussian_nll"), LossHead(kind="mse")
+        rng = Rng(44)
+        toy = [rng.spawn(i).uniform(-1.0, 1.0, 4) for i in range(12)]
+        toy[2][1] = 0.0
+        toy[5][0] = -0.0
+        # (spec, xs, head, bptt tau)
+        return [
+            (prod, xs, gauss, 14),
+            (RnnSpec(lag_set=(2, 5), x_dim=4, hidden_dim=3, y_dim=2), toy[:7], gauss, 7),
+            (RnnSpec(lag_set=(1, 24), x_dim=4, hidden_dim=5, y_dim=2), toy, gauss, 12),
+            (RnnSpec(lag_set=(1, 2), x_dim=13, hidden_dim=6, y_dim=1), xs[:10], mse, 10),
+        ]
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_trrl_and_bptt_equal_node_time_sums(self, case):
+        spec, xs, head, bptt_tau = self.cases()[case]
+        params = init_params(spec, Rng(case))
+        loss = head.bind(0.3)
+        grads, counter = trrl_gradients(params, spec, xs, loss)
+        value, d_theta, d_phi = node_time_gradients(params, spec, xs, loss, "trrl")
+        assert hexes([grads.loss], grads.d_theta, grads.d_phi) == hexes(
+            [value], d_theta, d_phi
+        )
+        # The trace, every visited node's logged q and the last live g.
+        h, y = spec.hidden_dim, spec.y_dim
+        trace = len(xs) * (spec.x_dim + h + y)
+        assert counter.peak_floats == trace + visited_steps(spec, len(xs)) * h + y
+        grads, _, _ = bptt_gradients(params, spec, xs[:bptt_tau], loss)
+        value, d_theta, d_phi = node_time_gradients(
+            params, spec, xs[:bptt_tau], loss, "bptt"
+        )
+        assert hexes([grads.loss], grads.d_theta, grads.d_phi) == hexes(
+            [value], d_theta, d_phi
+        )
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_rtrl_equals_per_entry_terms(self, case, monkeypatch):
+        spec, xs, head, _ = self.cases()[case]
+        params = init_params(spec, Rng(case))
+        loss = head.bind(0.3)
+        got, counter = rtrl_gradients(params, spec, xs, loss)
+        monkeypatch.setattr(engines, "_input_layer_terms", per_entry_terms)
+        want, want_counter = rtrl_gradients(params, spec, xs, loss)
+        assert hexes([got.loss], got.d_theta, got.d_phi) == hexes(
+            [want.loss], want.d_theta, want.d_phi
+        )
+        assert (counter.mac_count, counter.peak_floats) == (
+            want_counter.mac_count,
+            want_counter.peak_floats,
+        )
+
+    def test_production_gradients_pinned(self):
+        spec = RnnSpec(lag_set=(1, 2, 24), x_dim=13, hidden_dim=15, y_dim=2)
+        params = init_params(spec, Rng(5))
+        loss = LossHead(kind="gaussian_nll").bind(0.3)
+        grads, counter = trrl_gradients(params, spec, production_rows(), loss)
+        text = "\n".join(hexes(grads.d_theta, grads.d_phi, [grads.loss]))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PRODUCTION_SHA256
+        # 49 * (13 + 15 + 2) trace floats, 49 logged q's of 15, one g of 2.
+        assert counter.peak_floats == 1470 + 49 * 15 + 2
 
 
 class TestNumericSafety:

@@ -159,6 +159,23 @@ class TestForecastAssembly:
         assert len(calls) == pipe.tau - 1 + 24
         assert calls[0] == start - timedelta(hours=pipe.tau - 1)
 
+    def test_forecast_takes_the_seasonal_values_in_one_batch(self, monkeypatch):
+        series, _ = make_series(years=1, seed=57)
+        pipe = quick_pipeline()
+        pipe.fit(series, series.start, series.end)
+        deseason = pipe.deseasonalizer_
+        start, end = datetime(2007, 6, 1, 7), datetime(2007, 6, 3)
+        want = [deseason.seasonal_at(ts) for ts in series.timestamps[
+            series.index_of(start) : series.index_of(end)
+        ]]
+
+        def no_single_hour(self, ts):
+            raise AssertionError("seasonal_at called per forecast hour")
+
+        monkeypatch.setattr(type(deseason), "seasonal_at", no_single_hour)
+        forecasts = pipe.forecast_range(series, start, end)
+        assert [repr(f.seasonal_z) for f in forecasts] == [repr(s) for s in want]
+
     def test_forecast_csv_round_trip(self, tmp_path):
         series, _ = make_series(years=1, seed=55)
         pipe = quick_pipeline()

@@ -277,3 +277,16 @@ class TestCalendarPassBitIdentity:
             series.demand_mwh, nrs.seasonal, nrs.residuals
         ):
             assert repr(residual) == repr(model.normalize_log(demand) - seasonal)
+
+    def test_fit_transform_is_fit_then_transform(self, leap_year_model):
+        series, model = leap_year_model
+        start, end = datetime(2008, 1, 1, 5), datetime(2009, 1, 1)
+        refit = HourlyDeseasonalizer(holidays=HOLIDAYS_2008)
+        nrs = refit.fit_transform(series, start, end)
+        want = HourlyDeseasonalizer(holidays=HOLIDAYS_2008).fit(series, start, end)
+        assert repr(refit.coef_) == repr(want.coef_)
+        assert refit.fit_origin_ == want.fit_origin_
+        want_nrs = want.transform(series, start, end)
+        assert nrs.timestamps == want_nrs.timestamps
+        assert repr(nrs.seasonal) == repr(want_nrs.seasonal)
+        assert repr(nrs.residuals) == repr(want_nrs.residuals)

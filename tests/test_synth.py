@@ -25,6 +25,20 @@ class TestGeneration:
         assert series.end == datetime(2009, 1, 1)
         assert len(series) == (365 + 366) * 24  # 2008 is a leap year
 
+    def test_year_fraction_once_per_hour(self, monkeypatch):
+        import rnnp.synth
+
+        calls = []
+        year_fraction = rnnp.synth.year_fraction
+
+        def counting(ts):
+            calls.append(ts)
+            return year_fraction(ts)
+
+        monkeypatch.setattr(rnnp.synth, "year_fraction", counting)
+        series, _ = synth_generate(SynthConfig(years=1), Rng(3))
+        assert calls == series.timestamps
+
     def test_demand_strictly_positive(self):
         series, _ = synth_generate(SynthConfig(years=1), Rng(2))
         assert min(series.demand_mwh) > 0.0

@@ -166,10 +166,9 @@ def test_trrl_equals_dense(windows, seed):
         assert (grads.loss, grads.d_theta, grads.d_phi) == (value, d_theta, d_phi)
         pushes = sum(TAU - lag for lag in SPEC.lag_set)
         assert counter.mac_count == TAU * node_macs(SPEC) + pushes * h * y
-        # The trace plus the live offsets: the one folded now and the
-        # max(lag) offsets ahead of it.
-        live = SPEC.max_lag + 1
-        assert counter.peak_floats == trace_floats(SPEC, TAU) + live * y
+        # The trace plus, at the last node, every node's logged q and the
+        # one live offset.
+        assert counter.peak_floats == trace_floats(SPEC, TAU) + TAU * h + y
 
 
 @pytest.mark.parametrize("tau", [5, 18])
@@ -193,24 +192,23 @@ def test_rtrl_equals_dense(windows, seed, monkeypatch):
     h, y = SPEC.hidden_dim, SPEC.y_dim
     size = SPEC.weight_count
     got = [rtrl_gradients(params, SPEC, xs, loss) for xs in windows]
-    theta_scatter = engines._theta_scatter
+    input_layer_terms = engines._input_layer_terms
 
-    def dense_theta_scatter(spec):
-        scatter = theta_scatter(spec)
+    def dense_input_layer_terms(spec):
+        add = input_layer_terms(spec)
         zero = [0.0] * spec.y_dim
 
-        def dense(dest, q, x_nz, feedbacks):
-            scatter(dest, q, x_nz, feedbacks + [zero] * (spec.p - len(feedbacks)))
+        def dense(dest, log):
+            pad = [zero] * spec.p
+            add(dest, [(q, x_nz, (fbs + pad)[: spec.p]) for q, x_nz, fbs in log])
 
         return dense
 
-    monkeypatch.setattr(engines, "nonzero_inputs", lambda x_t: list(enumerate(x_t)))
+    # Every column of each row, for the projection and the update alike.
     monkeypatch.setattr(
-        engines,
-        "project_inputs",
-        lambda params, spec, xs: (dense_projection(params, spec, x_t) for x_t in xs),
+        engines, "nonzero_rows", lambda spec, xs: [list(enumerate(x_t)) for x_t in xs]
     )
-    monkeypatch.setattr(engines, "_theta_scatter", dense_theta_scatter)
+    monkeypatch.setattr(engines, "_input_layer_terms", dense_input_layer_terms)
     for xs, (grads, counter) in zip(windows, got):
         want, _ = rtrl_gradients(params, SPEC, xs, loss)
         assert (grads.loss, grads.d_theta, grads.d_phi) == (
