@@ -23,7 +23,7 @@ from .engines import (
 )
 from .features import FEATURE_DIM, CalendarFeatureEncoder
 from .forecaster import RnnForecaster
-from .linalg import Matrix, OpCounter, Rng, matvec_t
+from .linalg import Matrix, OpCounter, Rng
 from .metrics import (
     MetricReport,
     average_pinball_loss,

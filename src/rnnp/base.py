@@ -11,6 +11,7 @@ tools that duck-type against the protocol.
 from __future__ import annotations
 
 import inspect
+import math
 import os
 from contextlib import contextmanager
 from typing import Any, Iterable
@@ -82,17 +83,53 @@ def check_fitted(estimator: Any, attributes: Iterable[str]) -> None:
         )
 
 
-def checkpoint_field(record: Any, *keys: str) -> Any:
+# A JSON number: a bool is never one.
+NUMBER = (int, float)
+
+
+def check_kind(value: Any, kind: Any, name: str, error: type, source: str) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` has the JSON ``kind``.
+
+    ``kind`` is a type, a tuple of types, [kind] for a list of kind, or a
+    dict of kinds for an object with some of those keys and no others.  A
+    bool never matches a number kind, and a float must be finite.
+    ``source`` ("config", "checkpoint") opens every message.
+    """
+    if isinstance(kind, dict):
+        where = name or "root"
+        if not isinstance(value, dict):
+            raise error(f"{source} {where} must be a JSON object")
+        unknown = set(value) - set(kind)
+        if unknown:
+            raise error(f"unknown keys in {source} {where}: {sorted(unknown)}")
+        for key, item in value.items():
+            check_kind(item, kind[key], f"{name}.{key}" if name else key, error, source)
+    elif isinstance(kind, list):
+        if not isinstance(value, list):
+            raise error(f"{source} value {name} must be a JSON list")
+        for item in value:
+            check_kind(item, kind[0], name, error, source)
+    elif isinstance(value, bool) or not isinstance(value, kind):
+        raise error(f"{source} value {name} has the wrong type: {value!r}")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise error(f"{source} value {name} is not finite: {value!r}")
+
+
+def checkpoint_field(record: Any, *keys: str, kind: Any = None) -> Any:
     """``record[keys[0]][keys[1]]...`` of a loaded checkpoint.
 
-    A missing key raises :class:`DataValidationError` naming its path, so
-    a truncated or foreign checkpoint is reported as bad data.
+    A missing key, or a value without the JSON ``kind`` (see
+    ``check_kind``) when one is given, raises :class:`DataValidationError`
+    naming its path, so a truncated, foreign or edited checkpoint is
+    reported as bad data.
     """
     for depth, key in enumerate(keys):
         if not isinstance(record, dict) or key not in record:
             path = ".".join(keys[: depth + 1])
             raise DataValidationError(f"checkpoint has no {path!r} entry")
         record = record[key]
+    if kind is not None:
+        check_kind(record, kind, ".".join(keys), DataValidationError, "checkpoint")
     return record
 
 

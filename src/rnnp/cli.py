@@ -19,7 +19,14 @@ import sys
 from dataclasses import asdict, fields
 from datetime import datetime
 
-from .base import ConfigError, DataValidationError, NumericError, atomic_write
+from .base import (
+    NUMBER,
+    ConfigError,
+    DataValidationError,
+    NumericError,
+    atomic_write,
+    check_kind,
+)
 from .bench import emit_csv, gain_factors, sweep_neurons, sweep_tau
 from .engines import BPTT_GUARD, macronode_count
 from .gradcheck import run_gradient_check, write_report
@@ -46,17 +53,13 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_ACCEPTANCE = 5
 
-# The JSON type of every config entry: a type, a tuple of types, [kind]
-# for a list of kind, or a dict of kinds for an object with those keys and
-# no others.  A bool is never a number.
-NUMBER = (int, float)
-
 # The bench keys each --mode reads.
 BENCH_KEYS = {
     "tau": {"tau_min": int, "tau_max": int, "engines": [str]},
     "neurons": {"lag_sets": [[int]], "hidden_dims": [int]},
 }
 
+# The JSON kind of every config entry (see ``base.check_kind``).
 KNOWN_KEYS = {
     "seed": int,
     "paths": dict.fromkeys(("data", "holidays", "checkpoint", "history"), str),
@@ -77,26 +80,6 @@ KNOWN_KEYS = {
 }
 
 
-def _check_kind(value, kind, name: str = "") -> None:
-    """Raise ``ConfigError`` naming ``name`` unless ``value`` has ``kind``."""
-    if isinstance(kind, dict):
-        where = name or "root"
-        if not isinstance(value, dict):
-            raise ConfigError(f"config {where} must be a JSON object")
-        unknown = set(value) - set(kind)
-        if unknown:
-            raise ConfigError(f"unknown keys in config {where}: {sorted(unknown)}")
-        for key, item in value.items():
-            _check_kind(item, kind[key], f"{name}.{key}" if name else key)
-    elif isinstance(kind, list):
-        if not isinstance(value, list):
-            raise ConfigError(f"config value {name} must be a JSON list")
-        for item in value:
-            _check_kind(item, kind[0], name)
-    elif isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"config value {name} has the wrong type: {value!r}")
-
-
 def load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -107,7 +90,7 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config file not found: {path}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    _check_kind(config, KNOWN_KEYS)
+    check_kind(config, KNOWN_KEYS, "", ConfigError, "config")
     return config
 
 
@@ -238,6 +221,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     _check_out_dirs(args.out)
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     rows, ok = run_gradient_check(n_seeds=args.seeds, base_seed=args.base_seed)
     if args.out:
         write_report(rows, args.out)
@@ -258,12 +243,28 @@ def _bench_records(mode: str, section: dict, config: dict) -> list:
     """The records of one bench sweep under the configured settings."""
     if mode == "tau":
         spec = RnnSpec(lag_set=(1, 2), x_dim=13, hidden_dim=15, y_dim=1)
-        taus = range(section.get("tau_min", 3), section.get("tau_max", 48) + 1)
-        records = []
+        tau_min, tau_max = section.get("tau_min", 3), section.get("tau_max", 48)
+        plan = []  # (engine, its taus), all checked before any sweep runs
         for engine in section.get("engines", ["trrl", "rtrl", "bptt"]):
-            use = [t for t in taus if engine != "bptt" or t <= BPTT_GUARD]
-            records.extend(sweep_tau(engine, spec, use, seed=config.get("seed", 0)))
+            top = min(tau_max, BPTT_GUARD) if engine == "bptt" else tau_max
+            if tau_min > top:
+                guard = (
+                    f" at or below the guard {BPTT_GUARD}" if engine == "bptt" else ""
+                )
+                raise ConfigError(
+                    f"bench engine {engine!r} has no tau in "
+                    f"[{tau_min}, {tau_max}]{guard} to run"
+                )
+            plan.append((engine, range(tau_min, top + 1)))
+        if not plan:
+            raise ConfigError("bench.engines is empty: the sweep would run nothing")
+        records = []
+        for engine, taus in plan:
+            records.extend(sweep_tau(engine, spec, taus, seed=config.get("seed", 0)))
         return records
+    for key in ("lag_sets", "hidden_dims"):
+        if section.get(key) == []:
+            raise ConfigError(f"bench.{key} is empty: the sweep would run nothing")
     # Configured lag_sets and hidden_dims; the rest keep sweep_neurons' defaults.
     return sweep_neurons(**section, seed=config.get("seed", 0))
 
@@ -295,7 +296,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_pbonacci(args: argparse.Namespace) -> int:
-    table = build_table(args.p, args.n)
+    try:
+        table = build_table(args.p, args.n)
+    except ValueError as exc:  # an order below 2 or an empty table
+        raise ConfigError(str(exc)) from None
     bounds = check_bounds(table)
     doubling = monotone_doubling_check(table) if args.n >= 2 else []
     if args.format == "csv":

@@ -6,7 +6,7 @@ the packed parameter vectors theta (input-to-hidden) and phi
 
 * ``trrl_gradients``   backward sweep that merges the repeated subtrees of
                        the unrolled network by accumulating one total
-                       gradient vector per step offset; linear in tau.
+                       gradient vector per step; linear in tau.
 * ``rtrl_gradients``   forward propagation of the output Jacobians
                        d yhat / d theta and d yhat / d phi; linear in tau
                        with a y^2 factor, Jacobian storage instead of a
@@ -21,7 +21,9 @@ gradient computation itself.  The forward sweep is identical for every
 engine and is excluded, so counters compare the algorithms like for like.
 ``loss`` arguments are callables ``yhat -> (loss_value, d_loss_d_yhat)``;
 the value comes back on ``GradientPair.loss``.  trrl and bptt share all
-but their traversal (``_tree_gradients``, ``_node_kernel``).
+but their traversal (``_tree_gradients``): the tree node
+(``_node_kernel``) yields a step's children, trrl merges them by step and
+bptt recurses into each.
 
 Engines are pure functions of (params, xs): parameters are never
 mutated, every call owns its counter and workspace, and concurrent calls
@@ -33,8 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .base import NumericError, RnnpError
-from .linalg import OpCounter, matvec_t
+from .base import ConfigError, NumericError
+from .linalg import OpCounter
 from .model import (
     FlatParams,
     ForwardTrace,
@@ -56,12 +58,13 @@ from .pbonacci import U128_MAX
 BPTT_GUARD = 25
 
 
-class BpttInfeasibleError(RnnpError):
+class BpttInfeasibleError(ConfigError):
     """Sequence too long for the unrolled-tree recursion.
 
     The macronode count grows like a generalized Fibonacci partial sum,
     so past the guard the recursion is rejected instead of left to run
-    for an astronomically long time.
+    for an astronomically long time.  Choosing bptt for such a sequence
+    is a configuration error.
     """
 
 
@@ -171,19 +174,19 @@ def _node_kernel(
     grads: GradientPair,
     counter: OpCounter,
 ):
-    """The backward node of one trrl or bptt call, as
-    ``node(t, g) -> (q, x_nz, feedbacks)``.
+    """The unrolled tree's node for one trrl or bptt call, as
+    ``node(t, g) -> (entry, children)``.
 
-    ``node`` backpropagates the output gradient g of step t through its
-    node: it adds the node's output-layer terms (V, c) to ``grads`` and
-    returns the folded gradient q = (V diag(h'))^T g, with h' = h (1 - h)
-    the sigmoid derivative, in the input-layer log entry of step t (see
-    ``_input_layer_terms``) with the step's nonzero inputs from the trace
-    and its reachable feedbacks.  The walk pushes W_l^T q to step t - l
-    and hands the entry to the input-layer update.  Built once per call
-    over V's rows, so a node does no set-up.  It counts the dense
-    2*y*h + 2*h + h*x + p*h*y multiplies per node, the input-layer ones
-    included.
+    ``node`` backpropagates the output gradient g of step t: it adds the
+    output-layer terms (V, c) to ``grads`` and folds g into
+    q = (V diag(h'))^T g, h' = h (1 - h).  ``entry`` is step t's
+    input-layer log entry (``_input_layer_terms``), with the feedbacks of
+    the lags that reach inside the window, a prefix of the lag set.
+    ``children`` yields ``(t - l, W_l^T q)`` for those lags in lag-set
+    order, each push made only when the walk takes it; a push entry is a
+    column of W_l dotted with q, summed from 0.0 over increasing row.
+    Built once per call over V's rows and each W_l's columns.  Counts the
+    dense 2*y*h + 2*h + h*x + p*h*y multiplies per node and h*y per push.
     """
     h, x, y = spec.hidden_dim, spec.x_dim, spec.y_dim
     d_phi = grads.d_phi
@@ -191,9 +194,23 @@ def _node_kernel(
     v = params.V.data
     v_rows = [v[k * h : (k + 1) * h] for k in range(y)]
     v_off, c_off = phi_offsets(spec)
-    lags = spec.lag_set
+    edges = [
+        (lag, [W_l.data[k::y] for k in range(y)])
+        for lag, W_l in zip(spec.lag_set, params.W)
+    ]
     x_nz = trace.x_nz
     macs = 2 * y * h + 2 * h + h * x + spec.p * h * y
+
+    def children(t: int, q: list, reach: list):
+        for lag, w_cols in reach:
+            push = []
+            for col in w_cols:
+                acc = 0.0
+                for w, qr in zip(col, q):
+                    acc += w * qr
+                push.append(acc)
+            counter.add_macs(h * y)
+            yield t - lag, push
 
     def node(t: int, g: list) -> tuple:
         h_t = h_steps[t - 1]
@@ -207,9 +224,10 @@ def _node_kernel(
             d_phi[c_off + k] += gk
         q = [vj * (hj * (1.0 - hj)) for vj, hj in zip(vt, h_t)]
         check_finite_step(q, "folded gradient", t)
-        feedbacks = [y_steps[t - 1 - lag] for lag in lags if lag < t]
+        reach = [edge for edge in edges if edge[0] < t]
+        feedbacks = [y_steps[t - 1 - lag] for lag, _ in reach]
         counter.add_macs(macs)
-        return q, x_nz[t - 1], feedbacks
+        return (q, x_nz[t - 1], feedbacks), children(t, q, reach)
 
     return node
 
@@ -228,9 +246,11 @@ def _tree_gradients(params: ModelParams, spec: RnnSpec, xs: list, loss, walk) ->
     tree's root.
 
     The stored trace (h and yhat per step plus the inputs) is charged until
-    the walk ends.  ``node(t, g)`` is the ``_node_kernel`` on step t, and
-    ``add_input_terms(log)`` adds a log of its entries to the theta
-    gradient (``_input_layer_terms``).
+    the walk ends.  ``node(t, g)`` is the ``_node_kernel`` on step t: it
+    returns the step's log entry and its children ``(step, push)``, which
+    the walk routes without reading a weight or a lag.
+    ``add_input_terms(log)`` adds a log of entries to the theta gradient
+    (``_input_layer_terms``).
     """
     params.validate(spec)
     counter = OpCounter()
@@ -252,11 +272,12 @@ def trrl_gradients(
 ) -> tuple:
     """Tree-recombined backward sweep, linear in sequence length.
 
-    Walks offsets i = 0..tau-1 from the final step backwards, keeping one
-    accumulated gradient vector g_i per live offset.  Each g_i is folded
-    through its node once and pushed to offsets i + lag, which is exactly
-    the recombination of the identical subtrees the unrolled network would
-    otherwise replicate.  Works for any lag set, contiguous or not.
+    Walks steps t = tau..1 from the final step backwards, keeping one
+    accumulated gradient vector g_t per live step.  Each g_t goes through
+    its node once, and the node's children are added into the vectors of
+    their steps, which is exactly the recombination of the identical
+    subtrees the unrolled network would otherwise replicate.  Works for
+    any lag set, contiguous or not.
 
     The node adds only the output-layer terms.  Each visited node's log
     entry is kept, and after the walk one pass sums the input-layer terms
@@ -268,28 +289,24 @@ def trrl_gradients(
 
     def walk(node, add_input_terms, tau: int, g0: list, counter: OpCounter) -> None:
         log = []
-        g_store = {0: g0}
+        g_store = {tau: g0}
         counter.grad_floats_alloc(y)
-        for i in range(tau):
-            gi = g_store.pop(i, None)
-            if gi is None:
-                # No contribution flows through this offset (possible when the
-                # lag set skips it near the window end).
+        for t in range(tau, 0, -1):
+            g = g_store.pop(t, None)
+            if g is None:
+                # No push reaches this step (the lag set skips it near the end).
                 continue
-            entry = node(tau - i, gi)
+            entry, children = node(t, g)
             log.append(entry)
             counter.grad_floats_alloc(h)
-            q = entry[0]
-            for W_l, lag in zip(params.W, spec.lag_set):
-                if i + lag < tau:
-                    push = matvec_t(W_l, q, counter)
-                    target = g_store.get(i + lag)
-                    if target is None:
-                        g_store[i + lag] = push
-                        counter.grad_floats_alloc(y)
-                    else:
-                        for k in range(y):
-                            target[k] += push[k]
+            for s, push in children:
+                target = g_store.get(s)
+                if target is None:
+                    g_store[s] = push
+                    counter.grad_floats_alloc(y)
+                else:
+                    for k, pk in enumerate(push):
+                        target[k] += pk
             counter.grad_floats_free(y)
         add_input_terms(log)
         counter.grad_floats_free(len(log) * h)
@@ -437,9 +454,9 @@ def bptt_gradients(
     """Literal depth-first backpropagation over the unrolled tree.
 
     Every node (a(t), yhat(t)) reached from the root spawns one recursive
-    visit per feedback edge with t - lag >= 1, so identical subtrees are
-    recomputed as many times as they appear.  Returns the exact number of
-    macronodes visited alongside the gradients.
+    visit per child, one per feedback edge with t - lag >= 1, so identical
+    subtrees are recomputed as many times as they appear.  Returns the
+    exact number of macronodes visited alongside the gradients.
     """
     tau = len(xs)
     if tau > BPTT_GUARD:
@@ -454,14 +471,10 @@ def bptt_gradients(
         nonlocal visited
         visited += 1
         counter.grad_floats_alloc(level_floats)
-        entry = node(t, g)
+        entry, children = node(t, g)
         add_input_terms([entry])
-        q = entry[0]
-        for W_l, lag in zip(params.W, spec.lag_set):
-            if t - lag >= 1:
-                visit(
-                    node, add_input_terms, t - lag, matvec_t(W_l, q, counter), counter
-                )
+        for s, push in children:
+            visit(node, add_input_terms, s, push, counter)
         counter.grad_floats_free(level_floats)
 
     grads, counter = _tree_gradients(params, spec, xs, loss, visit)

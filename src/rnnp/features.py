@@ -28,7 +28,13 @@ import calendar
 import math
 from datetime import datetime
 
-from .base import BaseEstimator, check_fitted, checkpoint_field
+from .base import (
+    NUMBER,
+    BaseEstimator,
+    DataValidationError,
+    check_fitted,
+    checkpoint_field,
+)
 from .series import HourlySeries
 from .stats import mean_std
 
@@ -116,7 +122,12 @@ class CalendarFeatureEncoder(BaseEstimator):
         """
         encoder = cls(**params)
         for name in STATE_FIELDS:
-            setattr(encoder, name + "_", checkpoint_field(extras, "encoder", name))
+            value = checkpoint_field(extras, "encoder", name, kind=NUMBER)
+            if name.endswith("_std") and value <= 0:
+                raise DataValidationError(
+                    f"checkpoint value encoder.{name} must be positive: {value!r}"
+                )
+            setattr(encoder, name + "_", value)
         return encoder
 
     def encode(self, ts: datetime, drybulb: float, wetbulb: float) -> list:

@@ -1,9 +1,9 @@
-"""Dense linear-algebra kernels, deterministic RNG, and operation counters.
+"""The dense matrix, a fixed-order sum, deterministic RNG, and operation
+counters.
 
-Everything here is plain CPython ``float`` arithmetic over lists.  Each
-kernel fixes its summation order explicitly (accumulation over the inner
-index in increasing order), so results are bit-identical across runs and
-platforms and match a naive double-loop reference exactly.  That
+Everything here is plain CPython ``float`` arithmetic over lists.  Sums
+run from 0.0 in a fixed order (``_left_sum``), so results are
+bit-identical across runs, platforms and interpreter versions.  That
 reproducibility is contractual: the gradient engines are compared against
 each other at tight tolerances, and their cost is accounted by exact
 multiply-accumulate tallies rather than wall time.
@@ -88,26 +88,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
-
-
-def matvec_t(m: Matrix, v: list, counter: OpCounter) -> list:
-    """m.T @ v with accumulation over rows in increasing index.
-
-    Each entry is one column of ``m`` dotted with ``v``, summed from 0.0.
-    Counts exactly ``rows * cols`` multiply-accumulates.
-    """
-    if m.rows != len(v):
-        raise ValueError(f"matvec_t shape mismatch: {m.cols}x{m.rows} @ {len(v)}")
-    data = m.data
-    cols = m.cols
-    out = []
-    for c in range(cols):
-        acc = 0.0
-        for w, vr in zip(data[c::cols], v):
-            acc += w * vr
-        out.append(acc)
-    counter.add_macs(m.rows * cols)
-    return out
 
 
 def _left_sum(values) -> float:

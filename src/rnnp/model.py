@@ -18,7 +18,13 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .base import DataValidationError, NumericError, atomic_write, checkpoint_field
+from .base import (
+    NUMBER,
+    DataValidationError,
+    NumericError,
+    atomic_write,
+    checkpoint_field,
+)
 from .linalg import Matrix, Rng
 
 CHECKPOINT_MAGIC = "RNNP1"
@@ -407,8 +413,8 @@ def load_checkpoint(path: str) -> tuple:
     except (KeyError, TypeError, ValueError) as exc:
         raise DataValidationError(f"checkpoint spec is invalid: {exc!r}") from None
     flat = FlatParams(
-        theta=[float(v) for v in checkpoint_field(record, "theta")],
-        phi=[float(v) for v in checkpoint_field(record, "phi")],
+        theta=[float(v) for v in checkpoint_field(record, "theta", kind=[NUMBER])],
+        phi=[float(v) for v in checkpoint_field(record, "phi", kind=[NUMBER])],
     )
     if len(flat.theta) != spec.theta_size or len(flat.phi) != spec.phi_size:
         raise DataValidationError(

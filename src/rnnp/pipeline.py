@@ -21,10 +21,13 @@ from datetime import datetime
 from itertools import islice
 
 from .base import (
+    NUMBER,
     BaseEstimator,
+    ConfigError,
     DataValidationError,
     atomic_write,
     check_fitted,
+    check_kind,
     checkpoint_field,
     open_utf8,
 )
@@ -46,6 +49,22 @@ RETIRED_PARAMS = {
     "sigma_floor": SIGMA_FLOOR,
     "yearly_harmonics": YEARLY_HARMONICS,
     "include_trend": True,
+}
+
+# The JSON kind of each saved pipeline parameter (see ``base.check_kind``).
+PARAM_KINDS = {
+    "lags": [int],
+    "hidden_dim": int,
+    "loss": str,
+    "engine": str,
+    "learning_rate": NUMBER,
+    "batch_size": int,
+    "max_epochs": int,
+    "patience": int,
+    "tau": int,
+    "train_stride": int,
+    "holidays": [str],
+    "seed": int,
 }
 
 
@@ -230,18 +249,16 @@ class LoadForecastPipeline(BaseEstimator):
     @classmethod
     def load(cls, path: str) -> "LoadForecastPipeline":
         spec, flat, extras = load_checkpoint(path)
-        params = checkpoint_field(extras, "pipeline_params")
+        params = checkpoint_field(extras, "pipeline_params", kind=dict)
         for key, value in RETIRED_PARAMS.items():
             if key in params and params.pop(key) != value:
                 raise DataValidationError(
                     f"checkpoint pipeline_params {key!r} must be {value!r}, "
                     f"the only value this version supports"
                 )
-        unknown = sorted(set(params) - set(cls._param_names()))
-        if unknown:
-            raise DataValidationError(
-                f"checkpoint pipeline_params has unknown keys {unknown}"
-            )
+        check_kind(
+            params, PARAM_KINDS, "pipeline_params", DataValidationError, "checkpoint"
+        )
         try:
             params["holidays"] = frozenset(
                 datetime.fromisoformat(d).date() for d in params.get("holidays", [])
@@ -259,7 +276,15 @@ class LoadForecastPipeline(BaseEstimator):
             extras, holidays=pipe.holidays
         )
         fc = pipe._make_forecaster()
-        fc.head_, fc.spec_, _ = fc._training_setup(spec.x_dim)
+        try:
+            if pipe.tau < 1:
+                raise ValueError(f"tau must be >= 1, got {pipe.tau}")
+            _check_lag_reach(pipe.lags, pipe.tau)
+            fc.head_, fc.spec_, _ = fc._training_setup(spec.x_dim)
+        except (ConfigError, ValueError) as exc:  # a loss, lag or size fit rejects
+            raise DataValidationError(
+                f"checkpoint pipeline_params are invalid: {exc}"
+            ) from None
         if fc.spec_ != spec:
             raise DataValidationError(
                 "checkpoint spec does not match its pipeline parameters"

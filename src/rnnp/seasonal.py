@@ -24,13 +24,21 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
-from .base import BaseEstimator, DataValidationError, check_fitted, checkpoint_field
+from .base import (
+    NUMBER,
+    BaseEstimator,
+    DataValidationError,
+    check_fitted,
+    checkpoint_field,
+)
 from .features import calendar_pass
 from .series import HourlySeries
 from .stats import mean_std
 
 MIN_WINDOW = timedelta(days=365)
 YEARLY_HARMONICS = 2
+# Intercept, six day-of-week dummies, holiday, harmonics, trend.
+REGRESSORS = 1 + 6 + 1 + 2 * YEARLY_HARMONICS + 1
 TREND_UNIT = timedelta(days=365.25)  # the trend regressor counts years
 RCOND = 1e-10
 
@@ -238,12 +246,29 @@ class HourlyDeseasonalizer(BaseEstimator):
         are not saved, so the restored ``dropped_columns_`` is empty.
         """
         des = cls(**params)
-        des.log_mean_ = checkpoint_field(extras, "normalization", "log_mean")
-        des.log_std_ = checkpoint_field(extras, "normalization", "log_std")
-        des.fit_origin_ = datetime.fromisoformat(
-            checkpoint_field(extras, "seasonal", "fit_origin")
-        )
-        coef = checkpoint_field(extras, "seasonal", "coef")
+        for name in ("log_mean", "log_std"):
+            value = checkpoint_field(extras, "normalization", name, kind=NUMBER)
+            setattr(des, name + "_", value)
+        if des.log_std_ <= 0:
+            raise DataValidationError(
+                f"checkpoint value normalization.log_std must be positive: "
+                f"{des.log_std_!r}"
+            )
+        origin = checkpoint_field(extras, "seasonal", "fit_origin", kind=str)
+        try:
+            des.fit_origin_ = datetime.fromisoformat(origin)
+        except ValueError:
+            raise DataValidationError(
+                f"checkpoint value seasonal.fit_origin is not a timestamp: {origin!r}"
+            ) from None
+        hours = {str(h): [NUMBER] for h in range(24)}
+        coef = checkpoint_field(extras, "seasonal", "coef", kind=hours)
+        for h in hours:
+            if len(coef.get(h, ())) != REGRESSORS:
+                raise DataValidationError(
+                    f"checkpoint value seasonal.coef must hold hour {h} as a list "
+                    f"of {REGRESSORS} coefficients, got {coef.get(h)!r}"
+                )
         des.coef_ = {int(h): list(c) for h, c in coef.items()}
         des.dropped_columns_ = {}
         return des

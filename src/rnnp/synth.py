@@ -50,6 +50,11 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.years < 1:
             raise ConfigError("years must be >= 1")
+        if not 1 <= self.start_year <= 9999 - self.years:
+            raise ConfigError(
+                f"start_year {self.start_year} and {self.years} years do not fit "
+                f"in the calendar's years 1..9999"
+            )
         if self.noise_sigma < 0 or self.temp_noise_f < 0:
             raise ConfigError("noise levels must be non-negative")
         if abs(self.ar1) + abs(self.ar24) >= 1.0:

@@ -118,20 +118,31 @@ class TestConfigValidation:
         assert "sigma_floor" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "model, named",
+        "model, train, named",
         [
-            ({"lags": [0]}, "(0,)"),
-            ({"hidden_dim": 0}, "hidden_dim must be >= 1, got 0"),
-            ({"tau": 0}, "tau must be >= 1, got 0"),
-            ({"lags": [1, 24], "tau": 12}, "lag 24 does not fit in a window of tau=12"),
+            ({"lags": [0]}, {}, "(0,)"),
+            ({"hidden_dim": 0}, {}, "hidden_dim must be >= 1, got 0"),
+            ({"tau": 0}, {}, "tau must be >= 1, got 0"),
+            (
+                {"lags": [1, 24], "tau": 12},
+                {},
+                "lag 24 does not fit in a window of tau=12",
+            ),
+            (
+                {"lags": [1], "hidden_dim": 3, "tau": 26},
+                {"engine": "bptt", "max_epochs": 1},
+                "tau=26 exceeds the guard (25)",
+            ),
         ],
-        ids=["lags", "hidden_dim", "tau", "lag_reach"],
+        ids=["lags", "hidden_dim", "tau", "lag_reach", "bptt_above_guard"],
     )
     def test_bad_model_value_is_a_config_error(
-        self, tmp_path, capsys, one_year_csv, model, named
+        self, tmp_path, capsys, one_year_csv, model, train, named
     ):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"model": model, "train": {"stride": 97}}))
+        config.write_text(
+            json.dumps({"model": model, "train": {"stride": 97, **train}})
+        )
         checkpoint = tmp_path / "ck.json"
         argv = ["train", "--config", str(config), "--data", one_year_csv]
         assert main(argv + ["--out", str(checkpoint)]) == 2
@@ -144,8 +155,25 @@ class TestConfigValidation:
         [
             ("tau", {"tau_max": 4, "engines": ["sgd"]}, "'sgd'"),
             ("neurons", {"lag_sets": [[0]]}, "(0,)"),
+            ("tau", {"tau_min": 6, "tau_max": 5}, "'trrl' has no tau in [6, 5]"),
+            (
+                "tau",
+                {"tau_min": 26, "tau_max": 27, "engines": ["bptt"]},
+                "at or below the guard 25",
+            ),
+            ("tau", {"engines": []}, "bench.engines is empty"),
+            ("neurons", {"hidden_dims": []}, "bench.hidden_dims is empty"),
+            ("neurons", {"lag_sets": []}, "bench.lag_sets is empty"),
         ],
-        ids=["engines", "lag_sets"],
+        ids=[
+            "engines",
+            "lag_sets",
+            "tau_min_above_tau_max",
+            "bptt_above_guard",
+            "no_engines",
+            "no_hidden_dims",
+            "no_lag_sets",
+        ],
     )
     def test_bad_bench_value_is_a_config_error(
         self, tmp_path, capsys, mode, bench, named
@@ -158,6 +186,37 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["pbonacci", "--p", "1", "--n", "5"], "order p must be >= 2, got 1"),
+            (["pbonacci", "--p", "2", "--n", "0"], "table length must be >= 1, got 0"),
+            (["synth", "--out", "s.csv", "--start-year", "0"], "start_year 0"),
+            (
+                ["synth", "--out", "s.csv", "--start-year", "9995", "--years", "5"],
+                "start_year 9995 and 5 years",
+            ),
+            (["gradcheck", "--seeds", "0"], "--seeds must be >= 1, got 0"),
+            (["gradcheck", "--seeds", "-3"], "--seeds must be >= 1, got -3"),
+        ],
+        ids=[
+            "pbonacci-p",
+            "pbonacci-n",
+            "synth-start_year",
+            "synth-past_9999",
+            "gradcheck-zero_seeds",
+            "gradcheck-negative_seeds",
+        ],
+    )
+    def test_argument_that_crashes_or_runs_nothing_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch, argv, named
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and named in captured.err
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -242,7 +301,88 @@ class TestConfigValidation:
         )
 
 
+DELETE = object()
+
+# (path into the checkpoint record, new value or DELETE, what the error names)
+MALFORMED_ENTRIES = [
+    (("theta", 0), "0.5", "theta"),
+    (("theta", 0), None, "theta"),
+    (("phi", 0), float("nan"), "phi"),
+    (("extras", "normalization", "log_std"), "1.0", "normalization.log_std"),
+    (("extras", "normalization", "log_std"), 0.0, "normalization.log_std"),
+    (("extras", "encoder", "drybulb_std"), "1.0", "encoder.drybulb_std"),
+    (("extras", "encoder", "wetbulb_std"), 0, "encoder.wetbulb_std"),
+    (("extras", "pipeline_params", "tau"), "12", "pipeline_params.tau"),
+    (("extras", "pipeline_params", "tau"), 0, "tau must be >= 1, got 0"),
+    (("extras", "pipeline_params", "tau"), 1, "largest lag 1 does not fit"),
+    (("extras", "pipeline_params", "lags"), 1, "pipeline_params.lags"),
+    (("extras", "pipeline_params", "loss"), 3, "pipeline_params.loss"),
+    (("extras", "pipeline_params", "loss"), "mae", "'mae'"),
+    (("extras", "seasonal", "fit_origin"), "2007-13-01", "seasonal.fit_origin"),
+    (("extras", "seasonal", "coef", "x"), [0.0] * 13, "seasonal.coef: ['x']"),
+    (("extras", "seasonal", "coef", "5"), DELETE, "hour 5"),
+    (("extras", "seasonal", "coef", "0"), [0.0] * 14, "hour 0"),
+    (("extras", "seasonal", "coef", "0"), [0.0], "hour 0"),
+]
+
+
+@pytest.fixture(scope="module")
+def saved_pipeline(tmp_path_factory):
+    """(data CSV, checkpoint record) of a small fitted pipeline."""
+    series, pipe = fitted_pipeline()
+    folder = tmp_path_factory.mktemp("saved")
+    data, checkpoint = folder / "data.csv", folder / "model.json"
+    write_csv(series, str(data))
+    pipe.save(str(checkpoint))
+    return str(data), json.loads(checkpoint.read_text())
+
+
 class TestMalformedCheckpoint:
+    @pytest.mark.parametrize(
+        "path, value, named",
+        MALFORMED_ENTRIES,
+        ids=[
+            "theta_string",
+            "theta_null",
+            "phi_nan",
+            "log_std_string",
+            "log_std_zero",
+            "drybulb_std_string",
+            "wetbulb_std_zero",
+            "tau_string",
+            "tau_zero",
+            "tau_within_a_lag",
+            "lags_integer",
+            "loss_number",
+            "loss_unknown",
+            "fit_origin_not_a_date",
+            "coef_key_not_an_hour",
+            "coef_hour_missing",
+            "coef_one_extra",
+            "coef_one_entry",
+        ],
+    )
+    def test_malformed_entry_exits_with_data_error_naming_it(
+        self, tmp_path, capsys, saved_pipeline, path, value, named
+    ):
+        data, record = saved_pipeline
+        record = json.loads(json.dumps(record))
+        parent = record
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        checkpoint, out = tmp_path / "model.json", tmp_path / "forecast.csv"
+        checkpoint.write_text(json.dumps(record))
+        argv = ["forecast", "--checkpoint", str(checkpoint), "--data", data]
+        argv += ["--start", "2007-06-01T00:00:00", "--end", "2007-06-01T02:00:00"]
+        assert main(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and named in err
+        assert not out.exists()
+
     def write_foreign(self, path):
         path.write_text('{"magic": "NOPE"}')
 

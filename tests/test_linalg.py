@@ -1,64 +1,11 @@
-"""Kernel-level contracts: shapes, counters, summation order, RNG."""
+"""Kernel-level contracts: shapes, counters, RNG."""
 
 import math
 
 import pytest
 
 from rnnp.base import NumericError
-from rnnp.linalg import (
-    Matrix,
-    OpCounter,
-    Rng,
-    matvec_t,
-)
-
-
-class TestMatvecT:
-    def test_against_explicit_transpose(self):
-        rng = Rng(5)
-        for _ in range(30):
-            rows = rng.randint(1, 7)
-            cols = rng.randint(1, 7)
-            m = Matrix(rows, cols, rng.uniform(-3, 3, rows * cols))
-            v = rng.uniform(-3, 3, rows)
-            # Reference: accumulate over rows in increasing index.
-            ref = [0.0] * cols
-            for r in range(rows):
-                for c in range(cols):
-                    ref[c] += m.data[r * cols + c] * v[r]
-            assert matvec_t(m, v, OpCounter()) == ref
-
-    def test_counter(self):
-        counter = OpCounter()
-        matvec_t(Matrix.zeros(4, 3), [0.0] * 4, counter)
-        assert counter.mac_count == 12
-
-    def test_identity(self):
-        m = Matrix(2, 2, [1.0, 0.0, 0.0, 1.0])
-        assert matvec_t(m, [3.0, 4.0], OpCounter()) == [3.0, 4.0]
-
-    def test_zero_matrix(self):
-        m = Matrix.zeros(3, 2)
-        assert matvec_t(m, [7.0, -1.0, 2.0], OpCounter()) == [0.0, 0.0]
-
-    def test_hand_multiplication_and_counter(self):
-        m = Matrix(2, 2, [1.0, 2.0, 3.0, 4.0])
-        counter = OpCounter()
-        assert matvec_t(m, [1.0, 1.0], counter) == [4.0, 6.0]
-        assert counter.mac_count == 4
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matvec_t(Matrix.zeros(3, 2), [1.0, 2.0], OpCounter())
-
-    def test_counter_increment_is_exactly_rows_times_cols(self):
-        rng = Rng(7)
-        for rows, cols in [(1, 1), (3, 5), (8, 2), (13, 13)]:
-            m = Matrix(rows, cols, rng.uniform(-1, 1, rows * cols))
-            v = rng.uniform(-1, 1, rows)
-            counter = OpCounter()
-            matvec_t(m, v, counter)
-            assert counter.mac_count == rows * cols
+from rnnp.linalg import Matrix, OpCounter, Rng
 
 
 class TestMatrix:

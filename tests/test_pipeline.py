@@ -17,6 +17,7 @@ from rnnp.features import CalendarFeatureEncoder
 from rnnp.linalg import Matrix, Rng
 from rnnp.model import ModelParams, forward_sequence
 from rnnp.pipeline import (
+    PARAM_KINDS,
     LoadForecastPipeline,
     build_walk_forward_plan,
     read_forecast_csv,
@@ -348,6 +349,9 @@ class TestCheckpoint:
         path.write_text(json.dumps(record))
         with pytest.raises(DataValidationError, match="encoder.wetbulb_std"):
             LoadForecastPipeline.load(str(path))
+
+    def test_every_pipeline_parameter_has_a_checkpoint_kind(self):
+        assert set(PARAM_KINDS) == set(LoadForecastPipeline._param_names())
 
     def test_bad_holiday_date_rejected(self, tmp_path):
         series, _ = make_series(years=1, seed=59)
