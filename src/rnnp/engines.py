@@ -28,6 +28,13 @@ bptt recurses into each.
 Engines are pure functions of (params, xs): parameters are never
 mutated, every call owns its counter and workspace, and concurrent calls
 against shared parameters are safe.
+
+The oracles check the engines.  ``finite_difference_gradients`` takes
+central differences over every packed parameter, perturbing a private
+copy in place and reusing the input projections that a ``W_l``, ``V`` or
+``c`` entry cannot change.  ``macronode_count`` and ``rtrl_space_floats``
+give the exact macronode count and rtrl storage that the counters are
+checked against.
 """
 
 from __future__ import annotations
@@ -38,7 +45,6 @@ from dataclasses import dataclass
 from .base import ConfigError, NumericError
 from .linalg import OpCounter
 from .model import (
-    FlatParams,
     ForwardTrace,
     ModelParams,
     RnnSpec,
@@ -497,35 +503,57 @@ def finite_difference_gradients(
 ) -> GradientPair:
     """Central-difference gradient oracle over every packed parameter.
 
-    ``loss`` on the result is the loss at the unperturbed parameters.
+    Each entry, in packed order, is set to w + step and to w - step in one
+    private copy of the parameters and restored; the caller's ``params``
+    are never touched.  The input rows' ``nonzero_rows`` are found once
+    and projected once at the unperturbed parameters.  A ``W_l``, ``V`` or
+    ``c`` entry cannot change a projection, so its evaluations run
+    ``forward_steps`` over those shared rows; a ``U`` or ``b`` entry
+    re-projects them.  Every sum keeps its order, so the bits are those of
+    one ``forward_sequence`` per evaluation.  ``loss`` on the result is the
+    loss at the unperturbed parameters.
     """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    flat = pack(params, spec)
-    theta = list(flat.theta)
-    phi = list(flat.phi)
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be a finite positive number, got {step}")
+    p = unpack(pack(params, spec), spec)
+    if not xs:
+        raise ValueError("empty input sequence")
+    x_nz = list(nonzero_rows(spec, xs))
+    base_rows = list(project_nonzero(p, spec, x_nz))
 
-    def loss_at() -> float:
-        p = unpack(FlatParams(theta=theta, phi=phi), spec)
-        value, _ = loss(forward_sequence(p, spec, xs).y_final)
+    def loss_at(reproject: bool) -> float:
+        rows = project_nonzero(p, spec, x_nz) if reproject else base_rows
+        for _, y_final in forward_steps(p, spec, rows):
+            pass
+        value, _ = loss(y_final)
         if not math.isfinite(value):
             raise NumericError("non-finite loss during finite differencing")
         return value
 
-    def sweep(vec: list) -> list:
+    def sweep(vec: list, reproject: bool) -> list:
         out = []
         for i in range(len(vec)):
             orig = vec[i]
-            vec[i] = orig + step
-            lp = loss_at()
-            vec[i] = orig - step
-            lm = loss_at()
+            plus, minus = orig + step, orig - step
+            if not (math.isfinite(plus) and math.isfinite(minus)):
+                raise NumericError(
+                    f"non-finite perturbed parameter {orig!r} +- {step}"
+                )
+            vec[i] = plus
+            lp = loss_at(reproject)
+            vec[i] = minus
+            lm = loss_at(reproject)
             vec[i] = orig
             out.append((lp - lm) / (2.0 * step))
         return out
 
-    loss_value = loss_at()
-    return GradientPair(d_theta=sweep(theta), d_phi=sweep(phi), loss=loss_value)
+    loss_value = loss_at(False)
+    d_theta = sweep(p.U.data, True)
+    for W_l in p.W:
+        d_theta += sweep(W_l.data, False)
+    d_theta += sweep(p.b, True)
+    d_phi = sweep(p.V.data, False) + sweep(p.c, False)
+    return GradientPair(d_theta=d_theta, d_phi=d_phi, loss=loss_value)
 
 
 def macronode_count(tau: int, lag_set) -> int:

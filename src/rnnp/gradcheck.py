@@ -65,7 +65,13 @@ def _fd_ok(engine_pair, fd_pair) -> tuple:
 
 
 def run_gradient_check(n_seeds: int = 20, base_seed: int = 0) -> tuple:
-    """Returns (rows, all_ok) over ``n_seeds`` random instances."""
+    """Returns (rows, all_ok) over ``n_seeds`` random instances.
+
+    ``n_seeds`` below 1 raises ``ValueError``: a check of no instance
+    verifies nothing, so it is not a pass.
+    """
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     rows: list = []
     all_ok = True
     for k in range(n_seeds):

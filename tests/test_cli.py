@@ -323,6 +323,9 @@ MALFORMED_ENTRIES = [
     (("extras", "seasonal", "coef", "5"), DELETE, "hour 5"),
     (("extras", "seasonal", "coef", "0"), [0.0] * 14, "hour 0"),
     (("extras", "seasonal", "coef", "0"), [0.0], "hour 0"),
+    (("extras", "pipeline_params", "bogus"), 1, "bogus"),
+    (("spec", "hidden_activation"), "tanh", "tanh"),
+    (("extras", "pipeline_params", "include_trend"), False, "include_trend"),
 ]
 
 
@@ -360,6 +363,9 @@ class TestMalformedCheckpoint:
             "coef_hour_missing",
             "coef_one_extra",
             "coef_one_entry",
+            "pipeline_param_unknown",
+            "hidden_activation_unknown",
+            "retired_setting_at_another_value",
         ],
     )
     def test_malformed_entry_exits_with_data_error_naming_it(
@@ -418,83 +424,6 @@ class TestMalformedCheckpoint:
         ]
         assert main(argv) == 3
         assert "data error" in capsys.readouterr().err
-
-    def test_unknown_pipeline_param_exits_with_data_error(self, tmp_path, capsys):
-        series, pipe = fitted_pipeline()
-        data, checkpoint = tmp_path / "data.csv", tmp_path / "model.json"
-        write_csv(series, str(data))
-        pipe.save(str(checkpoint))
-        record = json.loads(checkpoint.read_text())
-        record["extras"]["pipeline_params"]["bogus"] = 1
-        checkpoint.write_text(json.dumps(record))
-        argv = [
-            "forecast",
-            "--checkpoint",
-            str(checkpoint),
-            "--data",
-            str(data),
-            "--start",
-            "2007-06-01T00:00:00",
-            "--end",
-            "2007-06-01T01:00:00",
-            "--out",
-            str(tmp_path / "forecast.csv"),
-        ]
-        assert main(argv) == 3
-        assert "bogus" in capsys.readouterr().err
-
-
-    def test_unknown_hidden_activation_exits_with_data_error(self, tmp_path, capsys):
-        series, pipe = fitted_pipeline()
-        data, checkpoint = tmp_path / "data.csv", tmp_path / "model.json"
-        write_csv(series, str(data))
-        pipe.save(str(checkpoint))
-        record = json.loads(checkpoint.read_text())
-        record["spec"]["hidden_activation"] = "tanh"
-        checkpoint.write_text(json.dumps(record))
-        argv = [
-            "forecast",
-            "--checkpoint",
-            str(checkpoint),
-            "--data",
-            str(data),
-            "--start",
-            "2007-06-01T00:00:00",
-            "--end",
-            "2007-06-01T01:00:00",
-            "--out",
-            str(tmp_path / "forecast.csv"),
-        ]
-        assert main(argv) == 3
-        assert "tanh" in capsys.readouterr().err
-
-
-    def test_retired_setting_at_another_value_exits_with_data_error(
-        self, tmp_path, capsys
-    ):
-        series, pipe = fitted_pipeline()
-        data, checkpoint = tmp_path / "data.csv", tmp_path / "model.json"
-        write_csv(series, str(data))
-        pipe.save(str(checkpoint))
-        record = json.loads(checkpoint.read_text())
-        record["extras"]["pipeline_params"]["include_trend"] = False
-        checkpoint.write_text(json.dumps(record))
-        argv = [
-            "forecast",
-            "--checkpoint",
-            str(checkpoint),
-            "--data",
-            str(data),
-            "--start",
-            "2007-06-01T00:00:00",
-            "--end",
-            "2007-06-01T01:00:00",
-            "--out",
-            str(tmp_path / "forecast.csv"),
-        ]
-        assert main(argv) == 3
-        assert "include_trend" in capsys.readouterr().err
-        assert not (tmp_path / "forecast.csv").exists()
 
 
 class TestMissingFiles:

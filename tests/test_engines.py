@@ -21,7 +21,17 @@ from rnnp.engines import (
 )
 from rnnp.features import CalendarFeatureEncoder
 from rnnp.linalg import Matrix, Rng
-from rnnp.model import ModelParams, RnnSpec, forward_sequence, init_params
+from rnnp.gradcheck import _random_instance, run_gradient_check
+from rnnp.model import (
+    FlatParams,
+    ModelParams,
+    RnnSpec,
+    forward_sequence,
+    init_params,
+    pack,
+    theta_offsets,
+    unpack,
+)
 from rnnp.pbonacci import build_table
 from rnnp.synth import SynthConfig, synth_generate
 from rnnp.training import LossHead, gaussian_nll_loss, mse_loss
@@ -158,6 +168,9 @@ class TestFiniteDifferenceOracle:
         spec, params, xs, loss = make_case(0)
         with pytest.raises(ValueError):
             finite_difference_gradients(params, spec, xs, loss, step=0.0)
+        for step in (-1e-5, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="step must be"):
+                finite_difference_gradients(params, spec, xs, loss, step=step)
 
 
 class TestEngineEquivalence:
@@ -584,6 +597,169 @@ class TestInputLayerPass:
         assert hashlib.sha256(text.encode()).hexdigest() == self.PRODUCTION_SHA256
         # 49 * (13 + 15 + 2) trace floats, 49 logged q's of 15, one g of 2.
         assert counter.peak_floats == 1470 + 49 * 15 + 2
+
+
+def reference_finite_differences(params, spec, xs, loss, step=1e-5):
+    """The oracle as one ``unpack`` and one ``forward_sequence`` per loss
+    evaluation, over a packed copy: (loss, d_theta, d_phi)."""
+    flat = pack(params, spec)
+    theta, phi = list(flat.theta), list(flat.phi)
+
+    def loss_at():
+        p = unpack(FlatParams(theta=theta, phi=phi), spec)
+        return loss(forward_sequence(p, spec, xs).y_final)[0]
+
+    def sweep(vec):
+        out = []
+        for i, orig in enumerate(vec):
+            vec[i] = orig + step
+            lp = loss_at()
+            vec[i] = orig - step
+            lm = loss_at()
+            vec[i] = orig
+            out.append((lp - lm) / (2.0 * step))
+        return out
+
+    value = loss_at()
+    return value, sweep(theta), sweep(phi)
+
+
+def param_lists(params):
+    """The lists that hold the parameter entries, in packed order."""
+    return [
+        params.U.data, *(w.data for w in params.W), params.b, params.V.data, params.c
+    ]
+
+
+def param_hexes(params):
+    """Every parameter entry by ``float.hex``, in packed order."""
+    return hexes(*param_lists(params))
+
+
+class TestFiniteDifferenceBits:
+    """The oracle perturbs a private copy in place and reuses the input
+    projections for W_l, V and c entries; its bits equal one
+    ``forward_sequence`` per evaluation, compared by ``float.hex``."""
+
+    # SHA-256 of run_gradient_check(20)'s rows (float.hex errors) as the
+    # oracle computed them with one forward_sequence per evaluation.
+    GRADCHECK_ROWS_SHA256 = "415440d21627935328522338d60479a010b2f2f7243bf3d562e8ba4a5c057392"
+
+    @staticmethod
+    def assert_reference_bits(params, spec, xs, loss):
+        fd = finite_difference_gradients(params, spec, xs, loss)
+        value, d_theta, d_phi = reference_finite_differences(params, spec, xs, loss)
+        assert hexes([fd.loss], fd.d_theta, fd.d_phi) == hexes([value], d_theta, d_phi)
+        return fd
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_gradcheck_instances(self, seed):
+        spec, params, xs, loss = _random_instance(seed)
+        self.assert_reference_bits(params, spec, xs, loss)
+
+    @pytest.mark.parametrize("y_dim", [1, 2])
+    def test_lag_at_or_past_the_window_and_zero_inputs(self, y_dim):
+        spec = RnnSpec(lag_set=(1, 3, 6), x_dim=4, hidden_dim=3, y_dim=y_dim)
+        rng = Rng(60 + y_dim)
+        params = init_params(spec, rng.spawn(1))
+        xs = [rng.spawn(2 + t).uniform(-1.0, 1.0, 4) for t in range(6)]
+        xs[0] = [0.0] * 4
+        xs[2][1] = 0.0
+        xs[4][3] = -0.0
+        head = LossHead(kind="mse" if y_dim == 1 else "gaussian_nll")
+        fd = self.assert_reference_bits(params, spec, xs, head.bind(0.2))
+        # Lag 6 never reaches inside a window of 6 steps.
+        _, w_offs, b_off = theta_offsets(spec)
+        assert hexes(fd.d_theta[w_offs[2] : b_off]) == [(0.0).hex()] * 3 * y_dim
+
+    def test_calendar_rows_at_lags_1_2_24(self):
+        spec = RnnSpec(lag_set=(1, 2, 24), x_dim=13, hidden_dim=3, y_dim=2)
+        params = init_params(spec, Rng(7))
+        loss = LossHead(kind="gaussian_nll").bind(0.3)
+        self.assert_reference_bits(params, spec, production_rows()[:26], loss)
+
+    def test_one_unpack_and_one_nonzero_scan_per_call(self, monkeypatch):
+        spec, params, xs, loss = _random_instance(3)
+        calls = {"unpack": 0, "nonzero_rows": 0, "project_nonzero": 0}
+
+        def counted(name):
+            original = getattr(engines, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(engines, name, wrapper)
+
+        for name in calls:
+            counted(name)
+        finite_difference_gradients(params, spec, xs, loss)
+        # One base projection, and two more per U and b entry.
+        reprojections = 2 * (spec.hidden_dim * spec.x_dim + spec.hidden_dim)
+        assert calls == {
+            "unpack": 1,
+            "nonzero_rows": 1,
+            "project_nonzero": 1 + reprojections,
+        }
+
+    def test_gradcheck_rows_pinned(self):
+        rows, ok = run_gradient_check(20)
+        text = repr(
+            [
+                (r.engine, r.seed, r.tau, r.lag_set)
+                + (r.max_rel_err.hex(), r.max_abs_err.hex(), r.ok)
+                for r in rows
+            ]
+        )
+        assert ok
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GRADCHECK_ROWS_SHA256
+
+    def test_caller_params_untouched(self):
+        spec, params, xs, loss = _random_instance(5)
+        before, lists = param_hexes(params), param_lists(params)
+        finite_difference_gradients(params, spec, xs, loss)
+        assert param_hexes(params) == before
+        assert all(a is b for a, b in zip(param_lists(params), lists))
+
+    @pytest.mark.parametrize("k", [2, 9, 22])
+    def test_caller_params_untouched_when_a_sweep_raises(self, k):
+        """A loss that turns NaN after k calls stops the sweep in U (k 2),
+        in W_l (k 9) or in V (k 22)."""
+        spec = RnnSpec(lag_set=(1, 2), x_dim=2, hidden_dim=2, y_dim=1)
+        params = init_params(spec, Rng(8))
+        xs = [[0.5, -0.25], [0.75, 0.0], [-1.0, 0.5]]
+        inner = LossHead(kind="mse").bind(0.1)
+        seen = []
+
+        def loss(y_hat):
+            seen.append(y_hat)
+            value, grad = inner(y_hat)
+            return (float("nan") if len(seen) > k else value), grad
+
+        before = param_hexes(params)
+        with pytest.raises(NumericError, match="non-finite loss"):
+            finite_difference_gradients(params, spec, xs, loss)
+        assert len(seen) == k + 1
+        assert param_hexes(params) == before
+
+    def test_non_finite_perturbed_value_raises(self):
+        spec = RnnSpec(lag_set=(1, 4), x_dim=1, hidden_dim=1, y_dim=1)
+        params = init_params(spec, Rng(9))
+        params.W[1].data[0] = 1.7976931348623157e308  # lag 4 never reaches
+        xs = [[0.5], [0.25]]
+        loss = LossHead(kind="mse").bind(0.0)
+        with pytest.raises(NumericError):
+            finite_difference_gradients(params, spec, xs, loss, step=1e300)
+        assert params.W[1].data[0] == 1.7976931348623157e308
+
+    def test_empty_or_ragged_input_rejected(self):
+        spec, params, xs, loss = _random_instance(1)
+        with pytest.raises(ValueError, match="empty input sequence"):
+            finite_difference_gradients(params, spec, [], loss)
+        ragged = [list(x) for x in xs]
+        ragged[-1].append(0.5)
+        with pytest.raises(ValueError, match="expected"):
+            finite_difference_gradients(params, spec, ragged, loss)
 
 
 class TestNumericSafety:

@@ -1,5 +1,7 @@
 """The packaged gradient verification suite."""
 
+import pytest
+
 from rnnp.gradcheck import run_gradient_check, write_report
 
 
@@ -16,6 +18,11 @@ class TestRunGradientCheck:
         assert any("-vs-" in e for e in engines)
         # Every seed contributes three engine rows and three pairwise rows.
         assert len(rows) == 4 * 6
+
+    @pytest.mark.parametrize("n_seeds", [0, -3])
+    def test_no_instances_is_not_a_pass(self, n_seeds):
+        with pytest.raises(ValueError, match="n_seeds must be >= 1"):
+            run_gradient_check(n_seeds=n_seeds)
 
     def test_report_csv(self, tmp_path):
         rows, _ = run_gradient_check(n_seeds=2)
