@@ -23,7 +23,14 @@ engine and is excluded, so counters compare the algorithms like for like.
 the value comes back on ``GradientPair.loss``.  trrl and bptt share all
 but their traversal (``_tree_gradients``): the tree node
 (``_node_kernel``) yields a step's children, trrl merges them by step and
-bptt recurses into each.
+bptt recurses into each.  Every engine adds its input-layer terms through
+one column routine (``_input_layer_terms``).
+
+The node, its pushes and the column sums are straight-line code
+generated per shape, (hidden_dim, y_dim, lag_set): ``kernel_source``
+returns the text, built from those integers alone, and ``_kernels``
+compiles it once per shape into a bounded cache.  Every sum keeps the
+order of the loop it replaces, so the bits are those of the loop form.
 
 Engines are pure functions of (params, xs): parameters are never
 mutated, every call owns its counter and workspace, and concurrent calls
@@ -39,6 +46,7 @@ checked against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -94,6 +102,120 @@ class GradientPair:
                 raise NumericError("non-finite phi gradient")
 
 
+def kernel_source(hidden_dim: int, y_dim: int, lag_set: tuple) -> str:
+    """The straight-line Python source of the gradient kernels for one shape.
+
+    It defines two functions, compiled once per shape by ``_kernels``:
+
+    * ``make_node(v, ws, h_steps, y_steps, x_nz, d_phi, add_macs, macs)``
+      binds one call's weights (``V.data``, each ``W_l.data``) and trace
+      as closure locals and returns the tree node of ``_node_kernel``.
+      Every loop over h, y and the lags is unrolled; a row sum is written
+      ``0.0 + a * b + ...``, which Python adds left to right, so each sum
+      keeps the order and the bits of the loop it replaces.
+    * ``add_columns(dest, columns, b_cols, qs)`` is the input-layer
+      column kernel of ``_input_layer_terms``, with the hidden rows
+      unrolled: per theta column, ``dest[cols] += q * v`` over its
+      ``(q, v)`` pairs in log order; then ``dest[b_cols] += q`` over
+      ``qs``.
+
+    The text is built from the three validated shape integers alone; no
+    weight or input value is ever written into it.  Print it to read it:
+    ``print(kernel_source(8, 2, (1, 2, 24)))``.
+    """
+    h, y, lags = hidden_dim, y_dim, tuple(lag_set)
+    if not all(type(n) is int for n in (h, y, *lags)):
+        raise TypeError(f"shape must be ints, got {h!r}, {y!r}, {lags!r}")
+    if h < 1 or y < 1 or not lags or lags[0] < 1 or list(lags) != sorted(set(lags)):
+        raise ValueError(f"not a valid shape: {h!r}, {y!r}, {lags!r}")
+    rows, outs = range(h), range(y)
+
+    def names(prefix: str, ids) -> str:
+        """A tuple display of the names prefix + id, e.g. ``(q0, q1)``."""
+        items = [f"{prefix}{i}" for i in ids]
+        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+    def row_sum(terms) -> str:
+        return " + ".join(["0.0", *terms])
+
+    lines = ["def make_node(v, ws, h_steps, y_steps, x_nz, d_phi, add_macs, macs):"]
+    lines.append(f"    {names('v', (f'{k}_{j}' for k in outs for j in rows))} = v")
+    for i in range(len(lags)):
+        ids = (f"{i}_{r}_{k}" for r in rows for k in outs)
+        lines.append(f"    {names('w', ids)} = ws[{i}]")
+    lines += ["", "    def children(t, q):", f"        {names('q', rows)} = q"]
+    for i, lag in enumerate(lags):
+        push = ", ".join(
+            row_sum(f"w{i}_{r}_{k} * q{r}" for r in rows) for k in outs
+        )
+        lines += [
+            f"        if t > {lag}:",
+            f"            push = [{push}]",
+            f"            add_macs({h * y})",
+            f"            yield t - {lag}, push",
+        ]
+    lines += [
+        "",
+        "    def node(t, g):",
+        f"        {names('h', rows)} = h_steps[t - 1]",
+        f"        {names('g', outs)} = g",
+    ]
+    for k in outs:
+        lines += [f"        d_phi[{k * h + j}] += g{k} * h{j}" for j in rows]
+        lines.append(f"        d_phi[{y * h + k}] += g{k}")
+    lines.append("        q = (")
+    for j in rows:
+        vt = row_sum(f"v{k}_{j} * g{k}" for k in outs)
+        lines.append(f"            ({vt}) * (h{j} * (1.0 - h{j})),")
+    lines += [
+        "        )",
+        '        check_finite_step(q, "folded gradient", t)',
+        "        add_macs(macs)",
+    ]
+    # Lags increase, so those reaching inside the window are a prefix.
+    keyword = "if"
+    for n in range(len(lags), 0, -1):
+        fbs = names("y_steps", (f"[t - {1 + lag}]" for lag in lags[:n]))
+        lines += [f"        {keyword} t > {lags[n - 1]}:", f"            feedbacks = {fbs}"]
+        keyword = "elif"
+    lines += [
+        "        else:",
+        "            feedbacks = ()",
+        "        return (q, x_nz[t - 1], feedbacks), children(t, q)",
+        "",
+        "    return node",
+        "",
+        "",
+        "def add_columns(dest, columns, b_cols, qs):",
+        "    for cols, pairs in columns:",
+        f"        {names('a', rows)} = dest[cols]",
+        "        for q, v in pairs:",
+        f"            {names('q', rows)} = q",
+    ]
+    lines += [f"            a{r} += q{r} * v" for r in rows]
+    lines += [
+        f"        dest[cols] = {names('a', rows)}",
+        f"    {names('a', rows)} = dest[b_cols]",
+        "    for q in qs:",
+        f"        {names('q', rows)} = q",
+    ]
+    lines += [f"        a{r} += q{r}" for r in rows]
+    lines += [f"    dest[b_cols] = {names('a', rows)}", ""]
+    return "\n".join(lines)
+
+
+@functools.lru_cache(maxsize=64)
+def _kernels(hidden_dim: int, y_dim: int, lag_set: tuple) -> tuple:
+    """``kernel_source`` compiled once per shape: ``(make_node,
+    add_columns)``.  The compiled functions keep no state between calls.
+    The cache holds every shape of the gradcheck's instance set."""
+    source = kernel_source(hidden_dim, y_dim, lag_set)
+    namespace = {"check_finite_step": check_finite_step}
+    filename = f"<rnnp kernels h={hidden_dim} y={y_dim} lags={lag_set}>"
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["make_node"], namespace["add_columns"]
+
+
 def _input_layer_terms(spec: RnnSpec):
     """The input-layer gradient of one engine call, as ``add(dest, log)``:
     dest += (da/dtheta)^T q summed over the log's entries, into the U, W_l
@@ -104,71 +226,47 @@ def _input_layer_terms(spec: RnnSpec):
     lags that reach inside the window, a prefix of the lag set.  Each
     theta entry gets one product per log entry, added in log order to its
     current value, so the bits are those of adding the entries one at a
-    time.  A log of several entries is summed column by column, each
-    theta entry in a local accumulator; a single entry (a bptt visit, an
-    rtrl output row), where that set-up would cost more than it saves,
-    adds each product in place.  The products of a zero input, and the W_l
-    terms of a lag reaching before the window start, whose feedback is the
-    zero vector, are skipped; the sums started at +0.0, so the bits are
-    those of the dense update (see ``project_nonzero``).  The caller
-    counts the dense h*x + p*h*y multiplies per entry.
+    time.  The log is grouped by theta column (each U column, each W_l
+    column, b) and summed by the generated column kernel
+    (``kernel_source``), each column's hidden rows in local accumulators.
+    A log of one entry (a bptt visit, an rtrl output row) goes through the
+    same kernel, its columns listed straight from the entry.
+    The products of a zero input, and the W_l terms of a lag reaching
+    before the window start, whose feedback is the zero vector, are
+    skipped; the sums started at +0.0, so the bits are those of the dense
+    update (see ``project_nonzero``).  The caller counts the dense
+    h*x + p*h*y multiplies per entry.
     """
     h, x, y = spec.hidden_dim, spec.x_dim, spec.y_dim
     _, w_offs, b_off = theta_offsets(spec)
-    # The theta indices of each U column, each W_l column and b, by hidden row.
-    u_idx = [range(c, h * x, x) for c in range(x)]
-    w_idx = [[range(off + k, off + h * y, y) for k in range(y)] for off in w_offs]
-    b_idx = range(b_off, b_off + h)
+    # The theta entries of each U column, each W_l column and b, by hidden row.
+    u_cols = [slice(c, h * x, x) for c in range(x)]
+    w_cols = [[slice(off + k, off + h * y, y) for k in range(y)] for off in w_offs]
+    b_cols = slice(b_off, b_off + h)
+    _, add_columns = _kernels(h, y, spec.lag_set)
 
     def add(dest: list, log: list) -> None:
         if len(log) == 1:
+            # One entry needs no grouping: each nonzero input and each
+            # reachable lag's feedback entry is a column of one pair.
             ((q, x_nz, feedbacks),) = log
-            # Hidden row 0's reachable W_l entries as (theta index,
-            # feedback); row r's lie r*y further on.
-            w_nz = [
-                (off + k, fk)
-                for off, fb in zip(w_offs, feedbacks)
-                for k, fk in enumerate(fb)
-            ]
-            u_base = w_base = 0
-            for qr, b_i in zip(q, b_idx):
+            columns = [(u_cols[c], ((q, v),)) for c, v in x_nz]
+            for fb, cols in zip(feedbacks, w_cols):
+                columns += [(col, ((q, v),)) for col, v in zip(cols, fb)]
+        else:
+            # Per theta column: its (q, factor) pairs in log order.
+            x_pairs = [[] for _ in u_cols]
+            for q, x_nz, _ in log:
                 for c, v in x_nz:
-                    dest[u_base + c] += qr * v
-                for i, fk in w_nz:
-                    dest[w_base + i] += qr * fk
-                dest[b_i] += qr
-                u_base += x
-                w_base += y
-            return
-        q_rows = list(zip(*[q for q, _, _ in log]))  # q_rows[r][pos] = q_pos[r]
-        # Per theta column: its indices and its (log position, factor)
-        # pairs in log order, for a nonzero input or a reachable lag.
-        x_cols = {}
-        for pos, (_, x_nz, _) in enumerate(log):
-            for c, v in x_nz:
-                pairs = x_cols.get(c)
-                if pairs is None:
-                    x_cols[c] = [(pos, v)]
-                else:
-                    pairs.append((pos, v))
-        columns = [(u_idx[c], pairs) for c, pairs in x_cols.items()]
-        for i, idx in enumerate(w_idx):
-            fbs = [(pos, fb[i]) for pos, (_, _, fb) in enumerate(log) if i < len(fb)]
-            if not fbs:
-                break  # nor does any later lag reach
-            for k, ix in enumerate(idx):
-                columns.append((ix, [(pos, fb[k]) for pos, fb in fbs]))
-        for idx, pairs in columns:
-            for i, q_r in zip(idx, q_rows):
-                acc = dest[i]
-                for pos, v in pairs:
-                    acc += q_r[pos] * v
-                dest[i] = acc
-        for i, q_r in zip(b_idx, q_rows):
-            acc = dest[i]
-            for qv in q_r:
-                acc += qv
-            dest[i] = acc
+                    x_pairs[c].append((q, v))
+            columns = [(cols, pairs) for cols, pairs in zip(u_cols, x_pairs) if pairs]
+            for i, cols in enumerate(w_cols):
+                fbs = [(q, fb[i]) for q, _, fb in log if i < len(fb)]
+                if not fbs:
+                    break  # nor does any later lag reach
+                for k, col in enumerate(cols):
+                    columns.append((col, [(q, fb[k]) for q, fb in fbs]))
+        add_columns(dest, columns, b_cols, [q for q, _, _ in log])
 
     return add
 
@@ -191,51 +289,23 @@ def _node_kernel(
     ``children`` yields ``(t - l, W_l^T q)`` for those lags in lag-set
     order, each push made only when the walk takes it; a push entry is a
     column of W_l dotted with q, summed from 0.0 over increasing row.
-    Built once per call over V's rows and each W_l's columns.  Counts the
-    dense 2*y*h + 2*h + h*x + p*h*y multiplies per node and h*y per push.
+    The node is the generated ``make_node`` of the call's shape
+    (``kernel_source``), bound to this call's weights and trace.  Counts
+    the dense 2*y*h + 2*h + h*x + p*h*y multiplies per node and h*y per
+    push.
     """
     h, x, y = spec.hidden_dim, spec.x_dim, spec.y_dim
-    d_phi = grads.d_phi
-    h_steps, y_steps = trace.h_steps, trace.y_steps
-    v = params.V.data
-    v_rows = [v[k * h : (k + 1) * h] for k in range(y)]
-    v_off, c_off = phi_offsets(spec)
-    edges = [
-        (lag, [W_l.data[k::y] for k in range(y)])
-        for lag, W_l in zip(spec.lag_set, params.W)
-    ]
-    x_nz = trace.x_nz
-    macs = 2 * y * h + 2 * h + h * x + spec.p * h * y
-
-    def children(t: int, q: list, reach: list):
-        for lag, w_cols in reach:
-            push = []
-            for col in w_cols:
-                acc = 0.0
-                for w, qr in zip(col, q):
-                    acc += w * qr
-                push.append(acc)
-            counter.add_macs(h * y)
-            yield t - lag, push
-
-    def node(t: int, g: list) -> tuple:
-        h_t = h_steps[t - 1]
-        vt = [0.0] * h
-        for k, gk in enumerate(g):
-            base = v_off + k * h
-            v_k = v_rows[k]
-            for j, hj in enumerate(h_t):
-                d_phi[base + j] += gk * hj
-                vt[j] += v_k[j] * gk
-            d_phi[c_off + k] += gk
-        q = [vj * (hj * (1.0 - hj)) for vj, hj in zip(vt, h_t)]
-        check_finite_step(q, "folded gradient", t)
-        reach = [edge for edge in edges if edge[0] < t]
-        feedbacks = [y_steps[t - 1 - lag] for lag, _ in reach]
-        counter.add_macs(macs)
-        return (q, x_nz[t - 1], feedbacks), children(t, q, reach)
-
-    return node
+    make_node, _ = _kernels(h, y, spec.lag_set)
+    return make_node(
+        params.V.data,
+        [W_l.data for W_l in params.W],
+        trace.h_steps,
+        trace.y_steps,
+        trace.x_nz,
+        grads.d_phi,
+        counter.add_macs,
+        2 * y * h + 2 * h + h * x + spec.p * h * y,
+    )
 
 
 def _loss_gradient(loss, y_final: list, spec: RnnSpec) -> tuple:

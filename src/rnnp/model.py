@@ -23,6 +23,7 @@ from .base import (
     DataValidationError,
     NumericError,
     atomic_write,
+    check_kind,
     checkpoint_field,
 )
 from .linalg import Matrix, Rng
@@ -40,7 +41,12 @@ class RnnSpec:
     y_dim: int
 
     def __post_init__(self) -> None:
-        lags = tuple(int(l) for l in self.lag_set)
+        # Every width and lag must be an int (not a bool, not a float that
+        # happens to be integral): the gradient kernels are generated from
+        # these numbers, and a checkpoint holding anything else is invalid.
+        lags = list(self.lag_set)
+        check_kind(lags, [int], "lag_set", ValueError, "spec")
+        lags = tuple(int(l) for l in lags)
         object.__setattr__(self, "lag_set", lags)
         if not lags:
             raise ValueError("lag set must contain at least one lag")
@@ -49,8 +55,11 @@ class RnnSpec:
         if any(b <= a for a, b in zip(lags, lags[1:])):
             raise ValueError(f"lag set must be strictly increasing, got {lags}")
         for name in ("x_dim", "hidden_dim", "y_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            check_kind(value, int, name, ValueError, "spec")
+            object.__setattr__(self, name, int(value))
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
     @property
     def p(self) -> int:

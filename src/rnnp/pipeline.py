@@ -345,11 +345,12 @@ def read_forecast_csv(path: str) -> list:
     """Read back (timestamp, point, mu_log, sigma_log or None) rows.
 
     A file without rows, a field that does not parse, a non-finite
-    ``point`` or ``mu_log``, or a ``sigma_log`` that is present but not a
-    finite positive number raises ``DataValidationError`` naming the file
-    or the line.
+    ``point`` or ``mu_log``, a ``sigma_log`` that is present but not a
+    finite positive number, or a timestamp that an earlier line already
+    holds raises ``DataValidationError`` naming the file or the line.
     """
     rows = []
+    line_of = {}  # timestamp -> the line that holds it
     with open_utf8(path) as f:
         reader = csv.DictReader(f)
         if reader.fieldnames != FORECAST_CSV_HEADER:
@@ -367,6 +368,9 @@ def read_forecast_csv(path: str) -> list:
                     raise ValueError(
                         f"sigma_log {sigma_log!r} is not a finite positive number"
                     )
+                first = line_of.setdefault(ts, reader.line_num)
+                if first != reader.line_num:
+                    raise ValueError(f"timestamp {ts.isoformat()} repeats line {first}")
                 rows.append((ts, point, mu_log, sigma_log))
             except (TypeError, ValueError) as exc:  # TypeError: a missing field
                 raise DataValidationError(

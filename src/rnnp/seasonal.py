@@ -277,10 +277,6 @@ class HourlyDeseasonalizer(BaseEstimator):
         check_fitted(self, ["coef_"])
         return self._seasonal([ts])[0]
 
-    def normalize_log(self, demand: float) -> float:
-        check_fitted(self, ["log_mean_"])
-        return next(self._z_scores([math.log(demand)]))
-
     def transform(
         self,
         series: HourlySeries,

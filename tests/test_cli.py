@@ -326,6 +326,8 @@ MALFORMED_ENTRIES = [
     (("extras", "pipeline_params", "bogus"), 1, "bogus"),
     (("spec", "hidden_activation"), "tanh", "tanh"),
     (("extras", "pipeline_params", "include_trend"), False, "include_trend"),
+    (("spec", "hidden_dim"), 3.0, "hidden_dim"),
+    (("spec", "lag_set"), [1.5], "lag_set"),
 ]
 
 
@@ -366,6 +368,8 @@ class TestMalformedCheckpoint:
             "pipeline_param_unknown",
             "hidden_activation_unknown",
             "retired_setting_at_another_value",
+            "spec_hidden_dim_float",
+            "spec_lag_float",
         ],
     )
     def test_malformed_entry_exits_with_data_error_naming_it(
@@ -576,6 +580,10 @@ class TestEvaluate:
             ("2007-01-01T00:00:00,nan,0.1,0.2,1.0,2.0\n", "line 2"),
             ("2007-01-01T00:00:00,1.0,inf,0.2,1.0,2.0\n", "line 2"),
             ("2007-01-01T00:00:00,1.0,0.1,-0.2,1.0,2.0\n", "line 2"),
+            ("2007-01-01T00:00:00,1.0,0.1,0.2,1.0,2.0\n"
+             "2007-01-01T01:00:00,1.0,0.1,0.2,1.0,2.0\n"
+             "2007-01-01T00:00:00,1.0,0.1,0.2,1.0,2.0\n",
+             "line 4: timestamp 2007-01-01T00:00:00 repeats line 2"),
         ],
         ids=[
             "header_only",
@@ -584,6 +592,7 @@ class TestEvaluate:
             "nan_point",
             "inf_mu_log",
             "negative_sigma_log",
+            "repeated_timestamp",
         ],
     )
     def test_malformed_forecasts_exit_with_data_error(

@@ -1,6 +1,7 @@
 """Gradient engine equivalence, oracles, and complexity accounting."""
 
 import hashlib
+import re
 from datetime import date
 
 import pytest
@@ -12,6 +13,7 @@ from rnnp.engines import (
     BpttInfeasibleError,
     bptt_gradients,
     finite_difference_gradients,
+    kernel_source,
     macronode_count,
     max_abs_diff,
     max_rel_diff,
@@ -449,7 +451,9 @@ def per_entry_terms(spec):
 
 def node_time_gradients(params, spec, xs, loss, order):
     """trrl (``order`` "trrl") or bptt ("bptt") adding every node's
-    input-layer terms at the node, in visit order."""
+    input-layer terms at the node, in visit order.  Also returns the
+    dense multiply count of the walk, its node visits and, for trrl, the
+    peak of its live gradient floats."""
     h, x, y = spec.hidden_dim, spec.x_dim, spec.y_dim
     trace = forward_sequence(params, spec, xs)
     value, g0 = loss(trace.y_final)
@@ -457,8 +461,11 @@ def node_time_gradients(params, spec, xs, loss, order):
     d_phi = [0.0] * spec.phi_size
     v = params.V.data
     terms = per_entry_terms(spec)
+    tally = {"macs": 0, "visits": 0}
 
     def node(t, g):
+        tally["macs"] += 2 * y * h + 2 * h + h * x + spec.p * h * y
+        tally["visits"] += 1
         h_t = trace.h_steps[t - 1]
         vt = [0.0] * h
         for k in range(y):
@@ -473,6 +480,7 @@ def node_time_gradients(params, spec, xs, loss, order):
         return q
 
     def push(i, q):
+        tally["macs"] += h * y
         w = params.W[i].data
         out = []
         for k in range(y):
@@ -496,6 +504,10 @@ def node_time_gradients(params, spec, xs, loss, order):
                     target = store.setdefault(i + lag, [0.0] * y)
                     for k in range(y):
                         target[k] += pushed[k]
+            # Live gradient state: the logged q's, the stored g's and the
+            # g of this node.
+            live = tally["visits"] * h + (len(store) + 1) * y
+            tally["peak"] = max(tally.get("peak", 0), live)
     else:
 
         def visit(t, g):
@@ -505,7 +517,7 @@ def node_time_gradients(params, spec, xs, loss, order):
                     visit(t - lag, push(li, q))
 
         visit(tau, g0)
-    return value, d_theta, d_phi
+    return value, d_theta, d_phi, tally
 
 
 def hexes(*vectors):
@@ -537,46 +549,82 @@ class TestInputLayerPass:
     def cases():
         xs = production_rows()
         prod = RnnSpec(lag_set=(1, 2, 24), x_dim=13, hidden_dim=15, y_dim=2)
-        gauss, mse = LossHead(kind="gaussian_nll"), LossHead(kind="mse")
+        gauss = LossHead(kind="gaussian_nll").bind(0.3)
+        mse = LossHead(kind="mse").bind(0.3)
         rng = Rng(44)
         toy = [rng.spawn(i).uniform(-1.0, 1.0, 4) for i in range(12)]
         toy[2][1] = 0.0
         toy[5][0] = -0.0
-        # (spec, xs, head, bptt tau)
+
+        def squares(y_hat):
+            # 0.5 * sum_k (y_k - 0.3)^2 for any y, summed left to right.
+            value, grad = 0.0, []
+            for y_k in y_hat:
+                value += 0.5 * (y_k - 0.3) ** 2
+                grad.append(y_k - 0.3)
+            return value, grad
+
+        # (spec, xs, loss, bptt tau)
         return [
             (prod, xs, gauss, 14),
             (RnnSpec(lag_set=(2, 5), x_dim=4, hidden_dim=3, y_dim=2), toy[:7], gauss, 7),
             (RnnSpec(lag_set=(1, 24), x_dim=4, hidden_dim=5, y_dim=2), toy, gauss, 12),
             (RnnSpec(lag_set=(1, 2), x_dim=13, hidden_dim=6, y_dim=1), xs[:10], mse, 10),
+            (RnnSpec(lag_set=(1, 2), x_dim=4, hidden_dim=3, y_dim=3), toy[:9], squares, 9),
+            (RnnSpec(lag_set=(1, 2, 5), x_dim=4, hidden_dim=1, y_dim=2), toy, gauss, 12),
+            # Lags 7 and 9 reach no step of a 7-step window.
+            (RnnSpec(lag_set=(1, 7, 9), x_dim=4, hidden_dim=4, y_dim=1), toy[:7], mse, 7),
+            (RnnSpec(lag_set=(1, 3, 6), x_dim=4, hidden_dim=5, y_dim=2), toy, gauss, 12),
         ]
 
-    @pytest.mark.parametrize("case", range(4))
+    @pytest.mark.parametrize("case", range(8))
     def test_trrl_and_bptt_equal_node_time_sums(self, case):
-        spec, xs, head, bptt_tau = self.cases()[case]
+        spec, xs, loss, bptt_tau = self.cases()[case]
         params = init_params(spec, Rng(case))
-        loss = head.bind(0.3)
         grads, counter = trrl_gradients(params, spec, xs, loss)
-        value, d_theta, d_phi = node_time_gradients(params, spec, xs, loss, "trrl")
+        value, d_theta, d_phi, tally = node_time_gradients(params, spec, xs, loss, "trrl")
         assert hexes([grads.loss], grads.d_theta, grads.d_phi) == hexes(
             [value], d_theta, d_phi
         )
-        # The trace, every visited node's logged q and the last live g.
+        assert counter.mac_count == tally["macs"]
         h, y = spec.hidden_dim, spec.y_dim
         trace = len(xs) * (spec.x_dim + h + y)
-        assert counter.peak_floats == trace + visited_steps(spec, len(xs)) * h + y
-        grads, _, _ = bptt_gradients(params, spec, xs[:bptt_tau], loss)
-        value, d_theta, d_phi = node_time_gradients(
+        assert counter.peak_floats == trace + tally["peak"]
+        assert tally["visits"] == visited_steps(spec, len(xs))
+        grads, counter, visited = bptt_gradients(params, spec, xs[:bptt_tau], loss)
+        value, d_theta, d_phi, tally = node_time_gradients(
             params, spec, xs[:bptt_tau], loss, "bptt"
         )
         assert hexes([grads.loss], grads.d_theta, grads.d_phi) == hexes(
             [value], d_theta, d_phi
         )
+        assert counter.mac_count == tally["macs"]
+        assert visited == tally["visits"] == macronode_count(bptt_tau, spec.lag_set)
+        # bptt keeps y + h floats per level of its deepest path, a lag-1
+        # chain when lag 1 is in the set.
+        if spec.lag_set[0] == 1:
+            trace = bptt_tau * (spec.x_dim + h + y)
+            assert counter.peak_floats == trace + bptt_tau * (y + h)
 
-    @pytest.mark.parametrize("case", range(4))
+    def test_lag_reaching_no_step_has_exact_zero_gradient(self):
+        spec, xs, loss, _ = self.cases()[6]
+        params = init_params(spec, Rng(6))
+        _, w_offs, _ = theta_offsets(spec)
+        size = spec.hidden_dim * spec.y_dim
+        for grads in (
+            trrl_gradients(params, spec, xs, loss)[0],
+            bptt_gradients(params, spec, xs, loss)[0],
+            rtrl_gradients(params, spec, xs, loss)[0],
+        ):
+            lag_1 = grads.d_theta[w_offs[0] : w_offs[0] + size]
+            assert any(v != 0.0 for v in lag_1)
+            for off in w_offs[1:]:
+                assert hexes(grads.d_theta[off : off + size]) == ["0x0.0p+0"] * size
+
+    @pytest.mark.parametrize("case", range(8))
     def test_rtrl_equals_per_entry_terms(self, case, monkeypatch):
-        spec, xs, head, _ = self.cases()[case]
+        spec, xs, loss, _ = self.cases()[case]
         params = init_params(spec, Rng(case))
-        loss = head.bind(0.3)
         got, counter = rtrl_gradients(params, spec, xs, loss)
         monkeypatch.setattr(engines, "_input_layer_terms", per_entry_terms)
         want, want_counter = rtrl_gradients(params, spec, xs, loss)
@@ -760,6 +808,49 @@ class TestFiniteDifferenceBits:
         ragged[-1].append(0.5)
         with pytest.raises(ValueError, match="expected"):
             finite_difference_gradients(params, spec, ragged, loss)
+
+
+class TestKernelSource:
+    """The generated source: what it is built from, its row sums, its cache."""
+
+    @pytest.mark.parametrize("shape", [(3, 2, (1, 2)), (1, 3, (1, 3, 6)), (8, 1, (24,))])
+    def test_row_sums_start_from_zero(self, shape):
+        h, y, lags = shape
+        text = kernel_source(h, y, lags)
+        pushes = re.findall(r"push = \[(.*)\]", text)
+        folds = re.findall(r"^ +\((.*)\) \* \(h\d+ \* \(1\.0 - h\d+\)\),$", text, re.M)
+        assert len(pushes) == len(lags) and len(folds) == h
+        entries = [e for push in pushes for e in push.split(", ")] + folds
+        assert len(entries) == len(lags) * y + h
+        assert all(e.startswith("0.0 + ") for e in entries)
+
+    @pytest.mark.parametrize(
+        "shape", [(2.0, 1, (1,)), (2, True, (1,)), (2, 1, ("1",))], ids=str
+    )
+    def test_rejects_a_shape_that_is_not_ints(self, shape):
+        with pytest.raises(TypeError):
+            kernel_source(*shape)
+
+    @pytest.mark.parametrize(
+        "shape", [(0, 1, (1,)), (2, 0, (1,)), (2, 1, (0,)), (2, 1, ()), (2, 1, (2, 1)), (2, 1, (1, 1))],
+        ids=str,
+    )
+    def test_rejects_a_shape_no_spec_has(self, shape):
+        with pytest.raises(ValueError):
+            kernel_source(*shape)
+
+    def test_compiled_once_per_shape_in_a_bounded_cache(self):
+        # The gradcheck draws h 2..8, y 1..2 and four lag sets: 56 shapes.
+        maxsize = engines._kernels.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 56
+        spec, params, xs, loss = make_case(91)
+        trrl_gradients(params, spec, xs, loss)
+        kernels = engines._kernels(spec.hidden_dim, spec.y_dim, spec.lag_set)
+        hits = engines._kernels.cache_info().hits
+        rtrl_gradients(params, spec, xs, loss)
+        bptt_gradients(params, spec, xs, loss)
+        assert engines._kernels.cache_info().hits > hits
+        assert engines._kernels(spec.hidden_dim, spec.y_dim, spec.lag_set) is kernels
 
 
 class TestNumericSafety:

@@ -63,6 +63,28 @@ class TestRnnSpec:
         with pytest.raises(ValueError):
             RnnSpec(lag_set=lags, x_dim=1, hidden_dim=1, y_dim=1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("hidden_dim", 2.5),
+            ("hidden_dim", 3.0),
+            ("x_dim", 13.0),
+            ("y_dim", True),
+            ("hidden_dim", "4"),
+            ("lag_set", (1.5,)),
+            ("lag_set", (1.0, 2)),
+            ("lag_set", ("2",)),
+            ("lag_set", (True,)),
+        ],
+        ids=str,
+    )
+    def test_non_integer_widths_and_lags_rejected_naming_the_field(self, field, value):
+        # A float lag used to be truncated (1.5 -> 1) and a float width kept.
+        kwargs = {"lag_set": (1,), "x_dim": 1, "hidden_dim": 1, "y_dim": 1}
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            RnnSpec(**kwargs)
+
     def test_only_sigmoid_supported(self):
         d = {"lag_set": [1], "x_dim": 1, "hidden_dim": 1, "y_dim": 1}
         assert RnnSpec.from_dict({**d, "hidden_activation": "sigmoid"}) == (
