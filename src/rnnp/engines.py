@@ -330,7 +330,7 @@ def _tree_gradients(params: ModelParams, spec: RnnSpec, xs: list, loss, walk) ->
     """
     params.validate(spec)
     counter = OpCounter()
-    trace = forward_sequence(params, spec, xs)  # rejects an empty sequence
+    trace = forward_sequence(params, spec, xs)
     trace_floats = len(xs) * (spec.x_dim + spec.hidden_dim + spec.y_dim)
     counter.grad_floats_alloc(trace_floats)
     loss_value, g0 = _loss_gradient(loss, trace.y_final, spec)
@@ -404,8 +404,6 @@ def rtrl_gradients(
     Jacobian stays live until its most distant consumer.
     """
     tau = len(xs)
-    if tau < 1:
-        raise ValueError("empty input sequence")
     params.validate(spec)
     counter = OpCounter()
     h, y = spec.hidden_dim, spec.y_dim
@@ -586,8 +584,6 @@ def finite_difference_gradients(
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be a finite positive number, got {step}")
     p = unpack(pack(params, spec), spec)
-    if not xs:
-        raise ValueError("empty input sequence")
     x_nz = list(nonzero_rows(spec, xs))
     base_rows = list(project_nonzero(p, spec, x_nz))
 

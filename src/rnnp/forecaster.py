@@ -118,26 +118,23 @@ class RnnForecaster(BaseEstimator):
         )
         return self
 
-    def predict_output(self, xs, projected: bool = False) -> list:
-        """Raw final output vector for one window.
-
-        ``xs`` holds the window's input rows, or with ``projected=True``
-        their ``project_inputs`` rows under the fitted parameters.
-        """
+    def predict_output(self, rows) -> list:
+        """Raw final output vector of one window, given as its
+        ``project_inputs`` rows under the fitted parameters, in any iterable
+        (``forecast_range`` passes its ring of shared projections)."""
         check_fitted(self, ["params_"])
-        if not xs:
-            raise ValueError("empty input sequence")
-        rows = xs if projected else project_inputs(self.params_, self.spec_, xs)
         for _, y in forward_steps(self.params_, self.spec_, rows):
             pass
         return y
 
     def predict(self, X) -> list:
         """Predicted mean of the final-step target, one value per window."""
-        check_fitted(self, ["params_"])
-        return [self.head_.mean_and_sigma(self.predict_output(xs))[0] for xs in X]
+        return [mean for mean, _ in self.predict_dist(X)]
 
     def predict_dist(self, X) -> list:
         """(mean, sigma) pairs; sigma is None under the point head."""
         check_fitted(self, ["params_"])
-        return [self.head_.mean_and_sigma(self.predict_output(xs)) for xs in X]
+        outputs = (
+            self.predict_output(project_inputs(self.params_, self.spec_, xs)) for xs in X
+        )
+        return [self.head_.mean_and_sigma(y) for y in outputs]

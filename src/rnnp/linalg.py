@@ -20,8 +20,6 @@ import random
 
 from .base import NumericError
 
-Vector = list  # list[float]; vectors are plain lists of floats
-
 
 class OpCounter:
     """Tally of scalar multiply-accumulates and peak gradient-state floats.

@@ -310,7 +310,9 @@ def forward_steps(params: ModelParams, spec: RnnSpec, rows):
     order.  A lag reaching before the window start is skipped: its
     feedback is the zero vector, and adding its +0.0 row sum cannot change
     a pre-activation, which is never -0.0.  A non-finite pre-activation or
-    output raises ``NumericError`` naming the 1-based step.
+    output raises ``NumericError`` naming the 1-based step.  A window has
+    at least one step, for every caller: ``rows`` that end before the
+    first raise ``ValueError("empty input sequence")``.
 
     A row is never mutated: when lag terms apply, the step's pre-activation
     is a new list; when none do, the row is used as it is.  A caller with
@@ -354,18 +356,18 @@ def forward_steps(params: ModelParams, spec: RnnSpec, rows):
         check_finite_step(y, "output", t)
         ys.append(y)
         yield h, y
+    if not ys:
+        raise ValueError("empty input sequence")
 
 
 def forward_sequence(params: ModelParams, spec: RnnSpec, xs) -> ForwardTrace:
     """Closed-loop forward pass over input rows, collected into a trace.
 
-    Runs the two stages, ``forward_steps`` over ``project_inputs(xs)``.
-    Feedbacks are the model's own outputs from earlier steps of the same
-    window; steps before the window start contribute zero vectors.  The
-    rows' ``nonzero_rows`` are found once and kept on the trace.
+    Scans each row once for its ``nonzero_rows`` and keeps them on the
+    trace, then runs ``forward_steps`` over their ``project_nonzero``
+    rows.  Feedbacks are the model's own outputs from earlier steps of the
+    same window; steps before the window start contribute zero vectors.
     """
-    if not xs:
-        raise ValueError("empty input sequence")
     trace = ForwardTrace(x_nz=list(nonzero_rows(spec, xs)))
     for h, y in forward_steps(params, spec, project_nonzero(params, spec, trace.x_nz)):
         trace.h_steps.append(h)

@@ -31,7 +31,7 @@ from .base import (
     checkpoint_field,
     open_utf8,
 )
-from .features import CalendarFeatureEncoder
+from .features import FEATURE_DIM, CalendarFeatureEncoder
 from .forecaster import RnnForecaster, _check_lag_reach
 from .metrics import MetricReport, point_metrics, probabilistic_metrics
 from .model import load_checkpoint, pack, project_inputs, save_checkpoint, unpack
@@ -179,8 +179,9 @@ class LoadForecastPipeline(BaseEstimator):
         feedbacks zero-initialized at the window start, exogenous inputs
         (calendar + realized weather) taken as known.  Each encoded hour is
         projected once (``project_inputs``) and its projection is shared by
-        the tau windows that contain it; the outputs equal those of
-        ``forward_sequence`` on each raw window, bit for bit.
+        the tau windows that contain it, each handed to ``predict_output``;
+        the outputs equal those of ``forward_sequence`` on each raw window,
+        bit for bit.
         """
         check_fitted(self, ["forecaster_"])
         i0, i1 = series.index_range(start, end)
@@ -206,7 +207,7 @@ class LoadForecastPipeline(BaseEstimator):
         out = []
         for ts, s_z, projection in zip(timestamps, seasonal, projections):
             window.append(projection)
-            y_final = self.forecaster_.predict_output(window, projected=True)
+            y_final = self.forecaster_.predict_output(window)
             mu_z, sigma_z = self.forecaster_.head_.mean_and_sigma(y_final)
             mu_log, sigma_log = self.deseasonalizer_.to_log_params(
                 s_z + mu_z, sigma_z
@@ -280,14 +281,15 @@ class LoadForecastPipeline(BaseEstimator):
             if pipe.tau < 1:
                 raise ValueError(f"tau must be >= 1, got {pipe.tau}")
             _check_lag_reach(pipe.lags, pipe.tau)
-            fc.head_, fc.spec_, _ = fc._training_setup(spec.x_dim)
+            fc.head_, fc.spec_, _ = fc._training_setup(FEATURE_DIM)
         except (ConfigError, ValueError) as exc:  # a loss, lag or size fit rejects
             raise DataValidationError(
                 f"checkpoint pipeline_params are invalid: {exc}"
             ) from None
         if fc.spec_ != spec:
             raise DataValidationError(
-                "checkpoint spec does not match its pipeline parameters"
+                f"checkpoint spec {spec.to_dict()} does not match its pipeline "
+                f"parameters and encoder, which need {fc.spec_.to_dict()}"
             )
         fc.params_ = unpack(flat, spec)
         fc.history_ = []
@@ -346,8 +348,9 @@ def read_forecast_csv(path: str) -> list:
 
     A file without rows, a field that does not parse, a non-finite
     ``point`` or ``mu_log``, a ``sigma_log`` that is present but not a
-    finite positive number, or a timestamp that an earlier line already
-    holds raises ``DataValidationError`` naming the file or the line.
+    finite positive number or that is empty on some rows and set on others,
+    or a timestamp that an earlier line already holds raises
+    ``DataValidationError`` naming the file or the line.
     """
     rows = []
     line_of = {}  # timestamp -> the line that holds it
@@ -371,6 +374,12 @@ def read_forecast_csv(path: str) -> list:
                 first = line_of.setdefault(ts, reader.line_num)
                 if first != reader.line_num:
                     raise ValueError(f"timestamp {ts.isoformat()} repeats line {first}")
+                if rows and (sigma_log is None) != (rows[0][3] is None):
+                    raise ValueError(
+                        f"sigma_log is {'empty' if sigma_log is None else 'set'} "
+                        f"but not on line {line_of[rows[0][0]]}: it is set on "
+                        f"every row or on none"
+                    )
                 rows.append((ts, point, mu_log, sigma_log))
             except (TypeError, ValueError) as exc:  # TypeError: a missing field
                 raise DataValidationError(

@@ -131,11 +131,6 @@ class HourlyDeseasonalizer(BaseEstimator):
     def __init__(self, holidays: frozenset = frozenset()) -> None:
         self.holidays = holidays
 
-    def regressors(self, ts: datetime) -> list:
-        """The regressor row of one hour: ``_rows`` for a single timestamp."""
-        check_fitted(self, ["coef_"])
-        return next(self._rows([ts]))
-
     def _rows(self, timestamps: list):
         """Yield the regressor row of each timestamp: intercept, day-of-week
         dummies, holiday dummy, yearly harmonics, trend since the fit start."""

@@ -7,6 +7,7 @@ import pytest
 
 from rnnp import cli
 from rnnp.cli import main
+from rnnp.features import FEATURE_DIM
 from rnnp.linalg import Rng
 from rnnp.model import RnnSpec, init_params, pack, save_checkpoint
 from rnnp.pipeline import (
@@ -393,6 +394,26 @@ class TestMalformedCheckpoint:
         assert err.startswith("data error:") and named in err
         assert not out.exists()
 
+    def test_x_dim_other_than_the_encoder_width_exits_with_data_error(
+        self, tmp_path, capsys, saved_pipeline
+    ):
+        # A consistent checkpoint (theta resized to the spec) whose network
+        # reads 5 inputs, where the encoder writes FEATURE_DIM of them.
+        data, record = saved_pipeline
+        record = json.loads(json.dumps(record))
+        record["spec"]["x_dim"] = 5
+        theta_size = RnnSpec.from_dict(record["spec"]).theta_size
+        record["theta"] = record["theta"][:theta_size]
+        checkpoint, out = tmp_path / "model.json", tmp_path / "forecast.csv"
+        checkpoint.write_text(json.dumps(record))
+        argv = ["forecast", "--checkpoint", str(checkpoint), "--data", data]
+        argv += ["--start", "2007-06-01T00:00:00", "--end", "2007-06-01T02:00:00"]
+        assert main(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "'x_dim': 5" in err
+        assert f"'x_dim': {FEATURE_DIM}" in err
+        assert not out.exists()
+
     def write_foreign(self, path):
         path.write_text('{"magic": "NOPE"}')
 
@@ -584,6 +605,9 @@ class TestEvaluate:
              "2007-01-01T01:00:00,1.0,0.1,0.2,1.0,2.0\n"
              "2007-01-01T00:00:00,1.0,0.1,0.2,1.0,2.0\n",
              "line 4: timestamp 2007-01-01T00:00:00 repeats line 2"),
+            ("2007-01-01T00:00:00,1.0,0.1,0.2,1.0,2.0\n"
+             "2007-01-01T01:00:00,1.0,0.1,,,\n",
+             "line 3: sigma_log is empty but not on line 2"),
         ],
         ids=[
             "header_only",
@@ -593,6 +617,7 @@ class TestEvaluate:
             "inf_mu_log",
             "negative_sigma_log",
             "repeated_timestamp",
+            "mixed_sigma",
         ],
     )
     def test_malformed_forecasts_exit_with_data_error(

@@ -4,12 +4,15 @@
 each ``(module, attribute)`` of ``tracing.SPANNED`` and ``tracing.COUNTED``,
 and the workloads time calls through ``CallTimer("module", "attr", ...)``.
 A deleted or renamed name would only show in a benchmark run; these tests
-read ``perfbench/`` as it is and fail first.
+read ``perfbench/`` as it is and fail first.  Some hooks also read a
+traced call's arguments by position, so a reordered parameter would
+silently miscount a traced metric; those positions are checked too.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import pathlib
 
 import pytest
@@ -72,3 +75,27 @@ def test_the_benchmark_names_were_found():
 @pytest.mark.parametrize("module_name, attr", TRACED + TIMED)
 def test_name_resolves(module_name, attr):
     assert unresolved(module_name, attr) is None
+
+
+# The leading parameters each tracing hook reads by position (``args[i]``);
+# ``forecast_range``'s hook reads the pipeline, ``self``.
+HOOK_POSITIONS = [
+    ("rnnp.model", "forward_sequence", ["params", "spec", "xs"]),
+    ("rnnp.training", "evaluate_loss", ["params", "spec", "windows", "head"]),
+    ("rnnp.pipeline", "LoadForecastPipeline.forecast_range", ["self"]),
+    ("rnnp.pipeline", "write_forecast_csv", ["forecasts", "path"]),
+]
+
+
+@pytest.mark.parametrize("module_name, attr, leading", HOOK_POSITIONS)
+def test_hooked_parameters_keep_their_positions(module_name, attr, leading):
+    hooked = {(m, a) for m, a, hook in TRACING.SPANNED if hook is not None}
+    assert (module_name, attr) in hooked
+    target = importlib.import_module(module_name)
+    for part in attr.split("."):
+        target = getattr(target, part)
+    params = list(inspect.signature(target).parameters.values())[: len(leading)]
+    assert [p.name for p in params] == leading
+    assert all(
+        p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD) for p in params
+    )

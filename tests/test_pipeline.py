@@ -12,6 +12,7 @@ from datetime import date, datetime, timedelta
 import pytest
 
 import rnnp.forecaster
+import rnnp.pipeline
 from rnnp.base import DataValidationError
 from rnnp.features import CalendarFeatureEncoder
 from rnnp.linalg import Matrix, Rng
@@ -464,7 +465,25 @@ class TestWalkForward:
         assert rows[0].test_year == 2008
         assert rows[0].report.rmse_mwh > 0.0
 
-    def test_one_row_per_lag_set_and_year(self):
+    def test_one_row_per_lag_set_and_year(self, monkeypatch):
+        # predict_output runs once per test hour, never inside grid_search:
+        # the benchmark counts these calls as walk_forward's requests.
+        calls = {"total": 0, "in_grid_search": 0}
+        predict_output = rnnp.forecaster.RnnForecaster.predict_output
+        grid_search = rnnp.pipeline.grid_search
+
+        def counting(self, rows):
+            calls["total"] += 1
+            return predict_output(self, rows)
+
+        def searching(*args, **kwargs):
+            before = calls["total"]
+            cells = grid_search(*args, **kwargs)
+            calls["in_grid_search"] += calls["total"] - before
+            return cells
+
+        monkeypatch.setattr(rnnp.forecaster.RnnForecaster, "predict_output", counting)
+        monkeypatch.setattr(rnnp.pipeline, "grid_search", searching)
         series, _ = make_series(years=3, seed=58)
         plan = build_walk_forward_plan(2007, 1, 2)
         rows = run_walk_forward(
@@ -483,3 +502,8 @@ class TestWalkForward:
             ((1, 2), 2008),
             ((1, 2), 2009),
         ]
+        test_hours = sum(
+            len(range(*series.index_range(s.test_start, s.test_end))) for s in plan
+        )
+        assert test_hours == 366 * 24 + 365 * 24
+        assert calls == {"total": 2 * test_hours, "in_grid_search": 0}

@@ -238,9 +238,9 @@ class TestDeseasonalizer:
         nrs = model.transform(series)
         assert abs(sum(nrs.residuals) / len(nrs.residuals)) <= 1e-10
 
-    def test_regressors_before_fit_rejected(self):
+    def test_seasonal_at_before_fit_rejected(self):
         with pytest.raises(NotFittedError):
-            HourlyDeseasonalizer().regressors(datetime(2007, 1, 1))
+            HourlyDeseasonalizer().seasonal_at(datetime(2007, 1, 1))
 
 
 class TestCalendarPassBitIdentity:
@@ -264,7 +264,6 @@ class TestCalendarPassBitIdentity:
         series, model = leap_year_model
         for ts in series.timestamps:
             row = reference_regressors(ts, HOLIDAYS_2008, series.start)
-            assert repr(model.regressors(ts)) == repr(row), ts.isoformat()
             acc = 0.0
             for c, r in zip(model.coef_[ts.hour], row):
                 acc += c * r
