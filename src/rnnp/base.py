@@ -14,6 +14,7 @@ import inspect
 import math
 import os
 from contextlib import contextmanager
+from datetime import datetime
 from typing import Any, Iterable
 
 
@@ -131,6 +132,18 @@ def checkpoint_field(record: Any, *keys: str, kind: Any = None) -> Any:
     if kind is not None:
         check_kind(record, kind, ".".join(keys), DataValidationError, "checkpoint")
     return record
+
+
+def naive_timestamp(text: str) -> datetime:
+    """``datetime.fromisoformat(text)`` for a naive timestamp, a local civil
+    hour.  A timestamp with a UTC offset raises ``ValueError``: it cannot
+    be compared with the naive hours of a series."""
+    ts = datetime.fromisoformat(text)
+    if ts.tzinfo is not None:
+        raise ValueError(
+            f"timestamp {text!r} has a UTC offset; timestamps are naive local hours"
+        )
+    return ts
 
 
 @contextmanager

@@ -26,6 +26,7 @@ from .base import (
     NumericError,
     atomic_write,
     check_kind,
+    naive_timestamp,
 )
 from .bench import emit_csv, gain_factors, sweep_neurons, sweep_tau
 from .engines import BPTT_GUARD, macronode_count
@@ -96,9 +97,9 @@ def load_config(path: str | None) -> dict:
 
 def _parse_ts(text: str, what: str) -> datetime:
     try:
-        return datetime.fromisoformat(text)
-    except ValueError:
-        raise ConfigError(f"{what} is not an ISO timestamp: {text!r}") from None
+        return naive_timestamp(text)
+    except ValueError as exc:
+        raise ConfigError(f"{what} is not a naive ISO timestamp: {exc}") from None
 
 
 def _check_out_dirs(*paths) -> None:

@@ -24,13 +24,16 @@ the value comes back on ``GradientPair.loss``.  trrl and bptt share all
 but their traversal (``_tree_gradients``): the tree node
 (``_node_kernel``) yields a step's children, trrl merges them by step and
 bptt recurses into each.  Every engine adds its input-layer terms through
-one column routine (``_input_layer_terms``).
+one pass over dense input rows (``_input_layer_terms``), whether its log
+holds a whole walk (trrl) or one entry (bptt, rtrl).
 
-The node, its pushes and the column sums are straight-line code
-generated per shape, (hidden_dim, y_dim, lag_set): ``kernel_source``
-returns the text, built from those integers alone, and ``_kernels``
-compiles it once per shape into a bounded cache.  Every sum keeps the
-order of the loop it replaces, so the bits are those of the loop form.
+The node, its pushes and the input-layer pass are straight-line code
+generated per shape, (hidden_dim, x_dim, y_dim, lag_set):
+``kernel_source`` returns the text, built from those integers alone, and
+``_kernels`` compiles it once per shape into a bounded cache.  The input
+projection is generated the same way (``model.projection_source``).
+Every sum keeps the order of the loop it replaces, so the bits are those
+of the loop form.
 
 Engines are pure functions of (params, xs): parameters are never
 mutated, every call owns its counter and workspace, and concurrent calls
@@ -56,14 +59,13 @@ from .model import (
     ForwardTrace,
     ModelParams,
     RnnSpec,
+    _names,
     check_finite_step,
     forward_sequence,
     forward_steps,
-    nonzero_rows,
     pack,
     phi_offsets,
-    project_nonzero,
-    theta_offsets,
+    project_inputs,
     unpack,
 )
 from .pbonacci import U128_MAX
@@ -102,48 +104,45 @@ class GradientPair:
                 raise NumericError("non-finite phi gradient")
 
 
-def kernel_source(hidden_dim: int, y_dim: int, lag_set: tuple) -> str:
+def kernel_source(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> str:
     """The straight-line Python source of the gradient kernels for one shape.
 
     It defines two functions, compiled once per shape by ``_kernels``:
 
-    * ``make_node(v, ws, h_steps, y_steps, x_nz, d_phi, add_macs, macs)``
-      binds one call's weights (``V.data``, each ``W_l.data``) and trace
-      as closure locals and returns the tree node of ``_node_kernel``.
-      Every loop over h, y and the lags is unrolled; a row sum is written
-      ``0.0 + a * b + ...``, which Python adds left to right, so each sum
-      keeps the order and the bits of the loop it replaces.
-    * ``add_columns(dest, columns, b_cols, qs)`` is the input-layer
-      column kernel of ``_input_layer_terms``, with the hidden rows
-      unrolled: per theta column, ``dest[cols] += q * v`` over its
-      ``(q, v)`` pairs in log order; then ``dest[b_cols] += q`` over
-      ``qs``.
+    * ``make_node(v, ws, h_steps, y_steps, xs, d_phi, add_macs, macs)``
+      binds one call's weights (``V.data``, each ``W_l.data``), trace and
+      input rows as closure locals and returns the tree node of
+      ``_node_kernel``.  Every loop over h, y and the lags is unrolled; a
+      row sum is written ``0.0 + a * b + ...``, which Python adds left to
+      right, so each sum keeps the order and the bits of the loop it
+      replaces.
+    * ``add_log(dest, log)`` is the input-layer pass of
+      ``_input_layer_terms``.  It unpacks every theta entry of ``dest``
+      (U, each W_l, b) into locals once; per log entry, in log order, it
+      adds the products of the nonzero inputs, then the feedback terms of
+      the lags that reach inside the window, then the bias terms; it
+      writes ``dest`` back once.
 
-    The text is built from the three validated shape integers alone; no
+    The text is built from the four validated shape integers alone; no
     weight or input value is ever written into it.  Print it to read it:
-    ``print(kernel_source(8, 2, (1, 2, 24)))``.
+    ``print(kernel_source(8, 13, 2, (1, 2, 24)))``.
     """
-    h, y, lags = hidden_dim, y_dim, tuple(lag_set)
-    if not all(type(n) is int for n in (h, y, *lags)):
-        raise TypeError(f"shape must be ints, got {h!r}, {y!r}, {lags!r}")
-    if h < 1 or y < 1 or not lags or lags[0] < 1 or list(lags) != sorted(set(lags)):
-        raise ValueError(f"not a valid shape: {h!r}, {y!r}, {lags!r}")
-    rows, outs = range(h), range(y)
-
-    def names(prefix: str, ids) -> str:
-        """A tuple display of the names prefix + id, e.g. ``(q0, q1)``."""
-        items = [f"{prefix}{i}" for i in ids]
-        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+    h, x, y, lags = hidden_dim, x_dim, y_dim, tuple(lag_set)
+    if not all(type(n) is int for n in (h, x, y, *lags)):
+        raise TypeError(f"shape must be ints, got {h!r}, {x!r}, {y!r}, {lags!r}")
+    if min(h, x, y) < 1 or not lags or lags[0] < 1 or list(lags) != sorted(set(lags)):
+        raise ValueError(f"not a valid shape: {h!r}, {x!r}, {y!r}, {lags!r}")
+    rows, cols, outs = range(h), range(x), range(y)
 
     def row_sum(terms) -> str:
         return " + ".join(["0.0", *terms])
 
-    lines = ["def make_node(v, ws, h_steps, y_steps, x_nz, d_phi, add_macs, macs):"]
-    lines.append(f"    {names('v', (f'{k}_{j}' for k in outs for j in rows))} = v")
+    lines = ["def make_node(v, ws, h_steps, y_steps, xs, d_phi, add_macs, macs):"]
+    lines.append(f"    {_names('v', (f'{k}_{j}' for k in outs for j in rows))} = v")
     for i in range(len(lags)):
         ids = (f"{i}_{r}_{k}" for r in rows for k in outs)
-        lines.append(f"    {names('w', ids)} = ws[{i}]")
-    lines += ["", "    def children(t, q):", f"        {names('q', rows)} = q"]
+        lines.append(f"    {_names('w', ids)} = ws[{i}]")
+    lines += ["", "    def children(t, q):", f"        {_names('q', rows)} = q"]
     for i, lag in enumerate(lags):
         push = ", ".join(
             row_sum(f"w{i}_{r}_{k} * q{r}" for r in rows) for k in outs
@@ -157,8 +156,8 @@ def kernel_source(hidden_dim: int, y_dim: int, lag_set: tuple) -> str:
     lines += [
         "",
         "    def node(t, g):",
-        f"        {names('h', rows)} = h_steps[t - 1]",
-        f"        {names('g', outs)} = g",
+        f"        {_names('h', rows)} = h_steps[t - 1]",
+        f"        {_names('g', outs)} = g",
     ]
     for k in outs:
         lines += [f"        d_phi[{k * h + j}] += g{k} * h{j}" for j in rows]
@@ -175,106 +174,80 @@ def kernel_source(hidden_dim: int, y_dim: int, lag_set: tuple) -> str:
     # Lags increase, so those reaching inside the window are a prefix.
     keyword = "if"
     for n in range(len(lags), 0, -1):
-        fbs = names("y_steps", (f"[t - {1 + lag}]" for lag in lags[:n]))
+        fbs = _names("y_steps", (f"[t - {1 + lag}]" for lag in lags[:n]))
         lines += [f"        {keyword} t > {lags[n - 1]}:", f"            feedbacks = {fbs}"]
         keyword = "elif"
+    # The theta entries in packed order: U, each W_l, b, all row-major.
+    theta = _names(
+        "",
+        [f"u{r}_{c}" for r in rows for c in cols]
+        + [f"w{i}_{r}_{k}" for i in range(len(lags)) for r in rows for k in outs]
+        + [f"b{r}" for r in rows],
+    )
     lines += [
         "        else:",
         "            feedbacks = ()",
-        "        return (q, x_nz[t - 1], feedbacks), children(t, q)",
+        "        return (q, xs[t - 1], feedbacks), children(t, q)",
         "",
         "    return node",
         "",
         "",
-        "def add_columns(dest, columns, b_cols, qs):",
-        "    for cols, pairs in columns:",
-        f"        {names('a', rows)} = dest[cols]",
-        "        for q, v in pairs:",
-        f"            {names('q', rows)} = q",
+        "def add_log(dest, log):",
+        f"    {theta} = dest",
+        "    for q, x, feedbacks in log:",
+        f"        {_names('q', rows)} = q",
+        f"        {_names('x', cols)} = x",
     ]
-    lines += [f"            a{r} += q{r} * v" for r in rows]
-    lines += [
-        f"        dest[cols] = {names('a', rows)}",
-        f"    {names('a', rows)} = dest[b_cols]",
-        "    for q in qs:",
-        f"        {names('q', rows)} = q",
-    ]
-    lines += [f"        a{r} += q{r}" for r in rows]
-    lines += [f"    dest[b_cols] = {names('a', rows)}", ""]
+    for c in cols:
+        lines.append(f"        if x{c} != 0.0:")
+        lines += [f"            u{r}_{c} += q{r} * x{c}" for r in rows]
+    lines.append("        n = len(feedbacks)")
+    for i in range(len(lags)):
+        lines += [f"        if n > {i}:", f"            {_names('f', outs)} = feedbacks[{i}]"]
+        lines += [f"            w{i}_{r}_{k} += q{r} * f{k}" for r in rows for k in outs]
+    lines += [f"        b{r} += q{r}" for r in rows]
+    lines += [f"    dest[:] = {theta}", ""]
     return "\n".join(lines)
 
 
 @functools.lru_cache(maxsize=64)
-def _kernels(hidden_dim: int, y_dim: int, lag_set: tuple) -> tuple:
-    """``kernel_source`` compiled once per shape: ``(make_node,
-    add_columns)``.  The compiled functions keep no state between calls.
-    The cache holds every shape of the gradcheck's instance set."""
-    source = kernel_source(hidden_dim, y_dim, lag_set)
+def _kernels(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> tuple:
+    """``kernel_source`` compiled once per shape: ``(make_node, add_log)``.
+    The compiled functions keep no state between calls.  The cache holds
+    every shape of the gradcheck's instance set."""
+    source = kernel_source(hidden_dim, x_dim, y_dim, lag_set)
     namespace = {"check_finite_step": check_finite_step}
-    filename = f"<rnnp kernels h={hidden_dim} y={y_dim} lags={lag_set}>"
+    filename = f"<rnnp kernels h={hidden_dim} x={x_dim} y={y_dim} lags={lag_set}>"
     exec(compile(source, filename, "exec"), namespace)
-    return namespace["make_node"], namespace["add_columns"]
+    return namespace["make_node"], namespace["add_log"]
 
 
 def _input_layer_terms(spec: RnnSpec):
     """The input-layer gradient of one engine call, as ``add(dest, log)``:
     dest += (da/dtheta)^T q summed over the log's entries, into the U, W_l
-    and b entries of ``dest``.
+    and b entries of ``dest``, a theta-sized list.
 
-    A log entry is ``(q, x_nz, feedbacks)``: a folded gradient, the
-    ``nonzero_rows`` pairs of its step's input row and the outputs of the
-    lags that reach inside the window, a prefix of the lag set.  Each
-    theta entry gets one product per log entry, added in log order to its
-    current value, so the bits are those of adding the entries one at a
-    time.  The log is grouped by theta column (each U column, each W_l
-    column, b) and summed by the generated column kernel
-    (``kernel_source``), each column's hidden rows in local accumulators.
-    A log of one entry (a bptt visit, an rtrl output row) goes through the
-    same kernel, its columns listed straight from the entry.
-    The products of a zero input, and the W_l terms of a lag reaching
-    before the window start, whose feedback is the zero vector, are
-    skipped; the sums started at +0.0, so the bits are those of the dense
-    update (see ``project_nonzero``).  The caller counts the dense
+    A log entry is ``(q, x, feedbacks)``: a folded gradient, its step's
+    input row and the outputs of the lags that reach inside the window, a
+    prefix of the lag set.  Each theta entry gets one product per log
+    entry, added in log order to its current value, so the bits are those
+    of adding the entries one at a time.  ``add`` is the generated
+    ``add_log`` of the spec's shape (``kernel_source``); one form serves
+    trrl's whole log and the one-entry logs of bptt and rtrl.  The
+    products of a zero input, and the W_l terms of a lag reaching before
+    the window start, whose feedback is the zero vector, are skipped; the
+    sums started at +0.0, so the bits are those of the dense update (see
+    ``model.projection_source``).  The caller counts the dense
     h*x + p*h*y multiplies per entry.
     """
-    h, x, y = spec.hidden_dim, spec.x_dim, spec.y_dim
-    _, w_offs, b_off = theta_offsets(spec)
-    # The theta entries of each U column, each W_l column and b, by hidden row.
-    u_cols = [slice(c, h * x, x) for c in range(x)]
-    w_cols = [[slice(off + k, off + h * y, y) for k in range(y)] for off in w_offs]
-    b_cols = slice(b_off, b_off + h)
-    _, add_columns = _kernels(h, y, spec.lag_set)
-
-    def add(dest: list, log: list) -> None:
-        if len(log) == 1:
-            # One entry needs no grouping: each nonzero input and each
-            # reachable lag's feedback entry is a column of one pair.
-            ((q, x_nz, feedbacks),) = log
-            columns = [(u_cols[c], ((q, v),)) for c, v in x_nz]
-            for fb, cols in zip(feedbacks, w_cols):
-                columns += [(col, ((q, v),)) for col, v in zip(cols, fb)]
-        else:
-            # Per theta column: its (q, factor) pairs in log order.
-            x_pairs = [[] for _ in u_cols]
-            for q, x_nz, _ in log:
-                for c, v in x_nz:
-                    x_pairs[c].append((q, v))
-            columns = [(cols, pairs) for cols, pairs in zip(u_cols, x_pairs) if pairs]
-            for i, cols in enumerate(w_cols):
-                fbs = [(q, fb[i]) for q, _, fb in log if i < len(fb)]
-                if not fbs:
-                    break  # nor does any later lag reach
-                for k, col in enumerate(cols):
-                    columns.append((col, [(q, fb[k]) for q, fb in fbs]))
-        add_columns(dest, columns, b_cols, [q for q, _, _ in log])
-
-    return add
+    return _kernels(spec.hidden_dim, spec.x_dim, spec.y_dim, spec.lag_set)[1]
 
 
 def _node_kernel(
     params: ModelParams,
     spec: RnnSpec,
     trace: ForwardTrace,
+    xs: list,
     grads: GradientPair,
     counter: OpCounter,
 ):
@@ -284,24 +257,24 @@ def _node_kernel(
     ``node`` backpropagates the output gradient g of step t: it adds the
     output-layer terms (V, c) to ``grads`` and folds g into
     q = (V diag(h'))^T g, h' = h (1 - h).  ``entry`` is step t's
-    input-layer log entry (``_input_layer_terms``), with the feedbacks of
-    the lags that reach inside the window, a prefix of the lag set.
-    ``children`` yields ``(t - l, W_l^T q)`` for those lags in lag-set
-    order, each push made only when the walk takes it; a push entry is a
-    column of W_l dotted with q, summed from 0.0 over increasing row.
-    The node is the generated ``make_node`` of the call's shape
-    (``kernel_source``), bound to this call's weights and trace.  Counts
-    the dense 2*y*h + 2*h + h*x + p*h*y multiplies per node and h*y per
-    push.
+    input-layer log entry (``_input_layer_terms``): q, the input row
+    ``xs[t - 1]`` and the feedbacks of the lags that reach inside the
+    window, a prefix of the lag set.  ``children`` yields
+    ``(t - l, W_l^T q)`` for those lags in lag-set order, each push made
+    only when the walk takes it; a push entry is a column of W_l dotted
+    with q, summed from 0.0 over increasing row.  The node is the
+    generated ``make_node`` of the call's shape (``kernel_source``), bound
+    to this call's weights, trace and rows.  Counts the dense
+    2*y*h + 2*h + h*x + p*h*y multiplies per node and h*y per push.
     """
     h, x, y = spec.hidden_dim, spec.x_dim, spec.y_dim
-    make_node, _ = _kernels(h, y, spec.lag_set)
+    make_node, _ = _kernels(h, x, y, spec.lag_set)
     return make_node(
         params.V.data,
         [W_l.data for W_l in params.W],
         trace.h_steps,
         trace.y_steps,
-        trace.x_nz,
+        xs,
         grads.d_phi,
         counter.add_macs,
         2 * y * h + 2 * h + h * x + spec.p * h * y,
@@ -335,7 +308,7 @@ def _tree_gradients(params: ModelParams, spec: RnnSpec, xs: list, loss, walk) ->
     counter.grad_floats_alloc(trace_floats)
     loss_value, g0 = _loss_gradient(loss, trace.y_final, spec)
     grads = GradientPair([0.0] * spec.theta_size, [0.0] * spec.phi_size, loss_value)
-    node = _node_kernel(params, spec, trace, grads, counter)
+    node = _node_kernel(params, spec, trace, xs, grads, counter)
     add = _input_layer_terms(spec)
     walk(node, lambda log: add(grads.d_theta, log), len(xs), g0, counter)
     counter.grad_floats_free(trace_floats)
@@ -426,8 +399,7 @@ def rtrl_gradients(
     add_input_terms = _input_layer_terms(spec)
 
     # The forward steps are shared by every engine and not counted.
-    x_nz = list(nonzero_rows(spec, xs))
-    rows = project_nonzero(params, spec, x_nz)
+    rows = project_inputs(params, spec, xs)
     for t, (h_t, yhat) in enumerate(forward_steps(params, spec, rows), 1):
         # B = V diag(h'), y x h.
         b_rows = []
@@ -489,7 +461,7 @@ def rtrl_gradients(
 
         feedbacks = [y_ring[t - lag] for lag in spec.lag_set if lag < t]
         for k in range(y):
-            add_input_terms(new_jth[k], [(b_rows[k], x_nz[t - 1], feedbacks)])
+            add_input_terms(new_jth[k], [(b_rows[k], xs[t - 1], feedbacks)])
         counter.add_macs(y * (h * spec.x_dim + spec.p * h * y))
 
         for k in range(y):
@@ -573,22 +545,22 @@ def finite_difference_gradients(
 
     Each entry, in packed order, is set to w + step and to w - step in one
     private copy of the parameters and restored; the caller's ``params``
-    are never touched.  The input rows' ``nonzero_rows`` are found once
-    and projected once at the unperturbed parameters.  A ``W_l``, ``V`` or
-    ``c`` entry cannot change a projection, so its evaluations run
-    ``forward_steps`` over those shared rows; a ``U`` or ``b`` entry
-    re-projects them.  Every sum keeps its order, so the bits are those of
-    one ``forward_sequence`` per evaluation.  ``loss`` on the result is the
-    loss at the unperturbed parameters.
+    are never touched.  The input rows are projected once at the
+    unperturbed parameters.  A ``W_l``, ``V`` or ``c`` entry cannot change
+    a projection, so its evaluations run ``forward_steps`` over those
+    shared rows; a ``U`` or ``b`` entry re-projects them, binding the
+    generated projection to the perturbed values.  Every sum keeps its
+    order, so the bits are those of one ``forward_sequence`` per
+    evaluation.  ``loss`` on the result is the loss at the unperturbed
+    parameters.
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be a finite positive number, got {step}")
     p = unpack(pack(params, spec), spec)
-    x_nz = list(nonzero_rows(spec, xs))
-    base_rows = list(project_nonzero(p, spec, x_nz))
+    base_rows = list(project_inputs(p, spec, xs))
 
     def loss_at(reproject: bool) -> float:
-        rows = project_nonzero(p, spec, x_nz) if reproject else base_rows
+        rows = project_inputs(p, spec, xs) if reproject else base_rows
         for _, y_final in forward_steps(p, spec, rows):
             pass
         value, _ = loss(y_final)

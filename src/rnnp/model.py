@@ -10,10 +10,18 @@ with yhat(s) = 0 for s <= 0.  Feedbacks are the model's own previous
 outputs, so a sequence is processed closed-loop from a zero start.  The
 lag set need not be contiguous: {1, 2, 24} wires hourly and daily
 feedbacks directly.
+
+The forward pass is two stages: ``project_inputs`` computes b + U x(t)
+for each input row and ``forward_steps`` runs the recurrence over those
+projected rows.  The projection is straight-line code generated once per
+(x_dim, hidden_dim) from those two integers alone
+(``projection_source``): it reads dense rows, tests each column once,
+and skips the products of zero inputs without changing a bit.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -228,69 +236,91 @@ def check_finite_step(vec: list, what: str, step: int) -> None:
 
 @dataclass
 class ForwardTrace:
-    """Per-step activations of one processed sequence (1-based step t),
-    and the ``nonzero_rows`` of its inputs, which the gradient engines
-    read instead of finding them again."""
+    """Per-step activations of one processed sequence (1-based step t)."""
 
     h_steps: list = field(default_factory=list)
     y_steps: list = field(default_factory=list)
-    x_nz: list = field(default_factory=list)
 
     @property
     def y_final(self) -> list:
         return self.y_steps[-1]
 
 
-def nonzero_rows(spec: RnnSpec, xs):
-    """Yields, for each input row of ``xs``, the ``(column, value)`` pairs
-    of its entries that are not 0.0 (nor -0.0), in increasing column
-    order.  A row whose length is not ``x_dim`` raises ``ValueError``."""
-    x_dim = spec.x_dim
-    for x_t in xs:
-        if len(x_t) != x_dim:
-            raise ValueError(f"input has length {len(x_t)}, expected {x_dim}")
-        yield [(c, v) for c, v in enumerate(x_t) if v != 0.0]
+def _names(prefix: str, ids) -> str:
+    """A tuple display of the names prefix + id, e.g. ``(q0, q1)``; the
+    generated kernels unpack a vector into such locals."""
+    items = [f"{prefix}{i}" for i in ids]
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
+def projection_source(x_dim: int, hidden_dim: int) -> str:
+    """The straight-line Python source of the projection for one shape.
+
+    It defines ``project(u, b, xs)``, compiled once per shape by
+    ``_projection``: a generator that unpacks ``U.data`` and ``b`` into
+    locals, then for each row of ``xs`` checks its length, unpacks it and
+    yields ``[a_0 + b_0, a_1 + b_1, ...]``.  Each accumulator a_r starts at
+    0.0 and adds ``U[r,c] * x_c`` over increasing column c; each column is
+    tested once with ``!= 0.0``, and the products of a zero (or -0.0)
+    input are skipped.  That skip changes no bit: a sum that starts at
+    +0.0 is never -0.0 in round-to-nearest, so adding a +0.0 or -0.0
+    product leaves it as it is, and ``U`` is finite, so a skipped product
+    is never NaN.  The gradient engines skip the same products on the same
+    argument.
+
+    The text is built from the two validated shape integers alone; no
+    weight or input value is ever written into it.  Print it to read it:
+    ``print(projection_source(13, 8))``.
+    """
+    x, h = x_dim, hidden_dim
+    if not all(type(n) is int for n in (x, h)):
+        raise TypeError(f"shape must be ints, got {x!r}, {h!r}")
+    if x < 1 or h < 1:
+        raise ValueError(f"not a valid shape: {x!r}, {h!r}")
+    rows, cols = range(h), range(x)
+    lines = [
+        "def project(u, b, xs):",
+        f"    {_names('u', (f'{r}_{c}' for r in rows for c in cols))} = u",
+        f"    {_names('b', rows)} = b",
+        "    for x in xs:",
+        f"        if len(x) != {x}:",
+        f'            raise ValueError(f"input has length {{len(x)}}, expected {x}")',
+        f"        {_names('x', cols)} = x",
+        "        " + " = ".join(f"a{r}" for r in rows) + " = 0.0",
+    ]
+    for c in cols:
+        lines.append(f"        if x{c} != 0.0:")
+        lines += [f"            a{r} += u{r}_{c} * x{c}" for r in rows]
+    lines += [f"        yield [{', '.join(f'a{r} + b{r}' for r in rows)}]", ""]
+    return "\n".join(lines)
+
+
+@functools.lru_cache(maxsize=64)
+def _projection(x_dim: int, hidden_dim: int):
+    """``projection_source`` compiled once per shape: ``project``.  The
+    compiled function keeps no state between calls."""
+    namespace: dict = {}
+    filename = f"<rnnp projection x={x_dim} h={hidden_dim}>"
+    exec(compile(projection_source(x_dim, hidden_dim), filename, "exec"), namespace)
+    return namespace["project"]
 
 
 def project_inputs(params: ModelParams, spec: RnnSpec, xs):
     """Projection stage: yields ``U x(t) + b`` for each input row of ``xs``.
 
     Each yielded list holds, per hidden row r, ``(sum_c U[r,c] x_c) + b_r``
-    with the sum from 0.0 over increasing column index.  A projection
-    depends on the parameters and its own input row alone, so a caller
-    whose parameters are fixed can project each row once and pass the
-    result to every window that contains it (see ``forward_steps``).
-    Rows are projected as they are pulled, so ``xs`` may be any iterable.
-    It is ``project_nonzero`` over the rows' ``nonzero_rows``.
+    with the sum from 0.0 over increasing column index, the products of
+    zero inputs skipped.  It is the only forward code that reads ``U`` and
+    ``b``: the generated ``project`` of the spec's shape
+    (``projection_source``), bound to ``params.U`` and ``params.b`` when
+    the first row is pulled.  A row whose length is not ``x_dim`` raises
+    ``ValueError``.  A projection depends on the parameters and its own
+    input row alone, so a caller whose parameters are fixed can project
+    each row once and pass the result to every window that contains it
+    (see ``forward_steps``).  Rows are projected as they are pulled, so
+    ``xs`` may be any iterable.
     """
-    return project_nonzero(params, spec, nonzero_rows(spec, xs))
-
-
-def project_nonzero(params: ModelParams, spec: RnnSpec, x_nz):
-    """``project_inputs`` of rows given as their ``nonzero_rows``; the only
-    forward code that reads ``U`` and ``b``.
-
-    The sum runs over the row's nonzero entries alone: calendar rows are
-    about half exact zeros.  That skip changes no bit.  A sum that starts
-    at +0.0 is never -0.0 in round-to-nearest, so adding a +0.0 or -0.0
-    product leaves it as it is, and ``U`` is finite, so a skipped product
-    is never NaN.  The gradient engines skip the same products on the same
-    argument.
-    """
-    x_dim = spec.x_dim
-    u = params.U.data
-    # Per hidden row: its U row and its bias.
-    rows = [
-        (u[r * x_dim : (r + 1) * x_dim], params.b[r]) for r in range(spec.hidden_dim)
-    ]
-    for nz in x_nz:
-        a = []
-        for u_r, b_r in rows:
-            acc = 0.0
-            for c, xc in nz:
-                acc += u_r[c] * xc
-            a.append(acc + b_r)
-        yield a
+    return _projection(spec.x_dim, spec.hidden_dim)(params.U.data, params.b, xs)
 
 
 def forward_steps(params: ModelParams, spec: RnnSpec, rows):
@@ -363,13 +393,12 @@ def forward_steps(params: ModelParams, spec: RnnSpec, rows):
 def forward_sequence(params: ModelParams, spec: RnnSpec, xs) -> ForwardTrace:
     """Closed-loop forward pass over input rows, collected into a trace.
 
-    Scans each row once for its ``nonzero_rows`` and keeps them on the
-    trace, then runs ``forward_steps`` over their ``project_nonzero``
-    rows.  Feedbacks are the model's own outputs from earlier steps of the
-    same window; steps before the window start contribute zero vectors.
+    Runs ``forward_steps`` over the rows' ``project_inputs``.  Feedbacks
+    are the model's own outputs from earlier steps of the same window;
+    steps before the window start contribute zero vectors.
     """
-    trace = ForwardTrace(x_nz=list(nonzero_rows(spec, xs)))
-    for h, y in forward_steps(params, spec, project_nonzero(params, spec, trace.x_nz)):
+    trace = ForwardTrace()
+    for h, y in forward_steps(params, spec, project_inputs(params, spec, xs)):
         trace.h_steps.append(h)
         trace.y_steps.append(y)
     return trace

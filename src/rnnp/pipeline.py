@@ -29,6 +29,7 @@ from .base import (
     check_fitted,
     check_kind,
     checkpoint_field,
+    naive_timestamp,
     open_utf8,
 )
 from .features import FEATURE_DIM, CalendarFeatureEncoder
@@ -346,11 +347,13 @@ def write_forecast_csv(forecasts: list, path: str) -> None:
 def read_forecast_csv(path: str) -> list:
     """Read back (timestamp, point, mu_log, sigma_log or None) rows.
 
-    A file without rows, a field that does not parse, a non-finite
-    ``point`` or ``mu_log``, a ``sigma_log`` that is present but not a
-    finite positive number or that is empty on some rows and set on others,
-    or a timestamp that an earlier line already holds raises
-    ``DataValidationError`` naming the file or the line.
+    A file without rows, a field that does not parse, a timestamp with a
+    UTC offset, a non-finite ``point`` or ``mu_log``, a ``sigma_log`` that
+    is present but not a finite positive number or that is empty on some
+    rows and set on others, ``q05``/``q95`` that are not both finite
+    positive numbers with ``q05 <= q95`` where ``sigma_log`` is set, nor
+    both empty where it is not, or a timestamp that an earlier line already
+    holds raises ``DataValidationError`` naming the file or the line.
     """
     rows = []
     line_of = {}  # timestamp -> the line that holds it
@@ -360,7 +363,7 @@ def read_forecast_csv(path: str) -> list:
             raise DataValidationError(f"bad forecast header {reader.fieldnames!r}")
         for rec in reader:
             try:
-                ts = datetime.fromisoformat(rec["timestamp"])
+                ts = naive_timestamp(rec["timestamp"])
                 point, mu_log = float(rec["point"]), float(rec["mu_log"])
                 sigma_log = float(rec["sigma_log"]) if rec["sigma_log"] else None
                 if not (math.isfinite(point) and math.isfinite(mu_log)):
@@ -371,6 +374,20 @@ def read_forecast_csv(path: str) -> list:
                     raise ValueError(
                         f"sigma_log {sigma_log!r} is not a finite positive number"
                     )
+                quantiles = (rec["q05"], rec["q95"])
+                if sigma_log is None:
+                    if quantiles != ("", ""):
+                        raise ValueError(
+                            f"q05 {quantiles[0]!r} and q95 {quantiles[1]!r} must be "
+                            f"empty where sigma_log is"
+                        )
+                else:
+                    q05, q95 = float(quantiles[0]), float(quantiles[1])
+                    if not (0.0 < q05 <= q95 < math.inf):
+                        raise ValueError(
+                            f"q05 {q05!r} and q95 {q95!r} are not finite positive "
+                            f"numbers with q05 <= q95"
+                        )
                 first = line_of.setdefault(ts, reader.line_num)
                 if first != reader.line_num:
                     raise ValueError(f"timestamp {ts.isoformat()} repeats line {first}")

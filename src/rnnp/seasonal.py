@@ -30,6 +30,7 @@ from .base import (
     DataValidationError,
     check_fitted,
     checkpoint_field,
+    naive_timestamp,
 )
 from .features import calendar_pass
 from .series import HourlySeries
@@ -251,10 +252,10 @@ class HourlyDeseasonalizer(BaseEstimator):
             )
         origin = checkpoint_field(extras, "seasonal", "fit_origin", kind=str)
         try:
-            des.fit_origin_ = datetime.fromisoformat(origin)
-        except ValueError:
+            des.fit_origin_ = naive_timestamp(origin)
+        except ValueError as exc:
             raise DataValidationError(
-                f"checkpoint value seasonal.fit_origin is not a timestamp: {origin!r}"
+                f"checkpoint value seasonal.fit_origin is not a naive timestamp: {exc}"
             ) from None
         hours = {str(h): [NUMBER] for h in range(24)}
         coef = checkpoint_field(extras, "seasonal", "coef", kind=hours)

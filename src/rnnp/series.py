@@ -4,10 +4,10 @@ Input CSV schema (header required, one row per hour):
 
     timestamp,demand_mwh,drybulb_f,wetbulb_f
 
-``timestamp`` is an ISO-8601 local civil hour.  Rows must be sorted,
-strictly hourly with no gaps or duplicates, and demand must be strictly
-positive because the pipeline works on its logarithm.  A holiday file is
-one ISO date per line.
+``timestamp`` is an ISO-8601 local civil hour, naive: a UTC offset is
+rejected.  Rows must be sorted, strictly hourly with no gaps or
+duplicates, and demand must be strictly positive because the pipeline
+works on its logarithm.  A holiday file is one ISO date per line.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 
-from .base import DataValidationError, atomic_write, open_utf8
+from .base import DataValidationError, atomic_write, naive_timestamp, open_utf8
 
 CSV_HEADER = ["timestamp", "demand_mwh", "drybulb_f", "wetbulb_f"]
 HOUR = timedelta(hours=1)
@@ -118,12 +118,12 @@ def ingest_csv(path: str) -> HourlySeries:
             if len(row) != 4:
                 raise DataValidationError(f"line {lineno}: expected 4 fields")
             try:
-                timestamps.append(datetime.fromisoformat(row[0]))
+                timestamps.append(naive_timestamp(row[0]))
                 demand.append(float(row[1]))
                 dry.append(float(row[2]))
                 wet.append(float(row[3]))
             except ValueError as exc:
-                raise DataValidationError(f"line {lineno}: {exc}") from None
+                raise DataValidationError(f"{path} line {lineno}: {exc}") from None
     if not timestamps:
         raise DataValidationError("no rows")
     return HourlySeries(

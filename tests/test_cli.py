@@ -320,6 +320,7 @@ MALFORMED_ENTRIES = [
     (("extras", "pipeline_params", "loss"), 3, "pipeline_params.loss"),
     (("extras", "pipeline_params", "loss"), "mae", "'mae'"),
     (("extras", "seasonal", "fit_origin"), "2007-13-01", "seasonal.fit_origin"),
+    (("extras", "seasonal", "fit_origin"), "2007-01-01T00:00:00+00:00", "UTC offset"),
     (("extras", "seasonal", "coef", "x"), [0.0] * 13, "seasonal.coef: ['x']"),
     (("extras", "seasonal", "coef", "5"), DELETE, "hour 5"),
     (("extras", "seasonal", "coef", "0"), [0.0] * 14, "hour 0"),
@@ -362,6 +363,7 @@ class TestMalformedCheckpoint:
             "loss_number",
             "loss_unknown",
             "fit_origin_not_a_date",
+            "fit_origin_with_offset",
             "coef_key_not_an_hour",
             "coef_hour_missing",
             "coef_one_extra",
@@ -608,6 +610,18 @@ class TestEvaluate:
             ("2007-01-01T00:00:00,1.0,0.1,0.2,1.0,2.0\n"
              "2007-01-01T01:00:00,1.0,0.1,,,\n",
              "line 3: sigma_log is empty but not on line 2"),
+            ("2007-01-01T00:00:00,1.0,0.1,0.2,abc,-5\n", "line 2: could not convert"),
+            ("2007-01-01T00:00:00,1.0,0.1,0.2,1.0,-5\n", "line 2: q05 1.0 and q95 -5.0"),
+            ("2007-01-01T00:00:00,1.0,0.1,0.2,0.0,2.0\n", "line 2: q05 0.0 and q95 2.0"),
+            ("2007-01-01T00:00:00,1.0,0.1,0.2,2.0,1.0\n", "line 2: q05 2.0 and q95 1.0"),
+            ("2007-01-01T00:00:00,1.0,0.1,0.2,1.0,inf\n", "line 2: q05 1.0 and q95 inf"),
+            ("2007-01-01T00:00:00,1.0,0.1,0.2,1.0,nan\n", "line 2: q05 1.0 and q95 nan"),
+            ("2007-01-01T00:00:00,1.0,0.1,0.2,,\n", "line 2: could not convert"),
+            ("2007-01-01T00:00:00,1.0,0.1,,1.0,2.0\n",
+             "line 2: q05 '1.0' and q95 '2.0' must be empty where sigma_log is"),
+            ("2007-01-01T00:00:00,1.0,0.1,,,2.0\n", "line 2: q05 '' and q95 '2.0'"),
+            ("2007-01-01T00:00:00+00:00,1.0,0.1,0.2,1.0,2.0\n",
+             "line 2: timestamp '2007-01-01T00:00:00+00:00' has a UTC offset"),
         ],
         ids=[
             "header_only",
@@ -618,6 +632,16 @@ class TestEvaluate:
             "negative_sigma_log",
             "repeated_timestamp",
             "mixed_sigma",
+            "q05_not_a_number",
+            "q95_negative",
+            "q05_zero",
+            "q05_above_q95",
+            "q95_infinite",
+            "q95_nan",
+            "quantiles_empty_with_sigma",
+            "quantiles_set_without_sigma",
+            "q95_set_without_sigma",
+            "timestamp_with_offset",
         ],
     )
     def test_malformed_forecasts_exit_with_data_error(
@@ -633,6 +657,73 @@ class TestEvaluate:
         argv = ["evaluate", "--forecasts", str(forecasts), "--data", str(data)]
         assert main(argv) == 3
         assert named in capsys.readouterr().err
+
+
+class TestNaiveTimestamps:
+    """Timestamps are naive local hours: one with a UTC offset is a data
+    error in a file and a config error in an argument or config date."""
+
+    OFFSET = "2007-06-01T00:00:00+00:00"
+
+    def test_series_csv_with_offset_exits_with_data_error(self, tmp_path, capsys):
+        data, forecasts = tmp_path / "data.csv", tmp_path / "fc.csv"
+        data.write_text(
+            "timestamp,demand_mwh,drybulb_f,wetbulb_f\n"
+            f"{self.OFFSET},100.0,30.0,28.0\n"
+        )
+        forecasts.write_text(
+            ",".join(FORECAST_CSV_HEADER) + "\n2007-06-01T00:00:00,1.0,0.1,0.2,1.0,2.0\n"
+        )
+        argv = ["evaluate", "--forecasts", str(forecasts), "--data", str(data)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert f"{data} line 2: timestamp '{self.OFFSET}' has a UTC offset" in err
+
+    def test_forecast_csv_with_offset_exits_with_data_error(
+        self, tmp_path, capsys, one_year_csv
+    ):
+        forecasts = tmp_path / "fc.csv"
+        forecasts.write_text(
+            ",".join(FORECAST_CSV_HEADER) + f"\n{self.OFFSET},1.0,0.1,0.2,1.0,2.0\n"
+        )
+        argv = ["evaluate", "--forecasts", str(forecasts), "--data", one_year_csv]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert f"{forecasts} line 2: timestamp '{self.OFFSET}' has a UTC offset" in err
+
+    @pytest.mark.parametrize("flag", ["--start", "--end"])
+    def test_forecast_bound_with_offset_exits_with_config_error(
+        self, tmp_path, capsys, saved_pipeline, flag
+    ):
+        data, record = saved_pipeline
+        checkpoint, out = tmp_path / "model.json", tmp_path / "forecast.csv"
+        checkpoint.write_text(json.dumps(record))
+        bounds = {"--start": "2007-06-01T00:00:00", "--end": "2007-06-01T02:00:00"}
+        bounds[flag] = self.OFFSET
+        argv = ["forecast", "--checkpoint", str(checkpoint), "--data", data]
+        argv += [a for item in bounds.items() for a in item]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and flag in err and "UTC offset" in err
+        assert not out.exists()
+
+    def test_config_date_with_offset_exits_with_config_error(
+        self, tmp_path, capsys, one_year_csv
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"model": {"lags": [1], "hidden_dim": 3, "tau": 12},
+                        "train": {"stride": 97, "train_end": self.OFFSET}})
+        )
+        checkpoint = tmp_path / "ck.json"
+        argv = ["train", "--config", str(config), "--data", one_year_csv]
+        assert main(argv + ["--out", str(checkpoint)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "train_end" in err
+        assert "UTC offset" in err
+        assert not checkpoint.exists()
 
 
 class TestEndToEndWorkflow:

@@ -6,7 +6,7 @@ from datetime import date
 
 import pytest
 
-from rnnp import engines
+from rnnp import engines, model
 from rnnp.base import NumericError
 from rnnp.engines import (
     ENGINES,
@@ -31,6 +31,7 @@ from rnnp.model import (
     forward_sequence,
     init_params,
     pack,
+    projection_source,
     theta_offsets,
     unpack,
 )
@@ -429,18 +430,33 @@ def production_rows():
     return xs
 
 
+def loop_projection(params, spec, x_t):
+    """``U x + b`` of one dense row as a loop: per hidden row, a sum from
+    0.0 over increasing column, the products of zero inputs skipped."""
+    x = spec.x_dim
+    out = []
+    for r in range(spec.hidden_dim):
+        acc = 0.0
+        for c in range(x):
+            if x_t[c] != 0.0:
+                acc += params.U.data[r * x + c] * x_t[c]
+        out.append(acc + params.b[r])
+    return out
+
+
 def per_entry_terms(spec):
-    """The input-layer update as the engines made it before the walk was
-    logged: each entry's products added to ``dest`` one at a time, zero
-    inputs and unreachable lags skipped."""
+    """The input-layer update as a loop over dense rows: each entry's
+    products added to ``dest`` one at a time, the products of zero inputs
+    and the terms of unreachable lags skipped."""
     h, x, y = spec.hidden_dim, spec.x_dim, spec.y_dim
     w_off, b_off = h * x, h * x + spec.p * h * y
 
     def add(dest, log):
-        for q, x_nz, feedbacks in log:
+        for q, x_row, feedbacks in log:
             for r in range(h):
-                for c, v in x_nz:
-                    dest[r * x + c] += q[r] * v
+                for c, v in enumerate(x_row):
+                    if v != 0.0:
+                        dest[r * x + c] += q[r] * v
                 for i, fb in enumerate(feedbacks):
                     for k in range(y):
                         dest[w_off + i * h * y + r * y + k] += q[r] * fb[k]
@@ -474,9 +490,8 @@ def node_time_gradients(params, spec, xs, loss, order):
                 vt[j] += v[k * h + j] * g[k]
             d_phi[y * h + k] += g[k]
         q = [vt[j] * (h_t[j] * (1.0 - h_t[j])) for j in range(h)]
-        x_nz = [(c, xc) for c, xc in enumerate(xs[t - 1]) if xc != 0.0]
         feedbacks = [trace.y_steps[t - 1 - lag] for lag in spec.lag_set if lag < t]
-        terms(d_theta, [(q, x_nz, feedbacks)])
+        terms(d_theta, [(q, xs[t - 1], feedbacks)])
         return q
 
     def push(i, q):
@@ -726,29 +741,38 @@ class TestFiniteDifferenceBits:
         loss = LossHead(kind="gaussian_nll").bind(0.3)
         self.assert_reference_bits(params, spec, production_rows()[:26], loss)
 
-    def test_one_unpack_and_one_nonzero_scan_per_call(self, monkeypatch):
-        spec, params, xs, loss = _random_instance(3)
-        calls = {"unpack": 0, "nonzero_rows": 0, "project_nonzero": 0}
+    def test_one_unpack_and_a_projection_per_u_or_b_evaluation(self, monkeypatch):
+        """The oracle unpacks once, projects once, and re-projects only for
+        a U or b entry; with a loop projection over dense rows in place of
+        the generated one, its bits are unchanged.  Calendar rows with -0.0
+        entries and an all-zero row."""
+        spec = RnnSpec(lag_set=(1, 2, 24), x_dim=13, hidden_dim=3, y_dim=2)
+        params = init_params(spec, Rng(12))
+        xs = production_rows()[:26]
+        xs[4] = [0.0] * 13
+        xs[6][2] = -0.0
+        loss = LossHead(kind="gaussian_nll").bind(0.3)
+        fd = finite_difference_gradients(params, spec, xs, loss)
+        calls = {"unpack": 0, "project_inputs": 0}
+        original_unpack = engines.unpack
 
-        def counted(name):
-            original = getattr(engines, name)
+        def unpack_counted(*args):
+            calls["unpack"] += 1
+            return original_unpack(*args)
 
-            def wrapper(*args):
-                calls[name] += 1
-                return original(*args)
+        def projection_counted(params, spec, xs):
+            calls["project_inputs"] += 1
+            return (loop_projection(params, spec, x_t) for x_t in xs)
 
-            monkeypatch.setattr(engines, name, wrapper)
-
-        for name in calls:
-            counted(name)
-        finite_difference_gradients(params, spec, xs, loss)
+        monkeypatch.setattr(engines, "unpack", unpack_counted)
+        monkeypatch.setattr(engines, "project_inputs", projection_counted)
+        want = finite_difference_gradients(params, spec, xs, loss)
+        assert hexes([fd.loss], fd.d_theta, fd.d_phi) == hexes(
+            [want.loss], want.d_theta, want.d_phi
+        )
         # One base projection, and two more per U and b entry.
         reprojections = 2 * (spec.hidden_dim * spec.x_dim + spec.hidden_dim)
-        assert calls == {
-            "unpack": 1,
-            "nonzero_rows": 1,
-            "project_nonzero": 1 + reprojections,
-        }
+        assert calls == {"unpack": 1, "project_inputs": 1 + reprojections}
 
     def test_gradcheck_rows_pinned(self):
         rows, ok = run_gradient_check(20)
@@ -810,47 +834,124 @@ class TestFiniteDifferenceBits:
             finite_difference_gradients(params, spec, ragged, loss)
 
 
-class TestKernelSource:
-    """The generated source: what it is built from, its row sums, its cache."""
+# (hidden_dim, x_dim, y_dim, lag_set) of every shape the package runs: the
+# gradcheck's instances, the pipeline's and walk_forward's.
+GRADCHECK_SHAPES = sorted(
+    {
+        (s.hidden_dim, s.x_dim, s.y_dim, s.lag_set)
+        for s in (_random_instance(seed)[0] for seed in range(20))
+    }
+)
+RUN_SHAPES = sorted(set(GRADCHECK_SHAPES) | {(15, 13, 2, (1, 2, 24)), (3, 13, 2, (1,))})
 
-    @pytest.mark.parametrize("shape", [(3, 2, (1, 2)), (1, 3, (1, 3, 6)), (8, 1, (24,))])
+
+class TestKernelSource:
+    """The generated sources: what they are built from, their sums, their
+    caches."""
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 4, 2, (1, 2)), (1, 2, 3, (1, 3, 6)), (8, 13, 1, (24,))] + RUN_SHAPES
+    )
     def test_row_sums_start_from_zero(self, shape):
-        h, y, lags = shape
-        text = kernel_source(h, y, lags)
+        h, x, y, lags = shape
+        text = kernel_source(h, x, y, lags)
         pushes = re.findall(r"push = \[(.*)\]", text)
         folds = re.findall(r"^ +\((.*)\) \* \(h\d+ \* \(1\.0 - h\d+\)\),$", text, re.M)
         assert len(pushes) == len(lags) and len(folds) == h
         entries = [e for push in pushes for e in push.split(", ")] + folds
         assert len(entries) == len(lags) * y + h
         assert all(e.startswith("0.0 + ") for e in entries)
+        # add_log: every theta entry, in packed order, unpacked from dest
+        # and written back once; one product per entry, each input column
+        # tested once.
+        rows, cols, outs = range(h), range(x), range(y)
+        theta = (
+            [f"u{r}_{c}" for r in rows for c in cols]
+            + [f"w{i}_{r}_{k}" for i in range(len(lags)) for r in rows for k in outs]
+            + [f"b{r}" for r in rows]
+        )
+        log_text = text[text.index("def add_log(") :]
+        assert re.findall(r"^ +\((.*)\) = dest$", log_text, re.M) == [", ".join(theta)]
+        assert re.findall(r"^ +dest\[:\] = \((.*)\)$", log_text, re.M) == [", ".join(theta)]
+        adds = re.findall(r"^ +(\w+) \+= (.*)$", log_text, re.M)
+        assert sorted(name for name, _ in adds) == sorted(theta)
+        for name, term in adds:
+            if name[0] == "u":
+                r, c = name[1:].split("_")
+                assert term == f"q{r} * x{c}"
+            elif name[0] == "w":
+                _, r, k = name[1:].split("_")
+                assert term == f"q{r} * f{k}"
+            else:
+                assert term == f"q{name[1:]}"
+        tests = re.findall(r"^ +if (x\d+) != 0\.0:$", log_text, re.M)
+        assert tests == [f"x{c}" for c in cols]
+        # The projection: accumulators from 0.0, columns in increasing
+        # order, each tested once, then the bias.
+        text = projection_source(x, h)
+        assert re.findall(r"^ +(a0 = .*)$", text, re.M) == [
+            " = ".join(f"a{r}" for r in rows) + " = 0.0"
+        ]
+        adds = re.findall(r"^ +a(\d+) \+= u(\d+)_(\d+) \* x(\d+)$", text, re.M)
+        for r in rows:
+            mine = [(c, xc) for a, ur, c, xc in adds if a == ur == str(r)]
+            assert mine == [(str(c), str(c)) for c in cols]
+        assert len(adds) == h * x
+        tests = re.findall(r"^ +if (x\d+) != 0\.0:$", text, re.M)
+        assert tests == [f"x{c}" for c in cols]
+        yields = re.findall(r"^ +yield \[(.*)\]$", text, re.M)
+        assert yields == [", ".join(f"a{r} + b{r}" for r in rows)]
 
     @pytest.mark.parametrize(
         "shape", [(2.0, 1, (1,)), (2, True, (1,)), (2, 1, ("1",))], ids=str
     )
     def test_rejects_a_shape_that_is_not_ints(self, shape):
+        # (hidden_dim, y_dim, lag_set), at the encoder's x_dim of 13.
+        h, y, lags = shape
         with pytest.raises(TypeError):
-            kernel_source(*shape)
+            kernel_source(h, 13, y, lags)
 
     @pytest.mark.parametrize(
         "shape", [(0, 1, (1,)), (2, 0, (1,)), (2, 1, (0,)), (2, 1, ()), (2, 1, (2, 1)), (2, 1, (1, 1))],
         ids=str,
     )
     def test_rejects_a_shape_no_spec_has(self, shape):
+        h, y, lags = shape
         with pytest.raises(ValueError):
-            kernel_source(*shape)
+            kernel_source(h, 13, y, lags)
+
+    @pytest.mark.parametrize(
+        "value, error", [(0, ValueError), (-1, ValueError), (2.0, TypeError), (True, TypeError)]
+    )
+    def test_rejects_an_input_or_hidden_width_no_spec_has(self, value, error):
+        for build in (
+            lambda: kernel_source(2, value, 1, (1,)),
+            lambda: projection_source(value, 2),
+            lambda: projection_source(3, value),
+        ):
+            with pytest.raises(error):
+                build()
 
     def test_compiled_once_per_shape_in_a_bounded_cache(self):
-        # The gradcheck draws h 2..8, y 1..2 and four lag sets: 56 shapes.
-        maxsize = engines._kernels.cache_info().maxsize
-        assert maxsize is not None and maxsize >= 56
+        # The gradcheck's 20 instances compile each of their shapes once,
+        # and both caches hold all of them.
+        assert engines._kernels.cache_info().maxsize >= len(GRADCHECK_SHAPES)
+        projections = {(x, h) for h, x, _, _ in GRADCHECK_SHAPES}
+        assert model._projection.cache_info().maxsize >= len(projections)
+        engines._kernels.cache_clear()
+        model._projection.cache_clear()
+        run_gradient_check(20)
+        kernels, projection = engines._kernels.cache_info(), model._projection.cache_info()
+        assert kernels.misses == kernels.currsize == len(GRADCHECK_SHAPES)
+        assert projection.misses == projection.currsize == len(projections)
         spec, params, xs, loss = make_case(91)
         trrl_gradients(params, spec, xs, loss)
-        kernels = engines._kernels(spec.hidden_dim, spec.y_dim, spec.lag_set)
+        kernels = engines._kernels(spec.hidden_dim, spec.x_dim, spec.y_dim, spec.lag_set)
         hits = engines._kernels.cache_info().hits
         rtrl_gradients(params, spec, xs, loss)
         bptt_gradients(params, spec, xs, loss)
         assert engines._kernels.cache_info().hits > hits
-        assert engines._kernels(spec.hidden_dim, spec.y_dim, spec.lag_set) is kernels
+        assert engines._kernels(spec.hidden_dim, spec.x_dim, spec.y_dim, spec.lag_set) is kernels
 
 
 class TestNumericSafety:

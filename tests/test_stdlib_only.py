@@ -8,6 +8,8 @@ import pytest
 
 import rnnp
 from rnnp.engines import kernel_source
+from rnnp.gradcheck import _random_instance
+from rnnp.model import projection_source
 
 PACKAGE_DIR = pathlib.Path(rnnp.__file__).parent
 
@@ -66,8 +68,19 @@ def test_no_float_sum_builtins():
     assert offenders == []
 
 
+# (hidden_dim, x_dim, y_dim, lag_set) of every shape the package runs:
+# the gradcheck's instances, the pipeline's and walk_forward's.
+RUN_SHAPES = sorted(
+    {
+        (s.hidden_dim, s.x_dim, s.y_dim, s.lag_set)
+        for s in (_random_instance(seed)[0] for seed in range(20))
+    }
+    | {(15, 13, 2, (1, 2, 24)), (3, 13, 2, (1,))}
+)
+
 # (hidden_dim, y_dim, lag_set) of the generated gradient kernels: the
-# pipeline's shapes, y 1 and 3, h 1, and a gapped lag set.
+# pipeline's shapes, y 1 and 3, h 1, and a gapped lag set; then the other
+# ones RUN_SHAPES holds.
 KERNEL_SHAPES = [
     (8, 2, (1, 2, 24)),
     (15, 2, (1, 2, 24)),
@@ -76,18 +89,31 @@ KERNEL_SHAPES = [
     (1, 1, (1, 3)),
     (1, 3, (1, 3, 6)),
 ]
+KERNEL_SHAPES += sorted({(h, y, lags) for h, _, y, lags in RUN_SHAPES} - set(KERNEL_SHAPES))
 
 
-@pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=str)
-def test_generated_kernels_have_no_sum_and_no_weight(shape):
-    """The generated source obeys the same rule, and its only float
-    literals are the 0.0 a row sum starts from and the 1.0 of h (1 - h):
-    no weight or input value is ever written into it."""
-    tree = ast.parse(kernel_source(*shape))
-    assert sum_calls(tree, f"kernel_source{shape}") == []
-    floats = {
+def float_literals(tree: ast.AST) -> set:
+    return {
         node.value
         for node in ast.walk(tree)
         if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
     }
-    assert floats == {0.0, 1.0}
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=str)
+def test_generated_kernels_have_no_sum_and_no_weight(shape):
+    """The generated sources obey the same rule, and their only float
+    literals are the 0.0 a sum starts from (or an input is tested
+    against) and the 1.0 of h (1 - h): no weight or input value is ever
+    written into them.  Each (h, y, lags) is checked with the gradient
+    kernels and the projection at the encoder's x_dim of 13 and at every
+    x_dim a run pairs it with."""
+    h, y, lags = shape
+    x_dims = {13} | {x for rh, x, ry, rl in RUN_SHAPES if (rh, ry, rl) == shape}
+    for x in sorted(x_dims):
+        tree = ast.parse(kernel_source(h, x, y, lags))
+        assert sum_calls(tree, f"kernel_source{(h, x, y, lags)}") == []
+        assert float_literals(tree) == {0.0, 1.0}
+        tree = ast.parse(projection_source(x, h))
+        assert sum_calls(tree, f"projection_source{(x, h)}") == []
+        assert float_literals(tree) == {0.0}

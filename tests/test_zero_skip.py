@@ -26,9 +26,10 @@ TAU = 49
 
 @pytest.fixture(scope="module")
 def windows():
-    """Two tau-49 windows of encoded rows with a zero-rich start: 2007-01-01
+    """Three tau-49 windows of encoded rows with a zero-rich start: 2007-01-01
     (hour 0, a Monday holiday) and 2007-01-07 (hour 0, a Sunday, so every
-    day-of-week dummy is 0), each with an injected -0.0 temperature."""
+    day-of-week dummy is 0), each with an injected -0.0 temperature, and
+    the Sunday window again with an all-zero row at step 5."""
     holidays = frozenset({date(2007, 1, 1)})
     series, _ = synth_generate(SynthConfig(years=1, holidays=holidays), Rng(17))
     rows = CalendarFeatureEncoder(holidays=holidays).fit(series).transform(series)
@@ -37,6 +38,8 @@ def windows():
         xs = [list(row) for row in rows[start : start + TAU]]
         xs[3][11] = -0.0
         out.append(xs)
+    out.append([list(row) for row in out[1]])
+    out[2][4] = [0.0] * SPEC.x_dim
     first = out[0][0]
     assert first[0] == 0.0 and first[10] == 1.0 and first[4] == 1.0
     assert out[1][0][4:10] == [0.0] * 6
@@ -184,29 +187,40 @@ def test_bptt_equals_dense(windows, tau):
     assert counter.peak_floats == trace_floats(SPEC, tau) + tau * (y + h)
 
 
+def dense_input_layer_terms(spec):
+    """The input-layer update as a loop taking every product: all input
+    columns, and a zero feedback vector for a lag that reaches before the
+    window start."""
+    h, x, y, p = spec.hidden_dim, spec.x_dim, spec.y_dim, spec.p
+    zero = [0.0] * y
+
+    def add(dest, log):
+        for q, x_t, feedbacks in log:
+            fbs = list(feedbacks) + [zero] * (p - len(feedbacks))
+            for r in range(h):
+                for c in range(x):
+                    dest[r * x + c] += q[r] * x_t[c]
+                for i, fb in enumerate(fbs):
+                    for k in range(y):
+                        dest[h * x + i * h * y + r * y + k] += q[r] * fb[k]
+                dest[h * x + p * h * y + r] += q[r]
+
+    return add
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_rtrl_equals_dense(windows, seed, monkeypatch):
-    """rtrl against itself with the skips taken out: every column of the
-    row, dense projections, and a zero vector for an unreachable lag."""
+    """rtrl against itself with both generated kernels replaced by loops
+    that take every product: the dense projection and the dense
+    input-layer update."""
     params, loss = case(seed)
     h, y = SPEC.hidden_dim, SPEC.y_dim
     size = SPEC.weight_count
     got = [rtrl_gradients(params, SPEC, xs, loss) for xs in windows]
-    input_layer_terms = engines._input_layer_terms
-
-    def dense_input_layer_terms(spec):
-        add = input_layer_terms(spec)
-        zero = [0.0] * spec.y_dim
-
-        def dense(dest, log):
-            pad = [zero] * spec.p
-            add(dest, [(q, x_nz, (fbs + pad)[: spec.p]) for q, x_nz, fbs in log])
-
-        return dense
-
-    # Every column of each row, for the projection and the update alike.
     monkeypatch.setattr(
-        engines, "nonzero_rows", lambda spec, xs: [list(enumerate(x_t)) for x_t in xs]
+        engines,
+        "project_inputs",
+        lambda params, spec, xs: (dense_projection(params, spec, x_t) for x_t in xs),
     )
     monkeypatch.setattr(engines, "_input_layer_terms", dense_input_layer_terms)
     for xs, (grads, counter) in zip(windows, got):
