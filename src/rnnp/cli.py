@@ -245,6 +245,8 @@ def _bench_records(mode: str, section: dict, config: dict) -> list:
     if mode == "tau":
         spec = RnnSpec(lag_set=(1, 2), x_dim=13, hidden_dim=15, y_dim=1)
         tau_min, tau_max = section.get("tau_min", 3), section.get("tau_max", 48)
+        if tau_min < 1:
+            raise ConfigError(f"bench.tau_min must be >= 1, got {tau_min}")
         plan = []  # (engine, its taus), all checked before any sweep runs
         for engine in section.get("engines", ["trrl", "rtrl", "bptt"]):
             top = min(tau_max, BPTT_GUARD) if engine == "bptt" else tau_max

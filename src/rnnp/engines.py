@@ -21,19 +21,13 @@ gradient computation itself.  The forward sweep is identical for every
 engine and is excluded, so counters compare the algorithms like for like.
 ``loss`` arguments are callables ``yhat -> (loss_value, d_loss_d_yhat)``;
 the value comes back on ``GradientPair.loss``.  trrl and bptt share all
-but their traversal (``_tree_gradients``): the tree node
-(``_node_kernel``) yields a step's children, trrl merges them by step and
-bptt recurses into each.  Every engine adds its input-layer terms through
-one pass over dense input rows (``_input_layer_terms``), whether its log
-holds a whole walk (trrl) or one entry (bptt, rtrl).
-
-The node, its pushes and the input-layer pass are straight-line code
-generated per shape, (hidden_dim, x_dim, y_dim, lag_set):
-``kernel_source`` returns the text, built from those integers alone, and
-``_kernels`` compiles it once per shape into a bounded cache.  The input
-projection is generated the same way (``model.projection_source``).
-Every sum keeps the order of the loop it replaces, so the bits are those
-of the loop form.
+but their traversal (``_tree_gradients``): the tree node yields a step's
+children, trrl merges them by step and bptt recurses into each.  Every
+engine adds its input-layer terms through one pass over dense input rows
+(``_input_layer_terms``), whether its log holds a whole walk (trrl) or one
+entry (bptt, rtrl).  The node and the input-layer pass are the generated
+``make_node`` and ``add_log`` of the call's shape (``kernels``), compiled
+once per shape, as the input projection is.
 
 Engines are pure functions of (params, xs): parameters are never
 mutated, every call owns its counter and workspace, and concurrent calls
@@ -49,18 +43,15 @@ checked against.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 from .base import ConfigError, NumericError
+from .kernels import _kernels
 from .linalg import OpCounter
 from .model import (
-    ForwardTrace,
     ModelParams,
     RnnSpec,
-    _names,
-    check_finite_step,
     forward_sequence,
     forward_steps,
     pack,
@@ -104,124 +95,6 @@ class GradientPair:
                 raise NumericError("non-finite phi gradient")
 
 
-def kernel_source(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> str:
-    """The straight-line Python source of the gradient kernels for one shape.
-
-    It defines two functions, compiled once per shape by ``_kernels``:
-
-    * ``make_node(v, ws, h_steps, y_steps, xs, d_phi, add_macs, macs)``
-      binds one call's weights (``V.data``, each ``W_l.data``), trace and
-      input rows as closure locals and returns the tree node of
-      ``_node_kernel``.  Every loop over h, y and the lags is unrolled; a
-      row sum is written ``0.0 + a * b + ...``, which Python adds left to
-      right, so each sum keeps the order and the bits of the loop it
-      replaces.
-    * ``add_log(dest, log)`` is the input-layer pass of
-      ``_input_layer_terms``.  It unpacks every theta entry of ``dest``
-      (U, each W_l, b) into locals once; per log entry, in log order, it
-      adds the products of the nonzero inputs, then the feedback terms of
-      the lags that reach inside the window, then the bias terms; it
-      writes ``dest`` back once.
-
-    The text is built from the four validated shape integers alone; no
-    weight or input value is ever written into it.  Print it to read it:
-    ``print(kernel_source(8, 13, 2, (1, 2, 24)))``.
-    """
-    h, x, y, lags = hidden_dim, x_dim, y_dim, tuple(lag_set)
-    if not all(type(n) is int for n in (h, x, y, *lags)):
-        raise TypeError(f"shape must be ints, got {h!r}, {x!r}, {y!r}, {lags!r}")
-    if min(h, x, y) < 1 or not lags or lags[0] < 1 or list(lags) != sorted(set(lags)):
-        raise ValueError(f"not a valid shape: {h!r}, {x!r}, {y!r}, {lags!r}")
-    rows, cols, outs = range(h), range(x), range(y)
-
-    def row_sum(terms) -> str:
-        return " + ".join(["0.0", *terms])
-
-    lines = ["def make_node(v, ws, h_steps, y_steps, xs, d_phi, add_macs, macs):"]
-    lines.append(f"    {_names('v', (f'{k}_{j}' for k in outs for j in rows))} = v")
-    for i in range(len(lags)):
-        ids = (f"{i}_{r}_{k}" for r in rows for k in outs)
-        lines.append(f"    {_names('w', ids)} = ws[{i}]")
-    lines += ["", "    def children(t, q):", f"        {_names('q', rows)} = q"]
-    for i, lag in enumerate(lags):
-        push = ", ".join(
-            row_sum(f"w{i}_{r}_{k} * q{r}" for r in rows) for k in outs
-        )
-        lines += [
-            f"        if t > {lag}:",
-            f"            push = [{push}]",
-            f"            add_macs({h * y})",
-            f"            yield t - {lag}, push",
-        ]
-    lines += [
-        "",
-        "    def node(t, g):",
-        f"        {_names('h', rows)} = h_steps[t - 1]",
-        f"        {_names('g', outs)} = g",
-    ]
-    for k in outs:
-        lines += [f"        d_phi[{k * h + j}] += g{k} * h{j}" for j in rows]
-        lines.append(f"        d_phi[{y * h + k}] += g{k}")
-    lines.append("        q = (")
-    for j in rows:
-        vt = row_sum(f"v{k}_{j} * g{k}" for k in outs)
-        lines.append(f"            ({vt}) * (h{j} * (1.0 - h{j})),")
-    lines += [
-        "        )",
-        '        check_finite_step(q, "folded gradient", t)',
-        "        add_macs(macs)",
-    ]
-    # Lags increase, so those reaching inside the window are a prefix.
-    keyword = "if"
-    for n in range(len(lags), 0, -1):
-        fbs = _names("y_steps", (f"[t - {1 + lag}]" for lag in lags[:n]))
-        lines += [f"        {keyword} t > {lags[n - 1]}:", f"            feedbacks = {fbs}"]
-        keyword = "elif"
-    # The theta entries in packed order: U, each W_l, b, all row-major.
-    theta = _names(
-        "",
-        [f"u{r}_{c}" for r in rows for c in cols]
-        + [f"w{i}_{r}_{k}" for i in range(len(lags)) for r in rows for k in outs]
-        + [f"b{r}" for r in rows],
-    )
-    lines += [
-        "        else:",
-        "            feedbacks = ()",
-        "        return (q, xs[t - 1], feedbacks), children(t, q)",
-        "",
-        "    return node",
-        "",
-        "",
-        "def add_log(dest, log):",
-        f"    {theta} = dest",
-        "    for q, x, feedbacks in log:",
-        f"        {_names('q', rows)} = q",
-        f"        {_names('x', cols)} = x",
-    ]
-    for c in cols:
-        lines.append(f"        if x{c} != 0.0:")
-        lines += [f"            u{r}_{c} += q{r} * x{c}" for r in rows]
-    lines.append("        n = len(feedbacks)")
-    for i in range(len(lags)):
-        lines += [f"        if n > {i}:", f"            {_names('f', outs)} = feedbacks[{i}]"]
-        lines += [f"            w{i}_{r}_{k} += q{r} * f{k}" for r in rows for k in outs]
-    lines += [f"        b{r} += q{r}" for r in rows]
-    lines += [f"    dest[:] = {theta}", ""]
-    return "\n".join(lines)
-
-
-@functools.lru_cache(maxsize=64)
-def _kernels(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> tuple:
-    """``kernel_source`` compiled once per shape: ``(make_node, add_log)``.
-    The compiled functions keep no state between calls.  The cache holds
-    every shape of the gradcheck's instance set."""
-    source = kernel_source(hidden_dim, x_dim, y_dim, lag_set)
-    namespace = {"check_finite_step": check_finite_step}
-    filename = f"<rnnp kernels h={hidden_dim} x={x_dim} y={y_dim} lags={lag_set}>"
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace["make_node"], namespace["add_log"]
-
-
 def _input_layer_terms(spec: RnnSpec):
     """The input-layer gradient of one engine call, as ``add(dest, log)``:
     dest += (da/dtheta)^T q summed over the log's entries, into the U, W_l
@@ -232,53 +105,14 @@ def _input_layer_terms(spec: RnnSpec):
     prefix of the lag set.  Each theta entry gets one product per log
     entry, added in log order to its current value, so the bits are those
     of adding the entries one at a time.  ``add`` is the generated
-    ``add_log`` of the spec's shape (``kernel_source``); one form serves
-    trrl's whole log and the one-entry logs of bptt and rtrl.  The
-    products of a zero input, and the W_l terms of a lag reaching before
-    the window start, whose feedback is the zero vector, are skipped; the
-    sums started at +0.0, so the bits are those of the dense update (see
-    ``model.projection_source``).  The caller counts the dense
-    h*x + p*h*y multiplies per entry.
+    ``add_log`` of the spec's shape (``kernels.kernel_source``, which says
+    why skipping the products of zero inputs and of unreachable lags
+    changes no bit); one form serves trrl's whole log and the one-entry
+    logs of bptt and rtrl.  The caller counts the dense h*x + p*h*y
+    multiplies per entry.
     """
-    return _kernels(spec.hidden_dim, spec.x_dim, spec.y_dim, spec.lag_set)[1]
-
-
-def _node_kernel(
-    params: ModelParams,
-    spec: RnnSpec,
-    trace: ForwardTrace,
-    xs: list,
-    grads: GradientPair,
-    counter: OpCounter,
-):
-    """The unrolled tree's node for one trrl or bptt call, as
-    ``node(t, g) -> (entry, children)``.
-
-    ``node`` backpropagates the output gradient g of step t: it adds the
-    output-layer terms (V, c) to ``grads`` and folds g into
-    q = (V diag(h'))^T g, h' = h (1 - h).  ``entry`` is step t's
-    input-layer log entry (``_input_layer_terms``): q, the input row
-    ``xs[t - 1]`` and the feedbacks of the lags that reach inside the
-    window, a prefix of the lag set.  ``children`` yields
-    ``(t - l, W_l^T q)`` for those lags in lag-set order, each push made
-    only when the walk takes it; a push entry is a column of W_l dotted
-    with q, summed from 0.0 over increasing row.  The node is the
-    generated ``make_node`` of the call's shape (``kernel_source``), bound
-    to this call's weights, trace and rows.  Counts the dense
-    2*y*h + 2*h + h*x + p*h*y multiplies per node and h*y per push.
-    """
-    h, x, y = spec.hidden_dim, spec.x_dim, spec.y_dim
-    make_node, _ = _kernels(h, x, y, spec.lag_set)
-    return make_node(
-        params.V.data,
-        [W_l.data for W_l in params.W],
-        trace.h_steps,
-        trace.y_steps,
-        xs,
-        grads.d_phi,
-        counter.add_macs,
-        2 * y * h + 2 * h + h * x + spec.p * h * y,
-    )
+    _, _, add_log = _kernels(spec.hidden_dim, spec.x_dim, spec.y_dim, spec.lag_set)
+    return add_log
 
 
 def _loss_gradient(loss, y_final: list, spec: RnnSpec) -> tuple:
@@ -295,20 +129,32 @@ def _tree_gradients(params: ModelParams, spec: RnnSpec, xs: list, loss, walk) ->
     tree's root.
 
     The stored trace (h and yhat per step plus the inputs) is charged until
-    the walk ends.  ``node(t, g)`` is the ``_node_kernel`` on step t: it
-    returns the step's log entry and its children ``(step, push)``, which
-    the walk routes without reading a weight or a lag.
+    the walk ends.  ``node(t, g)`` is the generated ``make_node``
+    (``kernels.kernel_source``) bound to this call's weights, trace and
+    rows: it returns step t's log entry and its children ``(step, push)``,
+    which the walk routes without reading a weight or a lag.
     ``add_input_terms(log)`` adds a log of entries to the theta gradient
     (``_input_layer_terms``).
     """
     params.validate(spec)
+    h, x, y = spec.hidden_dim, spec.x_dim, spec.y_dim
     counter = OpCounter()
     trace = forward_sequence(params, spec, xs)
-    trace_floats = len(xs) * (spec.x_dim + spec.hidden_dim + spec.y_dim)
+    trace_floats = len(xs) * (x + h + y)
     counter.grad_floats_alloc(trace_floats)
     loss_value, g0 = _loss_gradient(loss, trace.y_final, spec)
     grads = GradientPair([0.0] * spec.theta_size, [0.0] * spec.phi_size, loss_value)
-    node = _node_kernel(params, spec, trace, xs, grads, counter)
+    _, make_node, _ = _kernels(h, x, y, spec.lag_set)
+    node = make_node(
+        params.V.data,
+        [W_l.data for W_l in params.W],
+        trace.h_steps,
+        trace.y_steps,
+        xs,
+        grads.d_phi,
+        counter.add_macs,
+        2 * y * h + 2 * h + h * x + spec.p * h * y,
+    )
     add = _input_layer_terms(spec)
     walk(node, lambda log: add(grads.d_theta, log), len(xs), g0, counter)
     counter.grad_floats_free(trace_floats)

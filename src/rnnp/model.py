@@ -13,15 +13,14 @@ feedbacks directly.
 
 The forward pass is two stages: ``project_inputs`` computes b + U x(t)
 for each input row and ``forward_steps`` runs the recurrence over those
-projected rows.  The projection is straight-line code generated once per
-(x_dim, hidden_dim) from those two integers alone
-(``projection_source``): it reads dense rows, tests each column once,
-and skips the products of zero inputs without changing a bit.
+projected rows.  The projection is the generated ``project`` of the
+spec's shape (``kernels.kernel_source``): it reads dense rows, tests each
+column once, and skips the products of zero inputs without changing a
+bit.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -29,11 +28,11 @@ from dataclasses import dataclass, field
 from .base import (
     NUMBER,
     DataValidationError,
-    NumericError,
     atomic_write,
     check_kind,
     checkpoint_field,
 )
+from .kernels import _kernels, check_finite_step
 from .linalg import Matrix, Rng
 
 CHECKPOINT_MAGIC = "RNNP1"
@@ -229,11 +228,6 @@ def sigmoid(a: float) -> float:
     return e / (1.0 + e)
 
 
-def check_finite_step(vec: list, what: str, step: int) -> None:
-    if not all(map(math.isfinite, vec)):
-        raise NumericError(f"non-finite {what} at step {step}")
-
-
 @dataclass
 class ForwardTrace:
     """Per-step activations of one processed sequence (1-based step t)."""
@@ -246,65 +240,6 @@ class ForwardTrace:
         return self.y_steps[-1]
 
 
-def _names(prefix: str, ids) -> str:
-    """A tuple display of the names prefix + id, e.g. ``(q0, q1)``; the
-    generated kernels unpack a vector into such locals."""
-    items = [f"{prefix}{i}" for i in ids]
-    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
-
-
-def projection_source(x_dim: int, hidden_dim: int) -> str:
-    """The straight-line Python source of the projection for one shape.
-
-    It defines ``project(u, b, xs)``, compiled once per shape by
-    ``_projection``: a generator that unpacks ``U.data`` and ``b`` into
-    locals, then for each row of ``xs`` checks its length, unpacks it and
-    yields ``[a_0 + b_0, a_1 + b_1, ...]``.  Each accumulator a_r starts at
-    0.0 and adds ``U[r,c] * x_c`` over increasing column c; each column is
-    tested once with ``!= 0.0``, and the products of a zero (or -0.0)
-    input are skipped.  That skip changes no bit: a sum that starts at
-    +0.0 is never -0.0 in round-to-nearest, so adding a +0.0 or -0.0
-    product leaves it as it is, and ``U`` is finite, so a skipped product
-    is never NaN.  The gradient engines skip the same products on the same
-    argument.
-
-    The text is built from the two validated shape integers alone; no
-    weight or input value is ever written into it.  Print it to read it:
-    ``print(projection_source(13, 8))``.
-    """
-    x, h = x_dim, hidden_dim
-    if not all(type(n) is int for n in (x, h)):
-        raise TypeError(f"shape must be ints, got {x!r}, {h!r}")
-    if x < 1 or h < 1:
-        raise ValueError(f"not a valid shape: {x!r}, {h!r}")
-    rows, cols = range(h), range(x)
-    lines = [
-        "def project(u, b, xs):",
-        f"    {_names('u', (f'{r}_{c}' for r in rows for c in cols))} = u",
-        f"    {_names('b', rows)} = b",
-        "    for x in xs:",
-        f"        if len(x) != {x}:",
-        f'            raise ValueError(f"input has length {{len(x)}}, expected {x}")',
-        f"        {_names('x', cols)} = x",
-        "        " + " = ".join(f"a{r}" for r in rows) + " = 0.0",
-    ]
-    for c in cols:
-        lines.append(f"        if x{c} != 0.0:")
-        lines += [f"            a{r} += u{r}_{c} * x{c}" for r in rows]
-    lines += [f"        yield [{', '.join(f'a{r} + b{r}' for r in rows)}]", ""]
-    return "\n".join(lines)
-
-
-@functools.lru_cache(maxsize=64)
-def _projection(x_dim: int, hidden_dim: int):
-    """``projection_source`` compiled once per shape: ``project``.  The
-    compiled function keeps no state between calls."""
-    namespace: dict = {}
-    filename = f"<rnnp projection x={x_dim} h={hidden_dim}>"
-    exec(compile(projection_source(x_dim, hidden_dim), filename, "exec"), namespace)
-    return namespace["project"]
-
-
 def project_inputs(params: ModelParams, spec: RnnSpec, xs):
     """Projection stage: yields ``U x(t) + b`` for each input row of ``xs``.
 
@@ -312,15 +247,16 @@ def project_inputs(params: ModelParams, spec: RnnSpec, xs):
     with the sum from 0.0 over increasing column index, the products of
     zero inputs skipped.  It is the only forward code that reads ``U`` and
     ``b``: the generated ``project`` of the spec's shape
-    (``projection_source``), bound to ``params.U`` and ``params.b`` when
-    the first row is pulled.  A row whose length is not ``x_dim`` raises
+    (``kernels.kernel_source``), bound to ``params.U`` and ``params.b``
+    when the first row is pulled.  A row whose length is not ``x_dim`` raises
     ``ValueError``.  A projection depends on the parameters and its own
     input row alone, so a caller whose parameters are fixed can project
     each row once and pass the result to every window that contains it
     (see ``forward_steps``).  Rows are projected as they are pulled, so
     ``xs`` may be any iterable.
     """
-    return _projection(spec.x_dim, spec.hidden_dim)(params.U.data, params.b, xs)
+    project, _, _ = _kernels(spec.hidden_dim, spec.x_dim, spec.y_dim, spec.lag_set)
+    return project(params.U.data, params.b, xs)
 
 
 def forward_steps(params: ModelParams, spec: RnnSpec, rows):

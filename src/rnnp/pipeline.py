@@ -127,9 +127,13 @@ class LoadForecastPipeline(BaseEstimator):
         [start, end) and, when both validation bounds are given, of
         [val_start, val_end), else None.  ``HourlySeries`` has checked the
         data, so the windows go to training without another check.  A lag
-        no window reaches is rejected first, before any encoding.
+        no window reaches, or one validation bound without the other, is
+        rejected first, before any encoding.
         """
         _check_lag_reach(self.lags, self.tau)
+        if (val_start is None) != (val_end is None):
+            missing = "val_end" if val_end is None else "val_start"
+            raise ValueError(f"a validation range needs both bounds: {missing} is missing")
         self.encoder_ = CalendarFeatureEncoder(holidays=self.holidays).fit(
             series, start, end
         )

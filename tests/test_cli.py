@@ -134,8 +134,26 @@ class TestConfigValidation:
                 {"engine": "bptt", "max_epochs": 1},
                 "tau=26 exceeds the guard (25)",
             ),
+            (
+                {"lags": [1], "hidden_dim": 3, "tau": 12},
+                {"val_start": "2007-10-01T00:00:00", "max_epochs": 1},
+                "val_end is missing",
+            ),
+            (
+                {"lags": [1], "hidden_dim": 3, "tau": 12},
+                {"val_end": "2007-10-01T00:00:00", "max_epochs": 1},
+                "val_start is missing",
+            ),
         ],
-        ids=["lags", "hidden_dim", "tau", "lag_reach", "bptt_above_guard"],
+        ids=[
+            "lags",
+            "hidden_dim",
+            "tau",
+            "lag_reach",
+            "bptt_above_guard",
+            "val_start_only",
+            "val_end_only",
+        ],
     )
     def test_bad_model_value_is_a_config_error(
         self, tmp_path, capsys, one_year_csv, model, train, named
@@ -157,6 +175,7 @@ class TestConfigValidation:
             ("tau", {"tau_max": 4, "engines": ["sgd"]}, "'sgd'"),
             ("neurons", {"lag_sets": [[0]]}, "(0,)"),
             ("tau", {"tau_min": 6, "tau_max": 5}, "'trrl' has no tau in [6, 5]"),
+            ("tau", {"tau_min": 0, "tau_max": 4}, "bench.tau_min must be >= 1"),
             (
                 "tau",
                 {"tau_min": 26, "tau_max": 27, "engines": ["bptt"]},
@@ -170,6 +189,7 @@ class TestConfigValidation:
             "engines",
             "lag_sets",
             "tau_min_above_tau_max",
+            "tau_min_below_one",
             "bptt_above_guard",
             "no_engines",
             "no_hidden_dims",

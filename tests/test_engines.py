@@ -2,18 +2,17 @@
 
 import hashlib
 import re
-from datetime import date
+from datetime import date, datetime
 
 import pytest
 
-from rnnp import engines, model
+from rnnp import engines, kernels
 from rnnp.base import NumericError
 from rnnp.engines import (
     ENGINES,
     BpttInfeasibleError,
     bptt_gradients,
     finite_difference_gradients,
-    kernel_source,
     macronode_count,
     max_abs_diff,
     max_rel_diff,
@@ -24,6 +23,7 @@ from rnnp.engines import (
 from rnnp.features import CalendarFeatureEncoder
 from rnnp.linalg import Matrix, Rng
 from rnnp.gradcheck import _random_instance, run_gradient_check
+from rnnp.kernels import kernel_source
 from rnnp.model import (
     FlatParams,
     ModelParams,
@@ -31,11 +31,11 @@ from rnnp.model import (
     forward_sequence,
     init_params,
     pack,
-    projection_source,
     theta_offsets,
     unpack,
 )
 from rnnp.pbonacci import build_table
+from rnnp.pipeline import LoadForecastPipeline
 from rnnp.synth import SynthConfig, synth_generate
 from rnnp.training import LossHead, gaussian_nll_loss, mse_loss
 
@@ -846,8 +846,7 @@ RUN_SHAPES = sorted(set(GRADCHECK_SHAPES) | {(15, 13, 2, (1, 2, 24)), (3, 13, 2,
 
 
 class TestKernelSource:
-    """The generated sources: what they are built from, their sums, their
-    caches."""
+    """The generated source: what it is built from, its sums, its cache."""
 
     @pytest.mark.parametrize(
         "shape", [(3, 4, 2, (1, 2)), (1, 2, 3, (1, 3, 6)), (8, 13, 1, (24,))] + RUN_SHAPES
@@ -886,9 +885,9 @@ class TestKernelSource:
                 assert term == f"q{name[1:]}"
         tests = re.findall(r"^ +if (x\d+) != 0\.0:$", log_text, re.M)
         assert tests == [f"x{c}" for c in cols]
-        # The projection: accumulators from 0.0, columns in increasing
-        # order, each tested once, then the bias.
-        text = projection_source(x, h)
+        # project: accumulators from 0.0, columns in increasing order, each
+        # tested once, then the bias.
+        text = text[: text.index("def make_node(")]
         assert re.findall(r"^ +(a0 = .*)$", text, re.M) == [
             " = ".join(f"a{r}" for r in rows) + " = 0.0"
         ]
@@ -924,34 +923,41 @@ class TestKernelSource:
         "value, error", [(0, ValueError), (-1, ValueError), (2.0, TypeError), (True, TypeError)]
     )
     def test_rejects_an_input_or_hidden_width_no_spec_has(self, value, error):
-        for build in (
-            lambda: kernel_source(2, value, 1, (1,)),
-            lambda: projection_source(value, 2),
-            lambda: projection_source(3, value),
-        ):
+        for h, x in ((2, value), (value, 2), (value, 3), (3, value)):
             with pytest.raises(error):
-                build()
+                kernel_source(h, x, 1, (1,))
 
-    def test_compiled_once_per_shape_in_a_bounded_cache(self):
+    def test_compiled_once_per_shape_in_a_bounded_cache(self, tmp_path):
         # The gradcheck's 20 instances compile each of their shapes once,
-        # and both caches hold all of them.
-        assert engines._kernels.cache_info().maxsize >= len(GRADCHECK_SHAPES)
-        projections = {(x, h) for h, x, _, _ in GRADCHECK_SHAPES}
-        assert model._projection.cache_info().maxsize >= len(projections)
-        engines._kernels.cache_clear()
-        model._projection.cache_clear()
+        # and the one cache holds all of them.
+        assert kernels._kernels.cache_info().maxsize >= len(GRADCHECK_SHAPES)
+        kernels._kernels.cache_clear()
         run_gradient_check(20)
-        kernels, projection = engines._kernels.cache_info(), model._projection.cache_info()
-        assert kernels.misses == kernels.currsize == len(GRADCHECK_SHAPES)
-        assert projection.misses == projection.currsize == len(projections)
+        info = kernels._kernels.cache_info()
+        assert info.misses == info.currsize == len(GRADCHECK_SHAPES)
         spec, params, xs, loss = make_case(91)
+        shape = (spec.hidden_dim, spec.x_dim, spec.y_dim, spec.lag_set)
         trrl_gradients(params, spec, xs, loss)
-        kernels = engines._kernels(spec.hidden_dim, spec.x_dim, spec.y_dim, spec.lag_set)
-        hits = engines._kernels.cache_info().hits
+        compiled = kernels._kernels(*shape)
+        hits = kernels._kernels.cache_info().hits
         rtrl_gradients(params, spec, xs, loss)
         bptt_gradients(params, spec, xs, loss)
-        assert engines._kernels.cache_info().hits > hits
-        assert engines._kernels(spec.hidden_dim, spec.x_dim, spec.y_dim, spec.lag_set) is kernels
+        assert kernels._kernels.cache_info().hits > hits
+        assert kernels._kernels(*shape) is compiled
+        # A reloaded pipeline forecasting at the shape it was fitted at
+        # compiles nothing: its projection came with the fit's kernels.
+        series, _ = synth_generate(SynthConfig(years=1), Rng(56))
+        pipe = LoadForecastPipeline(
+            lags=(1,), hidden_dim=3, max_epochs=1, tau=12, train_stride=48, seed=9
+        )
+        pipe.fit(series, series.start, series.end)
+        path = str(tmp_path / "model.json")
+        pipe.save(path)
+        misses = kernels._kernels.cache_info().misses
+        LoadForecastPipeline.load(path).forecast_range(
+            series, datetime(2007, 4, 1), datetime(2007, 4, 1, 8)
+        )
+        assert kernels._kernels.cache_info().misses == misses
 
 
 class TestNumericSafety:

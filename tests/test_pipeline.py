@@ -388,6 +388,23 @@ class TestLagReach:
         assert len(pipe.forecaster_.history_) == 1
 
 
+class TestValidationRange:
+    @pytest.mark.parametrize(
+        "given, missing", [("val_start", "val_end"), ("val_end", "val_start")]
+    )
+    def test_one_bound_without_the_other_is_rejected_before_encoding(
+        self, monkeypatch, given, missing
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fit encoded the series")
+
+        monkeypatch.setattr(CalendarFeatureEncoder, "fit", refuse)
+        series, _ = make_series(years=1, seed=58)
+        bound = {given: datetime(2007, 10, 1)}
+        with pytest.raises(ValueError, match=f"{missing} is missing"):
+            quick_pipeline().fit(series, series.start, series.end, **bound)
+
+
 class TestTrainingHandOff:
     """The pipeline trains on its own windows, without the (X, y) checks."""
 

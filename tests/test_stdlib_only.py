@@ -7,9 +7,8 @@ import sys
 import pytest
 
 import rnnp
-from rnnp.engines import kernel_source
 from rnnp.gradcheck import _random_instance
-from rnnp.model import projection_source
+from rnnp.kernels import kernel_source
 
 PACKAGE_DIR = pathlib.Path(rnnp.__file__).parent
 
@@ -78,8 +77,8 @@ RUN_SHAPES = sorted(
     | {(15, 13, 2, (1, 2, 24)), (3, 13, 2, (1,))}
 )
 
-# (hidden_dim, y_dim, lag_set) of the generated gradient kernels: the
-# pipeline's shapes, y 1 and 3, h 1, and a gapped lag set; then the other
+# (hidden_dim, y_dim, lag_set) of the generated kernels: the pipeline's
+# shapes, y 1 and 3, h 1, and a gapped lag set; then the other
 # ones RUN_SHAPES holds.
 KERNEL_SHAPES = [
     (8, 2, (1, 2, 24)),
@@ -102,18 +101,28 @@ def float_literals(tree: ast.AST) -> set:
 
 @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=str)
 def test_generated_kernels_have_no_sum_and_no_weight(shape):
-    """The generated sources obey the same rule, and their only float
+    """The generated source obeys the same rule, and its only float
     literals are the 0.0 a sum starts from (or an input is tested
     against) and the 1.0 of h (1 - h): no weight or input value is ever
-    written into them.  Each (h, y, lags) is checked with the gradient
-    kernels and the projection at the encoder's x_dim of 13 and at every
-    x_dim a run pairs it with."""
+    written into it.  Each (h, y, lags) is checked at the encoder's x_dim
+    of 13 and at every x_dim a run pairs it with."""
     h, y, lags = shape
     x_dims = {13} | {x for rh, x, ry, rl in RUN_SHAPES if (rh, ry, rl) == shape}
     for x in sorted(x_dims):
         tree = ast.parse(kernel_source(h, x, y, lags))
         assert sum_calls(tree, f"kernel_source{(h, x, y, lags)}") == []
         assert float_literals(tree) == {0.0, 1.0}
-        tree = ast.parse(projection_source(x, h))
-        assert sum_calls(tree, f"projection_source{(x, h)}") == []
-        assert float_literals(tree) == {0.0}
+
+
+def test_only_the_kernels_module_generates_code():
+    """Straight-line code is generated and compiled in one place, so every
+    generated kernel shares one generator and one cache: no other module
+    of the package calls ``exec`` or ``compile``."""
+    calls = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id in ("exec", "compile"):
+                    calls.append((path.name, node.func.id))
+    assert sorted(calls) == [("kernels.py", "compile"), ("kernels.py", "exec")]
