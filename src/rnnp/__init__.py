@@ -23,7 +23,7 @@ from .engines import (
 )
 from .features import FEATURE_DIM, CalendarFeatureEncoder
 from .forecaster import RnnForecaster
-from .linalg import Matrix, OpCounter, Rng
+from .linalg import OpCounter, Rng
 from .metrics import (
     MetricReport,
     average_pinball_loss,
@@ -34,7 +34,6 @@ from .metrics import (
     rmse,
 )
 from .model import (
-    FlatParams,
     ForwardTrace,
     ModelParams,
     RnnSpec,
@@ -45,7 +44,6 @@ from .model import (
     pack,
     project_inputs,
     save_checkpoint,
-    unpack,
 )
 from .pbonacci import (
     PbonacciTable,

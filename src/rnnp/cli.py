@@ -199,10 +199,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_forecast(args: argparse.Namespace) -> int:
     _check_out_dirs(args.out)
-    series = ingest_csv(args.data)
-    pipe = LoadForecastPipeline.load(args.checkpoint)
     start = _parse_ts(args.start, "--start")
     end = _parse_ts(args.end, "--end")
+    if start >= end:
+        raise ConfigError(f"--start {args.start} is not before --end {args.end}")
+    series = ingest_csv(args.data)
+    pipe = LoadForecastPipeline.load(args.checkpoint)
     forecasts = pipe.forecast_range(series, start, end)
     write_forecast_csv(forecasts, args.out)
     print(f"wrote {len(forecasts)} forecasts to {args.out}")

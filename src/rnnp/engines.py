@@ -57,7 +57,7 @@ from .model import (
     pack,
     phi_offsets,
     project_inputs,
-    unpack,
+    theta_offsets,
 )
 from .pbonacci import U128_MAX
 
@@ -145,9 +145,11 @@ def _tree_gradients(params: ModelParams, spec: RnnSpec, xs: list, loss, walk) ->
     loss_value, g0 = _loss_gradient(loss, trace.y_final, spec)
     grads = GradientPair([0.0] * spec.theta_size, [0.0] * spec.phi_size, loss_value)
     _, make_node, _ = _kernels(h, x, y, spec.lag_set)
+    _, w_offs, _ = theta_offsets(spec)
+    v_off, c_off = phi_offsets(spec)
     node = make_node(
-        params.V.data,
-        [W_l.data for W_l in params.W],
+        params.phi[v_off:c_off],
+        [params.theta[off : off + h * y] for off in w_offs],
         trace.h_steps,
         trace.y_steps,
         xs,
@@ -229,7 +231,9 @@ def rtrl_gradients(
     tsize, psize = spec.theta_size, spec.phi_size
     max_lag = spec.max_lag
     v_off, c_off = phi_offsets(spec)
-    W, V = params.W, params.V
+    _, w_offs, _ = theta_offsets(spec)
+    vdata = params.phi[v_off:c_off]
+    w_datas = [params.theta[off : off + h * y] for off in w_offs]
 
     pair_floats = y * (tsize + psize)
     ring: dict = {}
@@ -249,7 +253,6 @@ def rtrl_gradients(
     for t, (h_t, yhat) in enumerate(forward_steps(params, spec, rows), 1):
         # B = V diag(h'), y x h.
         b_rows = []
-        vdata = V.data
         for k in range(y):
             base = k * h
             b_rows.append(
@@ -259,8 +262,7 @@ def rtrl_gradients(
 
         # C_l = B W_l, y x y, one per lag.
         c_mats = []
-        for W_l in W:
-            wdata = W_l.data
+        for wdata in w_datas:
             cm = []
             for k in range(y):
                 bk = b_rows[k]
@@ -402,7 +404,8 @@ def finite_difference_gradients(
     """
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be a finite positive number, got {step}")
-    p = unpack(pack(params, spec), spec)
+    p = pack(params, spec)
+    _, w_offs, b_off = theta_offsets(spec)
     base_rows = list(project_inputs(p, spec, xs))
 
     def loss_at(reproject: bool) -> float:
@@ -414,9 +417,12 @@ def finite_difference_gradients(
             raise NumericError("non-finite loss during finite differencing")
         return value
 
-    def sweep(vec: list, reproject: bool) -> list:
+    def sweep(vec: list, shared: range) -> list:
+        """The central differences of ``vec``'s entries in order; those at
+        an index in ``shared`` reuse the unperturbed projections."""
         out = []
         for i in range(len(vec)):
+            reproject = i not in shared
             orig = vec[i]
             plus, minus = orig + step, orig - step
             if not (math.isfinite(plus) and math.isfinite(minus)):
@@ -432,11 +438,8 @@ def finite_difference_gradients(
         return out
 
     loss_value = loss_at(False)
-    d_theta = sweep(p.U.data, True)
-    for W_l in p.W:
-        d_theta += sweep(W_l.data, False)
-    d_theta += sweep(p.b, True)
-    d_phi = sweep(p.V.data, False) + sweep(p.c, False)
+    d_theta = sweep(p.theta, range(w_offs[0], b_off))
+    d_phi = sweep(p.phi, range(len(p.phi)))
     return GradientPair(d_theta=d_theta, d_phi=d_phi, loss=loss_value)
 
 

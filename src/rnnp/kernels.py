@@ -12,8 +12,11 @@ shape, with every loop over h, x, y and the lags unrolled into locals:
 
 ``_kernels`` compiles that source once per shape into one bounded cache.
 This is the only module that generates or compiles code; the import order
-is ``base <- kernels <- model <- engines``.  Every sum keeps the order of
-the loop it replaces, so the bits are those of the loop form.
+is ``base <- kernels <- model <- engines``.  The kernels take the weights
+as slices of the packed vectors of ``model.ModelParams`` (theta: U, each
+W_l, b; phi: V, c), cut by their callers for the length of one call.
+Every sum keeps the order of the loop it replaces, so the bits are those
+of the loop form.
 """
 
 from __future__ import annotations
@@ -41,13 +44,13 @@ def kernel_source(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> st
 
     It defines three functions, compiled once per shape by ``_kernels``:
 
-    * ``project(u, b, xs)``, a generator that unpacks ``U.data`` and ``b``
+    * ``project(u, b, xs)``, a generator that unpacks theta's U and b slices
       into locals, then for each row of ``xs`` checks its length, unpacks
       it and yields ``[a_0 + b_0, a_1 + b_1, ...]``.  Each accumulator a_r
       starts at 0.0 and adds ``U[r,c] * x_c`` over increasing column c.
     * ``make_node(v, ws, h_steps, y_steps, xs, d_phi, add_macs, macs)``
-      binds one trrl or bptt call's weights (``V.data``, each
-      ``W_l.data``), trace and input rows as closure locals and returns
+      binds one trrl or bptt call's weights (phi's V slice, theta's
+      W_l slices), trace and input rows as closure locals and returns
       the unrolled tree's node, ``node(t, g) -> (entry, children)``.  The
       node backpropagates the output gradient g of step t: it adds the
       output-layer terms (V, c) to ``d_phi`` and folds g into

@@ -1,24 +1,21 @@
-"""The dense matrix, a fixed-order sum, deterministic RNG, and operation
-counters.
+"""A fixed-order sum, deterministic RNG, and operation counters.
 
-Everything here is plain CPython ``float`` arithmetic over lists.  Sums
-run from 0.0 in a fixed order (``_left_sum``), so results are
-bit-identical across runs, platforms and interpreter versions.  That
-reproducibility is contractual: the gradient engines are compared against
-each other at tight tolerances, and their cost is accounted by exact
-multiply-accumulate tallies rather than wall time.
+Everything here is plain CPython ``float`` arithmetic over lists; there
+is no matrix type.  The model's weights live in the packed vectors of
+``model.ModelParams``.  Sums run from 0.0 in a fixed order
+(``_left_sum``), so results are bit-identical across runs, platforms and
+interpreter versions.  That reproducibility is contractual: the gradient
+engines are compared against each other at tight tolerances, and their
+cost is accounted by exact multiply-accumulate tallies rather than wall
+time.
 
-Matrices and vectors are treated as immutable after construction and are
-safe to share between threads; an ``OpCounter`` belongs to one gradient
-call and must not be shared across concurrent calls.
+An ``OpCounter`` belongs to one gradient call and must not be shared
+across concurrent calls.
 """
 
 from __future__ import annotations
 
-import math
 import random
-
-from .base import NumericError
 
 
 class OpCounter:
@@ -51,41 +48,6 @@ class OpCounter:
 
     def __repr__(self) -> str:
         return f"OpCounter(mac_count={self.mac_count}, peak_floats={self.peak_floats})"
-
-
-class Matrix:
-    """Row-major dense matrix of 64-bit floats."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows: int, cols: int, data: list) -> None:
-        if rows < 0 or cols < 0:
-            raise ValueError(f"negative matrix shape {rows}x{cols}")
-        if len(data) != rows * cols:
-            raise ValueError(
-                f"matrix data length {len(data)} does not match shape {rows}x{cols}"
-            )
-        for v in data:
-            if not math.isfinite(v):
-                raise NumericError(f"non-finite matrix entry {v!r}")
-        self.rows = rows
-        self.cols = cols
-        self.data = data
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [0.0] * (rows * cols))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.rows}x{self.cols})"
 
 
 def _left_sum(values) -> float:

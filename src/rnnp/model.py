@@ -17,6 +17,12 @@ projected rows.  The projection is the generated ``project`` of the
 spec's shape (``kernels.kernel_source``): it reads dense rows, tests each
 column once, and skips the products of zero inputs without changing a
 bit.
+
+The parameters have one form, ``ModelParams``: the packed vectors theta
+(U, each W_l, b) and phi (V, c) that the gradient engines differentiate,
+Adam updates and checkpoints store.  Each function that reads a weight
+takes its slice or offset (``theta_offsets``, ``phi_offsets``) for the
+length of one call.
 """
 
 from __future__ import annotations
@@ -28,12 +34,13 @@ from dataclasses import dataclass, field
 from .base import (
     NUMBER,
     DataValidationError,
+    NumericError,
     atomic_write,
     check_kind,
     checkpoint_field,
 )
 from .kernels import _kernels, check_finite_step
-from .linalg import Matrix, Rng
+from .linalg import Rng
 
 CHECKPOINT_MAGIC = "RNNP1"
 
@@ -112,54 +119,43 @@ class RnnSpec:
         )
 
 
-@dataclass
-class ModelParams:
-    """Trainable parameters: U (h x x), W_l (h x y) per lag, b, V (y x h), c."""
-
-    U: Matrix
-    W: list
-    b: list
-    V: Matrix
-    c: list
-
-    def validate(self, spec: RnnSpec) -> None:
-        h, x, y = spec.hidden_dim, spec.x_dim, spec.y_dim
-        if (self.U.rows, self.U.cols) != (h, x):
-            raise ValueError(f"U is {self.U.rows}x{self.U.cols}, expected {h}x{x}")
-        if len(self.W) != spec.p:
-            raise ValueError(f"expected {spec.p} lag matrices, got {len(self.W)}")
-        for i, w in enumerate(self.W):
-            if (w.rows, w.cols) != (h, y):
-                raise ValueError(
-                    f"W[{i}] is {w.rows}x{w.cols}, expected {h}x{y}"
-                )
-        if len(self.b) != h:
-            raise ValueError(f"b has length {len(self.b)}, expected {h}")
-        if (self.V.rows, self.V.cols) != (y, h):
-            raise ValueError(f"V is {self.V.rows}x{self.V.cols}, expected {y}x{h}")
-        if len(self.c) != y:
-            raise ValueError(f"c has length {len(self.c)}, expected {y}")
-
-
 @dataclass(frozen=True)
-class FlatParams:
-    """Packed parameter vectors.
+class ModelParams:
+    """Trainable parameters: the packed vectors the engines differentiate.
 
-    theta packs U row-major, then each W_l row-major in lag-set order,
-    then b; phi packs V row-major then c.  The flat index of U[0][0] is 0.
+    theta packs U (h x x) row-major, then each W_l (h x y) row-major in
+    lag-set order, then b (h); phi packs V (y x h) row-major, then c (y).
+    The flat index of U[0][0] is 0.  ``theta_offsets`` and ``phi_offsets``
+    are the only place that layout is written.  Every entry must be
+    finite: constructing one with a NaN or an infinity raises
+    ``NumericError``; ``validate`` checks the two lengths against a spec.
     """
 
     theta: list
     phi: list
 
+    def __post_init__(self) -> None:
+        for name in ("theta", "phi"):
+            vec = getattr(self, name)
+            if not all(map(math.isfinite, vec)):
+                i = next(i for i, v in enumerate(vec) if not math.isfinite(v))
+                raise NumericError(f"non-finite {name}[{i}] = {vec[i]!r}")
+
+    def validate(self, spec: RnnSpec) -> None:
+        if len(self.theta) != spec.theta_size:
+            raise ValueError(
+                f"theta has length {len(self.theta)}, expected {spec.theta_size}"
+            )
+        if len(self.phi) != spec.phi_size:
+            raise ValueError(f"phi has length {len(self.phi)}, expected {spec.phi_size}")
+
 
 def theta_offsets(spec: RnnSpec) -> tuple:
-    """(u_offset, [w_offset per lag], b_offset) into the theta vector."""
+    """(u_offset, w_offsets, b_offset) into the theta vector; w_offsets is
+    a range holding one offset per lag, in lag-set order."""
     h, x, y = spec.hidden_dim, spec.x_dim, spec.y_dim
-    u_off = 0
-    w_offs = [h * x + i * h * y for i in range(spec.p)]
-    b_off = h * x + spec.p * h * y
-    return u_off, w_offs, b_off
+    b_off = h * x + len(spec.lag_set) * h * y
+    return 0, range(h * x, b_off, h * y), b_off
 
 
 def phi_offsets(spec: RnnSpec) -> tuple:
@@ -167,58 +163,29 @@ def phi_offsets(spec: RnnSpec) -> tuple:
     return 0, spec.y_dim * spec.hidden_dim
 
 
-def pack(params: ModelParams, spec: RnnSpec) -> FlatParams:
+def pack(params: ModelParams, spec: RnnSpec) -> ModelParams:
+    """A validated copy of ``params``: new theta and phi lists."""
     params.validate(spec)
-    theta: list = []
-    theta.extend(params.U.data)
-    for w in params.W:
-        theta.extend(w.data)
-    theta.extend(params.b)
-    phi: list = []
-    phi.extend(params.V.data)
-    phi.extend(params.c)
-    return FlatParams(theta=theta, phi=phi)
-
-
-def unpack(flat: FlatParams, spec: RnnSpec) -> ModelParams:
-    h, x, y = spec.hidden_dim, spec.x_dim, spec.y_dim
-    if len(flat.theta) != spec.theta_size:
-        raise ValueError(
-            f"theta has length {len(flat.theta)}, expected {spec.theta_size}"
-        )
-    if len(flat.phi) != spec.phi_size:
-        raise ValueError(f"phi has length {len(flat.phi)}, expected {spec.phi_size}")
-    _, w_offs, b_off = theta_offsets(spec)
-    U = Matrix(h, x, list(flat.theta[0 : h * x]))
-    W = [
-        Matrix(h, y, list(flat.theta[off : off + h * y])) for off in w_offs
-    ]
-    b = list(flat.theta[b_off : b_off + h])
-    v_off, c_off = phi_offsets(spec)
-    V = Matrix(y, h, list(flat.phi[v_off : v_off + y * h]))
-    c = list(flat.phi[c_off : c_off + y])
-    return ModelParams(U=U, W=W, b=b, V=V, c=c)
+    return ModelParams(theta=list(params.theta), phi=list(params.phi))
 
 
 def init_params(spec: RnnSpec, rng: Rng) -> ModelParams:
     """Glorot-uniform weights, zero biases.
 
     Each matrix is drawn U[-r, r] with r = sqrt(6 / (fan_in + fan_out)),
-    which keeps sigmoid pre-activations in their responsive range.
+    which keeps sigmoid pre-activations in their responsive range.  The
+    draws run U, each W_l, then V.
     """
     h, x, y = spec.hidden_dim, spec.x_dim, spec.y_dim
 
-    def draw(rows: int, cols: int, fan_in: int, fan_out: int) -> Matrix:
+    def draw(fan_in: int, fan_out: int) -> list:
         r = math.sqrt(6.0 / (fan_in + fan_out))
-        return Matrix(rows, cols, rng.uniform(-r, r, rows * cols))
+        return rng.uniform(-r, r, fan_in * fan_out)
 
-    return ModelParams(
-        U=draw(h, x, x, h),
-        W=[draw(h, y, y, h) for _ in spec.lag_set],
-        b=[0.0] * h,
-        V=draw(y, h, h, y),
-        c=[0.0] * y,
-    )
+    theta = draw(x, h)
+    for _ in spec.lag_set:
+        theta += draw(y, h)
+    return ModelParams(theta=theta + [0.0] * h, phi=draw(h, y) + [0.0] * y)
 
 
 def sigmoid(a: float) -> float:
@@ -247,16 +214,19 @@ def project_inputs(params: ModelParams, spec: RnnSpec, xs):
     with the sum from 0.0 over increasing column index, the products of
     zero inputs skipped.  It is the only forward code that reads ``U`` and
     ``b``: the generated ``project`` of the spec's shape
-    (``kernels.kernel_source``), bound to ``params.U`` and ``params.b``
-    when the first row is pulled.  A row whose length is not ``x_dim`` raises
-    ``ValueError``.  A projection depends on the parameters and its own
-    input row alone, so a caller whose parameters are fixed can project
-    each row once and pass the result to every window that contains it
-    (see ``forward_steps``).  Rows are projected as they are pulled, so
-    ``xs`` may be any iterable.
+    (``kernels.kernel_source``), given the U and b slices of
+    ``params.theta`` as they are at the call.  A row whose length is not
+    ``x_dim`` raises ``ValueError``.  A projection depends on the
+    parameters and its own input row alone, so a caller whose parameters
+    are fixed can project each row once and pass the result to every
+    window that contains it (see ``forward_steps``).  Rows are projected
+    as they are pulled, so ``xs`` may be any iterable.
     """
-    project, _, _ = _kernels(spec.hidden_dim, spec.x_dim, spec.y_dim, spec.lag_set)
-    return project(params.U.data, params.b, xs)
+    h = spec.hidden_dim
+    project, _, _ = _kernels(h, spec.x_dim, spec.y_dim, spec.lag_set)
+    u_off, _, b_off = theta_offsets(spec)
+    theta = params.theta
+    return project(theta[u_off : u_off + h * spec.x_dim], theta[b_off : b_off + h], xs)
 
 
 def forward_steps(params: ModelParams, spec: RnnSpec, rows):
@@ -286,12 +256,18 @@ def forward_steps(params: ModelParams, spec: RnnSpec, rows):
     windows that contain its hour, as ``forecast_range`` does.
     """
     h_dim, y_dim = spec.hidden_dim, spec.y_dim
-    v = params.V.data
+    theta, phi = params.theta, params.phi
+    _, w_offs, _ = theta_offsets(spec)
+    v_off, c_off = phi_offsets(spec)
     # Per hidden row, its row of each W_l.
     w_rows = [
-        [w.data[r * y_dim : (r + 1) * y_dim] for w in params.W] for r in range(h_dim)
+        [theta[off + r * y_dim : off + (r + 1) * y_dim] for off in w_offs]
+        for r in range(h_dim)
     ]
-    v_rows = [(v[k * h_dim : (k + 1) * h_dim], params.c[k]) for k in range(y_dim)]
+    v_rows = [
+        (phi[v_off + k * h_dim : v_off + (k + 1) * h_dim], phi[c_off + k])
+        for k in range(y_dim)
+    ]
     h_cols, y_cols = range(h_dim), range(y_dim)
     lags = spec.lag_set
     ys: list = []
@@ -343,7 +319,7 @@ def forward_sequence(params: ModelParams, spec: RnnSpec, xs) -> ForwardTrace:
 def save_checkpoint(
     path: str,
     spec: RnnSpec,
-    flat: FlatParams,
+    params: ModelParams,
     extras: dict | None = None,
 ) -> None:
     """Write a versioned JSON checkpoint (magic ``RNNP1``), atomically.
@@ -352,13 +328,15 @@ def save_checkpoint(
     coefficients, encoder state); the schema is documented in the README.
     The record is written through ``atomic_write``, so ``path`` always
     holds a whole checkpoint: the old one if writing fails, for example on
-    a non-finite value.
+    a non-finite value.  Parameters whose lengths do not match ``spec``
+    raise ``ValueError`` before anything is written.
     """
+    params.validate(spec)
     record = {
         "magic": CHECKPOINT_MAGIC,
         "spec": spec.to_dict(),
-        "theta": list(flat.theta),
-        "phi": list(flat.phi),
+        "theta": list(params.theta),
+        "phi": list(params.phi),
         "extras": extras or {},
     }
     with atomic_write(path) as f:
@@ -366,7 +344,7 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> tuple:
-    """Read a checkpoint; returns (spec, flat_params, extras).
+    """Read a checkpoint; returns (spec, params, extras).
 
     A file that is not a well-formed checkpoint raises
     ``DataValidationError``.
@@ -388,12 +366,12 @@ def load_checkpoint(path: str) -> tuple:
         spec = RnnSpec.from_dict(checkpoint_field(record, "spec"))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataValidationError(f"checkpoint spec is invalid: {exc!r}") from None
-    flat = FlatParams(
+    params = ModelParams(
         theta=[float(v) for v in checkpoint_field(record, "theta", kind=[NUMBER])],
         phi=[float(v) for v in checkpoint_field(record, "phi", kind=[NUMBER])],
     )
-    if len(flat.theta) != spec.theta_size or len(flat.phi) != spec.phi_size:
+    if len(params.theta) != spec.theta_size or len(params.phi) != spec.phi_size:
         raise DataValidationError(
             "checkpoint parameter lengths do not match its spec"
         )
-    return spec, flat, record.get("extras", {})
+    return spec, params, record.get("extras", {})

@@ -35,7 +35,7 @@ from .base import (
 from .features import FEATURE_DIM, CalendarFeatureEncoder
 from .forecaster import RnnForecaster, _check_lag_reach
 from .metrics import MetricReport, point_metrics, probabilistic_metrics
-from .model import load_checkpoint, pack, project_inputs, save_checkpoint, unpack
+from .model import load_checkpoint, project_inputs, save_checkpoint
 from .seasonal import YEARLY_HARMONICS, HourlyDeseasonalizer
 from .series import HourlySeries
 from .stats import lognormal_mean, lognormal_quantile
@@ -127,13 +127,20 @@ class LoadForecastPipeline(BaseEstimator):
         [start, end) and, when both validation bounds are given, of
         [val_start, val_end), else None.  ``HourlySeries`` has checked the
         data, so the windows go to training without another check.  A lag
-        no window reaches, or one validation bound without the other, is
-        rejected first, before any encoding.
+        no window reaches, one validation bound without the other, or a
+        range whose start is not before its end is rejected first, before
+        any encoding, as a ``ValueError`` naming the bounds.
         """
         _check_lag_reach(self.lags, self.tau)
         if (val_start is None) != (val_end is None):
             missing = "val_end" if val_end is None else "val_start"
             raise ValueError(f"a validation range needs both bounds: {missing} is missing")
+        for name, lo, hi in (("train", start, end), ("val", val_start, val_end)):
+            if lo is not None and lo >= hi:
+                raise ValueError(
+                    f"{name}_start {lo.isoformat()} is not before "
+                    f"{name}_end {hi.isoformat()}"
+                )
         self.encoder_ = CalendarFeatureEncoder(holidays=self.holidays).fit(
             series, start, end
         )
@@ -244,17 +251,16 @@ class LoadForecastPipeline(BaseEstimator):
 
     def save(self, path: str) -> None:
         check_fitted(self, ["forecaster_"])
-        flat = pack(self.forecaster_.params_, self.forecaster_.spec_)
         extras = {
             "pipeline_params": _jsonable_params(self.get_params()),
             **self.deseasonalizer_.state(),
             **self.encoder_.state(),
         }
-        save_checkpoint(path, self.forecaster_.spec_, flat, extras)
+        save_checkpoint(path, self.forecaster_.spec_, self.forecaster_.params_, extras)
 
     @classmethod
     def load(cls, path: str) -> "LoadForecastPipeline":
-        spec, flat, extras = load_checkpoint(path)
+        spec, weights, extras = load_checkpoint(path)
         params = checkpoint_field(extras, "pipeline_params", kind=dict)
         for key, value in RETIRED_PARAMS.items():
             if key in params and params.pop(key) != value:
@@ -296,7 +302,7 @@ class LoadForecastPipeline(BaseEstimator):
                 f"checkpoint spec {spec.to_dict()} does not match its pipeline "
                 f"parameters and encoder, which need {fc.spec_.to_dict()}"
             )
-        fc.params_ = unpack(flat, spec)
+        fc.params_ = weights
         fc.history_ = []
         pipe.forecaster_ = fc
         return pipe

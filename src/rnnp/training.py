@@ -20,14 +20,11 @@ from .base import ConfigError, NumericError
 from .engines import ENGINES
 from .linalg import Rng
 from .model import (
-    FlatParams,
     ModelParams,
     RnnSpec,
     forward_sequence,
     init_params,
-    pack,
     sigmoid,
-    unpack,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -217,14 +214,14 @@ def train(
         raise ValueError("no training windows")
     head.check_spec(spec)
 
-    flat = pack(params, spec)
-    values = list(flat.theta) + list(flat.phi)
+    params.validate(spec)
+    values = params.theta + params.phi
     n_theta = spec.theta_size
     adam = AdamState.zeros(len(values))
     rng = Rng(config.seed)
 
     def params_of(vec: list) -> ModelParams:
-        return unpack(FlatParams(theta=vec[:n_theta], phi=vec[n_theta:]), spec)
+        return ModelParams(theta=vec[:n_theta], phi=vec[n_theta:])
 
     live = params_of(values)
     best_monitored = math.inf

@@ -9,7 +9,7 @@ from rnnp import cli
 from rnnp.cli import main
 from rnnp.features import FEATURE_DIM
 from rnnp.linalg import Rng
-from rnnp.model import RnnSpec, init_params, pack, save_checkpoint
+from rnnp.model import RnnSpec, init_params, save_checkpoint
 from rnnp.pipeline import (
     FORECAST_CSV_HEADER,
     LoadForecastPipeline,
@@ -144,6 +144,48 @@ class TestConfigValidation:
                 {"val_end": "2007-10-01T00:00:00", "max_epochs": 1},
                 "val_start is missing",
             ),
+            (
+                {"lags": [1], "hidden_dim": 3, "tau": 12},
+                {
+                    "train_start": "2007-09-01T00:00:00",
+                    "train_end": "2007-03-01T00:00:00",
+                    "max_epochs": 1,
+                },
+                "train_start 2007-09-01T00:00:00 is not before "
+                "train_end 2007-03-01T00:00:00",
+            ),
+            (
+                {"lags": [1], "hidden_dim": 3, "tau": 12},
+                {
+                    "train_end": "2007-09-01T00:00:00",
+                    "val_start": "2007-12-01T00:00:00",
+                    "val_end": "2007-10-01T00:00:00",
+                    "max_epochs": 1,
+                },
+                "val_start 2007-12-01T00:00:00 is not before "
+                "val_end 2007-10-01T00:00:00",
+            ),
+            (
+                {"lags": [1], "hidden_dim": 3, "tau": 12},
+                {
+                    "train_start": "2007-06-01T00:00:00",
+                    "train_end": "2007-06-01T00:00:00",
+                    "max_epochs": 1,
+                },
+                "train_start 2007-06-01T00:00:00 is not before "
+                "train_end 2007-06-01T00:00:00",
+            ),
+            (
+                {"lags": [1], "hidden_dim": 3, "tau": 12},
+                {
+                    "train_end": "2007-09-01T00:00:00",
+                    "val_start": "2007-10-01T00:00:00",
+                    "val_end": "2007-10-01T00:00:00",
+                    "max_epochs": 1,
+                },
+                "val_start 2007-10-01T00:00:00 is not before "
+                "val_end 2007-10-01T00:00:00",
+            ),
         ],
         ids=[
             "lags",
@@ -153,6 +195,10 @@ class TestConfigValidation:
             "bptt_above_guard",
             "val_start_only",
             "val_end_only",
+            "train_range_reversed",
+            "val_range_reversed",
+            "train_range_empty",
+            "val_range_empty",
         ],
     )
     def test_bad_model_value_is_a_config_error(
@@ -444,7 +490,7 @@ class TestMalformedCheckpoint:
 
     def write_model_only(self, path):
         spec = RnnSpec(lag_set=(1,), x_dim=13, hidden_dim=2, y_dim=2)
-        save_checkpoint(str(path), spec, pack(init_params(spec, Rng(0)), spec))
+        save_checkpoint(str(path), spec, init_params(spec, Rng(0)))
 
     @pytest.mark.parametrize("kind", ["foreign", "truncated", "model_only"])
     def test_forecast_exits_with_data_error(self, tmp_path, capsys, kind):
@@ -727,6 +773,27 @@ class TestNaiveTimestamps:
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and flag in err and "UTC offset" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "start, end",
+        [
+            ("2007-06-02T00:00:00", "2007-06-01T00:00:00"),
+            ("2007-06-01T00:00:00", "2007-06-01T00:00:00"),
+        ],
+        ids=["reversed", "empty"],
+    )
+    def test_forecast_start_not_before_end_exits_with_config_error(
+        self, tmp_path, capsys, one_year_csv, start, end
+    ):
+        # The bounds are checked before the checkpoint is read: there is none.
+        out = tmp_path / "forecast.csv"
+        argv = ["forecast", "--checkpoint", str(tmp_path / "missing.json")]
+        argv += ["--data", one_year_csv, "--start", start, "--end", end]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"--start {start} is not before --end {end}" in err
         assert not out.exists()
 
     def test_config_date_with_offset_exits_with_config_error(

@@ -21,18 +21,16 @@ from rnnp.engines import (
     trrl_gradients,
 )
 from rnnp.features import CalendarFeatureEncoder
-from rnnp.linalg import Matrix, Rng
+from rnnp.linalg import Rng
 from rnnp.gradcheck import _random_instance, run_gradient_check
 from rnnp.kernels import kernel_source
 from rnnp.model import (
-    FlatParams,
     ModelParams,
     RnnSpec,
     forward_sequence,
     init_params,
-    pack,
+    phi_offsets,
     theta_offsets,
-    unpack,
 )
 from rnnp.pbonacci import build_table
 from rnnp.pipeline import LoadForecastPipeline
@@ -43,13 +41,7 @@ LAG_SETS = [(1,), (1, 2), (1, 3), (1, 2, 5)]
 
 
 def zero_params(spec):
-    return ModelParams(
-        U=Matrix.zeros(spec.hidden_dim, spec.x_dim),
-        W=[Matrix.zeros(spec.hidden_dim, spec.y_dim) for _ in spec.lag_set],
-        b=[0.0] * spec.hidden_dim,
-        V=Matrix.zeros(spec.y_dim, spec.hidden_dim),
-        c=[0.0] * spec.y_dim,
-    )
+    return ModelParams(theta=[0.0] * spec.theta_size, phi=[0.0] * spec.phi_size)
 
 
 def make_case(seed, lag_set=None, tau=None, y_dim=None):
@@ -126,7 +118,7 @@ class TestSingleStepBackprop:
         trace = forward_sequence(params, spec, [x])
         h = trace.h_steps[0]
         g = 2.0 * (trace.y_final[0] - target)
-        q = [params.V.data[j] * h[j] * (1 - h[j]) * g for j in range(3)]
+        q = [params.phi[j] * h[j] * (1 - h[j]) * g for j in range(3)]  # V[0][j]
         want_dU = [q[r] * x[c] for r in range(3) for c in range(2)]
         want_db = q
         want_dV = [g * h[j] for j in range(3)]
@@ -148,9 +140,10 @@ class TestFiniteDifferenceOracle:
         params = init_params(spec, Rng(3))
         xs = [Rng(4).spawn(t).uniform(-1, 1, 2) for t in range(3)]
         # Disconnect the feedback so phi perturbations stay quadratic.
-        params = ModelParams(
-            U=params.U, W=[Matrix.zeros(4, 1)], b=params.b, V=params.V, c=params.c
-        )
+        _, w_offs, b_off = theta_offsets(spec)
+        theta = list(params.theta)
+        theta[w_offs[0] : b_off] = [0.0] * 4
+        params = ModelParams(theta=theta, phi=params.phi)
         target = 0.4
         loss = lambda y_hat: mse_loss(y_hat, target)
         trace = forward_sequence(params, spec, xs)
@@ -434,13 +427,14 @@ def loop_projection(params, spec, x_t):
     """``U x + b`` of one dense row as a loop: per hidden row, a sum from
     0.0 over increasing column, the products of zero inputs skipped."""
     x = spec.x_dim
+    _, _, b_off = theta_offsets(spec)
     out = []
     for r in range(spec.hidden_dim):
         acc = 0.0
         for c in range(x):
             if x_t[c] != 0.0:
-                acc += params.U.data[r * x + c] * x_t[c]
-        out.append(acc + params.b[r])
+                acc += params.theta[r * x + c] * x_t[c]
+        out.append(acc + params.theta[b_off + r])
     return out
 
 
@@ -475,7 +469,8 @@ def node_time_gradients(params, spec, xs, loss, order):
     value, g0 = loss(trace.y_final)
     d_theta = [0.0] * spec.theta_size
     d_phi = [0.0] * spec.phi_size
-    v = params.V.data
+    v = params.phi
+    _, w_offs, _ = theta_offsets(spec)
     terms = per_entry_terms(spec)
     tally = {"macs": 0, "visits": 0}
 
@@ -496,7 +491,7 @@ def node_time_gradients(params, spec, xs, loss, order):
 
     def push(i, q):
         tally["macs"] += h * y
-        w = params.W[i].data
+        w = params.theta[w_offs[i] : w_offs[i] + h * y]
         out = []
         for k in range(y):
             acc = 0.0
@@ -663,13 +658,12 @@ class TestInputLayerPass:
 
 
 def reference_finite_differences(params, spec, xs, loss, step=1e-5):
-    """The oracle as one ``unpack`` and one ``forward_sequence`` per loss
-    evaluation, over a packed copy: (loss, d_theta, d_phi)."""
-    flat = pack(params, spec)
-    theta, phi = list(flat.theta), list(flat.phi)
+    """The oracle as one new ``ModelParams`` and one ``forward_sequence``
+    per loss evaluation, over a copy: (loss, d_theta, d_phi)."""
+    theta, phi = list(params.theta), list(params.phi)
 
     def loss_at():
-        p = unpack(FlatParams(theta=theta, phi=phi), spec)
+        p = ModelParams(theta=theta, phi=phi)
         return loss(forward_sequence(p, spec, xs).y_final)[0]
 
     def sweep(vec):
@@ -689,9 +683,7 @@ def reference_finite_differences(params, spec, xs, loss, step=1e-5):
 
 def param_lists(params):
     """The lists that hold the parameter entries, in packed order."""
-    return [
-        params.U.data, *(w.data for w in params.W), params.b, params.V.data, params.c
-    ]
+    return [params.theta, params.phi]
 
 
 def param_hexes(params):
@@ -741,8 +733,8 @@ class TestFiniteDifferenceBits:
         loss = LossHead(kind="gaussian_nll").bind(0.3)
         self.assert_reference_bits(params, spec, production_rows()[:26], loss)
 
-    def test_one_unpack_and_a_projection_per_u_or_b_evaluation(self, monkeypatch):
-        """The oracle unpacks once, projects once, and re-projects only for
+    def test_one_copy_and_a_projection_per_u_or_b_evaluation(self, monkeypatch):
+        """The oracle copies once, projects once, and re-projects only for
         a U or b entry; with a loop projection over dense rows in place of
         the generated one, its bits are unchanged.  Calendar rows with -0.0
         entries and an all-zero row."""
@@ -753,18 +745,18 @@ class TestFiniteDifferenceBits:
         xs[6][2] = -0.0
         loss = LossHead(kind="gaussian_nll").bind(0.3)
         fd = finite_difference_gradients(params, spec, xs, loss)
-        calls = {"unpack": 0, "project_inputs": 0}
-        original_unpack = engines.unpack
+        calls = {"pack": 0, "project_inputs": 0}
+        original_pack = engines.pack
 
-        def unpack_counted(*args):
-            calls["unpack"] += 1
-            return original_unpack(*args)
+        def pack_counted(*args):
+            calls["pack"] += 1
+            return original_pack(*args)
 
         def projection_counted(params, spec, xs):
             calls["project_inputs"] += 1
             return (loop_projection(params, spec, x_t) for x_t in xs)
 
-        monkeypatch.setattr(engines, "unpack", unpack_counted)
+        monkeypatch.setattr(engines, "pack", pack_counted)
         monkeypatch.setattr(engines, "project_inputs", projection_counted)
         want = finite_difference_gradients(params, spec, xs, loss)
         assert hexes([fd.loss], fd.d_theta, fd.d_phi) == hexes(
@@ -772,7 +764,7 @@ class TestFiniteDifferenceBits:
         )
         # One base projection, and two more per U and b entry.
         reprojections = 2 * (spec.hidden_dim * spec.x_dim + spec.hidden_dim)
-        assert calls == {"unpack": 1, "project_inputs": 1 + reprojections}
+        assert calls == {"pack": 1, "project_inputs": 1 + reprojections}
 
     def test_gradcheck_rows_pinned(self):
         rows, ok = run_gradient_check(20)
@@ -817,12 +809,13 @@ class TestFiniteDifferenceBits:
     def test_non_finite_perturbed_value_raises(self):
         spec = RnnSpec(lag_set=(1, 4), x_dim=1, hidden_dim=1, y_dim=1)
         params = init_params(spec, Rng(9))
-        params.W[1].data[0] = 1.7976931348623157e308  # lag 4 never reaches
+        w4 = theta_offsets(spec)[1][1]
+        params.theta[w4] = 1.7976931348623157e308  # lag 4 never reaches
         xs = [[0.5], [0.25]]
         loss = LossHead(kind="mse").bind(0.0)
         with pytest.raises(NumericError):
             finite_difference_gradients(params, spec, xs, loss, step=1e300)
-        assert params.W[1].data[0] == 1.7976931348623157e308
+        assert params.theta[w4] == 1.7976931348623157e308
 
     def test_empty_or_ragged_input_rejected(self):
         spec, params, xs, loss = _random_instance(1)
@@ -964,7 +957,7 @@ class TestNumericSafety:
     def test_non_finite_reported_with_step(self):
         spec = RnnSpec(lag_set=(1,), x_dim=1, hidden_dim=1, y_dim=1)
         params = zero_params(spec)
-        params.U.data[0] = 1e200
+        params.theta[0] = 1e200  # U[0][0]
         xs = [[1e200], [0.0]]
         loss = lambda y_hat: mse_loss(y_hat, 0.0)
         with pytest.raises(NumericError, match="step 1"):
@@ -975,9 +968,9 @@ class TestNumericSafety:
         # the output overflow once h is close to 1, at step 2.
         spec = RnnSpec(lag_set=(1,), x_dim=1, hidden_dim=1, y_dim=1)
         params = zero_params(spec)
-        params.U.data[0] = 1.0
-        params.V.data[0] = 1e308
-        params.c[0] = 8e307
+        params.theta[0] = 1.0  # U[0][0]
+        params.phi[0] = 1e308  # V[0][0]
+        params.phi[phi_offsets(spec)[1]] = 8e307  # c[0]
         xs = [[-50.0], [50.0], [0.0]]
         loss = lambda y_hat: mse_loss(y_hat, 0.0)
         with pytest.raises(NumericError, match="non-finite output at step 2"):
@@ -990,7 +983,7 @@ class TestNumericSafety:
         # The output stays finite (5e307) but V^T g overflows at the root.
         spec = RnnSpec(lag_set=(1,), x_dim=1, hidden_dim=1, y_dim=1)
         params = zero_params(spec)
-        params.V.data[0] = 1e308
+        params.phi[0] = 1e308  # V[0][0]
         xs = [[0.0], [0.0]]
         loss = lambda y_hat: mse_loss(y_hat, 0.0)
         for engine in (trrl_gradients, bptt_gradients):

@@ -1,21 +1,8 @@
-"""Kernel-level contracts: shapes, counters, RNG."""
-
-import math
+"""Kernel-level contracts: counters, RNG."""
 
 import pytest
 
-from rnnp.base import NumericError
-from rnnp.linalg import Matrix, OpCounter, Rng
-
-
-class TestMatrix:
-    def test_rejects_non_finite(self):
-        with pytest.raises(NumericError):
-            Matrix(1, 2, [1.0, math.inf])
-
-    def test_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            Matrix(2, 2, [1.0, 2.0, 3.0])
+from rnnp.linalg import OpCounter, Rng
 
 
 class TestOpCounter:

@@ -1,14 +1,14 @@
 """Architecture contracts: parameter counts, packing, forward pass."""
 
+import hashlib
 import json
 import math
 
 import pytest
 
 from rnnp.base import DataValidationError, NumericError
-from rnnp.linalg import Matrix, Rng
+from rnnp.linalg import Rng
 from rnnp.model import (
-    FlatParams,
     ModelParams,
     RnnSpec,
     forward_sequence,
@@ -16,20 +16,30 @@ from rnnp.model import (
     init_params,
     load_checkpoint,
     pack,
+    phi_offsets,
     project_inputs,
     save_checkpoint,
     sigmoid,
-    unpack,
+    theta_offsets,
 )
 
 
 def zero_params(spec):
-    return ModelParams(
-        U=Matrix.zeros(spec.hidden_dim, spec.x_dim),
-        W=[Matrix.zeros(spec.hidden_dim, spec.y_dim) for _ in spec.lag_set],
-        b=[0.0] * spec.hidden_dim,
-        V=Matrix.zeros(spec.y_dim, spec.hidden_dim),
-        c=[0.0] * spec.y_dim,
+    return ModelParams(theta=[0.0] * spec.theta_size, phi=[0.0] * spec.phi_size)
+
+
+def weights(params, spec):
+    """(U, [W_l], b, V, c), each a row-major list cut from theta or phi."""
+    h, x, y = spec.hidden_dim, spec.x_dim, spec.y_dim
+    _, w_offs, b_off = theta_offsets(spec)
+    v_off, c_off = phi_offsets(spec)
+    theta, phi = params.theta, params.phi
+    return (
+        theta[: h * x],
+        [theta[off : off + h * y] for off in w_offs],
+        theta[b_off:],
+        phi[v_off:c_off],
+        phi[c_off:],
     )
 
 
@@ -103,47 +113,92 @@ class TestInitParams:
 
     def test_biases_zero(self):
         spec = RnnSpec(lag_set=(1,), x_dim=2, hidden_dim=3, y_dim=1)
-        p = init_params(spec, Rng(0))
-        assert p.b == [0.0] * 3
-        assert p.c == [0.0]
+        _, _, b, _, c = weights(init_params(spec, Rng(0)), spec)
+        assert b == [0.0] * 3
+        assert c == [0.0]
 
     def test_glorot_bounds(self):
         spec = RnnSpec(lag_set=(1,), x_dim=5, hidden_dim=7, y_dim=2)
         p = init_params(spec, Rng(5))
+        U, _, _, V, _ = weights(p, spec)
         r_u = math.sqrt(6.0 / (5 + 7))
-        assert all(abs(v) <= r_u for v in p.U.data)
+        assert all(abs(v) <= r_u for v in U)
         r_v = math.sqrt(6.0 / (7 + 2))
-        assert all(abs(v) <= r_v for v in p.V.data)
+        assert all(abs(v) <= r_v for v in V)
+
+    # SHA-256 of the float.hex of theta then phi, per seed: pins the values
+    # and the draw order (U, each W_l, then V) of init_params.
+    PIPELINE_INIT_SHA256 = {
+        0: "5a6c622f9f0b746758de2aaba3f16667185b0e5588a858e53519732d3b19bf5c",
+        7: "d582c332a189156d310f529f3c15de22e57e9d8a4b9ecfefe151a7dd8acda197",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PIPELINE_INIT_SHA256))
+    def test_pipeline_shape_init_pinned(self, seed):
+        spec = RnnSpec(lag_set=(1, 2, 24), x_dim=13, hidden_dim=15, y_dim=2)
+        packed = pack(init_params(spec, Rng(seed)), spec)
+        text = "\n".join(v.hex() for v in packed.theta + packed.phi)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == self.PIPELINE_INIT_SHA256[seed]
+
+
+class TestModelParams:
+    """The one parameter form: its finiteness and length checks."""
+
+    def test_rejects_non_finite(self):
+        spec = RnnSpec(lag_set=(1, 2), x_dim=2, hidden_dim=3, y_dim=2)
+        _, w_offs, b_off = theta_offsets(spec)
+        _, c_off = phi_offsets(spec)
+        # An entry of U, of each W_l and of b in theta; of V and of c in phi.
+        places = [("theta", i) for i in (0, *w_offs, b_off, spec.theta_size - 1)]
+        places += [("phi", i) for i in (0, c_off, spec.phi_size - 1)]
+        for name, i in places:
+            for bad in (math.inf, -math.inf, math.nan):
+                vecs = {"theta": [0.5] * spec.theta_size, "phi": [0.5] * spec.phi_size}
+                vecs[name][i] = bad
+                with pytest.raises(NumericError, match=rf"{name}\[{i}\]"):
+                    ModelParams(**vecs)
+
+    def test_rejects_bad_length(self):
+        spec = RnnSpec(lag_set=(1, 2), x_dim=2, hidden_dim=2, y_dim=2)
+        good = zero_params(spec)
+        for theta, phi, named in [
+            (good.theta[:-1], good.phi, "theta has length 13, expected 14"),
+            (good.theta + [0.0], good.phi, "theta has length 15, expected 14"),
+            (good.theta, good.phi[:-1], "phi has length 5, expected 6"),
+            (good.theta, good.phi + [0.0], "phi has length 7, expected 6"),
+        ]:
+            params = ModelParams(theta=theta, phi=phi)
+            with pytest.raises(ValueError, match=named):
+                params.validate(spec)
+            with pytest.raises(ValueError, match=named):
+                pack(params, spec)
 
 
 class TestPacking:
     def test_round_trip_params(self):
         spec = RnnSpec(lag_set=(1, 2, 5), x_dim=3, hidden_dim=4, y_dim=2)
         params = init_params(spec, Rng(21))
-        again = unpack(pack(params, spec), spec)
-        assert pack(again, spec) == pack(params, spec)
+        again = pack(params, spec)
+        assert again == params
+        assert again.theta is not params.theta and again.phi is not params.phi
 
     def test_round_trip_flat(self):
         spec = RnnSpec(lag_set=(1, 2), x_dim=2, hidden_dim=3, y_dim=1)
         rng = Rng(8)
-        flat = FlatParams(
-            theta=rng.uniform(-1, 1, spec.theta_size),
-            phi=rng.uniform(-1, 1, spec.phi_size),
-        )
-        again = pack(unpack(flat, spec), spec)
-        assert again.theta == flat.theta
-        assert again.phi == flat.phi
+        theta = rng.uniform(-1, 1, spec.theta_size)
+        phi = rng.uniform(-1, 1, spec.phi_size)
+        again = pack(ModelParams(theta=theta, phi=phi), spec)
+        assert again.theta == theta
+        assert again.phi == phi
 
     def test_flat_index_of_u00_is_zero(self):
         spec = RnnSpec(lag_set=(1,), x_dim=2, hidden_dim=2, y_dim=1)
         params = zero_params(spec)
-        params.U.data[0] = 42.0
-        assert pack(params, spec).theta[0] == 42.0
-
-    def test_unpack_length_mismatch(self):
-        spec = RnnSpec(lag_set=(1,), x_dim=1, hidden_dim=1, y_dim=1)
-        with pytest.raises(ValueError):
-            unpack(FlatParams(theta=[0.0], phi=[0.0, 0.0]), spec)
+        params.theta[0] = 42.0
+        assert theta_offsets(spec)[0] == 0
+        # U[0][0] multiplies input column 0 into hidden row 0.
+        assert list(project_inputs(params, spec, [[1.0, 0.0]])) == [[42.0, 0.0]]
 
 
 class TestForward:
@@ -157,20 +212,14 @@ class TestForward:
     def test_constant_output_bias(self):
         spec = RnnSpec(lag_set=(1, 2), x_dim=1, hidden_dim=2, y_dim=1)
         params = zero_params(spec)
-        params.c[0] = 0.7
+        params.phi[phi_offsets(spec)[1]] = 0.7
         trace = forward_sequence(params, spec, [[0.3], [0.1], [2.0]])
         assert [y[0] for y in trace.y_steps] == [0.7, 0.7, 0.7]
 
     def test_scalar_hand_case(self):
         # h=1, x=1, y=1, L={1}: U=[2], b=0, W=[0], V=[1], c=0, x=0.
         spec = RnnSpec(lag_set=(1,), x_dim=1, hidden_dim=1, y_dim=1)
-        params = ModelParams(
-            U=Matrix(1, 1, [2.0]),
-            W=[Matrix(1, 1, [0.0])],
-            b=[0.0],
-            V=Matrix(1, 1, [1.0]),
-            c=[0.0],
-        )
+        params = ModelParams(theta=[2.0, 0.0, 0.0], phi=[1.0, 0.0])
         trace = forward_sequence(params, spec, [[0.0]])
         assert trace.h_steps == [[0.5]]
         assert trace.y_steps == [[0.5]]
@@ -214,26 +263,27 @@ class TestForward:
             e = math.exp(v)
             return e / (1.0 + e)
 
+        U, W, b, V, c_out = weights(params, spec)
         outputs = []
         for t in range(1, len(xs) + 1):
             a = []
             for r in range(spec.hidden_dim):
                 acc = 0.0
                 for c in range(spec.x_dim):
-                    acc += params.U.data[r * spec.x_dim + c] * xs[t - 1][c]
-                acc += params.b[r]
-                for W_l, lag in zip(params.W, spec.lag_set):
+                    acc += U[r * spec.x_dim + c] * xs[t - 1][c]
+                acc += b[r]
+                for W_l, lag in zip(W, spec.lag_set):
                     fb = outputs[t - lag - 1] if t - lag >= 1 else [0.0, 0.0]
                     for k in range(spec.y_dim):
-                        acc += W_l.data[r * spec.y_dim + k] * fb[k]
+                        acc += W_l[r * spec.y_dim + k] * fb[k]
                 a.append(acc)
             h = [ref_sigmoid(v) for v in a]
             y = []
             for k in range(spec.y_dim):
                 acc = 0.0
                 for j in range(spec.hidden_dim):
-                    acc += params.V.data[k * spec.hidden_dim + j] * h[j]
-                y.append(acc + params.c[k])
+                    acc += V[k * spec.hidden_dim + j] * h[j]
+                y.append(acc + c_out[k])
             outputs.append(y)
 
         trace = forward_sequence(params, spec, xs)
@@ -243,18 +293,17 @@ class TestForward:
         """With U = 0 and L = {1}, outputs follow the scalar-map orbit."""
         spec = RnnSpec(lag_set=(1,), x_dim=1, hidden_dim=3, y_dim=1)
         params = init_params(spec, Rng(91))
-        params = ModelParams(
-            U=Matrix.zeros(3, 1), W=params.W, b=params.b, V=params.V, c=params.c
-        )
+        params = ModelParams(theta=[0.0] * 3 + params.theta[3:], phi=params.phi)
         xs = [[5.0]] * 8  # exogenous input is disconnected
         trace = forward_sequence(params, spec, xs)
 
+        _, W, b, V, c = weights(params, spec)
         y = [0.0]
         orbit = []
         for _ in range(8):
-            a = [params.b[r] + params.W[0].data[r] * y[0] for r in range(3)]
+            a = [b[r] + W[0][r] * y[0] for r in range(3)]
             h = [sigmoid(v) for v in a]
-            y = [params.c[0] + sum(params.V.data[j] * h[j] for j in range(3))]
+            y = [c[0] + sum(V[j] * h[j] for j in range(3))]
             orbit.append(y[0])
         got = [v[0] for v in trace.y_steps]
         assert all(
@@ -270,7 +319,7 @@ class TestForward:
     def test_non_finite_intermediate_reports_step(self):
         spec = RnnSpec(lag_set=(1,), x_dim=1, hidden_dim=1, y_dim=1)
         params = zero_params(spec)
-        params.U.data[0] = 1e308
+        params.theta[0] = 1e308
         with pytest.raises(NumericError, match="step 2"):
             forward_sequence(params, spec, [[0.0], [1e308], [0.0]])
 
@@ -280,21 +329,22 @@ class TestForwardKernel:
 
     @staticmethod
     def reference(params, spec, xs):
+        U, W, b, V, c_out = weights(params, spec)
         h_steps, y_steps, projections = [], [], []
         for t in range(1, len(xs) + 1):
             a, projected = [], []
             for r in range(spec.hidden_dim):
                 acc = 0.0
                 for c in range(spec.x_dim):
-                    acc += params.U.data[r * spec.x_dim + c] * xs[t - 1][c]
-                acc += params.b[r]
+                    acc += U[r * spec.x_dim + c] * xs[t - 1][c]
+                acc += b[r]
                 projected.append(acc)
-                for W_l, lag in zip(params.W, spec.lag_set):
+                for W_l, lag in zip(W, spec.lag_set):
                     if t - lag < 1:
                         continue  # zero feedback before the window start
                     wf = 0.0
                     for k in range(spec.y_dim):
-                        wf += W_l.data[r * spec.y_dim + k] * y_steps[t - lag - 1][k]
+                        wf += W_l[r * spec.y_dim + k] * y_steps[t - lag - 1][k]
                     acc += wf
                 a.append(acc)
             projections.append(projected)
@@ -303,8 +353,8 @@ class TestForwardKernel:
             for k in range(spec.y_dim):
                 acc = 0.0
                 for j in range(spec.hidden_dim):
-                    acc += params.V.data[k * spec.hidden_dim + j] * h[j]
-                y.append(acc + params.c[k])
+                    acc += V[k * spec.hidden_dim + j] * h[j]
+                y.append(acc + c_out[k])
             h_steps.append(h)
             y_steps.append(y)
         return h_steps, y_steps, projections
@@ -352,7 +402,7 @@ class TestForwardKernel:
     def test_non_finite_pre_activation_named_with_projections(self):
         spec = RnnSpec(lag_set=(1,), x_dim=1, hidden_dim=1, y_dim=1)
         params = zero_params(spec)
-        params.U.data[0] = 1e308
+        params.theta[0] = 1e308
         projections = list(project_inputs(params, spec, [[0.0], [1e308], [0.0]]))
         with pytest.raises(NumericError, match="pre-activation at step 2"):
             list(forward_steps(params, spec, projections))
@@ -362,14 +412,20 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         spec = RnnSpec(lag_set=(1, 2, 24), x_dim=13, hidden_dim=5, y_dim=2)
         params = init_params(spec, Rng(101))
-        flat = pack(params, spec)
         path = str(tmp_path / "model.rnnp.json")
-        save_checkpoint(path, spec, flat, extras={"log_mean": 8.1, "log_std": 0.4})
-        spec2, flat2, extras = load_checkpoint(path)
+        save_checkpoint(path, spec, params, extras={"log_mean": 8.1, "log_std": 0.4})
+        spec2, params2, extras = load_checkpoint(path)
         assert spec2 == spec
-        assert flat2.theta == flat.theta
-        assert flat2.phi == flat.phi
+        assert params2.theta == params.theta
+        assert params2.phi == params.phi
         assert extras["log_mean"] == 8.1
+
+    def test_length_mismatch_writes_nothing(self, tmp_path):
+        spec = RnnSpec(lag_set=(1,), x_dim=2, hidden_dim=3, y_dim=1)
+        params = zero_params(RnnSpec(lag_set=(1,), x_dim=2, hidden_dim=4, y_dim=1))
+        with pytest.raises(ValueError, match="theta has length"):
+            save_checkpoint(str(tmp_path / "model.json"), spec, params)
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.json"
@@ -384,7 +440,7 @@ class TestCheckpoint:
     def test_malformed_record_rejected(self, tmp_path, drop, match):
         spec = RnnSpec(lag_set=(1,), x_dim=2, hidden_dim=3, y_dim=1)
         path = str(tmp_path / "model.json")
-        save_checkpoint(path, spec, pack(init_params(spec, Rng(1)), spec))
+        save_checkpoint(path, spec, init_params(spec, Rng(1)))
         with open(path) as f:
             record = json.load(f)
         if drop is None:
@@ -410,11 +466,11 @@ class TestCheckpoint:
 
     def test_failed_save_keeps_previous_file(self, tmp_path):
         spec = RnnSpec(lag_set=(1, 2), x_dim=2, hidden_dim=3, y_dim=2)
-        flat = pack(init_params(spec, Rng(5)), spec)
+        params = init_params(spec, Rng(5))
         path = tmp_path / "model.json"
-        save_checkpoint(str(path), spec, flat)
+        save_checkpoint(str(path), spec, params)
         before = path.read_bytes()
         with pytest.raises(ValueError):
-            save_checkpoint(str(path), spec, flat, extras={"x": float("nan")})
+            save_checkpoint(str(path), spec, params, extras={"x": float("nan")})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]

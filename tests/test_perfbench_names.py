@@ -17,6 +17,9 @@ import pathlib
 
 import pytest
 
+import rnnp.model
+from rnnp.forecaster import RnnForecaster
+
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -99,3 +102,64 @@ def test_hooked_parameters_keep_their_positions(module_name, attr, leading):
     assert all(
         p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD) for p in params
     )
+
+
+def rnnp_reads(path: pathlib.Path) -> list:
+    """Every dotted name rooted at ``rnnp`` that ``path`` reads: each
+    ``rnnp.<module>.<name>`` or ``rnnp.<name>`` attribute chain (and each of
+    its prefixes), and each ``from rnnp.<module> import <name>``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    chains = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            parts, inner = [], node
+            while isinstance(inner, ast.Attribute):
+                parts.append(inner.attr)
+                inner = inner.value
+            if isinstance(inner, ast.Name) and inner.id == "rnnp":
+                chains.add(".".join(["rnnp", *reversed(parts)]))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("rnnp"):
+            chains.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return sorted(chains)
+
+
+def resolve(chain: str):
+    """The object ``chain`` names, importing submodules on the way, or None."""
+    parts = chain.split(".")
+    target = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], 2):
+        if hasattr(target, part):
+            target = getattr(target, part)
+            continue
+        try:
+            target = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            return None
+    return target
+
+
+READS = rnnp_reads(PERFBENCH / "workloads.py")
+
+
+def test_the_plain_api_reads_were_found():
+    assert "rnnp.model.pack" in READS
+    assert "rnnp.pipeline.LoadForecastPipeline.load" in READS
+    assert "rnnp.linalg.Rng" in READS
+
+
+@pytest.mark.parametrize("chain", READS)
+def test_plain_api_read_resolves(chain):
+    assert resolve(chain) is not None
+
+
+def test_params_digest_reads_packed_lists():
+    """``params_digest`` reads ``.theta`` and ``.phi`` of
+    ``rnnp.model.pack(fc.params_, fc.spec_)`` as lists of floats."""
+    X = [[[0.1 * t, -0.2], [0.3, 0.05 * t]] for t in range(8)]
+    y = [0.1 * t - 0.3 for t in range(8)]
+    fc = RnnForecaster(lags=(1,), hidden_dim=2, loss="mse", max_epochs=1).fit(X, y)
+    packed = rnnp.model.pack(fc.params_, fc.spec_)
+    assert isinstance(packed.theta, list) and isinstance(packed.phi, list)
+    assert len(packed.theta) == fc.spec_.theta_size
+    assert len(packed.phi) == fc.spec_.phi_size
+    assert all(type(v) is float for v in packed.theta + packed.phi)

@@ -15,7 +15,7 @@ import rnnp.forecaster
 import rnnp.pipeline
 from rnnp.base import DataValidationError
 from rnnp.features import CalendarFeatureEncoder
-from rnnp.linalg import Matrix, Rng
+from rnnp.linalg import Rng
 from rnnp.model import ModelParams, forward_sequence
 from rnnp.pipeline import (
     PARAM_KINDS,
@@ -54,11 +54,7 @@ def quick_pipeline(**overrides):
 def zero_out(pipe):
     spec = pipe.forecaster_.spec_
     pipe.forecaster_.params_ = ModelParams(
-        U=Matrix.zeros(spec.hidden_dim, spec.x_dim),
-        W=[Matrix.zeros(spec.hidden_dim, spec.y_dim) for _ in spec.lag_set],
-        b=[0.0] * spec.hidden_dim,
-        V=Matrix.zeros(spec.y_dim, spec.hidden_dim),
-        c=[0.0] * spec.y_dim,
+        theta=[0.0] * spec.theta_size, phi=[0.0] * spec.phi_size
     )
 
 
@@ -403,6 +399,36 @@ class TestValidationRange:
         bound = {given: datetime(2007, 10, 1)}
         with pytest.raises(ValueError, match=f"{missing} is missing"):
             quick_pipeline().fit(series, series.start, series.end, **bound)
+
+    @pytest.mark.parametrize(
+        "bounds, named",
+        [
+            ((datetime(2007, 9, 1), datetime(2007, 3, 1)), "train_start"),
+            ((datetime(2007, 6, 1), datetime(2007, 6, 1)), "train_start"),
+            (
+                (datetime(2007, 1, 1), datetime(2007, 9, 1),
+                 datetime(2007, 12, 1), datetime(2007, 10, 1)),
+                "val_start",
+            ),
+            (
+                (datetime(2007, 1, 1), datetime(2007, 9, 1),
+                 datetime(2007, 10, 1), datetime(2007, 10, 1)),
+                "val_start",
+            ),
+        ],
+        ids=["train_reversed", "train_empty", "val_reversed", "val_empty"],
+    )
+    def test_reversed_or_empty_range_is_rejected_before_encoding(
+        self, monkeypatch, bounds, named
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fit encoded the series")
+
+        monkeypatch.setattr(CalendarFeatureEncoder, "fit", refuse)
+        series, _ = make_series(years=1, seed=58)
+        end_key = named.replace("start", "end")
+        with pytest.raises(ValueError, match=f"{named} .* is not before {end_key} "):
+            quick_pipeline().fit(series, *bounds)
 
 
 class TestTrainingHandOff:

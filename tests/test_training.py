@@ -5,7 +5,7 @@ import math
 import pytest
 
 from rnnp.base import ConfigError, NumericError
-from rnnp.linalg import Matrix, Rng
+from rnnp.linalg import Rng
 from rnnp.model import ModelParams, RnnSpec, init_params, pack
 from rnnp.training import (
     SIGMA_FLOOR,
@@ -25,13 +25,7 @@ from rnnp.training import (
 
 
 def zero_params(spec):
-    return ModelParams(
-        U=Matrix.zeros(spec.hidden_dim, spec.x_dim),
-        W=[Matrix.zeros(spec.hidden_dim, spec.y_dim) for _ in spec.lag_set],
-        b=[0.0] * spec.hidden_dim,
-        V=Matrix.zeros(spec.y_dim, spec.hidden_dim),
-        c=[0.0] * spec.y_dim,
-    )
+    return ModelParams(theta=[0.0] * spec.theta_size, phi=[0.0] * spec.phi_size)
 
 
 class TestMseLoss:

@@ -16,7 +16,13 @@ from rnnp import engines
 from rnnp.engines import bptt_gradients, rtrl_gradients, trrl_gradients
 from rnnp.features import CalendarFeatureEncoder
 from rnnp.linalg import Rng
-from rnnp.model import RnnSpec, forward_steps, init_params, project_inputs
+from rnnp.model import (
+    RnnSpec,
+    forward_steps,
+    init_params,
+    project_inputs,
+    theta_offsets,
+)
 from rnnp.synth import SynthConfig, synth_generate
 from rnnp.training import LossHead
 
@@ -48,13 +54,14 @@ def windows():
 
 def dense_projection(params, spec, x_t):
     x = spec.x_dim
-    u = params.U.data
+    u = params.theta
+    _, _, b_off = theta_offsets(spec)
     out = []
     for r in range(spec.hidden_dim):
         acc = 0.0
         for c in range(x):
             acc += u[r * x + c] * x_t[c]
-        out.append(acc + params.b[r])
+        out.append(acc + u[b_off + r])
     return out
 
 
@@ -68,7 +75,8 @@ def dense_tree_gradients(params, spec, xs, loss, walk):
     value, g0 = loss(steps[-1][1])
     d_theta = [0.0] * spec.theta_size
     d_phi = [0.0] * spec.phi_size
-    v = params.V.data
+    v = params.phi
+    _, w_offs, _ = theta_offsets(spec)
 
     def node(t, g):
         h_t = steps[t - 1][0]
@@ -95,7 +103,7 @@ def dense_tree_gradients(params, spec, xs, loss, walk):
         return q
 
     def push(i, q):
-        w = params.W[i].data
+        w = params.theta[w_offs[i] : w_offs[i] + h * y]
         out = []
         for k in range(y):
             acc = 0.0
