@@ -1,8 +1,18 @@
-"""Kernel-level contracts: counters, RNG."""
+"""Kernel-level contracts: weight lengths, counters, RNG."""
 
 import pytest
 
 from rnnp.linalg import OpCounter, Rng
+from rnnp.model import ModelParams, RnnSpec
+
+
+class TestMatrix:
+    def test_rejects_bad_length(self):
+        # A 2x2 U given three values leaves theta one entry short.
+        spec = RnnSpec(lag_set=(1,), x_dim=2, hidden_dim=2, y_dim=1)
+        params = ModelParams(theta=[1.0, 2.0, 3.0] + [0.0] * 4, phi=[0.0] * 3)
+        with pytest.raises(ValueError):
+            params.validate(spec)
 
 
 class TestOpCounter:

@@ -200,6 +200,12 @@ class TestPacking:
         # U[0][0] multiplies input column 0 into hidden row 0.
         assert list(project_inputs(params, spec, [[1.0, 0.0]])) == [[42.0, 0.0]]
 
+    def test_unpack_length_mismatch(self):
+        # A packed pair read back as parameters must have the spec's lengths.
+        spec = RnnSpec(lag_set=(1,), x_dim=1, hidden_dim=1, y_dim=1)
+        with pytest.raises(ValueError):
+            pack(ModelParams(theta=[0.0], phi=[0.0, 0.0]), spec)
+
 
 class TestForward:
     def test_all_zero_params_give_constant_half_hidden(self):
