@@ -93,8 +93,10 @@ def check_kind(value: Any, kind: Any, name: str, error: type, source: str) -> No
 
     ``kind`` is a type, a tuple of types, [kind] for a list of kind, or a
     dict of kinds for an object with some of those keys and no others.  A
-    bool never matches a number kind, and a float must be finite.
-    ``source`` ("config", "checkpoint") opens every message.
+    bool never matches a number kind, and a number must convert to a finite
+    float: an integer too large for one (``10**400``) is rejected here, not
+    left to overflow in its reader.  ``source`` ("config", "checkpoint")
+    opens every message.
     """
     if isinstance(kind, dict):
         where = name or "root"
@@ -114,6 +116,16 @@ def check_kind(value: Any, kind: Any, name: str, error: type, source: str) -> No
         raise error(f"{source} value {name} has the wrong type: {value!r}")
     elif isinstance(value, float) and not math.isfinite(value):
         raise error(f"{source} value {name} is not finite: {value!r}")
+    elif kind == NUMBER and not _fits_float(value):
+        raise error(f"{source} value {name} is too large for a float")
+
+
+def _fits_float(value: int | float) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def checkpoint_field(record: Any, *keys: str, kind: Any = None) -> Any:

@@ -7,10 +7,10 @@ the packed parameter vectors theta (input-to-hidden) and phi
 * ``trrl_gradients``   backward sweep that merges the repeated subtrees of
                        the unrolled network by accumulating one total
                        gradient vector per step; linear in tau.
-* ``rtrl_gradients``   forward propagation of the output Jacobians
-                       d yhat / d theta and d yhat / d phi; linear in tau
-                       with a y^2 factor, Jacobian storage instead of a
-                       stored trace.
+* ``rtrl_gradients``   forward propagation of the output Jacobian
+                       d yhat / d [theta | phi], one row per output;
+                       linear in tau with a y^2 factor, Jacobian storage
+                       instead of a stored trace.
 * ``bptt_gradients``   literal depth-first recursion over the unrolled
                        tree; exponential in tau for two or more lags, kept
                        behind a guard and used as a reference and for
@@ -44,6 +44,7 @@ checked against.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 from .base import ConfigError, NumericError
@@ -216,36 +217,32 @@ def rtrl_gradients(
 ) -> tuple:
     """Forward Jacobian propagation; no stored trace, Jacobian ring instead.
 
-    Maintains d yhat(s) / d theta and d yhat(s) / d phi for the most recent
-    ``max(lag_set)`` steps (null for s <= 0) and advances them with the
-    recurrences folded into y-by-y matrices, so the per-step cost is
-    O(p y^2 w) and the dense h-by-|theta| intermediate never exists.  For a
-    contiguous lag set the ring holds exactly p Jacobian pairs, matching the
-    p*y*w storage estimate; a gapped lag set needs max(lag) pairs because a
+    J(s) = d yhat(s) / d [theta | phi] is y rows of w = |theta| + |phi|
+    floats, laid out like the packed vectors.  The ring holds J(s) of the
+    most recent ``max(lag_set)`` steps (zero for s <= 0) and advances them
+    with the recurrences folded into y-by-y matrices, so the per-step cost
+    is O(p y^2 w) and the dense h-by-|theta| intermediate never exists.
+    For a contiguous lag set the ring holds exactly p Jacobians, matching
+    the p*y*w storage estimate; a gapped lag set needs max(lag) because a
     Jacobian stays live until its most distant consumer.
     """
-    tau = len(xs)
     params.validate(spec)
     counter = OpCounter()
     h, y = spec.hidden_dim, spec.y_dim
-    tsize, psize = spec.theta_size, spec.phi_size
+    n_theta, w = spec.theta_size, spec.weight_count
     max_lag = spec.max_lag
     v_off, c_off = phi_offsets(spec)
     _, w_offs, _ = theta_offsets(spec)
     vdata = params.phi[v_off:c_off]
     w_datas = [params.theta[off : off + h * y] for off in w_offs]
 
-    pair_floats = y * (tsize + psize)
-    ring: dict = {}
-    for s in range(1 - max_lag, 1):
-        ring[s] = (
-            [[0.0] * tsize for _ in range(y)],
-            [[0.0] * psize for _ in range(y)],
-        )
-        counter.grad_floats_alloc(pair_floats)
+    # Before step t's update, ring[-l] is J(t - l).
+    ring = deque([[0.0] * w for _ in range(y)] for _ in range(max_lag))
+    counter.grad_floats_alloc(max_lag * y * w)
     # Recent outputs, the feedbacks the input-layer update differentiates
-    # against; a step before the window start has none.
-    y_ring: dict = {}
+    # against: y_ring[-l] is yhat(t - l); a step before the window start
+    # has none.
+    y_ring = deque(maxlen=max_lag)
     add_input_terms = _input_layer_terms(spec)
 
     # The forward steps are shared by every engine and not counted.
@@ -276,68 +273,56 @@ def rtrl_gradients(
             c_mats.append(cm)
         counter.add_macs(spec.p * y * y * h)
 
-        # New Jacobian pair: sum_l C_l J(t - l) + the sparse local terms.
-        # The oldest ring entry (lag = max_lag, always in the lag set) is
-        # consumed by its own term, so its buffers are transformed in place
-        # and recycled: the ring never holds more than max_lag pairs.
-        new_jth, new_jph = ring.pop(t - max_lag)
+        # New Jacobian: sum_l C_l J(t - l) + the sparse local terms.  The
+        # oldest one (lag = max_lag, always in the lag set) is consumed by
+        # its own term, so its rows are transformed in place and recycled:
+        # the ring never holds more than max_lag Jacobians.
+        new = ring.popleft()
         c_last = c_mats[-1]
-        for dest, size in ((new_jth, tsize), (new_jph, psize)):
-            for j in range(size):
-                col = [dest[m][j] for m in range(y)]
-                for k in range(y):
-                    acc = 0.0
-                    ck = c_last[k]
-                    for m in range(y):
-                        acc += ck[m] * col[m]
-                    dest[k][j] = acc
+        for j in range(w):
+            col = [new[m][j] for m in range(y)]
+            for k in range(y):
+                acc = 0.0
+                ck = c_last[k]
+                for m in range(y):
+                    acc += ck[m] * col[m]
+                new[k][j] = acc
         for cm, lag in zip(c_mats[:-1], spec.lag_set[:-1]):
-            jth_old, jph_old = ring[t - lag]
+            old = ring[-lag]
             for k in range(y):
                 ck = cm[k]
-                acc_t = new_jth[k]
-                acc_p = new_jph[k]
+                acc = new[k]
                 for m in range(y):
                     ckm = ck[m]
-                    row = jth_old[m]
-                    for j in range(tsize):
-                        acc_t[j] += ckm * row[j]
-                    row = jph_old[m]
-                    for j in range(psize):
-                        acc_p[j] += ckm * row[j]
-        counter.add_macs(spec.p * y * y * (tsize + psize))
+                    row = old[m]
+                    for j in range(w):
+                        acc[j] += ckm * row[j]
+        counter.add_macs(spec.p * y * y * w)
 
-        feedbacks = [y_ring[t - lag] for lag in spec.lag_set if lag < t]
-        for k in range(y):
-            add_input_terms(new_jth[k], [(b_rows[k], xs[t - 1], feedbacks)])
+        # The local terms: the input layer's into each row's theta part,
+        # the output layer's (V, c) into its phi part.
+        feedbacks = [y_ring[-lag] for lag in spec.lag_set if lag < t]
+        for k, row in enumerate(new):
+            theta_part = row[:n_theta]
+            add_input_terms(theta_part, [(b_rows[k], xs[t - 1], feedbacks)])
+            row[:n_theta] = theta_part
+            base = n_theta + v_off + k * h
+            for j in range(h):
+                row[base + j] += h_t[j]
+            row[n_theta + c_off + k] += 1.0
         counter.add_macs(y * (h * spec.x_dim + spec.p * h * y))
 
-        for k in range(y):
-            acc_p = new_jph[k]
-            base = v_off + k * h
-            for j in range(h):
-                acc_p[base + j] += h_t[j]
-            acc_p[c_off + k] += 1.0
+        ring.append(new)
+        y_ring.append(yhat)
 
-        ring[t] = (new_jth, new_jph)
-        y_ring[t] = yhat
-        y_ring.pop(t - max_lag, None)
+    loss_value, g_final = _loss_gradient(loss, y_ring[-1], spec)
+    d = [0.0] * w
+    for gk, row in zip(g_final, ring[-1]):
+        for j in range(w):
+            d[j] += gk * row[j]
+    counter.add_macs(y * w)
 
-    loss_value, g_final = _loss_gradient(loss, y_ring[tau], spec)
-    jth_final, jph_final = ring[tau]
-    d_theta = [0.0] * tsize
-    d_phi = [0.0] * psize
-    for k in range(y):
-        gk = g_final[k]
-        row = jth_final[k]
-        for j in range(tsize):
-            d_theta[j] += gk * row[j]
-        row = jph_final[k]
-        for j in range(psize):
-            d_phi[j] += gk * row[j]
-    counter.add_macs(y * (tsize + psize))
-
-    grads = GradientPair(d_theta=d_theta, d_phi=d_phi, loss=loss_value)
+    grads = GradientPair(d_theta=d[:n_theta], d_phi=d[n_theta:], loss=loss_value)
     grads.validate(spec)
     return grads, counter
 
@@ -474,8 +459,9 @@ def rtrl_space_floats(spec: RnnSpec) -> int:
     """Float count p * y * (|theta| + |phi|) of the forward Jacobian store.
 
     This is the storage estimate for a contiguous lag set, where it equals
-    the ring's measured peak exactly; a gapped lag set keeps max(lag)
-    Jacobian pairs alive instead (see ``rtrl_gradients``).
+    the ring's measured peak exactly: p Jacobians of y rows over the packed
+    [theta | phi] vector.  A gapped lag set keeps max(lag) Jacobians alive
+    instead (see ``rtrl_gradients``).
     """
     return spec.p * spec.y_dim * spec.weight_count
 

@@ -44,10 +44,23 @@ from .linalg import Rng
 
 CHECKPOINT_MAGIC = "RNNP1"
 
+# The widest spec whose kernels compile.  A generated row sum nests one
+# term per hidden or output unit, and CPython's compiler recurses once per
+# term (h 3,000 raises RecursionError); the kernel source grows with the
+# weight count (about 2 s and 200-400 MB to compile at 25,000 weights).
+MAX_UNITS = 1_000
+MAX_WEIGHTS = 25_000
+
 
 @dataclass(frozen=True)
 class RnnSpec:
-    """Architecture description: lag set and layer widths."""
+    """Architecture description: lag set and layer widths.
+
+    Every width is at least 1; ``hidden_dim`` and ``y_dim`` are at most
+    ``MAX_UNITS`` and the weight count at most ``MAX_WEIGHTS``, so the
+    shape's kernels compile.  A spec out of these bounds is a
+    ``ValueError`` naming the field, raised before anything is allocated.
+    """
 
     lag_set: tuple
     x_dim: int
@@ -74,6 +87,17 @@ class RnnSpec:
             object.__setattr__(self, name, int(value))
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+        for name in ("hidden_dim", "y_dim"):
+            if getattr(self, name) > MAX_UNITS:
+                raise ValueError(
+                    f"{name} must be <= {MAX_UNITS}, got {getattr(self, name)}"
+                )
+        if self.weight_count > MAX_WEIGHTS:
+            raise ValueError(
+                f"weight_count must be <= {MAX_WEIGHTS}, got {self.weight_count} "
+                f"(x_dim {self.x_dim}, hidden_dim {self.hidden_dim}, "
+                f"y_dim {self.y_dim}, {self.p} lags)"
+            )
 
     @property
     def p(self) -> int:
@@ -363,7 +387,7 @@ def load_checkpoint(path: str) -> tuple:
             f"expected {CHECKPOINT_MAGIC!r})"
         )
     try:
-        spec = RnnSpec.from_dict(checkpoint_field(record, "spec"))
+        spec = RnnSpec.from_dict(checkpoint_field(record, "spec", kind=dict))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataValidationError(f"checkpoint spec is invalid: {exc!r}") from None
     params = ModelParams(

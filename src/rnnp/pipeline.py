@@ -32,6 +32,7 @@ from .base import (
     naive_timestamp,
     open_utf8,
 )
+from .engines import ENGINES
 from .features import FEATURE_DIM, CalendarFeatureEncoder
 from .forecaster import RnnForecaster, _check_lag_reach
 from .metrics import MetricReport, point_metrics, probabilistic_metrics
@@ -291,6 +292,10 @@ class LoadForecastPipeline(BaseEstimator):
         try:
             if pipe.tau < 1:
                 raise ValueError(f"tau must be >= 1, got {pipe.tau}")
+            if pipe.engine not in ENGINES:
+                raise ValueError(
+                    f"unknown engine {pipe.engine!r}; choose from {sorted(ENGINES)}"
+                )
             _check_lag_reach(pipe.lags, pipe.tau)
             fc.head_, fc.spec_, _ = fc._training_setup(FEATURE_DIM)
         except (ConfigError, ValueError) as exc:  # a loss, lag or size fit rejects

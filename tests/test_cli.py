@@ -82,7 +82,8 @@ class TestBench:
         assert gain_rows[0].split()[:2] == ["{1}", "3"]
 
 
-# (section, key, value) of config entries whose JSON type is wrong.
+# (section, key, value) of config entries whose JSON type is wrong, and
+# (the last) a number that does not convert to a finite float.
 WRONGLY_TYPED = [
     ("model", "hidden_dim", "3"),
     ("model", "lags", [1, 2.5]),
@@ -93,6 +94,7 @@ WRONGLY_TYPED = [
     ("paths", "data", 5),
     ("synth", "years", 1.5),
     ("bench", "lag_sets", [[1, "2"]]),
+    ("train", "learning_rate", 10**400),
 ]
 
 
@@ -123,6 +125,7 @@ class TestConfigValidation:
         [
             ({"lags": [0]}, {}, "(0,)"),
             ({"hidden_dim": 0}, {}, "hidden_dim must be >= 1, got 0"),
+            ({"hidden_dim": 1001}, {}, "hidden_dim must be <= 1000, got 1001"),
             ({"tau": 0}, {}, "tau must be >= 1, got 0"),
             (
                 {"lags": [1, 24], "tau": 12},
@@ -190,6 +193,7 @@ class TestConfigValidation:
         ids=[
             "lags",
             "hidden_dim",
+            "hidden_dim_above_bound",
             "tau",
             "lag_reach",
             "bptt_above_guard",
@@ -288,7 +292,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "section, key, value",
         WRONGLY_TYPED,
-        ids=[f"{section}.{key}" for section, key, _ in WRONGLY_TYPED],
+        ids=[f"{section}.{key}" for section, key, _ in WRONGLY_TYPED[:-1]]
+        + ["train.learning_rate_too_large_for_a_float"],
     )
     def test_wrongly_typed_value_is_a_config_error(
         self, tmp_path, capsys, one_year_csv, section, key, value
@@ -396,6 +401,22 @@ MALFORMED_ENTRIES = [
     (("extras", "pipeline_params", "include_trend"), False, "include_trend"),
     (("spec", "hidden_dim"), 3.0, "hidden_dim"),
     (("spec", "lag_set"), [1.5], "lag_set"),
+    (("spec",), "x", "spec"),
+    (("spec",), [], "spec"),
+    (("spec",), 5, "spec"),
+    (("extras", "pipeline_params", "engine"), "bogus", "'bogus'"),
+    (("theta", 0), 10**400, "theta"),
+    (("extras", "seasonal", "coef", "0", 0), 10**400, "seasonal.coef.0"),
+    (("extras", "normalization", "log_mean"), 10**400, "normalization.log_mean"),
+    (("extras", "encoder", "drybulb_mean"), 10**400, "encoder.drybulb_mean"),
+    (
+        ("extras", "pipeline_params", "learning_rate"),
+        10**400,
+        "pipeline_params.learning_rate",
+    ),
+    (("spec", "hidden_dim"), 1001, "hidden_dim must be <= 1000"),
+    (("spec", "y_dim"), 2**63, "y_dim must be <= 1000"),
+    (("spec", "x_dim"), 10**6, "weight_count must be <= 25000"),
 ]
 
 
@@ -439,6 +460,18 @@ class TestMalformedCheckpoint:
             "retired_setting_at_another_value",
             "spec_hidden_dim_float",
             "spec_lag_float",
+            "spec_string",
+            "spec_list",
+            "spec_number",
+            "engine_unknown",
+            "theta_too_large_for_a_float",
+            "coef_too_large_for_a_float",
+            "log_mean_too_large_for_a_float",
+            "drybulb_mean_too_large_for_a_float",
+            "learning_rate_too_large_for_a_float",
+            "spec_hidden_dim_above_bound",
+            "spec_y_dim_above_bound",
+            "spec_weight_count_above_bound",
         ],
     )
     def test_malformed_entry_exits_with_data_error_naming_it(

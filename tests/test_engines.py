@@ -656,6 +656,30 @@ class TestInputLayerPass:
         # 49 * (13 + 15 + 2) trace floats, 49 logged q's of 15, one g of 2.
         assert counter.peak_floats == 1470 + 49 * 15 + 2
 
+    # SHA-256 of rtrl's gradients, loss, mac_count and peak_floats on
+    # ``production_rows`` with init_params(Rng(5)) and a target of 0.3, as
+    # the engine computed them with separate theta and phi Jacobian halves.
+    RTRL_SHA256 = {
+        (1, 2, 24): "a63679bb5cc277879f7369838dac10cf7cfbba04f9fa42a24df9e2af7ad9f2b7",
+        (2, 5): "4968c35674750f3602161bf33c412cda2bdb8c39f4770ab805f1e48e0bcc38dd",
+    }
+
+    @pytest.mark.parametrize(
+        "lags, h, macs, peak",
+        [((1, 2, 24), 15, 235570, 24 * 2 * 332), ((2, 5), 8, 81860, 5 * 2 * 162)],
+    )
+    def test_rtrl_gradients_pinned(self, lags, h, macs, peak):
+        # Both lag sets are gapped: the ring holds max(lag) Jacobians.
+        spec = RnnSpec(lag_set=lags, x_dim=13, hidden_dim=h, y_dim=2)
+        params = init_params(spec, Rng(5))
+        loss = LossHead(kind="gaussian_nll").bind(0.3)
+        grads, counter = rtrl_gradients(params, spec, production_rows(), loss)
+        assert (counter.mac_count, counter.peak_floats) == (macs, peak)
+        text = "\n".join(
+            hexes(grads.d_theta, grads.d_phi, [grads.loss]) + [str(macs), str(peak)]
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == self.RTRL_SHA256[lags]
+
 
 def reference_finite_differences(params, spec, xs, loss, step=1e-5):
     """The oracle as one new ``ModelParams`` and one ``forward_sequence``

@@ -3,12 +3,15 @@
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
 from rnnp.base import DataValidationError, NumericError
 from rnnp.linalg import Rng
 from rnnp.model import (
+    MAX_UNITS,
+    MAX_WEIGHTS,
     ModelParams,
     RnnSpec,
     forward_sequence,
@@ -94,6 +97,30 @@ class TestRnnSpec:
         kwargs[field] = value
         with pytest.raises(ValueError, match=field):
             RnnSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("hidden_dim", MAX_UNITS + 1, "hidden_dim must be <= 1000"),
+            ("hidden_dim", 2**63, "hidden_dim must be <= 1000"),
+            ("y_dim", MAX_UNITS + 1, "y_dim must be <= 1000"),
+            ("x_dim", 10**6, "weight_count must be <= 25000"),
+            ("lag_set", tuple(range(1, 2001)), "weight_count must be <= 25000"),
+        ],
+        ids=["hidden_dim", "hidden_dim_2**63", "y_dim", "x_dim", "lag_count"],
+    )
+    def test_width_past_the_compile_bound_rejected_naming_the_field(
+        self, field, value, named
+    ):
+        # Only the spec is built: nothing of the rejected width is allocated.
+        kwargs = {"lag_set": (1, 2, 24), "x_dim": 13, "hidden_dim": 15, "y_dim": 2}
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=re.escape(named)):
+            RnnSpec(**kwargs)
+
+    def test_widest_production_shape_within_the_bounds(self):
+        spec = RnnSpec(lag_set=(1, 2, 24), x_dim=13, hidden_dim=MAX_UNITS, y_dim=2)
+        assert spec.weight_count == 22002 <= MAX_WEIGHTS
 
     def test_only_sigmoid_supported(self):
         d = {"lag_set": [1], "x_dim": 1, "hidden_dim": 1, "y_dim": 1}
