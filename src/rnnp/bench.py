@@ -119,10 +119,12 @@ class GainRow:
     trrl_macs: int
     gain_factor: float
     theoretical: int  # p * y^2
+    wall_ratio: float  # rtrl wall seconds over trrl's; reported, never asserted
 
 
 def gain_factors(records: list) -> list:
-    """RTRL-over-recombined-sweep cost ratio per (lag set, hidden size)."""
+    """RTRL-over-recombined-sweep cost ratio per (lag set, hidden size), in
+    MACs (``gain_factor``) and in measured wall time (``wall_ratio``)."""
     by_key: dict = {}
     for r in records:
         by_key.setdefault((r.lag_set, r.hidden_dim, r.y_dim), {})[r.engine] = r
@@ -139,6 +141,7 @@ def gain_factors(records: list) -> list:
                     trrl_macs=trrl_macs,
                     gain_factor=rtrl_macs / trrl_macs,
                     theoretical=len(lag_set) * y * y,
+                    wall_ratio=engines["rtrl"].wall_seconds / engines["trrl"].wall_seconds,
                 )
             )
     return rows

@@ -89,7 +89,7 @@ def load_config(path: str | None) -> dict:
             config = json.load(f)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # also JSONDecodeError, UnicodeDecodeError
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     check_kind(config, KNOWN_KEYS, "", ConfigError, "config")
     return config
@@ -290,12 +290,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"wrote {len(records)} tau-sweep records to {args.out}")
     else:
         print(f"wrote {len(records)} records to {args.out}")
-        print(f"{'lags':>12} {'hidden':>6} {'gain':>8} {'theory':>7}")
+        print(f"{'lags':>12} {'hidden':>6} {'gain':>8} {'theory':>7} {'wall':>7}")
         for row in gain_factors(records):
             lag_text = "{" + ",".join(str(l) for l in row.lag_set) + "}"
             print(
                 f"{lag_text:>12} {row.hidden_dim:>6} "
-                f"{row.gain_factor:>8.2f} {row.theoretical:>7}"
+                f"{row.gain_factor:>8.2f} {row.theoretical:>7} {row.wall_ratio:>7.2f}"
             )
     return EXIT_OK
 

@@ -21,13 +21,15 @@ gradient computation itself.  The forward sweep is identical for every
 engine and is excluded, so counters compare the algorithms like for like.
 ``loss`` arguments are callables ``yhat -> (loss_value, d_loss_d_yhat)``;
 the value comes back on ``GradientPair.loss``.  trrl and bptt share all
-but their traversal (``_tree_gradients``): the tree node yields a step's
-children, trrl merges them by step and bptt recurses into each.  Every
-engine adds its input-layer terms through one pass over dense input rows
-(``_input_layer_terms``), whether its log holds a whole walk (trrl) or one
-entry (bptt, rtrl).  The node and the input-layer pass are the generated
-``make_node`` and ``add_log`` of the call's shape (``kernels``), compiled
-once per shape, as the input projection is.
+but their traversal (``_tree_gradients``): trrl's is the generated
+``trrl_sweep``, one loop that merges the pushes by step, and bptt's a
+literal recursion over the generated ``make_node``, whose node body is
+the same source.  rtrl advances its Jacobians with the generated
+``rtrl_advance``.  Every engine adds its input-layer terms through one
+pass over dense input rows (``_input_layer_terms``, the generated
+``add_log``), whether its log holds a whole walk (trrl) or one entry
+(bptt, rtrl).  All of these come from ``kernels``, compiled once per
+shape, as the input projection is.
 
 Engines are pure functions of (params, xs): parameters are never
 mutated, every call owns its counter and workspace, and concurrent calls
@@ -112,8 +114,7 @@ def _input_layer_terms(spec: RnnSpec):
     logs of bptt and rtrl.  The caller counts the dense h*x + p*h*y
     multiplies per entry.
     """
-    _, _, add_log = _kernels(spec.hidden_dim, spec.x_dim, spec.y_dim, spec.lag_set)
-    return add_log
+    return _kernels(spec.hidden_dim, spec.x_dim, spec.y_dim, spec.lag_set).add_log
 
 
 def _loss_gradient(loss, y_final: list, spec: RnnSpec) -> tuple:
@@ -124,42 +125,43 @@ def _loss_gradient(loss, y_final: list, spec: RnnSpec) -> tuple:
     return value, grad
 
 
+def _node_macs(spec: RnnSpec) -> int:
+    """The dense multiplies of one tree node: 2*y*h + 2*h + h*x + p*h*y."""
+    h, y = spec.hidden_dim, spec.y_dim
+    return 2 * y * h + 2 * h + h * spec.x_dim + spec.p * h * y
+
+
 def _tree_gradients(params: ModelParams, spec: RnnSpec, xs: list, loss, walk) -> tuple:
     """The work trrl and bptt share; ``walk``, their traversal, is called as
-    ``walk(node, add_input_terms, tau, g0, counter)`` on the unrolled
-    tree's root.
+    ``walk(kernels, args, g0, grads, counter)`` on the unrolled tree's root.
 
     The stored trace (h and yhat per step plus the inputs) is charged until
-    the walk ends.  ``node(t, g)`` is the generated ``make_node``
-    (``kernels.kernel_source``) bound to this call's weights, trace and
-    rows: it returns step t's log entry and its children ``(step, push)``,
-    which the walk routes without reading a weight or a lag.
-    ``add_input_terms(log)`` adds a log of entries to the theta gradient
-    (``_input_layer_terms``).
+    the walk ends.  ``kernels`` are the call's shape's generated functions
+    (``kernels.kernel_source``) and ``args`` the arguments both tree
+    kernels begin with: phi's V slice, theta's W_l slices, the trace, the
+    call's dense input rows and ``grads.d_phi``, which the node adds the
+    output-layer terms to.
     """
     params.validate(spec)
-    h, x, y = spec.hidden_dim, spec.x_dim, spec.y_dim
+    h, y = spec.hidden_dim, spec.y_dim
     counter = OpCounter()
     trace = forward_sequence(params, spec, xs)
-    trace_floats = len(xs) * (x + h + y)
+    trace_floats = len(xs) * (spec.x_dim + h + y)
     counter.grad_floats_alloc(trace_floats)
     loss_value, g0 = _loss_gradient(loss, trace.y_final, spec)
     grads = GradientPair([0.0] * spec.theta_size, [0.0] * spec.phi_size, loss_value)
-    _, make_node, _ = _kernels(h, x, y, spec.lag_set)
     _, w_offs, _ = theta_offsets(spec)
     v_off, c_off = phi_offsets(spec)
-    node = make_node(
+    args = (
         params.phi[v_off:c_off],
         [params.theta[off : off + h * y] for off in w_offs],
         trace.h_steps,
         trace.y_steps,
         xs,
         grads.d_phi,
-        counter.add_macs,
-        2 * y * h + 2 * h + h * x + spec.p * h * y,
     )
-    add = _input_layer_terms(spec)
-    walk(node, lambda log: add(grads.d_theta, log), len(xs), g0, counter)
+    kernels = _kernels(h, spec.x_dim, y, spec.lag_set)
+    walk(kernels, args, g0, grads, counter)
     counter.grad_floats_free(trace_floats)
     grads.validate(spec)
     return grads, counter
@@ -172,42 +174,29 @@ def trrl_gradients(
 
     Walks steps t = tau..1 from the final step backwards, keeping one
     accumulated gradient vector g_t per live step.  Each g_t goes through
-    its node once, and the node's children are added into the vectors of
+    its node once, and the node's pushes are added into the vectors of
     their steps, which is exactly the recombination of the identical
     subtrees the unrolled network would otherwise replicate.  Works for
     any lag set, contiguous or not.
 
-    The node adds only the output-layer terms.  Each visited node's log
-    entry is kept, and after the walk one pass sums the input-layer terms
-    of the whole log in visit order (decreasing t), so every theta entry
-    is one running sum.  The kept q's, h floats per visited node, are
-    charged from their node until that pass ends.
+    The walk is the generated ``trrl_sweep`` of the spec's shape
+    (``kernels.kernel_source``): one loop with the node inlined, the g's in
+    a list indexed by step, where the first push to a step stores its
+    vector and later ones add into it.  The node adds only the
+    output-layer terms.  Each visited node's log entry is kept, and after
+    the walk one pass sums the input-layer terms of the whole log in visit
+    order (decreasing t), so every theta entry is one running sum.  The
+    kept q's, h floats per visited node, are charged from their node until
+    that pass ends.  The sweep returns its push count and the peak of its
+    live gradient floats, and the counter is charged once from them.
     """
-    h, y = spec.hidden_dim, spec.y_dim
-
-    def walk(node, add_input_terms, tau: int, g0: list, counter: OpCounter) -> None:
-        log = []
-        g_store = {tau: g0}
-        counter.grad_floats_alloc(y)
-        for t in range(tau, 0, -1):
-            g = g_store.pop(t, None)
-            if g is None:
-                # No push reaches this step (the lag set skips it near the end).
-                continue
-            entry, children = node(t, g)
-            log.append(entry)
-            counter.grad_floats_alloc(h)
-            for s, push in children:
-                target = g_store.get(s)
-                if target is None:
-                    g_store[s] = push
-                    counter.grad_floats_alloc(y)
-                else:
-                    for k, pk in enumerate(push):
-                        target[k] += pk
-            counter.grad_floats_free(y)
-        add_input_terms(log)
-        counter.grad_floats_free(len(log) * h)
+    def walk(kernels, args, g0, grads, counter):
+        log, pushes, peak = kernels.trrl_sweep(*args, g0)
+        _input_layer_terms(spec)(grads.d_theta, log)
+        push_macs = spec.hidden_dim * spec.y_dim
+        counter.add_macs(len(log) * _node_macs(spec) + pushes * push_macs)
+        counter.grad_floats_alloc(peak)
+        counter.grad_floats_free(peak)
 
     return _tree_gradients(params, spec, xs, loss, walk)
 
@@ -224,7 +213,9 @@ def rtrl_gradients(
     is O(p y^2 w) and the dense h-by-|theta| intermediate never exists.
     For a contiguous lag set the ring holds exactly p Jacobians, matching
     the p*y*w storage estimate; a gapped lag set needs max(lag) because a
-    Jacobian stays live until its most distant consumer.
+    Jacobian stays live until its most distant consumer.  The advance is
+    the generated ``rtrl_advance`` of the spec's shape
+    (``kernels.kernel_source``).
     """
     params.validate(spec)
     counter = OpCounter()
@@ -235,6 +226,8 @@ def rtrl_gradients(
     _, w_offs, _ = theta_offsets(spec)
     vdata = params.phi[v_off:c_off]
     w_datas = [params.theta[off : off + h * y] for off in w_offs]
+    # The oldest Jacobian's lag first, then the others in lag-set order.
+    w_order = [w_datas[-1], *w_datas[:-1]]
 
     # Before step t's update, ring[-l] is J(t - l).
     ring = deque([[0.0] * w for _ in range(y)] for _ in range(max_lag))
@@ -244,6 +237,7 @@ def rtrl_gradients(
     # has none.
     y_ring = deque(maxlen=max_lag)
     add_input_terms = _input_layer_terms(spec)
+    advance = _kernels(h, spec.x_dim, y, spec.lag_set).rtrl_advance
 
     # The forward steps are shared by every engine and not counted.
     rows = project_inputs(params, spec, xs)
@@ -257,46 +251,26 @@ def rtrl_gradients(
             )
         counter.add_macs(2 * y * h)
 
-        # C_l = B W_l, y x y, one per lag.
-        c_mats = []
-        for wdata in w_datas:
-            cm = []
-            for k in range(y):
-                bk = b_rows[k]
-                crow = [0.0] * y
+        # C_l = B W_l, y x y, one per lag: row k of every C_l in w_order.
+        c_rows = []
+        for bk in b_rows:
+            crow = []
+            for wdata in w_order:
+                acc = [0.0] * y
                 for j in range(h):
                     bkj = bk[j]
                     wbase = j * y
                     for m in range(y):
-                        crow[m] += bkj * wdata[wbase + m]
-                cm.append(crow)
-            c_mats.append(cm)
+                        acc[m] += bkj * wdata[wbase + m]
+                crow += acc
+            c_rows.append(crow)
         counter.add_macs(spec.p * y * y * h)
 
         # New Jacobian: sum_l C_l J(t - l) + the sparse local terms.  The
-        # oldest one (lag = max_lag, always in the lag set) is consumed by
-        # its own term, so its rows are transformed in place and recycled:
-        # the ring never holds more than max_lag Jacobians.
-        new = ring.popleft()
-        c_last = c_mats[-1]
-        for j in range(w):
-            col = [new[m][j] for m in range(y)]
-            for k in range(y):
-                acc = 0.0
-                ck = c_last[k]
-                for m in range(y):
-                    acc += ck[m] * col[m]
-                new[k][j] = acc
-        for cm, lag in zip(c_mats[:-1], spec.lag_set[:-1]):
-            old = ring[-lag]
-            for k in range(y):
-                ck = cm[k]
-                acc = new[k]
-                for m in range(y):
-                    ckm = ck[m]
-                    row = old[m]
-                    for j in range(w):
-                        acc[j] += ckm * row[j]
+        # advance takes the oldest one (lag = max_lag, always in the lag
+        # set) off the ring, since only its own term reads it, so the ring
+        # never holds more than max_lag Jacobians.
+        new = advance(c_rows, ring)
         counter.add_macs(spec.p * y * y * w)
 
         # The local terms: the input layer's into each row's theta part,
@@ -318,8 +292,7 @@ def rtrl_gradients(
     loss_value, g_final = _loss_gradient(loss, y_ring[-1], spec)
     d = [0.0] * w
     for gk, row in zip(g_final, ring[-1]):
-        for j in range(w):
-            d[j] += gk * row[j]
+        d = [dj + gk * rj for dj, rj in zip(d, row)]
     counter.add_macs(y * w)
 
     grads = GradientPair(d_theta=d[:n_theta], d_phi=d[n_theta:], loss=loss_value)
@@ -334,8 +307,12 @@ def bptt_gradients(
 
     Every node (a(t), yhat(t)) reached from the root spawns one recursive
     visit per child, one per feedback edge with t - lag >= 1, so identical
-    subtrees are recomputed as many times as they appear.  Returns the
-    exact number of macronodes visited alongside the gradients.
+    subtrees are recomputed as many times as they appear.  The node is the
+    generated ``make_node`` of the spec's shape, bound once per call: on
+    step t it returns the step's input-layer log entry and its children
+    ``(t - l, W_l^T q)``, one per reaching lag in lag-set order, each push
+    made when the recursion takes it.  Returns the exact number of
+    macronodes visited alongside the gradients.
     """
     tau = len(xs)
     if tau > BPTT_GUARD:
@@ -346,17 +323,23 @@ def bptt_gradients(
     level_floats = spec.y_dim + spec.hidden_dim
     visited = 0
 
-    def visit(node, add_input_terms, t: int, g: list, counter: OpCounter) -> None:
-        nonlocal visited
-        visited += 1
-        counter.grad_floats_alloc(level_floats)
-        entry, children = node(t, g)
-        add_input_terms([entry])
-        for s, push in children:
-            visit(node, add_input_terms, s, push, counter)
-        counter.grad_floats_free(level_floats)
+    def walk(kernels, args, g0, grads, counter):
+        node = kernels.make_node(*args, counter.add_macs, _node_macs(spec))
+        add_input_terms = _input_layer_terms(spec)
 
-    grads, counter = _tree_gradients(params, spec, xs, loss, visit)
+        def visit(t: int, g: list) -> None:
+            nonlocal visited
+            visited += 1
+            counter.grad_floats_alloc(level_floats)
+            entry, children = node(t, g)
+            add_input_terms(grads.d_theta, [entry])
+            for s, push in children:
+                visit(s, push)
+            counter.grad_floats_free(level_floats)
+
+        visit(tau, g0)
+
+    grads, counter = _tree_gradients(params, spec, xs, loss, walk)
     return grads, counter, visited
 
 

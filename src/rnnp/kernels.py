@@ -1,16 +1,21 @@
 """The straight-line kernels of one model shape, generated and compiled once.
 
 A shape is (hidden_dim, x_dim, y_dim, lag_set), fixed for a whole run.
-``kernel_source`` writes the Python source of three functions for one
+``kernel_source`` writes the Python source of five functions for one
 shape, with every loop over h, x, y and the lags unrolled into locals:
 
 * ``project``, the input projection ``U x + b`` (``model.project_inputs``);
-* ``make_node``, the unrolled tree's node that trrl and bptt walk
-  (``engines._tree_gradients``);
+* ``make_node``, the unrolled tree's node that bptt recurses over
+  (``engines.bptt_gradients``);
+* ``trrl_sweep``, trrl's whole backward sweep with that node inlined
+  (``engines.trrl_gradients``);
+* ``rtrl_advance``, the step of rtrl's Jacobian recurrence
+  (``engines.rtrl_gradients``);
 * ``add_log``, the input-layer gradient pass of every engine
   (``engines._input_layer_terms``).
 
-``_kernels`` compiles that source once per shape into one bounded cache.
+``_kernels`` compiles that source once per shape into one bounded cache
+and returns the five functions as a ``Kernels`` tuple.
 This is the only module that generates or compiles code; the import order
 is ``base <- kernels <- model <- engines``.  The kernels take the weights
 as slices of the packed vectors of ``model.ModelParams`` (theta: U, each
@@ -21,6 +26,7 @@ of the loop form.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 
@@ -42,17 +48,17 @@ def _names(prefix: str, ids) -> str:
 def kernel_source(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> str:
     """The straight-line Python source of the kernels for one shape.
 
-    It defines three functions, compiled once per shape by ``_kernels``:
+    It defines five functions, compiled once per shape by ``_kernels``:
 
     * ``project(u, b, xs)``, a generator that unpacks theta's U and b slices
       into locals, then for each row of ``xs`` checks its length, unpacks
       it and yields ``[a_0 + b_0, a_1 + b_1, ...]``.  Each accumulator a_r
       starts at 0.0 and adds ``U[r,c] * x_c`` over increasing column c.
     * ``make_node(v, ws, h_steps, y_steps, xs, d_phi, add_macs, macs)``
-      binds one trrl or bptt call's weights (phi's V slice, theta's
-      W_l slices), trace and input rows as closure locals and returns
-      the unrolled tree's node, ``node(t, g) -> (entry, children)``.  The
-      node backpropagates the output gradient g of step t: it adds the
+      binds one bptt call's weights (phi's V slice, theta's W_l slices),
+      trace and input rows as closure locals and returns the unrolled
+      tree's node, ``node(t, g) -> (entry, children)``.  The node
+      backpropagates the output gradient g of step t: it adds the
       output-layer terms (V, c) to ``d_phi`` and folds g into
       q = (V diag(h'))^T g, h' = h (1 - h).  ``entry`` is step t's
       input-layer log entry: q, the input row ``xs[t - 1]`` and the
@@ -62,6 +68,23 @@ def kernel_source(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> st
       entry is a column of W_l dotted with q, summed from 0.0 over
       increasing row.  It counts ``macs`` (the dense
       2*y*h + 2*h + h*x + p*h*y multiplies) per node and h*y per push.
+    * ``trrl_sweep(v, ws, h_steps, y_steps, xs, d_phi, g_tau)`` runs trrl's
+      walk t = tau..1 as one loop, from g_tau, the loss gradient at step
+      tau.  The g's live in a list indexed by step: the first push to a
+      step stores its vector and later pushes add into it, in walk order;
+      a step no push reaches is skipped.  The node body is the same lines
+      as ``make_node``'s, with ``d_phi`` held in locals and written back
+      once.  It returns ``(log, pushes, peak)``: the log entries in visit
+      order, the number of pushes, and the high-water mark of the floats
+      the walk keeps live (the logged q's, h per visited node, and the
+      stored g's, y each, a g freed after its node).
+    * ``rtrl_advance(cs, ring)`` takes the oldest Jacobian (lag max(L))
+      off ``ring``, a deque of max(L) Jacobians of y rows where
+      ``ring[-l]`` is J(t - l), and returns the new one, sum_l C_l J(t - l).
+      ``cs`` holds row k of every C_l, the oldest lag's first, then the
+      others in lag-set order.  Row k is one comprehension over the zipped
+      rows: per column, ``0.0 + C_maxL[k][0] * J(t - max L)_0[j] + ...``, then
+      ``... + C_l[k][m] * J(t - l)_m[j]`` per other lag l and row m.
     * ``add_log(dest, log)`` adds the input-layer terms of a log of such
       entries to ``dest``, a theta-sized list.  It unpacks every theta
       entry (U, each W_l, b) into locals once; per log entry, in log
@@ -90,10 +113,45 @@ def kernel_source(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> st
     if min(h, x, y) < 1 or not lags or lags[0] < 1 or list(lags) != sorted(set(lags)):
         raise ValueError(f"not a valid shape: {h!r}, {x!r}, {y!r}, {lags!r}")
     rows, cols, outs = range(h), range(x), range(y)
+    p = len(lags)
 
     def row_sum(terms) -> str:
         return " + ".join(["0.0", *terms])
 
+    def push_entries(i: int) -> list:
+        """The y entries of lag i's push, each a column of W_l dotted with q."""
+        return [row_sum(f"w{i}_{r}_{k} * q{r}" for r in rows) for k in outs]
+
+    def node_lines(pad: str, d_phi) -> list:
+        """The node body on step t, its g unpacked: the output-layer terms
+        added to ``d_phi(i)``, the name of phi entry i, then q folded and
+        checked."""
+        out = [f"{pad}{_names('h', rows)} = h_steps[t - 1]", f"{pad}{_names('g', outs)} = g"]
+        for k in outs:
+            out += [f"{pad}{d_phi(k * h + j)} += g{k} * h{j}" for j in rows]
+            out.append(f"{pad}{d_phi(y * h + k)} += g{k}")
+        out.append(f"{pad}q = (")
+        for j in rows:
+            vt = row_sum(f"v{k}_{j} * g{k}" for k in outs)
+            out.append(f"{pad}    ({vt}) * (h{j} * (1.0 - h{j})),")
+        return out + [f"{pad})", f'{pad}check_finite_step(q, "folded gradient", t)']
+
+    def feedback_branches(pad: str, entry) -> list:
+        """One branch per count n of lags reaching inside the window (lags
+        increase, so those are a prefix), each ending in ``entry(n,
+        feedbacks)``'s lines."""
+        out, keyword = [], "if"
+        for n in range(p, 0, -1):
+            fbs = _names("y_steps", (f"[t - {1 + lag}]" for lag in lags[:n]))
+            out += [f"{pad}{keyword} t > {lags[n - 1]}:", *entry(n, fbs)]
+            keyword = "elif"
+        return out + [f"{pad}else:", *entry(0, "()")]
+
+    v_names = _names("v", (f"{k}_{j}" for k in outs for j in rows))
+    w_unpacks = [
+        f"    {_names('w', (f'{i}_{r}_{k}' for r in rows for k in outs))} = ws[{i}]"
+        for i in range(p)
+    ]
     lines = [
         "def project(u, b, xs):",
         f"    {_names('u', (f'{r}_{c}' for r in rows for c in cols))} = u",
@@ -112,46 +170,96 @@ def kernel_source(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> st
         "",
         "",
         "def make_node(v, ws, h_steps, y_steps, xs, d_phi, add_macs, macs):",
-        f"    {_names('v', (f'{k}_{j}' for k in outs for j in rows))} = v",
+        f"    {v_names} = v",
+        *w_unpacks,
+        "",
+        "    def children(t, q):",
+        f"        {_names('q', rows)} = q",
     ]
-    for i in range(len(lags)):
-        ids = (f"{i}_{r}_{k}" for r in rows for k in outs)
-        lines.append(f"    {_names('w', ids)} = ws[{i}]")
-    lines += ["", "    def children(t, q):", f"        {_names('q', rows)} = q"]
     for i, lag in enumerate(lags):
-        push = ", ".join(
-            row_sum(f"w{i}_{r}_{k} * q{r}" for r in rows) for k in outs
-        )
         lines += [
             f"        if t > {lag}:",
-            f"            push = [{push}]",
+            f"            push = [{', '.join(push_entries(i))}]",
             f"            add_macs({h * y})",
             f"            yield t - {lag}, push",
         ]
+    lines += ["", "    def node(t, g):", *node_lines("        ", lambda i: f"d_phi[{i}]")]
     lines += [
-        "",
-        "    def node(t, g):",
-        f"        {_names('h', rows)} = h_steps[t - 1]",
-        f"        {_names('g', outs)} = g",
-    ]
-    for k in outs:
-        lines += [f"        d_phi[{k * h + j}] += g{k} * h{j}" for j in rows]
-        lines.append(f"        d_phi[{y * h + k}] += g{k}")
-    lines.append("        q = (")
-    for j in rows:
-        vt = row_sum(f"v{k}_{j} * g{k}" for k in outs)
-        lines.append(f"            ({vt}) * (h{j} * (1.0 - h{j})),")
-    lines += [
-        "        )",
-        '        check_finite_step(q, "folded gradient", t)',
         "        add_macs(macs)",
+        *feedback_branches("        ", lambda n, fbs: [f"            feedbacks = {fbs}"]),
+        "        return (q, xs[t - 1], feedbacks), children(t, q)",
+        "",
+        "    return node",
+        "",
+        "",
     ]
-    # Lags increase, so those reaching inside the window are a prefix.
-    keyword = "if"
-    for n in range(len(lags), 0, -1):
-        fbs = _names("y_steps", (f"[t - {1 + lag}]" for lag in lags[:n]))
-        lines += [f"        {keyword} t > {lags[n - 1]}:", f"            feedbacks = {fbs}"]
-        keyword = "elif"
+    # The sweep keeps phi's gradient in locals, V's entries then c's.
+    d_names = [f"dv{k}_{j}" for k in outs for j in rows] + [f"dc{k}" for k in outs]
+    lines += [
+        "def trrl_sweep(v, ws, h_steps, y_steps, xs, d_phi, g_tau):",
+        f"    {v_names} = v",
+        *w_unpacks,
+        f"    {_names('', d_names)} = d_phi",
+        "    tau = len(xs)",
+        "    gs = [None] * (tau + 1)",
+        "    gs[tau] = g_tau",
+        "    log = []",
+        "    pushes = peak = 0",
+        f"    live = {y}",
+        "    for t in range(tau, 0, -1):",
+        "        g = gs[t]",
+        "        if g is None:",
+        "            continue",
+        *node_lines("        ", d_names.__getitem__),
+        *feedback_branches(
+            "        ",
+            lambda n, fbs: [
+                f"            log.append((q, xs[t - 1], {fbs}))",
+                *([f"            pushes += {n}"] if n else []),
+            ],
+        ),
+        f"        {_names('q', rows)} = q",
+    ]
+    for i, lag in enumerate(lags):
+        lines += [
+            f"        if t > {lag}:",
+            *(f"            e{k} = {e}" for k, e in enumerate(push_entries(i))),
+            f"            s = gs[t - {lag}]",
+            "            if s is None:",
+            f"                gs[t - {lag}] = [{', '.join(f'e{k}' for k in outs)}]",
+            f"                live += {y}",
+            "            else:",
+            *(f"                s[{k}] += e{k}" for k in outs),
+        ]
+    lines += [
+        f"        live += {h}",
+        "        if live > peak:",
+        "            peak = live",
+        f"        live -= {y}",
+        f"    d_phi[:] = {_names('', d_names)}",
+        "    return log, pushes, peak",
+        "",
+        "",
+    ]
+    # rtrl: row k of the new Jacobian sums, per column, the oldest
+    # Jacobian's rows (lag i = p - 1) and then each other lag's rows, each
+    # times its C_l[k][m] coefficient.
+    ids = [f"{i}_{m}" for i in (p - 1, *range(p - 1)) for m in outs]
+    lines += [
+        "def rtrl_advance(cs, ring):",
+        f"    {_names('j', ids[:y])} = ring.popleft()",
+        *(
+            f"    {_names('j', (f'{i}_{m}' for m in outs))} = ring[-{lag}]"
+            for i, lag in enumerate(lags[:-1])
+        ),
+        "    new = []",
+        f"    for {_names('c', ids)} in cs:",
+        f"        new.append([{row_sum(f'c{i} * r{i}' for i in ids)}",
+        f"                    for {_names('r', ids)} in zip({', '.join(f'j{i}' for i in ids)})])",
+        "    return new",
+        "",
+        "",
+    ]
     # The theta entries in packed order: U, each W_l, b, all row-major.
     theta = _names(
         "",
@@ -160,13 +268,6 @@ def kernel_source(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> st
         + [f"b{r}" for r in rows],
     )
     lines += [
-        "        else:",
-        "            feedbacks = ()",
-        "        return (q, xs[t - 1], feedbacks), children(t, q)",
-        "",
-        "    return node",
-        "",
-        "",
         "def add_log(dest, log):",
         f"    {theta} = dest",
         "    for q, x, feedbacks in log:",
@@ -185,13 +286,19 @@ def kernel_source(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> st
     return "\n".join(lines)
 
 
+# The compiled functions of one shape, in the order the source defines them.
+Kernels = collections.namedtuple(
+    "Kernels", "project make_node trrl_sweep rtrl_advance add_log"
+)
+
+
 @functools.lru_cache(maxsize=64)
-def _kernels(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> tuple:
-    """``kernel_source`` compiled once per shape: ``(project, make_node,
-    add_log)``.  The compiled functions keep no state between calls.  The
-    cache holds every shape of the gradcheck's instance set."""
+def _kernels(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> Kernels:
+    """``kernel_source`` compiled once per shape into ``Kernels``.  The
+    compiled functions keep no state between calls.  The cache holds every
+    shape of the gradcheck's instance set."""
     source = kernel_source(hidden_dim, x_dim, y_dim, lag_set)
     namespace = {"check_finite_step": check_finite_step}
     filename = f"<rnnp kernels h={hidden_dim} x={x_dim} y={y_dim} lags={lag_set}>"
     exec(compile(source, filename, "exec"), namespace)
-    return namespace["project"], namespace["make_node"], namespace["add_log"]
+    return Kernels(*(namespace[name] for name in Kernels._fields))

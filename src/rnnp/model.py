@@ -46,20 +46,26 @@ CHECKPOINT_MAGIC = "RNNP1"
 
 # The widest spec whose kernels compile.  A generated row sum nests one
 # term per hidden or output unit, and CPython's compiler recurses once per
-# term (h 3,000 raises RecursionError); the kernel source grows with the
-# weight count (about 2 s and 200-400 MB to compile at 25,000 weights).
+# term (h 3,000 raises RecursionError); rtrl's advance sums 1 + p*y terms
+# per Jacobian entry, so p*y has the same bound.  The kernel source grows
+# with the weight count (up to about 3 s and 400 MB to compile at 25,000
+# weights) and with the square of the lag count: trrl's sweep and node pick
+# the lags that reach inside the window with one branch per prefix of the
+# lag set (p 300 at h 1 took 0.9 s and 270 MB).
 MAX_UNITS = 1_000
 MAX_WEIGHTS = 25_000
+MAX_LAGS = 200
 
 
 @dataclass(frozen=True)
 class RnnSpec:
     """Architecture description: lag set and layer widths.
 
-    Every width is at least 1; ``hidden_dim`` and ``y_dim`` are at most
-    ``MAX_UNITS`` and the weight count at most ``MAX_WEIGHTS``, so the
-    shape's kernels compile.  A spec out of these bounds is a
-    ``ValueError`` naming the field, raised before anything is allocated.
+    Every width is at least 1; ``hidden_dim``, ``y_dim`` and the lag count
+    times ``y_dim`` are at most ``MAX_UNITS``, the weight count at most
+    ``MAX_WEIGHTS`` and the lag count at most ``MAX_LAGS``, so the shape's
+    kernels compile.  A spec out of these bounds is a ``ValueError`` naming
+    the field, raised before anything is allocated.
     """
 
     lag_set: tuple
@@ -97,6 +103,13 @@ class RnnSpec:
                 f"weight_count must be <= {MAX_WEIGHTS}, got {self.weight_count} "
                 f"(x_dim {self.x_dim}, hidden_dim {self.hidden_dim}, "
                 f"y_dim {self.y_dim}, {self.p} lags)"
+            )
+        if self.p > MAX_LAGS:
+            raise ValueError(f"lag_set must hold at most {MAX_LAGS} lags, got {self.p}")
+        if self.p * self.y_dim > MAX_UNITS:
+            raise ValueError(
+                f"len(lag_set) * y_dim must be <= {MAX_UNITS}, "
+                f"got {self.p} * {self.y_dim} = {self.p * self.y_dim}"
             )
 
     @property
@@ -247,7 +260,7 @@ def project_inputs(params: ModelParams, spec: RnnSpec, xs):
     as they are pulled, so ``xs`` may be any iterable.
     """
     h = spec.hidden_dim
-    project, _, _ = _kernels(h, spec.x_dim, spec.y_dim, spec.lag_set)
+    project = _kernels(h, spec.x_dim, spec.y_dim, spec.lag_set).project
     u_off, _, b_off = theta_offsets(spec)
     theta = params.theta
     return project(theta[u_off : u_off + h * spec.x_dim], theta[b_off : b_off + h], xs)
@@ -376,7 +389,7 @@ def load_checkpoint(path: str) -> tuple:
     try:
         with open(path, "r", encoding="utf-8") as f:
             record = json.load(f)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # also JSONDecodeError, UnicodeDecodeError
         raise DataValidationError(
             f"checkpoint {path} is not valid JSON: {exc}"
         ) from None

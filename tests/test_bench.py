@@ -63,9 +63,14 @@ class TestSweepNeurons:
         assert len(records) == 2 * 2 * 2
         rows = gain_factors(records)
         assert len(rows) == 4
+        by_key = {(r.engine, r.lag_set, r.hidden_dim): r for r in records}
         for row in rows:
             assert row.theoretical == len(row.lag_set) * 4  # y = 2
             assert row.gain_factor > 1.0
+            # The measured ratio is reported, never bounded: wall time
+            # depends on the host.
+            rtrl, trrl = (by_key[(e, row.lag_set, row.hidden_dim)] for e in ("rtrl", "trrl"))
+            assert row.wall_ratio == rtrl.wall_seconds / trrl.wall_seconds
 
     def test_rtrl_peak_floats_matches_formula_on_contiguous_sets(self):
         records = sweep_neurons(

@@ -1,6 +1,7 @@
 """Subcommand behavior, exit codes, and the end-to-end CSV workflow."""
 
 import json
+import sys
 from datetime import datetime
 
 import pytest
@@ -24,6 +25,19 @@ def one_year_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "data.csv"
     write_csv(synth_generate(SynthConfig(years=1), Rng(61))[0], str(path))
     return str(path)
+
+
+# A JSON integer of 5,000 digits, written by ``dumps``.  Where CPython
+# limits int conversion to fewer digits (4,300 by default since 3.10.7),
+# ``json.load`` rejects the file; elsewhere the value reaches the check of
+# its field.
+HUGE_INT = "9" * 5000
+INT_DIGITS_LIMITED = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000
+
+
+def dumps(record):
+    """``json.dumps``, with each HUGE_INT string written as a bare integer."""
+    return json.dumps(record).replace(f'"{HUGE_INT}"', HUGE_INT)
 
 
 def fitted_pipeline(loss="gaussian_nll"):
@@ -77,9 +91,12 @@ class TestBench:
         assert main(argv) == 0
         with open(out) as f:
             assert len(f.read().strip().splitlines()) == 3  # header + trrl, rtrl
-        gain_rows = capsys.readouterr().out.strip().splitlines()[2:]
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[1].split() == ["lags", "hidden", "gain", "theory", "wall"]
+        gain_rows = lines[2:]
         assert len(gain_rows) == 1
         assert gain_rows[0].split()[:2] == ["{1}", "3"]
+        assert float(gain_rows[0].split()[4]) > 0.0
 
 
 # (section, key, value) of config entries whose JSON type is wrong, and
@@ -126,6 +143,18 @@ class TestConfigValidation:
             ({"lags": [0]}, {}, "(0,)"),
             ({"hidden_dim": 0}, {}, "hidden_dim must be >= 1, got 0"),
             ({"hidden_dim": 1001}, {}, "hidden_dim must be <= 1000, got 1001"),
+            (
+                {"hidden_dim": HUGE_INT},
+                {},
+                "config.json is not valid JSON"
+                if INT_DIGITS_LIMITED
+                else "hidden_dim must be <= 1000",
+            ),
+            (
+                {"lags": list(range(1, 202)), "tau": 300},
+                {},
+                "lag_set must hold at most 200 lags, got 201",
+            ),
             ({"tau": 0}, {}, "tau must be >= 1, got 0"),
             (
                 {"lags": [1, 24], "tau": 12},
@@ -194,6 +223,8 @@ class TestConfigValidation:
             "lags",
             "hidden_dim",
             "hidden_dim_above_bound",
+            "hidden_dim_past_the_int_digit_limit",
+            "lag_count_above_bound",
             "tau",
             "lag_reach",
             "bptt_above_guard",
@@ -209,9 +240,7 @@ class TestConfigValidation:
         self, tmp_path, capsys, one_year_csv, model, train, named
     ):
         config = tmp_path / "config.json"
-        config.write_text(
-            json.dumps({"model": model, "train": {"stride": 97, **train}})
-        )
+        config.write_text(dumps({"model": model, "train": {"stride": 97, **train}}))
         checkpoint = tmp_path / "ck.json"
         argv = ["train", "--config", str(config), "--data", one_year_csv]
         assert main(argv + ["--out", str(checkpoint)]) == 2
@@ -417,6 +446,13 @@ MALFORMED_ENTRIES = [
     (("spec", "hidden_dim"), 1001, "hidden_dim must be <= 1000"),
     (("spec", "y_dim"), 2**63, "y_dim must be <= 1000"),
     (("spec", "x_dim"), 10**6, "weight_count must be <= 25000"),
+    (("spec", "lag_set"), list(range(1, 202)), "lag_set must hold at most 200 lags"),
+    (
+        ("spec",),
+        {"lag_set": [1, 2], "x_dim": 13, "hidden_dim": 3, "y_dim": 600},
+        "len(lag_set) * y_dim must be <= 1000",
+    ),
+    (("theta", 0), HUGE_INT, "model.json is not valid JSON" if INT_DIGITS_LIMITED else "theta"),
 ]
 
 
@@ -472,6 +508,9 @@ class TestMalformedCheckpoint:
             "spec_hidden_dim_above_bound",
             "spec_y_dim_above_bound",
             "spec_weight_count_above_bound",
+            "spec_lag_count_above_bound",
+            "spec_lags_times_y_dim_above_bound",
+            "theta_past_the_int_digit_limit",
         ],
     )
     def test_malformed_entry_exits_with_data_error_naming_it(
@@ -487,7 +526,7 @@ class TestMalformedCheckpoint:
         else:
             parent[path[-1]] = value
         checkpoint, out = tmp_path / "model.json", tmp_path / "forecast.csv"
-        checkpoint.write_text(json.dumps(record))
+        checkpoint.write_text(dumps(record))
         argv = ["forecast", "--checkpoint", str(checkpoint), "--data", data]
         argv += ["--start", "2007-06-01T00:00:00", "--end", "2007-06-01T02:00:00"]
         assert main(argv + ["--out", str(out)]) == 3

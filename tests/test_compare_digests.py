@@ -1,5 +1,5 @@
-"""``.github/scripts/compare_digests.py``, which CI's "same digests as the
-base commit" step runs on two perfbench outputs."""
+"""``.github/scripts/compare_digests.py``, which CI's "same digests and
+counts as the base commit" step runs on two perfbench outputs."""
 
 import pathlib
 import subprocess
@@ -56,10 +56,14 @@ def test_run_without_digest_lines_exits_1(tmp_path, empty):
     assert compare(tmp_path, base, change).returncode == 1
 
 
-def test_runs_differing_only_in_counts_exit_0(tmp_path):
+def test_runs_differing_only_in_counts_exit_1_naming_the_counts(tmp_path):
     change = RUN.replace("windows = 1400", "windows = 1401").replace(
         "comparisons = 24", "comparisons = 25"
     )
     result = compare(tmp_path, RUN, change)
-    assert result.returncode == 0
-    assert "0 differ" in result.stdout
+    assert result.returncode == 1
+    assert "3 base digests, 3 change digests, 0 differ" in result.stdout
+    assert "2 base counts, 2 change counts, 2 differ" in result.stdout
+    assert "[train] windows: base 1400, change 1401" in result.stdout
+    assert "[verify] comparisons: base 24, change 25" in result.stdout
+

@@ -459,6 +459,35 @@ def per_entry_terms(spec):
     return add
 
 
+def loop_rtrl_advance(spec):
+    """rtrl's Jacobian advance as loops: the oldest Jacobian's rows
+    transformed in place, column by column, then each other lag's rows
+    added into them, row by row.  ``cs[k]`` holds row k of the oldest lag's
+    C_l, then of each other lag's in lag-set order."""
+    y, lags = spec.y_dim, spec.lag_set
+
+    def advance(cs, ring):
+        new = ring.popleft()
+        w = len(new[0])
+        for j in range(w):
+            col = [new[m][j] for m in range(y)]
+            for k in range(y):
+                acc = 0.0
+                for m in range(y):
+                    acc += cs[k][m] * col[m]
+                new[k][j] = acc
+        for i, lag in enumerate(lags[:-1]):
+            old = ring[-lag]
+            for k in range(y):
+                for m in range(y):
+                    ckm = cs[k][(i + 1) * y + m]
+                    for j in range(w):
+                        new[k][j] += ckm * old[m][j]
+        return new
+
+    return advance
+
+
 def node_time_gradients(params, spec, xs, loss, order):
     """trrl (``order`` "trrl") or bptt ("bptt") adding every node's
     input-layer terms at the node, in visit order.  Also returns the
@@ -646,6 +675,27 @@ class TestInputLayerPass:
             want_counter.peak_floats,
         )
 
+    @pytest.mark.parametrize("case", range(8))
+    def test_rtrl_equals_the_loop_advance(self, case, monkeypatch):
+        spec, xs, loss, _ = self.cases()[case]
+        params = init_params(spec, Rng(case))
+        got, counter = rtrl_gradients(params, spec, xs, loss)
+        monkeypatch.setattr(
+            engines,
+            "_kernels",
+            lambda *shape: kernels._kernels(*shape)._replace(
+                rtrl_advance=loop_rtrl_advance(spec)
+            ),
+        )
+        want, want_counter = rtrl_gradients(params, spec, xs, loss)
+        assert hexes([got.loss], got.d_theta, got.d_phi) == hexes(
+            [want.loss], want.d_theta, want.d_phi
+        )
+        assert (counter.mac_count, counter.peak_floats) == (
+            want_counter.mac_count,
+            want_counter.peak_floats,
+        )
+
     def test_production_gradients_pinned(self):
         spec = RnnSpec(lag_set=(1, 2, 24), x_dim=13, hidden_dim=15, y_dim=2)
         params = init_params(spec, Rng(5))
@@ -655,6 +705,26 @@ class TestInputLayerPass:
         assert hashlib.sha256(text.encode()).hexdigest() == self.PRODUCTION_SHA256
         # 49 * (13 + 15 + 2) trace floats, 49 logged q's of 15, one g of 2.
         assert counter.peak_floats == 1470 + 49 * 15 + 2
+
+    # SHA-256 of trrl's gradients, loss, mac_count and peak_floats on
+    # ``production_rows`` with init_params(Rng(5)) and a target of 0.3 at
+    # lags {2, 5}, h 8, as the walk computed them with a step-keyed dict of
+    # g's.  From step 49 no chain of 2s and 5s reaches 48 or 46, and step
+    # 39 is set by the push from 44 before the push from 41 adds into it.
+    GAPPED_TRRL_SHA256 = "62ed6f5ba4254151a54f25733271df923292c5b2efd81efb6382cc509b19dac2"
+
+    def test_trrl_gradients_pinned_at_a_gapped_lag_set(self):
+        spec = RnnSpec(lag_set=(2, 5), x_dim=13, hidden_dim=8, y_dim=2)
+        params = init_params(spec, Rng(5))
+        loss = LossHead(kind="gaussian_nll").bind(0.3)
+        grads, counter = trrl_gradients(params, spec, production_rows(), loss)
+        macs, peak = 10040, 1505
+        assert (counter.mac_count, counter.peak_floats) == (macs, peak)
+        assert visited_steps(spec, 49) < 49
+        text = "\n".join(
+            hexes(grads.d_theta, grads.d_phi, [grads.loss]) + [str(macs), str(peak)]
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GAPPED_TRRL_SHA256
 
     # SHA-256 of rtrl's gradients, loss, mac_count and peak_floats on
     # ``production_rows`` with init_params(Rng(5)) and a target of 0.3, as
@@ -862,6 +932,13 @@ GRADCHECK_SHAPES = sorted(
 RUN_SHAPES = sorted(set(GRADCHECK_SHAPES) | {(15, 13, 2, (1, 2, 24)), (3, 13, 2, (1,))})
 
 
+def function_text(text, name):
+    """The source of the generated top-level function ``name``."""
+    start = text.index(f"def {name}(")
+    end = text.find("\ndef ", start)
+    return text[start:] if end < 0 else text[start:end]
+
+
 class TestKernelSource:
     """The generated source: what it is built from, its sums, its cache."""
 
@@ -871,12 +948,32 @@ class TestKernelSource:
     def test_row_sums_start_from_zero(self, shape):
         h, x, y, lags = shape
         text = kernel_source(h, x, y, lags)
-        pushes = re.findall(r"push = \[(.*)\]", text)
-        folds = re.findall(r"^ +\((.*)\) \* \(h\d+ \* \(1\.0 - h\d+\)\),$", text, re.M)
-        assert len(pushes) == len(lags) and len(folds) == h
-        entries = [e for push in pushes for e in push.split(", ")] + folds
-        assert len(entries) == len(lags) * y + h
-        assert all(e.startswith("0.0 + ") for e in entries)
+        fold = r"^ +\((.*)\) \* \(h(\d+) \* \(1\.0 - h(\d+)\)\),$"
+        # make_node and trrl_sweep: each lag's push, y sums of h terms, and
+        # the fold, h sums of y terms, written once per function.
+        node = function_text(text, "make_node")
+        sweep = function_text(text, "trrl_sweep")
+        pushes = re.findall(r"push = \[(.*)\]", node)
+        assert len(pushes) == len(lags)
+        node_pushes = [e for push in pushes for e in push.split(", ")]
+        sweep_pushes = re.findall(r"^ +e\d+ = (.*)$", sweep, re.M)
+        assert sweep_pushes == node_pushes
+        for i in range(len(lags)):
+            for k in range(y):
+                terms = [f"w{i}_{r}_{k} * q{r}" for r in range(h)]
+                assert node_pushes[i * y + k] == " + ".join(["0.0", *terms])
+        for function in (node, sweep):
+            folds = re.findall(fold, function, re.M)
+            assert [(a, b) for _, a, b in folds] == [(str(j), str(j)) for j in range(h)]
+            for j, (vt, _, _) in enumerate(folds):
+                assert vt == " + ".join(["0.0", *(f"v{k}_{j} * g{k}" for k in range(y))])
+        # rtrl_advance: one row sum per Jacobian entry, the oldest
+        # Jacobian's terms first, then each other lag's in lag-set order.
+        advance = function_text(text, "rtrl_advance")
+        rows = re.findall(r"new\.append\(\[(.*)$", advance, re.M)
+        order = [len(lags) - 1, *range(len(lags) - 1)]
+        terms = [f"c{i}_{m} * r{i}_{m}" for i in order for m in range(y)]
+        assert rows == [" + ".join(["0.0", *terms])]
         # add_log: every theta entry, in packed order, unpacked from dest
         # and written back once; one product per entry, each input column
         # tested once.

@@ -10,6 +10,7 @@ import pytest
 from rnnp.base import DataValidationError, NumericError
 from rnnp.linalg import Rng
 from rnnp.model import (
+    MAX_LAGS,
     MAX_UNITS,
     MAX_WEIGHTS,
     ModelParams,
@@ -106,8 +107,18 @@ class TestRnnSpec:
             ("y_dim", MAX_UNITS + 1, "y_dim must be <= 1000"),
             ("x_dim", 10**6, "weight_count must be <= 25000"),
             ("lag_set", tuple(range(1, 2001)), "weight_count must be <= 25000"),
+            ("lag_set", tuple(range(1, 202)), "lag_set must hold at most 200 lags, got 201"),
+            ("y_dim", 400, "len(lag_set) * y_dim must be <= 1000, got 3 * 400 = 1200"),
         ],
-        ids=["hidden_dim", "hidden_dim_2**63", "y_dim", "x_dim", "lag_count"],
+        ids=[
+            "hidden_dim",
+            "hidden_dim_2**63",
+            "y_dim",
+            "x_dim",
+            "lag_count",
+            "lag_count_past_max_lags",
+            "lags_times_y_dim",
+        ],
     )
     def test_width_past_the_compile_bound_rejected_naming_the_field(
         self, field, value, named
@@ -121,6 +132,12 @@ class TestRnnSpec:
     def test_widest_production_shape_within_the_bounds(self):
         spec = RnnSpec(lag_set=(1, 2, 24), x_dim=13, hidden_dim=MAX_UNITS, y_dim=2)
         assert spec.weight_count == 22002 <= MAX_WEIGHTS
+
+    def test_most_lags_and_outputs_within_the_bounds(self):
+        spec = RnnSpec(lag_set=tuple(range(1, MAX_LAGS + 1)), x_dim=1, hidden_dim=1, y_dim=5)
+        assert spec.p * spec.y_dim == MAX_UNITS
+        spec = RnnSpec(lag_set=(1,), x_dim=1, hidden_dim=1, y_dim=MAX_UNITS)
+        assert spec.p * spec.y_dim == MAX_UNITS
 
     def test_only_sigmoid_supported(self):
         d = {"lag_set": [1], "x_dim": 1, "hidden_dim": 1, "y_dim": 1}
