@@ -7,8 +7,10 @@ Each file is the printed output of ``perfbench/run.py --workload all``.
 (one JSON object per workload, the ones with a ``correct`` key) decide.
 The script exits 1 unless every file has 4 result lines, each with
 ``correct: true`` and ``failed: 0``.  Given several files (runs of the same
-seed on several Pythons), it also exits 1 unless each has digest and count
-lines and they are the same lines, in the same order, in every file.
+seed on several Pythons, or a base commit's run and a change's), it also
+exits 1 unless each has a digest line and its digest and count lines are
+the same lines, in the same order, in every file.  A line that differs or
+is missing from one file is printed, naming its workload and its name.
 """
 
 import json
@@ -38,7 +40,10 @@ def check(paths: list) -> bool:
             print(f"{path}: {len(got)} digest/count lines, {len(differ)} differ from {first}")
             for line in differ:
                 print(f"  {line}")
-            ok = ok and bool(got) and got == exact[first]
+            has_digest = any("] digest " in line for line in got)
+            if not has_digest:
+                print(f"{path}: no digest line")
+            ok = ok and has_digest and got == exact[first]
     return ok
 
 

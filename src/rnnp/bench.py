@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from .base import atomic_write
-from .engines import ENGINES
+from .engines import ENGINES, check_engine
 from .linalg import Rng, _left_sum
 from .model import RnnSpec, init_params
 from .training import LossHead
@@ -63,8 +63,7 @@ def _seeded_case(spec: RnnSpec, tau: int, seed: int) -> tuple:
 
 
 def _run_once(engine: str, spec: RnnSpec, tau: int, seed: int) -> BenchRecord:
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
+    check_engine(engine)
     params, xs, head = _seeded_case(spec, tau, seed)
     t0 = time.perf_counter()
     _, counter, *macronodes = ENGINES[engine](params, spec, xs, head.bind(0.3))

@@ -40,6 +40,7 @@ from .pbonacci import (
     monotone_doubling_check,
 )
 from .pipeline import (
+    PARAM_KINDS,
     LoadForecastPipeline,
     read_forecast_csv,
     score_forecasts,
@@ -60,15 +61,18 @@ BENCH_KEYS = {
     "neurons": {"lag_sets": [[int]], "hidden_dims": [int]},
 }
 
-# The JSON kind of every config entry (see ``base.check_kind``).
+# The JSON kind of every config entry (see ``base.check_kind``); a pipeline
+# parameter's is its PARAM_KINDS entry (``train.stride`` is train_stride).
 KNOWN_KEYS = {
-    "seed": int,
+    "seed": PARAM_KINDS["seed"],
     "paths": dict.fromkeys(("data", "holidays", "checkpoint", "history"), str),
-    "model": {"lags": [int], "hidden_dim": int, "loss": str, "tau": int},
+    "model": {k: PARAM_KINDS[k] for k in ("lags", "hidden_dim", "loss", "tau")},
     "train": {
-        "engine": str,
-        "learning_rate": NUMBER,
-        **dict.fromkeys(("batch_size", "max_epochs", "patience", "stride"), int),
+        **{
+            k: PARAM_KINDS[k]
+            for k in ("engine", "learning_rate", "batch_size", "max_epochs", "patience")
+        },
+        "stride": PARAM_KINDS["train_stride"],
         **dict.fromkeys(("train_start", "train_end", "val_start", "val_end"), str),
     },
     # Every SynthConfig field but the holiday set, which JSON cannot spell.
@@ -125,18 +129,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     series, truth = synth_generate(SynthConfig(**section), Rng(seed))
     write_csv(series, args.out)
     if args.truth_out:
+        holidays = sorted(d.isoformat() for d in truth.config.holidays)
+        used = {**asdict(truth.config), "holidays": holidays}
+        record = {"log_det": truth.log_det, "noise": truth.noise, "config": used}
         with atomic_write(args.truth_out) as f:
-            json.dump(
-                {
-                    "log_det": truth.log_det,
-                    "noise": truth.noise,
-                    "config": {
-                        k: (sorted(d.isoformat() for d in v) if k == "holidays" else v)
-                        for k, v in asdict(truth.config).items()
-                    },
-                },
-                f,
-            )
+            json.dump(record, f)
     print(f"wrote {len(series)} hours to {args.out}")
     return EXIT_OK
 
@@ -156,12 +153,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     _check_out_dirs(checkpoint, history_path)
     series = ingest_csv(data_path)
     # Configured pipeline parameters; the rest keep the constructor defaults.
-    params = dict(model_cfg)
-    params.update(
-        (k, v) for k, v in train_cfg.items() if not k.endswith(("_start", "_end"))
-    )
-    if "stride" in params:
-        params["train_stride"] = params.pop("stride")
+    params = {
+        "train_stride" if k == "stride" else k: v
+        for k, v in {**model_cfg, **train_cfg}.items()
+        if not k.endswith(("_start", "_end"))
+    }
     if "lags" in params:
         params["lags"] = tuple(params["lags"])
     if "seed" in config:

@@ -24,12 +24,12 @@ the value comes back on ``GradientPair.loss``.  trrl and bptt share all
 but their traversal (``_tree_gradients``): trrl's is the generated
 ``trrl_sweep``, one loop that merges the pushes by step, and bptt's a
 literal recursion over the generated ``make_node``, whose node body is
-the same source.  rtrl advances its Jacobians with the generated
-``rtrl_advance``.  Every engine adds its input-layer terms through one
-pass over dense input rows (``_input_layer_terms``, the generated
-``add_log``), whether its log holds a whole walk (trrl) or one entry
-(bptt, rtrl).  All of these come from ``kernels``, compiled once per
-shape, as the input projection is.
+the same source; each charges its counter once per call.  rtrl advances
+its Jacobians with the generated ``rtrl_advance``.  Every engine adds
+its input-layer terms with the generated ``add_log``
+(``_input_layer_terms``), into the first |theta| entries of a theta
+gradient or of an rtrl Jacobian row.  All of these come from
+``kernels``, compiled once per shape, as the input projection is.
 
 Engines are pure functions of (params, xs): parameters are never
 mutated, every call owns its counter and workspace, and concurrent calls
@@ -101,7 +101,8 @@ class GradientPair:
 def _input_layer_terms(spec: RnnSpec):
     """The input-layer gradient of one engine call, as ``add(dest, log)``:
     dest += (da/dtheta)^T q summed over the log's entries, into the U, W_l
-    and b entries of ``dest``, a theta-sized list.
+    and b entries of ``dest``, its first |theta| entries: trrl's and bptt's
+    ``d_theta``, or an rtrl Jacobian row, whose theta part comes first.
 
     A log entry is ``(q, x, feedbacks)``: a folded gradient, its step's
     input row and the outputs of the lags that reach inside the window, a
@@ -138,9 +139,9 @@ def _tree_gradients(params: ModelParams, spec: RnnSpec, xs: list, loss, walk) ->
     The stored trace (h and yhat per step plus the inputs) is charged until
     the walk ends.  ``kernels`` are the call's shape's generated functions
     (``kernels.kernel_source``) and ``args`` the arguments both tree
-    kernels begin with: phi's V slice, theta's W_l slices, the trace, the
-    call's dense input rows and ``grads.d_phi``, which the node adds the
-    output-layer terms to.
+    kernels take (``make_node(*args)``, ``trrl_sweep(*args, g0)``): phi's
+    V slice, theta's W_l slices, the trace, the call's dense input rows and
+    ``grads.d_phi``, which the node adds the output-layer terms to.
     """
     params.validate(spec)
     h, y = spec.hidden_dim, spec.y_dim
@@ -274,12 +275,10 @@ def rtrl_gradients(
         counter.add_macs(spec.p * y * y * w)
 
         # The local terms: the input layer's into each row's theta part,
-        # the output layer's (V, c) into its phi part.
+        # its first |theta| entries, the output layer's (V, c) into its phi part.
         feedbacks = [y_ring[-lag] for lag in spec.lag_set if lag < t]
         for k, row in enumerate(new):
-            theta_part = row[:n_theta]
-            add_input_terms(theta_part, [(b_rows[k], xs[t - 1], feedbacks)])
-            row[:n_theta] = theta_part
+            add_input_terms(row, [(b_rows[k], xs[t - 1], feedbacks)])
             base = n_theta + v_off + k * h
             for j in range(h):
                 row[base + j] += h_t[j]
@@ -311,8 +310,9 @@ def bptt_gradients(
     generated ``make_node`` of the spec's shape, bound once per call: on
     step t it returns the step's input-layer log entry and its children
     ``(t - l, W_l^T q)``, one per reaching lag in lag-set order, each push
-    made when the recursion takes it.  Returns the exact number of
-    macronodes visited alongside the gradients.
+    made when the recursion takes it.  The counter is charged once, from
+    the number of macronodes visited, which is returned alongside the
+    gradients.
     """
     tau = len(xs)
     if tau > BPTT_GUARD:
@@ -324,7 +324,7 @@ def bptt_gradients(
     visited = 0
 
     def walk(kernels, args, g0, grads, counter):
-        node = kernels.make_node(*args, counter.add_macs, _node_macs(spec))
+        node = kernels.make_node(*args)
         add_input_terms = _input_layer_terms(spec)
 
         def visit(t: int, g: list) -> None:
@@ -338,6 +338,9 @@ def bptt_gradients(
             counter.grad_floats_free(level_floats)
 
         visit(tau, g0)
+        # Every visit but the root's is reached by exactly one push.
+        push_macs = spec.hidden_dim * spec.y_dim
+        counter.add_macs(visited * _node_macs(spec) + (visited - 1) * push_macs)
 
     grads, counter = _tree_gradients(params, spec, xs, loss, walk)
     return grads, counter, visited
@@ -348,6 +351,12 @@ ENGINES = {
     "rtrl": rtrl_gradients,
     "bptt": bptt_gradients,
 }
+
+
+def check_engine(name: str) -> None:
+    """Raise ``ConfigError`` unless ``name`` is a key of ``ENGINES``."""
+    if name not in ENGINES:
+        raise ConfigError(f"unknown engine {name!r}; choose from {sorted(ENGINES)}")
 
 
 def finite_difference_gradients(

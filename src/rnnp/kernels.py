@@ -3,17 +3,11 @@
 A shape is (hidden_dim, x_dim, y_dim, lag_set), fixed for a whole run.
 ``kernel_source`` writes the Python source of five functions for one
 shape, with every loop over h, x, y and the lags unrolled into locals:
-
-* ``project``, the input projection ``U x + b`` (``model.project_inputs``);
-* ``make_node``, the unrolled tree's node that bptt recurses over
-  (``engines.bptt_gradients``);
-* ``trrl_sweep``, trrl's whole backward sweep with that node inlined
-  (``engines.trrl_gradients``);
-* ``rtrl_advance``, the step of rtrl's Jacobian recurrence
-  (``engines.rtrl_gradients``);
-* ``add_log``, the input-layer gradient pass of every engine
-  (``engines._input_layer_terms``).
-
+``project``, the input projection ``U x + b`` (``model.project_inputs``);
+``make_node``, the unrolled tree's node that bptt recurses over;
+``trrl_sweep``, trrl's backward sweep with that node inlined;
+``rtrl_advance``, the step of rtrl's Jacobian recurrence; and
+``add_log``, every engine's input-layer gradient pass (``engines``).
 ``_kernels`` compiles that source once per shape into one bounded cache
 and returns the five functions as a ``Kernels`` tuple.
 This is the only module that generates or compiles code; the import order
@@ -54,7 +48,7 @@ def kernel_source(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> st
       into locals, then for each row of ``xs`` checks its length, unpacks
       it and yields ``[a_0 + b_0, a_1 + b_1, ...]``.  Each accumulator a_r
       starts at 0.0 and adds ``U[r,c] * x_c`` over increasing column c.
-    * ``make_node(v, ws, h_steps, y_steps, xs, d_phi, add_macs, macs)``
+    * ``make_node(v, ws, h_steps, y_steps, xs, d_phi)``
       binds one bptt call's weights (phi's V slice, theta's W_l slices),
       trace and input rows as closure locals and returns the unrolled
       tree's node, ``node(t, g) -> (entry, children)``.  The node
@@ -66,8 +60,8 @@ def kernel_source(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> st
       lag set.  ``children`` yields ``(t - l, W_l^T q)`` for those lags in
       lag-set order, each push made only when the walk takes it; a push
       entry is a column of W_l dotted with q, summed from 0.0 over
-      increasing row.  It counts ``macs`` (the dense
-      2*y*h + 2*h + h*x + p*h*y multiplies) per node and h*y per push.
+      increasing row.  It counts nothing: bptt charges its counter once
+      per call from its visit count.
     * ``trrl_sweep(v, ws, h_steps, y_steps, xs, d_phi, g_tau)`` runs trrl's
       walk t = tau..1 as one loop, from g_tau, the loss gradient at step
       tau.  The g's live in a list indexed by step: the first push to a
@@ -86,11 +80,14 @@ def kernel_source(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> st
       rows: per column, ``0.0 + C_maxL[k][0] * J(t - max L)_0[j] + ...``, then
       ``... + C_l[k][m] * J(t - l)_m[j]`` per other lag l and row m.
     * ``add_log(dest, log)`` adds the input-layer terms of a log of such
-      entries to ``dest``, a theta-sized list.  It unpacks every theta
-      entry (U, each W_l, b) into locals once; per log entry, in log
+      entries to the first |theta| entries of ``dest``, a list of at least
+      that length (a theta gradient, or an rtrl Jacobian row, whose theta
+      part comes first).  It unpacks every theta entry (U, each W_l, b)
+      from ``dest[:|theta|]`` into locals once; per log entry, in log
       order, it adds the products of the nonzero inputs, then the
       feedback terms of the lags that reach inside the window, then the
-      bias terms; it writes ``dest`` back once.
+      bias terms; it writes ``dest[:|theta|]`` back once and leaves the
+      rest of ``dest`` as it is.
 
     A row sum is written ``0.0 + a * b + ...``, which Python adds left to
     right, so each sum keeps the order and the bits of the loop it
@@ -169,7 +166,7 @@ def kernel_source(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> st
         f"        yield [{', '.join(f'a{r} + b{r}' for r in rows)}]",
         "",
         "",
-        "def make_node(v, ws, h_steps, y_steps, xs, d_phi, add_macs, macs):",
+        "def make_node(v, ws, h_steps, y_steps, xs, d_phi):",
         f"    {v_names} = v",
         *w_unpacks,
         "",
@@ -180,12 +177,10 @@ def kernel_source(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> st
         lines += [
             f"        if t > {lag}:",
             f"            push = [{', '.join(push_entries(i))}]",
-            f"            add_macs({h * y})",
             f"            yield t - {lag}, push",
         ]
     lines += ["", "    def node(t, g):", *node_lines("        ", lambda i: f"d_phi[{i}]")]
     lines += [
-        "        add_macs(macs)",
         *feedback_branches("        ", lambda n, fbs: [f"            feedbacks = {fbs}"]),
         "        return (q, xs[t - 1], feedbacks), children(t, q)",
         "",
@@ -261,15 +256,15 @@ def kernel_source(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> st
         "",
     ]
     # The theta entries in packed order: U, each W_l, b, all row-major.
-    theta = _names(
-        "",
+    theta_ids = (
         [f"u{r}_{c}" for r in rows for c in cols]
         + [f"w{i}_{r}_{k}" for i in range(len(lags)) for r in rows for k in outs]
-        + [f"b{r}" for r in rows],
+        + [f"b{r}" for r in rows]
     )
+    theta, n_theta = _names("", theta_ids), len(theta_ids)
     lines += [
         "def add_log(dest, log):",
-        f"    {theta} = dest",
+        f"    {theta} = dest[:{n_theta}]",
         "    for q, x, feedbacks in log:",
         f"        {_names('q', rows)} = q",
         f"        {_names('x', cols)} = x",
@@ -282,7 +277,7 @@ def kernel_source(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> st
         lines += [f"        if n > {i}:", f"            {_names('f', outs)} = feedbacks[{i}]"]
         lines += [f"            w{i}_{r}_{k} += q{r} * f{k}" for r in rows for k in outs]
     lines += [f"        b{r} += q{r}" for r in rows]
-    lines += [f"    dest[:] = {theta}", ""]
+    lines += [f"    dest[:{n_theta}] = {theta}", ""]
     return "\n".join(lines)
 
 

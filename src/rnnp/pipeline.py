@@ -8,7 +8,8 @@ per target hour with realized weather as known.  A probabilistic head
 yields a lognormal distribution per hour after denormalization; its mean
 is the point forecast.  A walk-forward driver rolls a fixed-length
 training window one year at a time, choosing hyperparameters on the first
-split only.
+split only.  The parameters are checked once, before any data work
+(``_checked_setup``), by ``fit``, ``load`` and the walk-forward driver.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .base import (
     naive_timestamp,
     open_utf8,
 )
-from .engines import ENGINES
+from .engines import check_engine
 from .features import FEATURE_DIM, CalendarFeatureEncoder
 from .forecaster import RnnForecaster, _check_lag_reach
 from .metrics import MetricReport, point_metrics, probabilistic_metrics
@@ -53,7 +54,8 @@ RETIRED_PARAMS = {
     "include_trend": True,
 }
 
-# The JSON kind of each saved pipeline parameter (see ``base.check_kind``).
+# The JSON kind of each pipeline parameter (see ``base.check_kind``), in a
+# checkpoint's pipeline_params and in the CLI's config (``cli.KNOWN_KEYS``).
 PARAM_KINDS = {
     "lags": [int],
     "hidden_dim": int,
@@ -114,6 +116,16 @@ class LoadForecastPipeline(BaseEstimator):
         self.holidays = holidays
         self.seed = seed
 
+    def _checked_setup(self) -> tuple:
+        """(head, spec, config) of the network on encoded rows, once tau,
+        the engine and the lag reach are checked; a bad parameter raises
+        ``ValueError`` or ``ConfigError`` naming it."""
+        if self.tau < 1:
+            raise ValueError(f"tau must be >= 1, got {self.tau}")
+        check_engine(self.engine)
+        _check_lag_reach(self.lags, self.tau)
+        return self._make_forecaster()._training_setup(FEATURE_DIM)
+
     def _prepare_windows(
         self,
         series: HourlySeries,
@@ -127,12 +139,12 @@ class LoadForecastPipeline(BaseEstimator):
         Returns ``(train_windows, val_windows)``: the residual windows of
         [start, end) and, when both validation bounds are given, of
         [val_start, val_end), else None.  ``HourlySeries`` has checked the
-        data, so the windows go to training without another check.  A lag
-        no window reaches, one validation bound without the other, or a
-        range whose start is not before its end is rejected first, before
-        any encoding, as a ``ValueError`` naming the bounds.
+        data, so the windows go to training without another check.  The
+        parameters, then the ranges are checked before any encoding: one
+        validation bound without the other, or a start not before its end,
+        is a ``ValueError`` naming the bounds.
         """
-        _check_lag_reach(self.lags, self.tau)
+        self._checked_setup()
         if (val_start is None) != (val_end is None):
             missing = "val_end" if val_end is None else "val_start"
             raise ValueError(f"a validation range needs both bounds: {missing} is missing")
@@ -290,15 +302,8 @@ class LoadForecastPipeline(BaseEstimator):
         )
         fc = pipe._make_forecaster()
         try:
-            if pipe.tau < 1:
-                raise ValueError(f"tau must be >= 1, got {pipe.tau}")
-            if pipe.engine not in ENGINES:
-                raise ValueError(
-                    f"unknown engine {pipe.engine!r}; choose from {sorted(ENGINES)}"
-                )
-            _check_lag_reach(pipe.lags, pipe.tau)
-            fc.head_, fc.spec_, _ = fc._training_setup(FEATURE_DIM)
-        except (ConfigError, ValueError) as exc:  # a loss, lag or size fit rejects
+            fc.head_, fc.spec_, _ = pipe._checked_setup()
+        except (ConfigError, ValueError) as exc:  # what _checked_setup rejects
             raise DataValidationError(
                 f"checkpoint pipeline_params are invalid: {exc}"
             ) from None
@@ -484,22 +489,12 @@ def run_walk_forward(
         raise ValueError("empty walk-forward plan")
     rows = []
     for lag_set in lag_sets:
-        kwargs = {
-            **pipeline_kwargs,
-            "lags": tuple(lag_set),
-            "train_stride": train_stride,
-        }
+        kwargs = dict(pipeline_kwargs, lags=tuple(lag_set), train_stride=train_stride)
         probe = LoadForecastPipeline(**kwargs)
+        head, base_spec, config = probe._checked_setup()
         first = splits[0]
         windows, val_windows = probe._prepare_windows(
-            series,
-            first.train_start,
-            first.train_end,
-            first.test_start,
-            first.test_end,
-        )
-        head, base_spec, config = probe._make_forecaster()._training_setup(
-            len(windows[0].xs[0])
+            series, first.train_start, first.train_end, first.test_start, first.test_end
         )
         cells = grid_search(
             base_spec, windows, val_windows, head, probe.engine, grid, config

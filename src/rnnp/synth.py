@@ -7,7 +7,9 @@ process on lags 1 and 24, and Gaussian innovations; demand is the
 exponential, so the noise is lognormal on the physical scale.  The
 deterministic component and the realized noise path are returned next to
 the series, which gives downstream tests an exact irreducible-error
-yardstick.
+yardstick.  The calendar structure and the temperature process are module
+constants; ``SynthConfig`` holds what callers set: the span, the holiday
+set, the temperature response and the noise process.
 """
 
 from __future__ import annotations
@@ -23,29 +25,31 @@ from .series import HourlySeries
 
 TWO_PI = 2.0 * math.pi
 
+# The fixed calendar structure, in log MWh, and dry-bulb process, in F.
+BASE_LOG_MWH = 8.0
+TREND_PER_YEAR = 0.01
+YEARLY_AMP = 0.08
+DAILY_AMP = 0.12
+DAILY_SECOND_AMP = 0.04
+WEEKEND_DROP = 0.05
+HOLIDAY_DROP = 0.05
+TEMP_BASE_F = 50.0
+TEMP_YEARLY_SWING_F = 24.0
+TEMP_DAILY_SWING_F = 7.0
+TEMP_NOISE_F = 2.5
+TEMP_AR = 0.96
+
 
 @dataclass(frozen=True)
 class SynthConfig:
     start_year: int = 2007
     years: int = 5
-    base_log_mwh: float = 8.0
-    trend_per_year: float = 0.01
-    yearly_amp: float = 0.08
-    daily_amp: float = 0.12
-    daily_second_amp: float = 0.04
-    weekend_drop: float = 0.05
-    holiday_drop: float = 0.05
     holidays: frozenset = frozenset()
     temp_coeff: float = 0.05
     temp_coeff_lag24: float = 0.06
     ar1: float = 0.45
     ar24: float = 0.25
     noise_sigma: float = 0.02
-    temp_base_f: float = 50.0
-    temp_yearly_swing_f: float = 24.0
-    temp_daily_swing_f: float = 7.0
-    temp_noise_f: float = 2.5
-    temp_ar: float = 0.96
 
     def __post_init__(self) -> None:
         if self.years < 1:
@@ -55,12 +59,10 @@ class SynthConfig:
                 f"start_year {self.start_year} and {self.years} years do not fit "
                 f"in the calendar's years 1..9999"
             )
-        if self.noise_sigma < 0 or self.temp_noise_f < 0:
-            raise ConfigError("noise levels must be non-negative")
+        if self.noise_sigma < 0:
+            raise ConfigError("noise_sigma must be non-negative")
         if abs(self.ar1) + abs(self.ar24) >= 1.0:
             raise ConfigError("|ar1| + |ar24| must be < 1 for stationarity")
-        if not -1.0 < self.temp_ar < 1.0:
-            raise ConfigError("temp_ar must be inside (-1, 1)")
 
 
 @dataclass
@@ -109,7 +111,7 @@ def synth_generate(config: SynthConfig, rng: Rng) -> tuple:
     temp_rng = rng.spawn(1)
     wet_rng = rng.spawn(2)
     noise_rng = rng.spawn(3)
-    temp_shocks = temp_rng.normal(0.0, config.temp_noise_f, n)
+    temp_shocks = temp_rng.normal(0.0, TEMP_NOISE_F, n)
     wet_shocks = wet_rng.normal(0.0, 1.0, n)
     eps = noise_rng.normal(0.0, config.noise_sigma, n)
 
@@ -126,11 +128,11 @@ def synth_generate(config: SynthConfig, rng: Rng) -> tuple:
     ts = start
     for t in range(n):
         yf = year_fraction(ts)
-        w = config.temp_ar * w + temp_shocks[t]
+        w = TEMP_AR * w + temp_shocks[t]
         dry = (
-            config.temp_base_f
-            + config.temp_yearly_swing_f * math.cos(TWO_PI * (yf - 0.54))
-            + config.temp_daily_swing_f * math.cos(TWO_PI * (ts.hour - 15) / 24.0)
+            TEMP_BASE_F
+            + TEMP_YEARLY_SWING_F * math.cos(TWO_PI * (yf - 0.54))
+            + TEMP_DAILY_SWING_F * math.cos(TWO_PI * (ts.hour - 15) / 24.0)
             + w
         )
         timestamps[t] = ts
@@ -138,16 +140,16 @@ def synth_generate(config: SynthConfig, rng: Rng) -> tuple:
         wetbulb[t] = dry - 4.0 + wet_shocks[t]
 
         det = (
-            config.base_log_mwh
-            + config.trend_per_year * (t / 8766.0)
-            + config.yearly_amp * math.cos(TWO_PI * (yf - 0.53))
-            + config.daily_amp * math.cos(TWO_PI * (ts.hour - 18) / 24.0)
-            + config.daily_second_amp * math.cos(2.0 * TWO_PI * ts.hour / 24.0)
+            BASE_LOG_MWH
+            + TREND_PER_YEAR * (t / 8766.0)
+            + YEARLY_AMP * math.cos(TWO_PI * (yf - 0.53))
+            + DAILY_AMP * math.cos(TWO_PI * (ts.hour - 18) / 24.0)
+            + DAILY_SECOND_AMP * math.cos(2.0 * TWO_PI * ts.hour / 24.0)
         )
         if ts.weekday() >= 5:
-            det -= config.weekend_drop
+            det -= WEEKEND_DROP
         if ts.date() in config.holidays:
-            det -= config.holiday_drop
+            det -= HOLIDAY_DROP
         det += config.temp_coeff * _temperature_effect(dry)
         det += config.temp_coeff_lag24 * _temperature_effect(
             drybulb[t - 24] if t >= 24 else dry

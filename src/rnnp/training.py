@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .base import ConfigError, NumericError
-from .engines import ENGINES
+from .engines import ENGINES, check_engine
 from .linalg import Rng
 from .model import (
     ModelParams,
@@ -208,8 +208,7 @@ def train(
     once the monitored loss has not improved for ``patience`` consecutive
     epochs and returns the best parameters seen, not the last.
     """
-    if engine not in ENGINES:
-        raise ConfigError(f"unknown engine {engine!r}; choose from {sorted(ENGINES)}")
+    check_engine(engine)
     if not windows:
         raise ValueError("no training windows")
     head.check_spec(spec)

@@ -4,6 +4,7 @@ import csv
 
 import pytest
 
+from rnnp.base import ConfigError
 from rnnp.bench import (
     CSV_HEADER,
     BenchRecord,
@@ -48,7 +49,7 @@ class TestSweepTau:
         assert a[0].wall_seconds > 0.0
 
     def test_unknown_engine(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="unknown engine 'sgd'"):
             sweep_tau("sgd", small_spec(), [3])
 
 

@@ -1,5 +1,6 @@
 """``.github/scripts/check_results.py``, which CI runs on the untraced
-perfbench runs of every Python and on the traced run."""
+perfbench runs of every Python, on the base commit's run next to the
+change's, and on the traced run."""
 
 import pathlib
 import subprocess
@@ -28,7 +29,7 @@ def check(tmp_path, *runs: str):
     return subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True)
 
 
-@pytest.mark.parametrize("copies", [1, 3])
+@pytest.mark.parametrize("copies", [1, 2, 3])
 def test_correct_runs_exit_0(tmp_path, copies):
     result = check(tmp_path, *[RUN] * copies)
     assert result.returncode == 0
@@ -69,6 +70,31 @@ def test_runs_differing_in_a_count_or_digest_exit_1(tmp_path, old, new):
     result = check(tmp_path, RUN, RUN, RUN.replace(old, new, 1))
     assert result.returncode == 1
     assert "run2.txt: 8 digest/count lines, 2 differ from run0.txt" in result.stdout
+    kind = "count windows" if "windows" in old else "digest rows_sha256"
+    # Both lines are printed, each naming its workload and its name.
+    for value in (old, new):
+        line = f"[train seed=1] {kind} = {value.split('= ')[1]}"
+        assert f"  {line}\n" in result.stdout
+
+
+@pytest.mark.parametrize("missing_from", ["first", "other"])
+def test_line_missing_from_one_run_exits_1_naming_it(tmp_path, missing_from):
+    line = "[verify seed=1] digest rows_sha256 = 0a1b\n"
+    short = RUN.replace(line, "")
+    runs = (short, RUN) if missing_from == "first" else (RUN, short)
+    result = check(tmp_path, *runs)
+    assert result.returncode == 1
+    assert f"  {line}" in result.stdout
+
+
+@pytest.mark.parametrize("without", ["first", "other", "both"])
+def test_runs_with_counts_but_no_digest_line_exit_1(tmp_path, without):
+    counts_only = "".join(l for l in RUN.splitlines(True) if "] digest " not in l)
+    first = counts_only if without in ("first", "both") else RUN
+    other = counts_only if without in ("other", "both") else RUN
+    result = check(tmp_path, first, other)
+    assert result.returncode == 1
+    assert "no digest line" in result.stdout
 
 
 def test_runs_in_another_order_exit_1(tmp_path):

@@ -122,10 +122,14 @@ class TestConfigValidation:
         out = str(tmp_path / "bench.csv")
         assert main(["bench", "--config", str(config), "--out", out]) == 2
 
-    def test_unknown_key_rejected(self, tmp_path):
+    # A misspelt key, and a generator setting that is now a constant.
+    @pytest.mark.parametrize("key, value", [("yeears", 1), ("yearly_amp", 0.1)])
+    def test_unknown_key_rejected(self, tmp_path, capsys, key, value):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"synth": {"yeears": 1}}))
-        assert main(["synth", "--config", str(config), "--out", "x.csv"]) == 2
+        config.write_text(json.dumps({"synth": {key: value}}))
+        out = str(tmp_path / "x.csv")
+        assert main(["synth", "--config", str(config), "--out", out]) == 2
+        assert f"unknown keys in config synth: [{key!r}]" in capsys.readouterr().err
 
     def test_missing_config_file(self):
         assert main(["synth", "--config", "/nonexistent.json", "--out", "x.csv"]) == 2
@@ -982,3 +986,23 @@ class TestEndToEndWorkflow:
         main(["synth", "--out", a, "--years", "1", "--seed", "3"])
         main(["synth", "--out", b, "--years", "1", "--seed", "3"])
         assert open(a).read() == open(b).read()
+
+    def test_synth_truth_out_lists_the_config_it_was_made_with(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"synth": {"noise_sigma": 0.03, "ar1": 0.3}}))
+        truth = tmp_path / "truth.json"
+        argv = ["synth", "--config", str(config), "--out", str(tmp_path / "s.csv")]
+        assert main(argv + ["--years", "1", "--truth-out", str(truth)]) == 0
+        with open(truth) as f:
+            payload = json.load(f)
+        assert payload["config"] == {
+            "start_year": 2007,
+            "years": 1,
+            "holidays": [],
+            "temp_coeff": 0.05,
+            "temp_coeff_lag24": 0.06,
+            "ar1": 0.3,
+            "ar24": 0.25,
+            "noise_sigma": 0.03,
+        }
+        assert len(payload["log_det"]) == len(payload["noise"]) == 8760

@@ -974,9 +974,9 @@ class TestKernelSource:
         order = [len(lags) - 1, *range(len(lags) - 1)]
         terms = [f"c{i}_{m} * r{i}_{m}" for i in order for m in range(y)]
         assert rows == [" + ".join(["0.0", *terms])]
-        # add_log: every theta entry, in packed order, unpacked from dest
-        # and written back once; one product per entry, each input column
-        # tested once.
+        # add_log: every theta entry, in packed order, unpacked from the
+        # first |theta| entries of dest and written back once; one product
+        # per entry, each input column tested once.
         rows, cols, outs = range(h), range(x), range(y)
         theta = (
             [f"u{r}_{c}" for r in rows for c in cols]
@@ -984,8 +984,9 @@ class TestKernelSource:
             + [f"b{r}" for r in rows]
         )
         log_text = text[text.index("def add_log(") :]
-        assert re.findall(r"^ +\((.*)\) = dest$", log_text, re.M) == [", ".join(theta)]
-        assert re.findall(r"^ +dest\[:\] = \((.*)\)$", log_text, re.M) == [", ".join(theta)]
+        first = rf"dest\[:{len(theta)}\]"
+        assert re.findall(rf"^ +\((.*)\) = {first}$", log_text, re.M) == [", ".join(theta)]
+        assert re.findall(rf"^ +{first} = \((.*)\)$", log_text, re.M) == [", ".join(theta)]
         adds = re.findall(r"^ +(\w+) \+= (.*)$", log_text, re.M)
         assert sorted(name for name, _ in adds) == sorted(theta)
         for name, term in adds:

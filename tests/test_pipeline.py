@@ -7,13 +7,14 @@ round-trips, forecast file formats, and the walk-forward driver shape.
 
 import json
 import math
+import re
 from datetime import date, datetime, timedelta
 
 import pytest
 
 import rnnp.forecaster
 import rnnp.pipeline
-from rnnp.base import DataValidationError
+from rnnp.base import ConfigError, DataValidationError
 from rnnp.features import CalendarFeatureEncoder
 from rnnp.linalg import Rng
 from rnnp.model import ModelParams, forward_sequence
@@ -382,6 +383,53 @@ class TestLagReach:
         pipe = quick_pipeline(lags=(1, 11), tau=12, max_epochs=1)
         pipe.fit(series, series.start, series.end)
         assert len(pipe.forecaster_.history_) == 1
+
+
+class TestParameterCheck:
+    """A bad pipeline parameter is rejected before any encoding."""
+
+    BAD = [
+        ({"engine": "bogus"}, ConfigError, "unknown engine 'bogus'"),
+        ({"loss": "bogus"}, ConfigError, "unknown loss head 'bogus'"),
+        ({"hidden_dim": 0}, ValueError, "hidden_dim must be >= 1, got 0"),
+        ({"hidden_dim": 1001}, ValueError, "hidden_dim must be <= 1000, got 1001"),
+        ({"learning_rate": -1}, ConfigError, "learning_rate must be positive"),
+        ({"tau": 0}, ValueError, "tau must be >= 1, got 0"),
+    ]
+    IDS = ["engine", "loss", "hidden_dim_0", "hidden_dim_1001", "learning_rate", "tau"]
+
+    @pytest.fixture
+    def encodings(self, monkeypatch):
+        """The ranges ``CalendarFeatureEncoder.transform`` is called on; it
+        still runs."""
+        calls = []
+        transform = CalendarFeatureEncoder.transform
+
+        def spy(self, series, start, end):
+            calls.append((start, end))
+            return transform(self, series, start, end)
+
+        monkeypatch.setattr(CalendarFeatureEncoder, "transform", spy)
+        return calls
+
+    @pytest.mark.parametrize("overrides, error, named", BAD, ids=IDS)
+    def test_fit_rejects_it_before_encoding(self, encodings, overrides, error, named):
+        series, _ = make_series(years=1, seed=58)
+        with pytest.raises(error, match=re.escape(named)):
+            quick_pipeline(**overrides).fit(series, series.start, series.end)
+        assert encodings == []
+
+    def test_walk_forward_rejects_it_before_encoding(self, encodings):
+        series, _ = make_series(years=2, seed=58)
+        with pytest.raises(ConfigError, match="unknown engine 'bogus'"):
+            run_walk_forward(
+                series,
+                build_walk_forward_plan(2007, 1, 1),
+                lag_sets=[(1,)],
+                grid=HyperGrid(hidden_dims=(3,), learning_rates=(5e-3,), batch_sizes=(32,)),
+                pipeline_kwargs=dict(engine="bogus", max_epochs=1, tau=12),
+            )
+        assert encodings == []
 
 
 class TestValidationRange:
