@@ -8,16 +8,19 @@ Each file is the printed output of ``perfbench/run.py --workload all``.
 The script exits 1 unless every file has 4 result lines, each with
 ``correct: true`` and ``failed: 0``.  Given several files (runs of the same
 seed on several Pythons, or a base commit's run and a change's), it also
-exits 1 unless each has a digest line and its digest and count lines are
-the same lines, in the same order, in every file.  A line that differs or
-is missing from one file is printed, naming its workload and its name.
+exits 1 unless each has a digest line and its exact lines are the same
+lines, in the same order, in every file.  The exact lines are the digest
+and count lines, and the metric lines of a traced run whose unit is
+``count``, ``MAC`` or ``B``; a timing (``s``, ``MAC/s``) or a fraction may
+differ.  A line that differs or is missing from one file is printed,
+naming its workload and its name.
 """
 
 import json
 import re
 import sys
 
-EXACT = re.compile(r"\] (digest|count) ")
+EXACT = re.compile(r"\] (digest|count) |\] metric .* (count|MAC|B)$")
 WORKLOADS = 4
 
 

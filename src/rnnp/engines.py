@@ -105,10 +105,11 @@ def _input_layer_terms(spec: RnnSpec):
     ``d_theta``, or an rtrl Jacobian row, whose theta part comes first.
 
     A log entry is ``(q, x, feedbacks)``: a folded gradient, its step's
-    input row and the outputs of the lags that reach inside the window, a
-    prefix of the lag set.  Each theta entry gets one product per log
-    entry, added in log order to its current value, so the bits are those
-    of adding the entries one at a time.  ``add`` is the generated
+    input row and the outputs of the lags that reach inside the window, in
+    lag-set order (lags increase, so those lags come first in the set).
+    Each theta entry gets one product per log entry, added in log order to
+    its current value, so the bits are those of adding the entries one at
+    a time.  ``add`` is the generated
     ``add_log`` of the spec's shape (``kernels.kernel_source``, which says
     why skipping the products of zero inputs and of unreachable lags
     changes no bit); one form serves trrl's whole log and the one-entry
@@ -308,11 +309,10 @@ def bptt_gradients(
     visit per child, one per feedback edge with t - lag >= 1, so identical
     subtrees are recomputed as many times as they appear.  The node is the
     generated ``make_node`` of the spec's shape, bound once per call: on
-    step t it returns the step's input-layer log entry and its children
-    ``(t - l, W_l^T q)``, one per reaching lag in lag-set order, each push
-    made when the recursion takes it.  The counter is charged once, from
-    the number of macronodes visited, which is returned alongside the
-    gradients.
+    step t it returns the step's input-layer log entry and the list of its
+    children ``(t - l, W_l^T q)``, one per reaching lag in lag-set order.
+    The counter is charged once, from the number of macronodes visited,
+    which is returned alongside the gradients.
     """
     tau = len(xs)
     if tau > BPTT_GUARD:

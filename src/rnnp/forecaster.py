@@ -103,13 +103,16 @@ class RnnForecaster(BaseEstimator):
         windows = _as_windows(X, y)
         _check_lag_reach(self.lags, len(windows[0].xs))
         val_windows = _as_windows(*validation) if validation is not None else None
-        return self._fit_windows(windows, val_windows)
+        setup = self._training_setup(len(windows[0].xs[0]))
+        return self._fit_windows(setup, windows, val_windows)
 
     def _fit_windows(
-        self, windows: list, val_windows: list | None
+        self, setup: tuple, windows: list, val_windows: list | None
     ) -> "RnnForecaster":
-        """Train on ``TrainingWindow`` lists whose inputs are already checked."""
-        head, spec, config = self._training_setup(len(windows[0].xs[0]))
+        """Train with ``setup``, the (head, spec, config) of
+        ``_training_setup``, on ``TrainingWindow`` lists whose inputs are
+        already checked."""
+        head, spec, config = setup
         params = init_params(spec, Rng(self.seed))
         self.head_ = head
         self.spec_ = spec

@@ -55,11 +55,11 @@ def kernel_source(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> st
       backpropagates the output gradient g of step t: it adds the
       output-layer terms (V, c) to ``d_phi`` and folds g into
       q = (V diag(h'))^T g, h' = h (1 - h).  ``entry`` is step t's
-      input-layer log entry: q, the input row ``xs[t - 1]`` and the
-      feedbacks of the lags that reach inside the window, a prefix of the
-      lag set.  ``children`` yields ``(t - l, W_l^T q)`` for those lags in
-      lag-set order, each push made only when the walk takes it; a push
-      entry is a column of W_l dotted with q, summed from 0.0 over
+      input-layer log entry: q, the input row ``xs[t - 1]`` and the list
+      of feedbacks of the lags that reach inside the window.  One
+      ``if t > l:`` block per lag, in lag-set order, appends lag l's
+      feedback to that list and ``(t - l, W_l^T q)`` to ``children``; a
+      push entry is a column of W_l dotted with q, summed from 0.0 over
       increasing row.  It counts nothing: bptt charges its counter once
       per call from its visit count.
     * ``trrl_sweep(v, ws, h_steps, y_steps, xs, d_phi, g_tau)`` runs trrl's
@@ -68,10 +68,12 @@ def kernel_source(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> st
       step stores its vector and later pushes add into it, in walk order;
       a step no push reaches is skipped.  The node body is the same lines
       as ``make_node``'s, with ``d_phi`` held in locals and written back
-      once.  It returns ``(log, pushes, peak)``: the log entries in visit
-      order, the number of pushes, and the high-water mark of the floats
-      the walk keeps live (the logged q's, h per visited node, and the
-      stored g's, y each, a g freed after its node).
+      once; lag l's ``if t > l:`` block appends its feedback to the log
+      entry's list, makes its push and counts it.  It returns ``(log,
+      pushes, peak)``: the log entries in visit order, the number of
+      pushes, and the high-water mark of the floats the walk keeps live
+      (the logged q's, h per visited node, and the stored g's, y each, a g
+      freed after its node).
     * ``rtrl_advance(cs, ring)`` takes the oldest Jacobian (lag max(L))
       off ``ring``, a deque of max(L) Jacobians of y rows where
       ``ring[-l]`` is J(t - l), and returns the new one, sum_l C_l J(t - l).
@@ -85,9 +87,11 @@ def kernel_source(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> st
       part comes first).  It unpacks every theta entry (U, each W_l, b)
       from ``dest[:|theta|]`` into locals once; per log entry, in log
       order, it adds the products of the nonzero inputs, then the
-      feedback terms of the lags that reach inside the window, then the
-      bias terms; it writes ``dest[:|theta|]`` back once and leaves the
-      rest of ``dest`` as it is.
+      feedback terms of the lags that reach inside the window (lags
+      increase, so the i-th feedback is lag i's, and one block per lag
+      reads it if the list is long enough), then the bias terms; it writes
+      ``dest[:|theta|]`` back once and leaves the rest of ``dest`` as it
+      is.
 
     A row sum is written ``0.0 + a * b + ...``, which Python adds left to
     right, so each sum keeps the order and the bits of the loop it
@@ -99,6 +103,9 @@ def kernel_source(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> st
     -0.0 in round-to-nearest, so adding a +0.0 or -0.0 product leaves it
     as it is; and U and q are finite, so a skipped product is never NaN.
     The callers count the dense multiplies all the same.
+
+    Every function's source grows linearly with the lag count: one block
+    per lag.
 
     The text is built from the four validated shape integers alone; no
     weight or input value is ever written into it.  Print it to read it:
@@ -133,17 +140,6 @@ def kernel_source(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> st
             out.append(f"{pad}    ({vt}) * (h{j} * (1.0 - h{j})),")
         return out + [f"{pad})", f'{pad}check_finite_step(q, "folded gradient", t)']
 
-    def feedback_branches(pad: str, entry) -> list:
-        """One branch per count n of lags reaching inside the window (lags
-        increase, so those are a prefix), each ending in ``entry(n,
-        feedbacks)``'s lines."""
-        out, keyword = [], "if"
-        for n in range(p, 0, -1):
-            fbs = _names("y_steps", (f"[t - {1 + lag}]" for lag in lags[:n]))
-            out += [f"{pad}{keyword} t > {lags[n - 1]}:", *entry(n, fbs)]
-            keyword = "elif"
-        return out + [f"{pad}else:", *entry(0, "()")]
-
     v_names = _names("v", (f"{k}_{j}" for k in outs for j in rows))
     w_unpacks = [
         f"    {_names('w', (f'{i}_{r}_{k}' for r in rows for k in outs))} = ws[{i}]"
@@ -170,19 +166,20 @@ def kernel_source(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> st
         f"    {v_names} = v",
         *w_unpacks,
         "",
-        "    def children(t, q):",
+        "    def node(t, g):",
+        *node_lines("        ", lambda i: f"d_phi[{i}]"),
         f"        {_names('q', rows)} = q",
+        "        feedbacks = []",
+        "        children = []",
     ]
     for i, lag in enumerate(lags):
         lines += [
             f"        if t > {lag}:",
-            f"            push = [{', '.join(push_entries(i))}]",
-            f"            yield t - {lag}, push",
+            f"            feedbacks.append(y_steps[t - {1 + lag}])",
+            f"            children.append((t - {lag}, [{', '.join(push_entries(i))}]))",
         ]
-    lines += ["", "    def node(t, g):", *node_lines("        ", lambda i: f"d_phi[{i}]")]
     lines += [
-        *feedback_branches("        ", lambda n, fbs: [f"            feedbacks = {fbs}"]),
-        "        return (q, xs[t - 1], feedbacks), children(t, q)",
+        "        return (q, xs[t - 1], feedbacks), children",
         "",
         "    return node",
         "",
@@ -206,18 +203,15 @@ def kernel_source(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> st
         "        if g is None:",
         "            continue",
         *node_lines("        ", d_names.__getitem__),
-        *feedback_branches(
-            "        ",
-            lambda n, fbs: [
-                f"            log.append((q, xs[t - 1], {fbs}))",
-                *([f"            pushes += {n}"] if n else []),
-            ],
-        ),
         f"        {_names('q', rows)} = q",
+        "        feedbacks = []",
+        "        log.append((q, xs[t - 1], feedbacks))",
     ]
     for i, lag in enumerate(lags):
         lines += [
             f"        if t > {lag}:",
+            f"            feedbacks.append(y_steps[t - {1 + lag}])",
+            "            pushes += 1",
             *(f"            e{k} = {e}" for k, e in enumerate(push_entries(i))),
             f"            s = gs[t - {lag}]",
             "            if s is None:",
@@ -258,7 +252,7 @@ def kernel_source(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> st
     # The theta entries in packed order: U, each W_l, b, all row-major.
     theta_ids = (
         [f"u{r}_{c}" for r in rows for c in cols]
-        + [f"w{i}_{r}_{k}" for i in range(len(lags)) for r in rows for k in outs]
+        + [f"w{i}_{r}_{k}" for i in range(p) for r in rows for k in outs]
         + [f"b{r}" for r in rows]
     )
     theta, n_theta = _names("", theta_ids), len(theta_ids)
@@ -273,7 +267,7 @@ def kernel_source(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> st
         lines.append(f"        if x{c} != 0.0:")
         lines += [f"            u{r}_{c} += q{r} * x{c}" for r in rows]
     lines.append("        n = len(feedbacks)")
-    for i in range(len(lags)):
+    for i in range(p):
         lines += [f"        if n > {i}:", f"            {_names('f', outs)} = feedbacks[{i}]"]
         lines += [f"            w{i}_{r}_{k} += q{r} * f{k}" for r in rows for k in outs]
     lines += [f"        b{r} += q{r}" for r in rows]

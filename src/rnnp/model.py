@@ -47,14 +47,11 @@ CHECKPOINT_MAGIC = "RNNP1"
 # The widest spec whose kernels compile.  A generated row sum nests one
 # term per hidden or output unit, and CPython's compiler recurses once per
 # term (h 3,000 raises RecursionError); rtrl's advance sums 1 + p*y terms
-# per Jacobian entry, so p*y has the same bound.  The kernel source grows
-# with the weight count (up to about 3 s and 400 MB to compile at 25,000
-# weights) and with the square of the lag count: trrl's sweep and node pick
-# the lags that reach inside the window with one branch per prefix of the
-# lag set (p 300 at h 1 took 0.9 s and 270 MB).
+# per Jacobian entry, so p*y has the same bound (p <= 1,000).  The kernel
+# source grows linearly with the weight count and the lag count: up to
+# about 3 s and 400 MB to compile at 25,000 weights or 1,000 lags.
 MAX_UNITS = 1_000
 MAX_WEIGHTS = 25_000
-MAX_LAGS = 200
 
 
 @dataclass(frozen=True)
@@ -62,10 +59,10 @@ class RnnSpec:
     """Architecture description: lag set and layer widths.
 
     Every width is at least 1; ``hidden_dim``, ``y_dim`` and the lag count
-    times ``y_dim`` are at most ``MAX_UNITS``, the weight count at most
-    ``MAX_WEIGHTS`` and the lag count at most ``MAX_LAGS``, so the shape's
-    kernels compile.  A spec out of these bounds is a ``ValueError`` naming
-    the field, raised before anything is allocated.
+    times ``y_dim`` are at most ``MAX_UNITS`` and the weight count at most
+    ``MAX_WEIGHTS``, so the shape's kernels compile.  A spec out of these
+    bounds is a ``ValueError`` naming the field, raised before anything is
+    allocated.
     """
 
     lag_set: tuple
@@ -104,8 +101,6 @@ class RnnSpec:
                 f"(x_dim {self.x_dim}, hidden_dim {self.hidden_dim}, "
                 f"y_dim {self.y_dim}, {self.p} lags)"
             )
-        if self.p > MAX_LAGS:
-            raise ValueError(f"lag_set must hold at most {MAX_LAGS} lags, got {self.p}")
         if self.p * self.y_dim > MAX_UNITS:
             raise ValueError(
                 f"len(lag_set) * y_dim must be <= {MAX_UNITS}, "

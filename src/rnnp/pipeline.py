@@ -140,11 +140,11 @@ class LoadForecastPipeline(BaseEstimator):
         [start, end) and, when both validation bounds are given, of
         [val_start, val_end), else None.  ``HourlySeries`` has checked the
         data, so the windows go to training without another check.  The
-        parameters, then the ranges are checked before any encoding: one
-        validation bound without the other, or a start not before its end,
-        is a ``ValueError`` naming the bounds.
+        caller checks the parameters first (``_checked_setup``); the ranges
+        are checked here, before any encoding: one validation bound without
+        the other, or a start not before its end, is a ``ValueError`` naming
+        the bounds.
         """
-        self._checked_setup()
         if (val_start is None) != (val_end is None):
             missing = "val_end" if val_end is None else "val_start"
             raise ValueError(f"a validation range needs both bounds: {missing} is missing")
@@ -187,11 +187,12 @@ class LoadForecastPipeline(BaseEstimator):
         val_start: datetime | None = None,
         val_end: datetime | None = None,
     ) -> "LoadForecastPipeline":
+        setup = self._checked_setup()
         windows, val_windows = self._prepare_windows(
             series, train_start, train_end, val_start, val_end
         )
         self.forecaster_ = self._make_forecaster()._fit_windows(
-            windows, val_windows
+            setup, windows, val_windows
         )
         return self
 

@@ -1,6 +1,6 @@
 """``.github/scripts/check_results.py``, which CI runs on the untraced
-perfbench runs of every Python, on the base commit's run next to the
-change's, and on the traced run."""
+perfbench runs of every Python, on the base commit's untraced and traced
+runs next to the change's, and on the traced run."""
 
 import pathlib
 import subprocess
@@ -95,6 +95,45 @@ def test_runs_with_counts_but_no_digest_line_exit_1(tmp_path, without):
     result = check(tmp_path, first, other)
     assert result.returncode == 1
     assert "no digest line" in result.stdout
+
+
+TRACED = "".join(
+    f"[{w} seed=1] count windows = 14\n"
+    f"[{w} seed=1] digest rows_sha256 = 0a1b\n"
+    f"[{w} seed=1] metric engines.trrl_gradients.calls = 40 count\n"
+    f"[{w} seed=1] metric engines.trrl_gradients.macs = 16466600 MAC\n"
+    f"[{w} seed=1] metric engines.trrl_gradients.self_s = 0.441 s\n"
+    f"[{w} seed=1] metric engines.trrl_gradients.mac_per_s = 37332488.3 MAC/s\n"
+    f"[{w} seed=1] metric engines.trrl_gradients.forward_share = 0.645 frac\n"
+    f"[{w} seed=1] metric pipeline.write_forecast_csv.bytes = 5210 B\n"
+    f'{{"workload": "{w}", "correct": true, "failed": 0}}\n'
+    for w in WORKLOADS
+)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("= 40 count", "= 41 count"), ("= 16466600 MAC", "= 16466601 MAC"), ("= 5210 B", "= 5211 B")],
+    ids=["count", "MAC", "B"],
+)
+def test_traced_runs_differing_in_an_exact_metric_exit_1_naming_it(tmp_path, old, new):
+    result = check(tmp_path, TRACED, TRACED.replace(old, new, 1))
+    assert result.returncode == 1
+    assert "run1.txt: 20 digest/count lines, 2 differ from run0.txt" in result.stdout
+    changed = next(l for l in TRACED.splitlines() if old in l)
+    assert f"  {changed}\n" in result.stdout
+    assert f"  {changed.replace(old, new)}\n" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("= 0.441 s", "= 0.5 s"), ("= 0.645 frac", "= 0.7 frac"), ("= 37332488.3 MAC/s", "= 4e7 MAC/s")],
+    ids=["s", "frac", "MAC/s"],
+)
+def test_traced_runs_differing_in_a_timing_or_fraction_exit_0(tmp_path, old, new):
+    result = check(tmp_path, TRACED, TRACED.replace(old, new))
+    assert result.returncode == 0
+    assert "run1.txt: 20 digest/count lines, 0 differ from run0.txt" in result.stdout
 
 
 def test_runs_in_another_order_exit_1(tmp_path):

@@ -155,9 +155,9 @@ class TestConfigValidation:
                 else "hidden_dim must be <= 1000",
             ),
             (
-                {"lags": list(range(1, 202)), "tau": 300},
+                {"lags": list(range(1, 502)), "tau": 600},
                 {},
-                "lag_set must hold at most 200 lags, got 201",
+                "len(lag_set) * y_dim must be <= 1000, got 501 * 2 = 1002",
             ),
             ({"tau": 0}, {}, "tau must be >= 1, got 0"),
             (
@@ -450,7 +450,11 @@ MALFORMED_ENTRIES = [
     (("spec", "hidden_dim"), 1001, "hidden_dim must be <= 1000"),
     (("spec", "y_dim"), 2**63, "y_dim must be <= 1000"),
     (("spec", "x_dim"), 10**6, "weight_count must be <= 25000"),
-    (("spec", "lag_set"), list(range(1, 202)), "lag_set must hold at most 200 lags"),
+    (
+        ("spec", "lag_set"),
+        list(range(1, 502)),
+        "len(lag_set) * y_dim must be <= 1000, got 501 * 2 = 1002",
+    ),
     (
         ("spec",),
         {"lag_set": [1, 2], "x_dim": 13, "hidden_dim": 3, "y_dim": 600},

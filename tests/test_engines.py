@@ -953,7 +953,7 @@ class TestKernelSource:
         # the fold, h sums of y terms, written once per function.
         node = function_text(text, "make_node")
         sweep = function_text(text, "trrl_sweep")
-        pushes = re.findall(r"push = \[(.*)\]", node)
+        pushes = re.findall(r"children\.append\(\(t - \d+, \[(.*)\]\)\)", node)
         assert len(pushes) == len(lags)
         node_pushes = [e for push in pushes for e in push.split(", ")]
         sweep_pushes = re.findall(r"^ +e\d+ = (.*)$", sweep, re.M)
@@ -1015,6 +1015,25 @@ class TestKernelSource:
         assert tests == [f"x{c}" for c in cols]
         yields = re.findall(r"^ +yield \[(.*)\]$", text, re.M)
         assert yields == [", ".join(f"a{r} + b{r}" for r in rows)]
+
+    @pytest.mark.parametrize("lags", [(1,), (2, 5), (1, 2, 24), tuple(range(1, 201))], ids=len)
+    def test_one_block_per_lag(self, lags):
+        # The node and the sweep test each lag once, in lag-set order: the
+        # block appends the lag's feedback to the log entry and makes its
+        # push.  add_log reads the i-th feedback in one block per lag.
+        text = kernel_source(2, 3, 2, lags)
+        for name in ("make_node", "trrl_sweep"):
+            function = function_text(text, name)
+            assert re.findall(r"^ +if t > (\d+):$", function, re.M) == [str(l) for l in lags]
+            feedbacks = re.findall(r"feedbacks\.append\(y_steps\[t - (\d+)\]\)$", function, re.M)
+            assert feedbacks == [str(l + 1) for l in lags]
+        add_log = function_text(text, "add_log")
+        blocks = re.findall(r"^ +if n > (\d+):$", add_log, re.M)
+        assert blocks == [str(i) for i in range(len(lags))]
+
+    def test_source_grows_linearly_with_the_lag_count(self):
+        sizes = [len(kernel_source(1, 1, 1, tuple(range(1, p + 1)))) for p in (200, 400)]
+        assert sizes[1] < 2.1 * sizes[0]
 
     @pytest.mark.parametrize(
         "shape", [(2.0, 1, (1,)), (2, True, (1,)), (2, 1, ("1",))], ids=str

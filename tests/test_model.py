@@ -8,9 +8,9 @@ import re
 import pytest
 
 from rnnp.base import DataValidationError, NumericError
+from rnnp.kernels import _kernels
 from rnnp.linalg import Rng
 from rnnp.model import (
-    MAX_LAGS,
     MAX_UNITS,
     MAX_WEIGHTS,
     ModelParams,
@@ -100,15 +100,18 @@ class TestRnnSpec:
             RnnSpec(**kwargs)
 
     @pytest.mark.parametrize(
-        "field, value, named",
+        "fields, named",
         [
-            ("hidden_dim", MAX_UNITS + 1, "hidden_dim must be <= 1000"),
-            ("hidden_dim", 2**63, "hidden_dim must be <= 1000"),
-            ("y_dim", MAX_UNITS + 1, "y_dim must be <= 1000"),
-            ("x_dim", 10**6, "weight_count must be <= 25000"),
-            ("lag_set", tuple(range(1, 2001)), "weight_count must be <= 25000"),
-            ("lag_set", tuple(range(1, 202)), "lag_set must hold at most 200 lags, got 201"),
-            ("y_dim", 400, "len(lag_set) * y_dim must be <= 1000, got 3 * 400 = 1200"),
+            ({"hidden_dim": MAX_UNITS + 1}, "hidden_dim must be <= 1000"),
+            ({"hidden_dim": 2**63}, "hidden_dim must be <= 1000"),
+            ({"y_dim": MAX_UNITS + 1}, "y_dim must be <= 1000"),
+            ({"x_dim": 10**6}, "weight_count must be <= 25000"),
+            ({"lag_set": tuple(range(1, 2001))}, "weight_count must be <= 25000"),
+            (
+                {"lag_set": tuple(range(1, 1002)), "y_dim": 1},
+                "len(lag_set) * y_dim must be <= 1000, got 1001 * 1 = 1001",
+            ),
+            ({"y_dim": 400}, "len(lag_set) * y_dim must be <= 1000, got 3 * 400 = 1200"),
         ],
         ids=[
             "hidden_dim",
@@ -120,22 +123,23 @@ class TestRnnSpec:
             "lags_times_y_dim",
         ],
     )
-    def test_width_past_the_compile_bound_rejected_naming_the_field(
-        self, field, value, named
-    ):
+    def test_width_past_the_compile_bound_rejected_naming_the_field(self, fields, named):
         # Only the spec is built: nothing of the rejected width is allocated.
         kwargs = {"lag_set": (1, 2, 24), "x_dim": 13, "hidden_dim": 15, "y_dim": 2}
-        kwargs[field] = value
         with pytest.raises(ValueError, match=re.escape(named)):
-            RnnSpec(**kwargs)
+            RnnSpec(**{**kwargs, **fields})
 
     def test_widest_production_shape_within_the_bounds(self):
         spec = RnnSpec(lag_set=(1, 2, 24), x_dim=13, hidden_dim=MAX_UNITS, y_dim=2)
         assert spec.weight_count == 22002 <= MAX_WEIGHTS
 
     def test_most_lags_and_outputs_within_the_bounds(self):
-        spec = RnnSpec(lag_set=tuple(range(1, MAX_LAGS + 1)), x_dim=1, hidden_dim=1, y_dim=5)
+        # The kernels' source grows linearly with the lag count, so the
+        # most lags a spec accepts compile in well under a second.
+        spec = RnnSpec(lag_set=tuple(range(1, MAX_UNITS + 1)), x_dim=1, hidden_dim=1, y_dim=1)
         assert spec.p * spec.y_dim == MAX_UNITS
+        compiled = _kernels(spec.hidden_dim, spec.x_dim, spec.y_dim, spec.lag_set)
+        assert callable(compiled.trrl_sweep)
         spec = RnnSpec(lag_set=(1,), x_dim=1, hidden_dim=1, y_dim=MAX_UNITS)
         assert spec.p * spec.y_dim == MAX_UNITS
 

@@ -15,7 +15,7 @@ import pytest
 import rnnp.forecaster
 import rnnp.pipeline
 from rnnp.base import ConfigError, DataValidationError
-from rnnp.features import CalendarFeatureEncoder
+from rnnp.features import FEATURE_DIM, CalendarFeatureEncoder
 from rnnp.linalg import Rng
 from rnnp.model import ModelParams, forward_sequence
 from rnnp.pipeline import (
@@ -430,6 +430,41 @@ class TestParameterCheck:
                 pipeline_kwargs=dict(engine="bogus", max_epochs=1, tau=12),
             )
         assert encodings == []
+
+
+class TestNetworkSetup:
+    """The network's (head, spec, config) is built once per fit."""
+
+    @pytest.fixture
+    def setups(self, monkeypatch):
+        """The input widths ``RnnForecaster._training_setup`` is called with;
+        it still runs."""
+        calls = []
+        setup = rnnp.forecaster.RnnForecaster._training_setup
+
+        def spy(self, x_dim):
+            calls.append(x_dim)
+            return setup(self, x_dim)
+
+        monkeypatch.setattr(rnnp.forecaster.RnnForecaster, "_training_setup", spy)
+        return calls
+
+    def test_once_per_pipeline_fit(self, setups):
+        series, _ = make_series(years=1, seed=58)
+        quick_pipeline(max_epochs=1).fit(series, series.start, series.end)
+        assert setups == [FEATURE_DIM]
+
+    def test_once_per_lag_set_and_once_per_split_fit(self, setups):
+        series, _ = make_series(years=2, seed=58)
+        run_walk_forward(
+            series,
+            build_walk_forward_plan(2007, 1, 1),
+            lag_sets=[(1,)],
+            grid=HyperGrid(hidden_dims=(3,), learning_rates=(5e-3,), batch_sizes=(32,)),
+            pipeline_kwargs=dict(loss="mse", max_epochs=1, tau=12),
+            train_stride=96,
+        )
+        assert setups == [FEATURE_DIM, FEATURE_DIM]
 
 
 class TestValidationRange:
