@@ -285,15 +285,17 @@ class LoadForecastPipeline(BaseEstimator):
         check_kind(
             params, PARAM_KINDS, "pipeline_params", DataValidationError, "checkpoint"
         )
+        for key in PARAM_KINDS:  # save writes every one
+            checkpoint_field(extras, "pipeline_params", key)
         try:
             params["holidays"] = frozenset(
-                datetime.fromisoformat(d).date() for d in params.get("holidays", [])
+                datetime.fromisoformat(d).date() for d in params["holidays"]
             )
         except (TypeError, ValueError) as exc:
             raise DataValidationError(
                 f"checkpoint has a bad holiday date: {exc}"
             ) from None
-        params["lags"] = tuple(checkpoint_field(extras, "pipeline_params", "lags"))
+        params["lags"] = tuple(params["lags"])
         pipe = cls(**params)
         pipe.encoder_ = CalendarFeatureEncoder.from_state(
             extras, holidays=pipe.holidays
@@ -374,19 +376,32 @@ def read_forecast_csv(path: str) -> list:
     rows and set on others, ``q05``/``q95`` that are not both finite
     positive numbers with ``q05 <= q95`` where ``sigma_log`` is set, nor
     both empty where it is not, or a timestamp that an earlier line already
-    holds raises ``DataValidationError`` naming the file or the line.
+    holds raises ``DataValidationError`` naming the file or the line, as
+    does a row with fewer fields than the header (naming the missing
+    columns) or more.
     """
     rows = []
     line_of = {}  # timestamp -> the line that holds it
+    width = len(FORECAST_CSV_HEADER)
     with open_utf8(path) as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != FORECAST_CSV_HEADER:
-            raise DataValidationError(f"bad forecast header {reader.fieldnames!r}")
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header != FORECAST_CSV_HEADER:
+            raise DataValidationError(f"bad forecast header {header!r}")
         for rec in reader:
+            if not rec:
+                continue
             try:
-                ts = naive_timestamp(rec["timestamp"])
-                point, mu_log = float(rec["point"]), float(rec["mu_log"])
-                sigma_log = float(rec["sigma_log"]) if rec["sigma_log"] else None
+                if len(rec) != width:
+                    missing = ", ".join(FORECAST_CSV_HEADER[len(rec) :])
+                    raise ValueError(
+                        f"{len(rec)} fields, expected {width}"
+                        + (f": no {missing}" if missing else "")
+                    )
+                stamp, point, mu_log, sigma_log, q05, q95 = rec
+                ts = naive_timestamp(stamp)
+                point, mu_log = float(point), float(mu_log)
+                sigma_log = float(sigma_log) if sigma_log else None
                 if not (math.isfinite(point) and math.isfinite(mu_log)):
                     raise ValueError("point and mu_log must be finite")
                 if sigma_log is not None and not (
@@ -395,15 +410,14 @@ def read_forecast_csv(path: str) -> list:
                     raise ValueError(
                         f"sigma_log {sigma_log!r} is not a finite positive number"
                     )
-                quantiles = (rec["q05"], rec["q95"])
                 if sigma_log is None:
-                    if quantiles != ("", ""):
+                    if (q05, q95) != ("", ""):
                         raise ValueError(
-                            f"q05 {quantiles[0]!r} and q95 {quantiles[1]!r} must be "
-                            f"empty where sigma_log is"
+                            f"q05 {q05!r} and q95 {q95!r} must be empty where "
+                            f"sigma_log is"
                         )
                 else:
-                    q05, q95 = float(quantiles[0]), float(quantiles[1])
+                    q05, q95 = float(q05), float(q95)
                     if not (0.0 < q05 <= q95 < math.inf):
                         raise ValueError(
                             f"q05 {q05!r} and q95 {q95!r} are not finite positive "
@@ -419,7 +433,7 @@ def read_forecast_csv(path: str) -> list:
                         f"every row or on none"
                     )
                 rows.append((ts, point, mu_log, sigma_log))
-            except (TypeError, ValueError) as exc:  # TypeError: a missing field
+            except ValueError as exc:
                 raise DataValidationError(
                     f"{path} line {reader.line_num}: {exc}"
                 ) from None

@@ -20,6 +20,8 @@ from datetime import date, datetime, timedelta
 from .base import DataValidationError, atomic_write, naive_timestamp, open_utf8
 
 CSV_HEADER = ["timestamp", "demand_mwh", "drybulb_f", "wetbulb_f"]
+# The parser of each CSV_HEADER column.
+PARSERS = (naive_timestamp, float, float, float)
 HOUR = timedelta(hours=1)
 
 
@@ -50,13 +52,12 @@ class HourlySeries:
         for ts, d in zip(self.timestamps, self.demand_mwh):
             if not (math.isfinite(d) and d > 0.0):
                 raise DataValidationError(
-                    f"non-positive demand {d!r} at {ts.isoformat()}"
+                    f"non-positive demand_mwh {d!r} at {ts.isoformat()}"
                 )
         for ts, dry, wet in zip(self.timestamps, self.drybulb_f, self.wetbulb_f):
             if not (math.isfinite(dry) and math.isfinite(wet)):
-                raise DataValidationError(
-                    f"non-finite temperature at {ts.isoformat()}"
-                )
+                name = "wetbulb_f" if math.isfinite(dry) else "drybulb_f"
+                raise DataValidationError(f"non-finite {name} at {ts.isoformat()}")
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -107,39 +108,62 @@ def ingest_csv(path: str) -> HourlySeries:
         try:
             header = next(reader)
         except StopIteration:
-            raise DataValidationError("no rows") from None
+            raise DataValidationError(f"{path} has no rows") from None
         if [h.strip() for h in header] != CSV_HEADER:
             raise DataValidationError(
-                f"bad header {header!r}, expected {','.join(CSV_HEADER)}"
+                f"{path}: bad header {header!r}, expected {','.join(CSV_HEADER)}"
             )
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 4:
-                raise DataValidationError(f"line {lineno}: expected 4 fields")
+                raise DataValidationError(
+                    f"{path} line {lineno}: expected 4 fields, got {len(row)}"
+                )
             try:
                 timestamps.append(naive_timestamp(row[0]))
                 demand.append(float(row[1]))
                 dry.append(float(row[2]))
                 wet.append(float(row[3]))
             except ValueError as exc:
-                raise DataValidationError(f"{path} line {lineno}: {exc}") from None
+                raise DataValidationError(
+                    f"{path} line {lineno}: {exc} (column {_unparsed_column(row)})"
+                ) from None
     if not timestamps:
-        raise DataValidationError("no rows")
+        raise DataValidationError(f"{path} has no rows")
     return HourlySeries(
         timestamps=timestamps, demand_mwh=demand, drybulb_f=dry, wetbulb_f=wet
     )
 
 
+def _unparsed_column(row: list) -> str:
+    """The name of the first field of ``row`` that its parser rejects."""
+    for name, parse, text in zip(CSV_HEADER, PARSERS, row):
+        try:
+            parse(text)
+        except ValueError:
+            return name
+    raise AssertionError(f"every field of {row!r} parses")
+
+
 def write_csv(series: HourlySeries, path: str) -> None:
-    """Write the series; floats use shortest round-trip formatting."""
+    """Write the series: CRLF rows, floats in shortest round-trip form.
+
+    These are the bytes ``csv.writer`` would write: no field of a series
+    (an ISO timestamp, a float's ``repr``) holds a comma, a quote or a line
+    break, so none is quoted.
+    """
     with atomic_write(path) as f:
-        writer = csv.writer(f)
-        writer.writerow(CSV_HEADER)
-        for ts, d, dry, wet in zip(
-            series.timestamps, series.demand_mwh, series.drybulb_f, series.wetbulb_f
-        ):
-            writer.writerow([ts.isoformat(), repr(d), repr(dry), repr(wet)])
+        f.write(",".join(CSV_HEADER) + "\r\n")
+        f.writelines(
+            f"{ts.isoformat()},{d!r},{dry!r},{wet!r}\r\n"
+            for ts, d, dry, wet in zip(
+                series.timestamps,
+                series.demand_mwh,
+                series.drybulb_f,
+                series.wetbulb_f,
+            )
+        )
 
 
 def read_holidays(path: str) -> frozenset:

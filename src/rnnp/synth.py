@@ -14,14 +14,15 @@ set, the temperature response and the noise process.
 
 from __future__ import annotations
 
+import calendar
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime
 
 from .base import ConfigError
-from .features import year_fraction
+from .features import _fraction
 from .linalg import Rng, _left_sum
-from .series import HourlySeries
+from .series import HOUR, HourlySeries
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,6 +39,16 @@ TEMP_YEARLY_SWING_F = 24.0
 TEMP_DAILY_SWING_F = 7.0
 TEMP_NOISE_F = 2.5
 TEMP_AR = 0.96
+
+# By hour of day: the dry-bulb daily swing and the two daily demand terms.
+DAILY_TERMS = tuple(
+    (
+        TEMP_DAILY_SWING_F * math.cos(TWO_PI * (hour - 15) / 24.0),
+        DAILY_AMP * math.cos(TWO_PI * (hour - 18) / 24.0),
+        DAILY_SECOND_AMP * math.cos(2.0 * TWO_PI * hour / 24.0),
+    )
+    for hour in range(24)
+)
 
 
 @dataclass(frozen=True)
@@ -103,10 +114,16 @@ def _temperature_effect(temp_f: float) -> float:
 
 
 def synth_generate(config: SynthConfig, rng: Rng) -> tuple:
-    """Generate (HourlySeries, SynthTruth) for full calendar years."""
+    """Generate (HourlySeries, SynthTruth) for full calendar years.
+
+    What depends on the date alone (day of year, year length, weekend,
+    holiday) is found once per date, and the hour-of-day cosine terms come
+    from ``DAILY_TERMS``.  Every float is the same expression on the same
+    operands, summed in the same order, as an hour-by-hour computation.
+    """
     start = datetime(config.start_year, 1, 1)
     end = datetime(config.start_year + config.years, 1, 1)
-    n = int((end - start) / timedelta(hours=1))
+    n = int((end - start) / HOUR)
 
     temp_rng = rng.spawn(1)
     wet_rng = rng.spawn(2)
@@ -117,52 +134,66 @@ def synth_generate(config: SynthConfig, rng: Rng) -> tuple:
 
     # One pass over the hours, into lists made at full length: growing six
     # lists side by side would fragment the heap.  ``noise`` is also the
-    # AR process's history.
+    # AR process's history; ``effects`` holds the temperature effect of
+    # the last 24 hours, by hour of day.
     timestamps = [None] * n
     drybulb = [0.0] * n
     wetbulb = [0.0] * n
     log_det = [0.0] * n
     noise = [0.0] * n
     demand = [0.0] * n
+    effects = [0.0] * 24
+    cos, exp = math.cos, math.exp
+    holidays = config.holidays
+    temp_coeff, temp_coeff_lag24 = config.temp_coeff, config.temp_coeff_lag24
+    ar1, ar24 = config.ar1, config.ar24
     w = 0.0
     ts = start
-    for t in range(n):
-        yf = year_fraction(ts)
-        w = TEMP_AR * w + temp_shocks[t]
-        dry = (
-            TEMP_BASE_F
-            + TEMP_YEARLY_SWING_F * math.cos(TWO_PI * (yf - 0.54))
-            + TEMP_DAILY_SWING_F * math.cos(TWO_PI * (ts.hour - 15) / 24.0)
-            + w
-        )
-        timestamps[t] = ts
-        drybulb[t] = dry
-        wetbulb[t] = dry - 4.0 + wet_shocks[t]
+    t = 0
+    while t < n:
+        day = ts.date()
+        yday = day.timetuple().tm_yday
+        days = 366.0 if calendar.isleap(day.year) else 365.0
+        weekend = day.weekday() >= 5
+        holiday = day in holidays
+        for hour, (dry_daily, daily, daily_second) in enumerate(DAILY_TERMS):
+            yf = _fraction(yday, hour, days)
+            w = TEMP_AR * w + temp_shocks[t]
+            dry = (
+                TEMP_BASE_F
+                + TEMP_YEARLY_SWING_F * cos(TWO_PI * (yf - 0.54))
+                + dry_daily
+                + w
+            )
+            timestamps[t] = ts
+            drybulb[t] = dry
+            wetbulb[t] = dry - 4.0 + wet_shocks[t]
 
-        det = (
-            BASE_LOG_MWH
-            + TREND_PER_YEAR * (t / 8766.0)
-            + YEARLY_AMP * math.cos(TWO_PI * (yf - 0.53))
-            + DAILY_AMP * math.cos(TWO_PI * (ts.hour - 18) / 24.0)
-            + DAILY_SECOND_AMP * math.cos(2.0 * TWO_PI * ts.hour / 24.0)
-        )
-        if ts.weekday() >= 5:
-            det -= WEEKEND_DROP
-        if ts.date() in config.holidays:
-            det -= HOLIDAY_DROP
-        det += config.temp_coeff * _temperature_effect(dry)
-        det += config.temp_coeff_lag24 * _temperature_effect(
-            drybulb[t - 24] if t >= 24 else dry
-        )
-        u = (
-            config.ar1 * (noise[t - 1] if t >= 1 else 0.0)
-            + config.ar24 * (noise[t - 24] if t >= 24 else 0.0)
-            + eps[t]
-        )
-        log_det[t] = det
-        noise[t] = u
-        demand[t] = math.exp(det + u)
-        ts += timedelta(hours=1)
+            det = (
+                BASE_LOG_MWH
+                + TREND_PER_YEAR * (t / 8766.0)
+                + YEARLY_AMP * cos(TWO_PI * (yf - 0.53))
+                + daily
+                + daily_second
+            )
+            if weekend:
+                det -= WEEKEND_DROP
+            if holiday:
+                det -= HOLIDAY_DROP
+            effect = _temperature_effect(dry)
+            det += temp_coeff * effect
+            det += temp_coeff_lag24 * (effects[hour] if t >= 24 else effect)
+            effects[hour] = effect
+            u = (
+                ar1 * (noise[t - 1] if t >= 1 else 0.0)
+                + ar24 * (noise[t - 24] if t >= 24 else 0.0)
+                + eps[t]
+            )
+            log_det[t] = det
+            noise[t] = u
+            demand[t] = exp(det + u)
+            ts += HOUR
+            t += 1
 
     series = HourlySeries(
         timestamps=timestamps,

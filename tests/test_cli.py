@@ -461,6 +461,7 @@ MALFORMED_ENTRIES = [
         "len(lag_set) * y_dim must be <= 1000",
     ),
     (("theta", 0), HUGE_INT, "model.json is not valid JSON" if INT_DIGITS_LIMITED else "theta"),
+    (("extras", "pipeline_params", "tau"), DELETE, "pipeline_params.tau"),
 ]
 
 
@@ -519,6 +520,7 @@ class TestMalformedCheckpoint:
             "spec_lag_count_above_bound",
             "spec_lags_times_y_dim_above_bound",
             "theta_past_the_int_digit_limit",
+            "tau_missing",
         ],
     )
     def test_malformed_entry_exits_with_data_error_naming_it(
@@ -768,6 +770,11 @@ class TestEvaluate:
             ("2007-01-01T00:00:00,1.0,0.1,,,2.0\n", "line 2: q05 '' and q95 '2.0'"),
             ("2007-01-01T00:00:00+00:00,1.0,0.1,0.2,1.0,2.0\n",
              "line 2: timestamp '2007-01-01T00:00:00+00:00' has a UTC offset"),
+            ("2007-01-01T00:00:00,1.0,0.1,0.2,1.0,2.0\n"
+             "2007-01-01T01:00:00,1.0,0.1\n",
+             "line 3: 3 fields, expected 6: no sigma_log, q05, q95"),
+            ("2007-01-01T00:00:00,1.0,0.1,0.2,1.0,2.0,3.0,4.0\n",
+             "line 2: 8 fields, expected 6"),
         ],
         ids=[
             "header_only",
@@ -788,6 +795,8 @@ class TestEvaluate:
             "quantiles_set_without_sigma",
             "q95_set_without_sigma",
             "timestamp_with_offset",
+            "row_cut_to_3_fields",
+            "row_with_8_fields",
         ],
     )
     def test_malformed_forecasts_exit_with_data_error(

@@ -1,5 +1,6 @@
 """CSV ingestion, validation, and round-trip."""
 
+import re
 from datetime import date, datetime, timedelta
 
 import pytest
@@ -22,13 +23,13 @@ class TestValidation:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        with pytest.raises(DataValidationError, match="no rows"):
+        with pytest.raises(DataValidationError, match=re.escape(f"{path} has no rows")):
             ingest_csv(str(path))
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("timestamp,demand_mwh,drybulb_f,wetbulb_f\n")
-        with pytest.raises(DataValidationError, match="no rows"):
+        with pytest.raises(DataValidationError, match=re.escape(f"{path} has no rows")):
             ingest_csv(str(path))
 
     def test_duplicate_timestamp_names_the_hour(self, tmp_path):
@@ -57,23 +58,49 @@ class TestValidation:
             "timestamp,demand_mwh,drybulb_f,wetbulb_f\n"
             "2007-01-01T00:00:00,0.0,50,46\n"
         )
-        with pytest.raises(DataValidationError, match="non-positive demand"):
+        with pytest.raises(DataValidationError, match="non-positive demand_mwh 0.0 at"):
             ingest_csv(str(path))
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,load\n")
-        with pytest.raises(DataValidationError, match="header"):
+        with pytest.raises(DataValidationError, match=re.escape(f"{path}: bad header")):
             ingest_csv(str(path))
 
-    def test_unparseable_row_reports_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "row, error, column",
+        [
+            ("2007-01-01T00:00:00,abc,50,46", "could not convert", "demand_mwh"),
+            ("2007-01-01T00:00:00,100,50,x", "could not convert", "wetbulb_f"),
+            ("2007-01-32T00:00:00,100,50,46", "day is out of range", "timestamp"),
+        ],
+        ids=["demand", "wetbulb", "timestamp"],
+    )
+    def test_unparseable_row_reports_line(self, tmp_path, row, error, column):
+        path = tmp_path / "p.csv"
+        path.write_text(f"timestamp,demand_mwh,drybulb_f,wetbulb_f\n{row}\n")
+        with pytest.raises(DataValidationError) as info:
+            ingest_csv(str(path))
+        message = str(info.value)
+        assert message.startswith(f"{path} line 2: {error}")
+        assert message.endswith(f"(column {column})")
+
+    def test_wrong_field_count_reports_file_and_line(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text(
-            "timestamp,demand_mwh,drybulb_f,wetbulb_f\n"
-            "2007-01-01T00:00:00,abc,50,46\n"
+            "timestamp,demand_mwh,drybulb_f,wetbulb_f\n2007-01-01T00:00:00,100,50\n"
         )
-        with pytest.raises(DataValidationError, match="line 2"):
+        with pytest.raises(DataValidationError) as info:
             ingest_csv(str(path))
+        assert str(info.value) == f"{path} line 2: expected 4 fields, got 3"
+
+    def test_non_finite_temperature_names_the_column(self):
+        series = tiny_series(3)
+        series.wetbulb_f[1] = float("nan")
+        with pytest.raises(DataValidationError, match="non-finite wetbulb_f at"):
+            HourlySeries(
+                series.timestamps, series.demand_mwh, series.drybulb_f, series.wetbulb_f
+            )
 
 
 class TestRoundTrip:
