@@ -7,7 +7,8 @@ package; they are loaded side by side under two package names.  For each
 layer below, each tree builds the same seeded inputs through its own public
 API and runs the layer's unit of work once.  The script compares the
 SHA-256 of the outputs (floats as ``float.hex``, files as their bytes) and
-the ``OpCounter`` fields, and exits 1 naming the first layer that differs.
+the counts (the ``OpCounter`` fields, and bptt's visit count), and exits 1
+naming the first layer that differs.
 
 Then it times ``--rounds`` interleaved rounds in thread CPU time,
 alternating which tree goes first, and prints per layer the median of the
@@ -20,8 +21,10 @@ once the other layers have run.  Standard library only (Python >= 3.10).
 
 Layers: ``synth_generate`` (5 years), ``write_csv`` (the file's bytes) and
 ``ingest_csv``, which the series path runs; ``project_inputs`` +
-``forward_steps`` and ``trrl_gradients`` at lags {1, 2, 24}, x 13, h 15,
-y 2, tau 49 as controls.
+``forward_steps``, ``trrl_gradients`` and ``rtrl_gradients`` at lags
+{1, 2, 24}, x 13, h 15, y 2, tau 49 (24 windows); ``bptt_gradients`` at
+the same shape cut to tau 14 (8 windows); and ``finite_difference_gradients`` at a gradcheck-sized
+shape, lags {1, 2, 5}, x 13, h 4, y 2, tau 12.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ SEED = 7
 YEARS = 5
 HOLIDAYS = frozenset({date(2007, 1, 1), date(2007, 7, 4), date(2008, 7, 5)})
 LAGS, HIDDEN, TAU, WINDOWS = (1, 2, 24), 15, 49, 24
+BPTT_TAU, BPTT_WINDOWS = 14, 8
+FD_LAGS, FD_HIDDEN, FD_TAU, FD_WINDOWS = (1, 2, 5), 4, 12, 4
 
 
 class Tree:
@@ -88,23 +93,25 @@ def generated(tree: Tree, years: int):
     return tree.get("synth.synth_generate")(config, tree.get("linalg.Rng")(SEED))
 
 
-def production(tree: Tree) -> tuple:
-    """(params, spec, windows): WINDOWS encoded tau-hour windows of a
+def production(
+    tree: Tree, lags=LAGS, hidden=HIDDEN, tau=TAU, count=WINDOWS
+) -> tuple:
+    """(params, spec, windows): ``count`` encoded tau-hour windows of a
     generated year, one hour apart, and seeded parameters."""
     series, _ = generated(tree, 1)
     encoder = tree.get("features.CalendarFeatureEncoder")(holidays=HOLIDAYS)
     rows = encoder.fit_transform(series)
     spec = tree.get("model.RnnSpec")(
-        lag_set=LAGS, x_dim=len(rows[0]), hidden_dim=HIDDEN, y_dim=2
+        lag_set=lags, x_dim=len(rows[0]), hidden_dim=hidden, y_dim=2
     )
     params = tree.get("model.init_params")(spec, tree.get("linalg.Rng")(SEED))
-    windows = [rows[150 + i : 150 + i + TAU] for i in range(WINDOWS)]
+    windows = [rows[150 + i : 150 + i + tau] for i in range(count)]
     return params, spec, windows
 
 
 # Each layer's setup(tree, workdir) builds its inputs and returns
 # (run, digest): ``run()`` is the timed unit of work, and
-# ``digest(run())`` gives (outputs sha256, OpCounter fields).
+# ``digest(run())`` gives (outputs sha256, counts).
 
 
 def synth_layer(tree: Tree, workdir: str) -> tuple:
@@ -148,19 +155,40 @@ def forward_layer(tree: Tree, workdir: str) -> tuple:
     return run, digest
 
 
-def trrl_layer(tree: Tree, workdir: str) -> tuple:
-    params, spec, windows = production(tree)
-    trrl = tree.get("engines.trrl_gradients")
+def gradients_sha(pairs) -> str:
+    return floats_sha(*(v for g in pairs for v in (g.d_theta, g.d_phi, [g.loss])))
+
+
+def engine_layer(name: str, tau: int = TAU, count: int = WINDOWS):
+    """The layer of engine ``name`` over ``count`` production windows cut to
+    ``tau``; bptt's visit count is compared with the ``OpCounter``."""
+
+    def setup(tree: Tree, workdir: str) -> tuple:
+        params, spec, windows = production(tree, tau=tau, count=count)
+        engine = tree.get(f"engines.{name}")
+        loss = tree.get("training.LossHead")(kind="gaussian_nll").bind(0.3)
+
+        def run():
+            return [engine(params, spec, w, loss) for w in windows]
+
+        def digest(out):
+            counts = tuple((c.mac_count, c.peak_floats, *rest) for _, c, *rest in out)
+            return gradients_sha(g for g, *_ in out), counts
+
+        return run, digest
+
+    return setup
+
+
+def finite_difference_layer(tree: Tree, workdir: str) -> tuple:
+    params, spec, windows = production(tree, FD_LAGS, FD_HIDDEN, FD_TAU, FD_WINDOWS)
+    oracle = tree.get("engines.finite_difference_gradients")
     loss = tree.get("training.LossHead")(kind="gaussian_nll").bind(0.3)
 
     def run():
-        return [trrl(params, spec, w, loss) for w in windows]
+        return [oracle(params, spec, w, loss) for w in windows]
 
-    def digest(out):
-        sha = floats_sha(*(v for g, _ in out for v in (g.d_theta, g.d_phi, [g.loss])))
-        return sha, tuple((c.mac_count, c.peak_floats) for _, c in out)
-
-    return run, digest
+    return run, (lambda out: (gradients_sha(out), ()))
 
 
 # (name, the public callables whose signatures must match, setup)
@@ -173,7 +201,26 @@ LAYERS = (
         ("model.project_inputs", "model.forward_steps", "model.RnnSpec", "model.init_params"),
         forward_layer,
     ),
-    ("trrl_gradients", ("engines.trrl_gradients", "training.LossHead"), trrl_layer),
+    (
+        "trrl_gradients",
+        ("engines.trrl_gradients", "training.LossHead"),
+        engine_layer("trrl_gradients"),
+    ),
+    (
+        "rtrl_gradients",
+        ("engines.rtrl_gradients", "training.LossHead"),
+        engine_layer("rtrl_gradients"),
+    ),
+    (
+        "bptt_gradients",
+        ("engines.bptt_gradients", "training.LossHead"),
+        engine_layer("bptt_gradients", BPTT_TAU, BPTT_WINDOWS),
+    ),
+    (
+        "finite_difference_gradients",
+        ("engines.finite_difference_gradients", "training.LossHead"),
+        finite_difference_layer,
+    ),
 )
 
 
@@ -219,7 +266,7 @@ def main(argv=None) -> int:
             runs = [setup(tree, workdir) for tree in (base, change)]
             outs = [digest(run()) for run, digest in runs]
             if outs[0] != outs[1]:
-                what = "outputs" if outs[0][0] != outs[1][0] else "OpCounter fields"
+                what = "outputs" if outs[0][0] != outs[1][0] else "counts"
                 print(f"{name:30} DIFFERS: the {what} are not the same")
                 return 1
             times = ([], [])
@@ -230,7 +277,7 @@ def main(argv=None) -> int:
             q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
             faster = sum(c < p for p, c in zip(*times))
             counters = outs[0][1]
-            macs = f", {sum(m for m, _ in counters)} MACs" if counters else ""
+            macs = f", {sum(c[0] for c in counters)} MACs" if counters else ""
             print(
                 f"{name:30} {'same':6} {statistics.median(times[0]):9.4f} "
                 f"{statistics.median(times[1]):9.4f} "

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .base import atomic_write
 from .engines import ENGINES, check_engine
-from .linalg import Rng, _left_sum
+from .linalg import Rng
 from .model import RnnSpec, init_params
 from .training import LossHead
 
@@ -165,23 +165,3 @@ def emit_csv(records: list, path: str) -> None:
                     "" if r.macronodes is None else r.macronodes,
                 ]
             )
-
-
-def linear_fit_r2(xs: list, ys: list) -> float:
-    """Coefficient of determination of the least-squares line."""
-    n = len(xs)
-    if n < 2:
-        raise ValueError("need at least two points")
-    mx = _left_sum(xs) / n
-    my = _left_sum(ys) / n
-    sxx = _left_sum((x - mx) ** 2 for x in xs)
-    sxy = _left_sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    if sxx == 0.0:
-        raise ValueError("degenerate x values")
-    slope = sxy / sxx
-    intercept = my - slope * mx
-    ss_res = _left_sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    ss_tot = _left_sum((y - my) ** 2 for y in ys)
-    if ss_tot == 0.0:
-        return 1.0
-    return 1.0 - ss_res / ss_tot

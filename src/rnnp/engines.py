@@ -16,15 +16,16 @@ the packed parameter vectors theta (input-to-hidden) and phi
                        behind a guard and used as a reference and for
                        macronode accounting.
 
-The returned ``OpCounter`` tallies the multiply-accumulates of the
-gradient computation itself.  The forward sweep is identical for every
+Each engine builds its ``OpCounter`` once, at the end of the call, from
+the multiply-accumulates of the gradient computation itself and its peak
+of gradient-state floats.  The forward sweep is identical for every
 engine and is excluded, so counters compare the algorithms like for like.
 ``loss`` arguments are callables ``yhat -> (loss_value, d_loss_d_yhat)``;
 the value comes back on ``GradientPair.loss``.  trrl and bptt share all
 but their traversal (``_tree_gradients``): trrl's is the generated
 ``trrl_sweep``, one loop that merges the pushes by step, and bptt's a
 literal recursion over the generated ``make_node``, whose node body is
-the same source; each charges its counter once per call.  rtrl advances
+the same source; each walk returns its MACs and peak.  rtrl advances
 its Jacobians with the generated ``rtrl_advance``.  Every engine adds
 its input-layer terms with the generated ``add_log``
 (``_input_layer_terms``), into the first |theta| entries of a theta
@@ -32,7 +33,7 @@ gradient or of an rtrl Jacobian row.  All of these come from
 ``kernels``, compiled once per shape, as the input projection is.
 
 Engines are pure functions of (params, xs): parameters are never
-mutated, every call owns its counter and workspace, and concurrent calls
+mutated, every call owns its workspace, and concurrent calls
 against shared parameters are safe.
 
 The oracles check the engines.  ``finite_difference_gradients`` takes
@@ -135,10 +136,13 @@ def _node_macs(spec: RnnSpec) -> int:
 
 def _tree_gradients(params: ModelParams, spec: RnnSpec, xs: list, loss, walk) -> tuple:
     """The work trrl and bptt share; ``walk``, their traversal, is called as
-    ``walk(kernels, args, g0, grads, counter)`` on the unrolled tree's root.
+    ``walk(kernels, args, g0, grads)`` on the unrolled tree's root and
+    returns ``(macs, walk_peak)``: its multiply-accumulates and the peak of
+    the floats it keeps live.
 
-    The stored trace (h and yhat per step plus the inputs) is charged until
-    the walk ends.  ``kernels`` are the call's shape's generated functions
+    The stored trace (h and yhat per step plus the inputs) is live for the
+    whole walk, so the call's peak is the trace plus ``walk_peak``.
+    ``kernels`` are the call's shape's generated functions
     (``kernels.kernel_source``) and ``args`` the arguments both tree
     kernels take (``make_node(*args)``, ``trrl_sweep(*args, g0)``): phi's
     V slice, theta's W_l slices, the trace, the call's dense input rows and
@@ -146,10 +150,7 @@ def _tree_gradients(params: ModelParams, spec: RnnSpec, xs: list, loss, walk) ->
     """
     params.validate(spec)
     h, y = spec.hidden_dim, spec.y_dim
-    counter = OpCounter()
     trace = forward_sequence(params, spec, xs)
-    trace_floats = len(xs) * (spec.x_dim + h + y)
-    counter.grad_floats_alloc(trace_floats)
     loss_value, g0 = _loss_gradient(loss, trace.y_final, spec)
     grads = GradientPair([0.0] * spec.theta_size, [0.0] * spec.phi_size, loss_value)
     _, w_offs, _ = theta_offsets(spec)
@@ -163,10 +164,9 @@ def _tree_gradients(params: ModelParams, spec: RnnSpec, xs: list, loss, walk) ->
         grads.d_phi,
     )
     kernels = _kernels(h, spec.x_dim, y, spec.lag_set)
-    walk(kernels, args, g0, grads, counter)
-    counter.grad_floats_free(trace_floats)
+    macs, walk_peak = walk(kernels, args, g0, grads)
     grads.validate(spec)
-    return grads, counter
+    return grads, OpCounter(macs, len(xs) * (spec.x_dim + h + y) + walk_peak)
 
 
 def trrl_gradients(
@@ -190,15 +190,13 @@ def trrl_gradients(
     order (decreasing t), so every theta entry is one running sum.  The
     kept q's, h floats per visited node, are charged from their node until
     that pass ends.  The sweep returns its push count and the peak of its
-    live gradient floats, and the counter is charged once from them.
+    live gradient floats, and the walk's MACs and peak come from them.
     """
-    def walk(kernels, args, g0, grads, counter):
+    def walk(kernels, args, g0, grads):
         log, pushes, peak = kernels.trrl_sweep(*args, g0)
         _input_layer_terms(spec)(grads.d_theta, log)
         push_macs = spec.hidden_dim * spec.y_dim
-        counter.add_macs(len(log) * _node_macs(spec) + pushes * push_macs)
-        counter.grad_floats_alloc(peak)
-        counter.grad_floats_free(peak)
+        return len(log) * _node_macs(spec) + pushes * push_macs, peak
 
     return _tree_gradients(params, spec, xs, loss, walk)
 
@@ -220,7 +218,6 @@ def rtrl_gradients(
     (``kernels.kernel_source``).
     """
     params.validate(spec)
-    counter = OpCounter()
     h, y = spec.hidden_dim, spec.y_dim
     n_theta, w = spec.theta_size, spec.weight_count
     max_lag = spec.max_lag
@@ -233,7 +230,6 @@ def rtrl_gradients(
 
     # Before step t's update, ring[-l] is J(t - l).
     ring = deque([[0.0] * w for _ in range(y)] for _ in range(max_lag))
-    counter.grad_floats_alloc(max_lag * y * w)
     # Recent outputs, the feedbacks the input-layer update differentiates
     # against: y_ring[-l] is yhat(t - l); a step before the window start
     # has none.
@@ -251,7 +247,6 @@ def rtrl_gradients(
             b_rows.append(
                 [vdata[base + j] * (h_t[j] * (1.0 - h_t[j])) for j in range(h)]
             )
-        counter.add_macs(2 * y * h)
 
         # C_l = B W_l, y x y, one per lag: row k of every C_l in w_order.
         c_rows = []
@@ -266,14 +261,12 @@ def rtrl_gradients(
                         acc[m] += bkj * wdata[wbase + m]
                 crow += acc
             c_rows.append(crow)
-        counter.add_macs(spec.p * y * y * h)
 
         # New Jacobian: sum_l C_l J(t - l) + the sparse local terms.  The
         # advance takes the oldest one (lag = max_lag, always in the lag
         # set) off the ring, since only its own term reads it, so the ring
         # never holds more than max_lag Jacobians.
         new = advance(c_rows, ring)
-        counter.add_macs(spec.p * y * y * w)
 
         # The local terms: the input layer's into each row's theta part,
         # its first |theta| entries, the output layer's (V, c) into its phi part.
@@ -284,7 +277,6 @@ def rtrl_gradients(
             for j in range(h):
                 row[base + j] += h_t[j]
             row[n_theta + c_off + k] += 1.0
-        counter.add_macs(y * (h * spec.x_dim + spec.p * h * y))
 
         ring.append(new)
         y_ring.append(yhat)
@@ -293,11 +285,14 @@ def rtrl_gradients(
     d = [0.0] * w
     for gk, row in zip(g_final, ring[-1]):
         d = [dj + gk * rj for dj, rj in zip(d, row)]
-    counter.add_macs(y * w)
 
     grads = GradientPair(d_theta=d[:n_theta], d_phi=d[n_theta:], loss=loss_value)
     grads.validate(spec)
-    return grads, counter
+    # Per step: B, the C_l, the advance and the dense input-layer terms;
+    # then the final contraction.  The ring is the peak.
+    p = spec.p
+    step_macs = 2 * y * h + p * y * y * (h + w) + y * (h * spec.x_dim + p * h * y)
+    return grads, OpCounter(len(xs) * step_macs + y * w, max_lag * y * w)
 
 
 def bptt_gradients(
@@ -311,8 +306,10 @@ def bptt_gradients(
     generated ``make_node`` of the spec's shape, bound once per call: on
     step t it returns the step's input-layer log entry and the list of its
     children ``(t - l, W_l^T q)``, one per reaching lag in lag-set order.
-    The counter is charged once, from the number of macronodes visited,
-    which is returned alongside the gradients.
+    The MACs come from the number of macronodes visited, which is returned
+    alongside the gradients; each visit keeps y + h floats live until its
+    subtree is done, so the walk's peak is the deepest visit's depth times
+    y + h.
     """
     tau = len(xs)
     if tau > BPTT_GUARD:
@@ -320,27 +317,27 @@ def bptt_gradients(
             f"tau={tau} exceeds the guard ({BPTT_GUARD}): the unrolled "
             f"tree would hold {macronode_count(tau, spec.lag_set)} macronodes"
         )
-    level_floats = spec.y_dim + spec.hidden_dim
-    visited = 0
+    visited = deepest = 0
 
-    def walk(kernels, args, g0, grads, counter):
+    def walk(kernels, args, g0, grads):
         node = kernels.make_node(*args)
         add_input_terms = _input_layer_terms(spec)
 
-        def visit(t: int, g: list) -> None:
-            nonlocal visited
+        def visit(t: int, g: list, depth: int) -> None:
+            nonlocal visited, deepest
             visited += 1
-            counter.grad_floats_alloc(level_floats)
+            if depth > deepest:
+                deepest = depth
             entry, children = node(t, g)
             add_input_terms(grads.d_theta, [entry])
             for s, push in children:
-                visit(s, push)
-            counter.grad_floats_free(level_floats)
+                visit(s, push, depth + 1)
 
-        visit(tau, g0)
+        visit(tau, g0, 1)
         # Every visit but the root's is reached by exactly one push.
         push_macs = spec.hidden_dim * spec.y_dim
-        counter.add_macs(visited * _node_macs(spec) + (visited - 1) * push_macs)
+        macs = visited * _node_macs(spec) + (visited - 1) * push_macs
+        return macs, deepest * (spec.y_dim + spec.hidden_dim)
 
     grads, counter = _tree_gradients(params, spec, xs, loss, walk)
     return grads, counter, visited
@@ -451,7 +448,7 @@ def rtrl_space_floats(spec: RnnSpec) -> int:
     """Float count p * y * (|theta| + |phi|) of the forward Jacobian store.
 
     This is the storage estimate for a contiguous lag set, where it equals
-    the ring's measured peak exactly: p Jacobians of y rows over the packed
+    rtrl's ``peak_floats`` exactly: p Jacobians of y rows over the packed
     [theta | phi] vector.  A gapped lag set keeps max(lag) Jacobians alive
     instead (see ``rtrl_gradients``).
     """

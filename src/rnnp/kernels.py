@@ -60,8 +60,8 @@ def kernel_source(hidden_dim: int, x_dim: int, y_dim: int, lag_set: tuple) -> st
       ``if t > l:`` block per lag, in lag-set order, appends lag l's
       feedback to that list and ``(t - l, W_l^T q)`` to ``children``; a
       push entry is a column of W_l dotted with q, summed from 0.0 over
-      increasing row.  It counts nothing: bptt charges its counter once
-      per call from its visit count.
+      increasing row.  It counts nothing: bptt computes its cost once
+      per call from its visit count and deepest visit.
     * ``trrl_sweep(v, ws, h_steps, y_steps, xs, d_phi, g_tau)`` runs trrl's
       walk t = tau..1 as one loop, from g_tau, the loss gradient at step
       tau.  The g's live in a list indexed by step: the first push to a

@@ -1,4 +1,4 @@
-"""A fixed-order sum, deterministic RNG, and operation counters.
+"""A fixed-order sum, deterministic RNG, and the operation-count record.
 
 Everything here is plain CPython ``float`` arithmetic over lists; there
 is no matrix type.  The model's weights live in the packed vectors of
@@ -6,48 +6,30 @@ is no matrix type.  The model's weights live in the packed vectors of
 (``_left_sum``), so results are bit-identical across runs, platforms and
 interpreter versions.  That reproducibility is contractual: the gradient
 engines are compared against each other at tight tolerances, and their
-cost is accounted by exact multiply-accumulate tallies rather than wall
+cost is accounted by exact multiply-accumulate counts rather than wall
 time.
-
-An ``OpCounter`` belongs to one gradient call and must not be shared
-across concurrent calls.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 
+@dataclass(frozen=True)
 class OpCounter:
-    """Tally of scalar multiply-accumulates and peak gradient-state floats.
+    """The cost of one gradient call: scalar multiply-accumulates and peak
+    gradient-state floats.
 
     ``mac_count`` counts every scalar multiply that feeds an accumulation
-    (pure additions are free).  ``peak_floats`` is a high-water mark of the
-    float values a gradient algorithm keeps alive across time steps, fed by
-    the owning engine through :meth:`grad_floats_alloc` /
-    :meth:`grad_floats_free`.  Both tallies only ever grow within a call.
+    (pure additions are free).  ``peak_floats`` is the largest number of
+    float values the gradient algorithm keeps alive across time steps at
+    once.  Each engine builds the record once, at the end of its call,
+    from the counts of its own walk (``engines``).
     """
 
-    __slots__ = ("mac_count", "peak_floats", "_live_floats")
-
-    def __init__(self) -> None:
-        self.mac_count = 0
-        self.peak_floats = 0
-        self._live_floats = 0
-
-    def add_macs(self, n: int) -> None:
-        self.mac_count += n
-
-    def grad_floats_alloc(self, n: int) -> None:
-        self._live_floats += n
-        if self._live_floats > self.peak_floats:
-            self.peak_floats = self._live_floats
-
-    def grad_floats_free(self, n: int) -> None:
-        self._live_floats -= n
-
-    def __repr__(self) -> str:
-        return f"OpCounter(mac_count={self.mac_count}, peak_floats={self.peak_floats})"
+    mac_count: int
+    peak_floats: int
 
 
 def _left_sum(values) -> float:

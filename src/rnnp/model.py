@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 from .base import (
@@ -286,6 +287,10 @@ def forward_steps(params: ModelParams, spec: RnnSpec, rows):
     is a new list; when none do, the row is used as it is.  A caller with
     fixed parameters can therefore share one projection between all the
     windows that contain its hour, as ``forecast_range`` does.
+
+    Only the last max(lag_set) outputs, the ones a lag can still read, are
+    kept, so the steps run in space constant in the window length; a
+    caller that needs every step keeps what it is yielded.
     """
     h_dim, y_dim = spec.hidden_dim, spec.y_dim
     theta, phi = params.theta, params.phi
@@ -302,13 +307,14 @@ def forward_steps(params: ModelParams, spec: RnnSpec, rows):
     ]
     h_cols, y_cols = range(h_dim), range(y_dim)
     lags = spec.lag_set
-    ys: list = []
+    # ys[-l] is yhat(t - l).
+    ys = deque(maxlen=spec.max_lag)
     for t, a in enumerate(rows, 1):
         if len(a) != h_dim:
             raise ValueError(f"projected input has length {len(a)}, expected {h_dim}")
         # Lags increase, so those reaching inside the window are a prefix
         # of the lag set, and zip() pairs each with its W_l row.
-        feedbacks = [ys[t - 1 - lag] for lag in lags if lag < t]
+        feedbacks = [ys[-lag] for lag in lags if lag < t]
         if feedbacks:
             pre = []
             for acc, w_r in zip(a, w_rows):

@@ -378,7 +378,7 @@ def read_forecast_csv(path: str) -> list:
     both empty where it is not, or a timestamp that an earlier line already
     holds raises ``DataValidationError`` naming the file or the line, as
     does a row with fewer fields than the header (naming the missing
-    columns) or more.
+    columns; a blank line is a row of none) or more.
     """
     rows = []
     line_of = {}  # timestamp -> the line that holds it
@@ -389,8 +389,6 @@ def read_forecast_csv(path: str) -> list:
         if header != FORECAST_CSV_HEADER:
             raise DataValidationError(f"bad forecast header {header!r}")
         for rec in reader:
-            if not rec:
-                continue
             try:
                 if len(rec) != width:
                     missing = ", ".join(FORECAST_CSV_HEADER[len(rec) :])

@@ -21,7 +21,7 @@ from datetime import datetime
 
 from .base import ConfigError
 from .features import _fraction
-from .linalg import Rng, _left_sum
+from .linalg import Rng
 from .series import HOUR, HourlySeries
 
 TWO_PI = 2.0 * math.pi
@@ -83,28 +83,6 @@ class SynthTruth:
     config: SynthConfig
     log_det: list  # deterministic log-demand component per hour
     noise: list  # realized stochastic component (AR process + innovation)
-
-    def noise_var(self, i: int, j: int) -> float:
-        chunk = self.noise[i:j]
-        mean = _left_sum(chunk) / len(chunk)
-        return _left_sum((v - mean) ** 2 for v in chunk) / len(chunk)
-
-    def irreducible_mape(self, series: HourlySeries, i: int, j: int) -> float:
-        """MAPE of the best exogenous-information forecast on [i, j).
-
-        The stochastic component is unpredictable from calendar and
-        weather alone, so the oracle predicts the lognormal mean
-        exp(deterministic + variance/2); nothing trained on the same
-        information can systematically do better.
-        """
-        v = self.noise_var(i, j)
-        total, count = 0.0, 0
-        for k in range(i, j):
-            realized = series.demand_mwh[k]
-            oracle = math.exp(self.log_det[k] + 0.5 * v)
-            total += abs(oracle - realized) / realized
-            count += 1
-        return 100.0 * total / count
 
 
 def _temperature_effect(temp_f: float) -> float:

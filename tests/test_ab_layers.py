@@ -14,6 +14,9 @@ LAYERS = (
     "ingest_csv",
     "project_inputs+forward_steps",
     "trrl_gradients",
+    "rtrl_gradients",
+    "bptt_gradients",
+    "finite_difference_gradients",
 )
 
 
@@ -48,6 +51,16 @@ def test_a_changed_generator_exits_1_naming_synth_generate(tmp_path):
     result = ab(copy_src(tmp_path, "synth.py", "BASE_LOG_MWH = 8.0", "BASE_LOG_MWH = 8.5"))
     assert result.returncode == 1
     assert result.stdout.splitlines()[-1].split()[:2] == ["synth_generate", "DIFFERS:"]
+
+
+def test_reordered_kernel_sums_exit_1_naming_trrl_gradients(tmp_path):
+    # Every generated row sum added in reverse: the first layer that runs
+    # a tree kernel is trrl's.
+    old = 'return " + ".join(["0.0", *terms])'
+    new = 'return " + ".join(["0.0", *reversed(list(terms))])'
+    result = ab(copy_src(tmp_path, "kernels.py", old, new))
+    assert result.returncode == 1
+    assert result.stdout.splitlines()[-1].split()[:2] == ["trrl_gradients", "DIFFERS:"]
 
 
 def test_a_changed_signature_is_not_comparable(tmp_path):

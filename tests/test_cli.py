@@ -775,6 +775,10 @@ class TestEvaluate:
              "line 3: 3 fields, expected 6: no sigma_log, q05, q95"),
             ("2007-01-01T00:00:00,1.0,0.1,0.2,1.0,2.0,3.0,4.0\n",
              "line 2: 8 fields, expected 6"),
+            ("2007-01-01T00:00:00,1.0,0.1,0.2,1.0,2.0\n"
+             "\n"
+             "2007-01-01T01:00:00,1.0,0.1,0.2,1.0,2.0\n",
+             "line 3: 0 fields, expected 6: no timestamp, point, mu_log"),
         ],
         ids=[
             "header_only",
@@ -797,6 +801,7 @@ class TestEvaluate:
             "timestamp_with_offset",
             "row_cut_to_3_fields",
             "row_with_8_fields",
+            "empty_row",
         ],
     )
     def test_malformed_forecasts_exit_with_data_error(
