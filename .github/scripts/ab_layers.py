@@ -23,8 +23,12 @@ Layers: ``synth_generate`` (5 years), ``write_csv`` (the file's bytes) and
 ``ingest_csv``, which the series path runs; ``project_inputs`` +
 ``forward_steps``, ``trrl_gradients`` and ``rtrl_gradients`` at lags
 {1, 2, 24}, x 13, h 15, y 2, tau 49 (24 windows); ``bptt_gradients`` at
-the same shape cut to tau 14 (8 windows); and ``finite_difference_gradients`` at a gradcheck-sized
-shape, lags {1, 2, 5}, x 13, h 4, y 2, tau 12.
+the same shape cut to tau 14 (8 windows); ``finite_difference_gradients``
+at a gradcheck-sized shape, lags {1, 2, 5}, x 13, h 4, y 2, tau 12;
+``adam_step`` (20 seeded steps over the production shape's 332 weights);
+``HourlyDeseasonalizer.fit_transform`` and ``CalendarFeatureEncoder.transform``
+on a generated year; and ``make_windows`` (tau 49, stride 1) over 30 days
+of seeded rows.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ HOLIDAYS = frozenset({date(2007, 1, 1), date(2007, 7, 4), date(2008, 7, 5)})
 LAGS, HIDDEN, TAU, WINDOWS = (1, 2, 24), 15, 49, 24
 BPTT_TAU, BPTT_WINDOWS = 14, 8
 FD_LAGS, FD_HIDDEN, FD_TAU, FD_WINDOWS = (1, 2, 5), 4, 12, 4
+ADAM_WEIGHTS, ADAM_STEPS = 332, 20
+WINDOW_HOURS = 30 * 24
 
 
 class Tree:
@@ -67,9 +73,12 @@ class Tree:
         self.name = name
 
     def get(self, dotted: str):
-        """``module.attr`` of this tree's package."""
-        module, attr = dotted.rsplit(".", 1)
-        return getattr(importlib.import_module(f"{self.name}.{module}"), attr)
+        """``module.attr`` (or ``module.Class.attr``) of this tree's package."""
+        module, *attrs = dotted.split(".")
+        found = importlib.import_module(f"{self.name}.{module}")
+        for attr in attrs:
+            found = getattr(found, attr)
+        return found
 
 
 def floats_sha(*columns) -> str:
@@ -191,6 +200,60 @@ def finite_difference_layer(tree: Tree, workdir: str) -> tuple:
     return run, (lambda out: (gradients_sha(out), ()))
 
 
+def adam_layer(tree: Tree, workdir: str) -> tuple:
+    rng = tree.get("linalg.Rng")(SEED)
+    start = rng.uniform(-1.0, 1.0, ADAM_WEIGHTS)
+    grads = [rng.uniform(-1.0, 1.0, ADAM_WEIGHTS) for _ in range(ADAM_STEPS)]
+    adam_step, zeros = tree.get("training.adam_step"), tree.get("training.AdamState.zeros")
+
+    def run():
+        values, state = list(start), zeros(ADAM_WEIGHTS)
+        for g in grads:
+            adam_step(values, g, state, 1e-3)
+        return values, state
+
+    def digest(out):
+        values, state = out
+        return floats_sha(values, state.m, state.v) + f" step {state.step}", ()
+
+    return run, digest
+
+
+def deseasonalizer_layer(tree: Tree, workdir: str) -> tuple:
+    series, _ = generated(tree, 1)
+    model = tree.get("seasonal.HourlyDeseasonalizer")
+
+    def run():
+        fitted = model(holidays=HOLIDAYS)
+        return fitted, fitted.fit_transform(series)
+
+    def digest(out):
+        fitted, residuals = out
+        coef = (fitted.coef_[hour] for hour in range(24))
+        dropped = repr(sorted(fitted.dropped_columns_.items()))
+        return floats_sha(residuals.residuals, residuals.seasonal, *coef) + dropped, ()
+
+    return run, digest
+
+
+def encoder_layer(tree: Tree, workdir: str) -> tuple:
+    series, _ = generated(tree, 1)
+    encoder = tree.get("features.CalendarFeatureEncoder")(holidays=HOLIDAYS).fit(series)
+    return (lambda: encoder.transform(series)), (lambda rows: (floats_sha(*rows), ()))
+
+
+def windows_layer(tree: Tree, workdir: str) -> tuple:
+    rng = tree.get("linalg.Rng")(SEED)
+    features = [rng.uniform(-1.0, 1.0, 13) for _ in range(WINDOW_HOURS)]
+    residuals = rng.uniform(-1.0, 1.0, WINDOW_HOURS)
+    make_windows = tree.get("windows.make_windows")
+
+    def digest(windows):
+        return floats_sha([w.target for w in windows], *(v for w in windows for v in w.xs)), ()
+
+    return (lambda: make_windows(features, residuals, TAU, 1)), digest
+
+
 # (name, the public callables whose signatures must match, setup)
 LAYERS = (
     ("synth_generate", ("synth.synth_generate", "synth.SynthConfig"), synth_layer),
@@ -221,6 +284,22 @@ LAYERS = (
         ("engines.finite_difference_gradients", "training.LossHead"),
         finite_difference_layer,
     ),
+    ("adam_step", ("training.adam_step", "training.AdamState.zeros"), adam_layer),
+    (
+        "HourlyDeseasonalizer.fit_transform",
+        ("seasonal.HourlyDeseasonalizer", "seasonal.HourlyDeseasonalizer.fit_transform"),
+        deseasonalizer_layer,
+    ),
+    (
+        "CalendarFeatureEncoder.transform",
+        (
+            "features.CalendarFeatureEncoder",
+            "features.CalendarFeatureEncoder.fit",
+            "features.CalendarFeatureEncoder.transform",
+        ),
+        encoder_layer,
+    ),
+    ("make_windows", ("windows.make_windows",), windows_layer),
 )
 
 
@@ -253,21 +332,22 @@ def main(argv=None) -> int:
         parser.error("--rounds must be >= 1")
     base, change = Tree("rnnp_parent", args.base_src), Tree("rnnp_change", args.change_src)
     print(f"python {sys.version.split()[0]}, {args.rounds} rounds, thread CPU seconds")
-    print(f"{'layer':30} {'bits':6} {'parent s':>9} {'change s':>9} "
+    width = max(len(name) for name, *_ in LAYERS)
+    print(f"{'layer':{width}} {'bits':6} {'parent s':>9} {'change s':>9} "
           f"{'change/parent [q1-q3]':>23} {'faster':>7}")
     passed = True
     with tempfile.TemporaryDirectory() as workdir:
         for name, callables, setup in LAYERS:
             differs = signature_differs(base, change, callables)
             if differs:
-                print(f"{name:30} not comparable: {differs} differs between the trees")
+                print(f"{name:{width}} not comparable: {differs} differs between the trees")
                 passed = False
                 continue
             runs = [setup(tree, workdir) for tree in (base, change)]
             outs = [digest(run()) for run, digest in runs]
             if outs[0] != outs[1]:
                 what = "outputs" if outs[0][0] != outs[1][0] else "counts"
-                print(f"{name:30} DIFFERS: the {what} are not the same")
+                print(f"{name:{width}} DIFFERS: the {what} are not the same")
                 return 1
             times = ([], [])
             for r in range(args.rounds):
@@ -279,7 +359,7 @@ def main(argv=None) -> int:
             counters = outs[0][1]
             macs = f", {sum(c[0] for c in counters)} MACs" if counters else ""
             print(
-                f"{name:30} {'same':6} {statistics.median(times[0]):9.4f} "
+                f"{name:{width}} {'same':6} {statistics.median(times[0]):9.4f} "
                 f"{statistics.median(times[1]):9.4f} "
                 f"{statistics.median(ratios):8.3f} [{q1:.3f}-{q3:.3f}] "
                 f"{faster:3}/{args.rounds}{macs}"

@@ -18,7 +18,6 @@ from .engines import (
     finite_difference_gradients,
     macronode_count,
     rtrl_gradients,
-    rtrl_space_floats,
     trrl_gradients,
 )
 from .features import FEATURE_DIM, CalendarFeatureEncoder

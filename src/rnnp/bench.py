@@ -20,10 +20,11 @@ from .linalg import Rng
 from .model import RnnSpec, init_params
 from .training import LossHead
 
-# The neuron sweep runs at the pipeline's shape: 13 encoded inputs and the
-# Gaussian head's two outputs.
+# The neuron sweep runs trrl and rtrl at the pipeline's shape: 13 encoded
+# inputs, the Gaussian head's two outputs and 49-hour windows.
 SWEEP_X_DIM = 13
 SWEEP_Y_DIM = 2
+SWEEP_TAU = 49
 
 CSV_HEADER = [
     "engine",
@@ -89,13 +90,12 @@ def sweep_tau(
 
 
 def sweep_neurons(
-    engines: tuple = ("trrl", "rtrl"),
     lag_sets: tuple = ((1,), (1, 2), (1, 2, 24)),
     hidden_dims: tuple = (5, 10, 15),
-    tau: int = 49,
     seed: int = 0,
 ) -> list:
-    """Grid of engine runs across lag sets and hidden sizes at fixed tau."""
+    """trrl and rtrl runs across lag sets and hidden sizes at the sweep's
+    fixed shape."""
     records = []
     for lag_set in lag_sets:
         for h in hidden_dims:
@@ -105,8 +105,8 @@ def sweep_neurons(
                 hidden_dim=h,
                 y_dim=SWEEP_Y_DIM,
             )
-            for engine in engines:
-                records.append(_run_once(engine, spec, tau, seed))
+            for engine in ("trrl", "rtrl"):
+                records.append(_run_once(engine, spec, SWEEP_TAU, seed))
     return records
 
 

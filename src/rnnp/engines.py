@@ -39,9 +39,8 @@ against shared parameters are safe.
 The oracles check the engines.  ``finite_difference_gradients`` takes
 central differences over every packed parameter, perturbing a private
 copy in place and reusing the input projections that a ``W_l``, ``V`` or
-``c`` entry cannot change.  ``macronode_count`` and ``rtrl_space_floats``
-give the exact macronode count and rtrl storage that the counters are
-checked against.
+``c`` entry cannot change.  ``macronode_count`` gives the exact
+macronode count that bptt's visit count is checked against.
 """
 
 from __future__ import annotations
@@ -442,17 +441,6 @@ def macronode_count(tau: int, lag_set) -> int:
             )
         counts[t] = n
     return counts[tau]
-
-
-def rtrl_space_floats(spec: RnnSpec) -> int:
-    """Float count p * y * (|theta| + |phi|) of the forward Jacobian store.
-
-    This is the storage estimate for a contiguous lag set, where it equals
-    rtrl's ``peak_floats`` exactly: p Jacobians of y rows over the packed
-    [theta | phi] vector.  A gapped lag set keeps max(lag) Jacobians alive
-    instead (see ``rtrl_gradients``).
-    """
-    return spec.p * spec.y_dim * spec.weight_count
 
 
 def max_abs_diff(a: list, b: list) -> float:

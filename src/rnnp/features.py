@@ -59,19 +59,14 @@ def _fraction(yday: int, hour: int, days: float) -> float:
     return (yday - 1 + hour / 24.0) / days
 
 
-def year_fraction(ts: datetime) -> float:
-    """Fraction of the year elapsed at ``ts``, in [0, 1)."""
-    days = 366.0 if calendar.isleap(ts.year) else 365.0
-    return _fraction(ts.timetuple().tm_yday, ts.hour, days)
-
-
 def calendar_pass(timestamps, holidays: frozenset):
     """Yield ``(hour, year_angle, day)`` for each timestamp.
 
-    ``year_angle`` is ``TWO_PI * year_fraction(ts)``.  ``day`` holds the
-    date's seven 0/1 values: the Monday..Saturday dummies (Sunday is the
-    baseline) and the holiday flag.  It is found once per date, and the
-    same list is shared by every hour of that date, so callers copy it.
+    ``year_angle`` is ``TWO_PI`` times the fraction of the year elapsed at
+    ``ts``, in [0, 1).  ``day`` holds the date's seven 0/1 values: the
+    Monday..Saturday dummies (Sunday is the baseline) and the holiday flag.
+    It is found once per date, and the same list is shared by every hour of
+    that date, so callers copy it.
     """
     last = None
     for ts in timestamps:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import combinations
 
 from .base import atomic_write
 from .bench import _seeded_case
@@ -51,21 +52,20 @@ def _random_instance(seed: int) -> tuple:
     return spec, params, xs, head.bind(target)
 
 
-def _fd_ok(engine_pair, fd_pair) -> tuple:
-    """(max relative error, max absolute error, ok) against the oracle.
-
-    A coordinate fails when its error exceeds both FD_ABS_TOL and FD_REL_TOL
-    relative to its magnitude, which is a relative error above FD_REL_TOL
-    with the magnitude floored at FD_ABS_TOL / FD_REL_TOL.
-    """
-    a = engine_pair.d_theta + engine_pair.d_phi
-    b = fd_pair.d_theta + fd_pair.d_phi
-    ok = max_rel_diff(a, b, floor=FD_ABS_TOL / FD_REL_TOL) <= FD_REL_TOL
-    return max_rel_diff(a, b), max_abs_diff(a, b), ok
+def _flat(pair) -> list:
+    return pair.d_theta + pair.d_phi
 
 
 def run_gradient_check(n_seeds: int = 20, base_seed: int = 0) -> tuple:
     """Returns (rows, all_ok) over ``n_seeds`` random instances.
+
+    Each instance gives one row per engine against central finite
+    differences, then one per engine pair.  Against the oracle a coordinate
+    fails when its error exceeds both FD_ABS_TOL and FD_REL_TOL relative to
+    its magnitude, which is a relative error above FD_REL_TOL with the
+    magnitude floored at FD_ABS_TOL / FD_REL_TOL.  A pair fails when an
+    absolute error exceeds PAIRWISE_TOL times one plus the second engine's
+    largest magnitude.
 
     ``n_seeds`` below 1 raises ``ValueError``: a check of no instance
     verifies nothing, so it is not a pass.
@@ -73,54 +73,32 @@ def run_gradient_check(n_seeds: int = 20, base_seed: int = 0) -> tuple:
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     rows: list = []
-    all_ok = True
-    for k in range(n_seeds):
-        seed = base_seed + k
+    for seed in range(base_seed, base_seed + n_seeds):
         spec, params, xs, loss = _random_instance(seed)
-        tau = len(xs)
         # tau <= 12 here, well inside bptt's guard.
-        engines = {
-            name: run(params, spec, xs, loss)[0] for name, run in ENGINES.items()
-        }
-        fd = finite_difference_gradients(params, spec, xs, loss)
-
-        for name, pair in engines.items():
-            rel, abs_err, ok = _fd_ok(pair, fd)
-            rows.append(
-                GradCheckRow(
-                    engine=name,
-                    seed=seed,
-                    tau=tau,
-                    lag_set=spec.lag_set,
-                    max_rel_err=rel,
-                    max_abs_err=abs_err,
-                    ok=ok,
-                )
+        grads = {name: _flat(run(params, spec, xs, loss)[0]) for name, run in ENGINES.items()}
+        fd = _flat(finite_difference_gradients(params, spec, xs, loss))
+        comparisons = [
+            (name, g, fd, max_rel_diff(g, fd, floor=FD_ABS_TOL / FD_REL_TOL) <= FD_REL_TOL)
+            for name, g in grads.items()
+        ]
+        for one, other in combinations(sorted(grads), 2):
+            scale = 1.0 + max(abs(v) for v in grads[other])
+            ok = max_abs_diff(grads[one], grads[other]) <= PAIRWISE_TOL * scale
+            comparisons.append((f"{one}-vs-{other}", grads[one], grads[other], ok))
+        rows.extend(
+            GradCheckRow(
+                engine=name,
+                seed=seed,
+                tau=len(xs),
+                lag_set=spec.lag_set,
+                max_rel_err=max_rel_diff(a, b),
+                max_abs_err=max_abs_diff(a, b),
+                ok=ok,
             )
-            all_ok = all_ok and ok
-
-        names = sorted(engines)
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                va = engines[a].d_theta + engines[a].d_phi
-                vb = engines[b].d_theta + engines[b].d_phi
-                worst_abs = max_abs_diff(va, vb)
-                worst_rel = max_rel_diff(va, vb)
-                scale = 1.0 + max(abs(v) for v in vb)
-                ok = worst_abs <= PAIRWISE_TOL * scale
-                rows.append(
-                    GradCheckRow(
-                        engine=f"{a}-vs-{b}",
-                        seed=seed,
-                        tau=tau,
-                        lag_set=spec.lag_set,
-                        max_rel_err=worst_rel,
-                        max_abs_err=worst_abs,
-                        ok=ok,
-                    )
-                )
-                all_ok = all_ok and ok
-    return rows, all_ok
+            for name, a, b, ok in comparisons
+        )
+    return rows, all(r.ok for r in rows)
 
 
 def write_report(rows: list, path: str) -> None:

@@ -118,10 +118,11 @@ class LoadForecastPipeline(BaseEstimator):
 
     def _checked_setup(self) -> tuple:
         """(head, spec, config) of the network on encoded rows, once tau,
-        the engine and the lag reach are checked; a bad parameter raises
-        ``ValueError`` or ``ConfigError`` naming it."""
-        if self.tau < 1:
-            raise ValueError(f"tau must be >= 1, got {self.tau}")
+        the stride, the engine and the lag reach are checked; a bad
+        parameter raises ``ValueError`` or ``ConfigError`` naming it."""
+        for name in ("tau", "train_stride"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         check_engine(self.engine)
         _check_lag_reach(self.lags, self.tau)
         return self._make_forecaster()._training_setup(FEATURE_DIM)
@@ -496,10 +497,21 @@ def run_walk_forward(
     For each lag set, the grid is searched once with the first split's
     test year as validation; the winning cell is frozen and every split is
     retrained and evaluated with it.  Returns one row per (lag set, test
-    year).
+    year).  The lags, the stride and the grid's settings are set here, so
+    ``pipeline_kwargs`` holding any of them raises ``ValueError``.
     """
     if not splits:
         raise ValueError("empty walk-forward plan")
+    overridden = [
+        k
+        for k in ("lags", "train_stride", "hidden_dim", "learning_rate", "batch_size")
+        if k in pipeline_kwargs
+    ]
+    if overridden:
+        raise ValueError(
+            f"pipeline_kwargs must not set {', '.join(overridden)}: "
+            f"run_walk_forward sets them"
+        )
     rows = []
     for lag_set in lag_sets:
         kwargs = dict(pipeline_kwargs, lags=tuple(lag_set), train_stride=train_stride)

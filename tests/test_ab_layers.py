@@ -17,6 +17,10 @@ LAYERS = (
     "rtrl_gradients",
     "bptt_gradients",
     "finite_difference_gradients",
+    "adam_step",
+    "HourlyDeseasonalizer.fit_transform",
+    "CalendarFeatureEncoder.transform",
+    "make_windows",
 )
 
 
@@ -63,9 +67,16 @@ def test_reordered_kernel_sums_exit_1_naming_trrl_gradients(tmp_path):
     assert result.stdout.splitlines()[-1].split()[:2] == ["trrl_gradients", "DIFFERS:"]
 
 
+def test_a_changed_adam_epsilon_exits_1_naming_adam_step(tmp_path):
+    result = ab(copy_src(tmp_path, "training.py", "ADAM_EPS = 1e-8", "ADAM_EPS = 1e-7"))
+    assert result.returncode == 1
+    assert result.stdout.splitlines()[-1].split()[:2] == ["adam_step", "DIFFERS:"]
+
+
 def test_a_changed_signature_is_not_comparable(tmp_path):
     old = "def ingest_csv(path: str)"
     result = ab(copy_src(tmp_path, "series.py", old, "def ingest_csv(path: str, x=0)"))
     assert result.returncode == 1
-    assert "ingest_csv                     not comparable: series.ingest_csv" in result.stdout
-    assert "trrl_gradients                 same" in result.stdout
+    rows = dict(line.split(None, 1) for line in result.stdout.splitlines()[2:])
+    assert rows["ingest_csv"] == "not comparable: series.ingest_csv differs between the trees"
+    assert rows["trrl_gradients"].startswith("same")

@@ -12,7 +12,7 @@ from datetime import datetime
 import pytest
 
 from rnnp.bench import gain_factors, sweep_neurons, sweep_tau
-from rnnp.engines import bptt_gradients, macronode_count, rtrl_space_floats
+from rnnp.engines import bptt_gradients, macronode_count
 from rnnp.gradcheck import run_gradient_check
 from rnnp.linalg import Rng
 from rnnp.model import RnnSpec, init_params
@@ -25,7 +25,7 @@ from rnnp.pipeline import (
 from rnnp.seasonal import HourlyDeseasonalizer
 from rnnp.synth import SynthConfig, synth_generate
 from rnnp.training import HyperGrid, LossHead
-from tests.test_bench import linear_fit_r2
+from tests.test_bench import linear_fit_r2, rtrl_space_floats
 from tests.test_synth import irreducible_mape
 
 
@@ -148,12 +148,7 @@ class TestCriterion4ComplexityShapes:
 class TestCriterion5GainFactor:
     def test_engine_cost_ratio_near_theory(self):
         t0 = time.perf_counter()
-        records = sweep_neurons(
-            engines=("trrl", "rtrl"),
-            lag_sets=((1,), (1, 2), (1, 2, 24)),
-            hidden_dims=(15,),
-            tau=49,
-        )
+        records = sweep_neurons(lag_sets=((1,), (1, 2), (1, 2, 24)), hidden_dims=(15,))
         rows = gain_factors(records)
         gain_ok = all(
             abs(row.gain_factor / row.theoretical - 1.0) <= 0.30 for row in rows

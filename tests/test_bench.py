@@ -13,7 +13,7 @@ from rnnp.bench import (
     sweep_neurons,
     sweep_tau,
 )
-from rnnp.engines import BpttInfeasibleError, rtrl_space_floats
+from rnnp.engines import BpttInfeasibleError
 from rnnp.linalg import _left_sum
 from rnnp.model import RnnSpec
 
@@ -36,6 +36,16 @@ def linear_fit_r2(xs: list, ys: list) -> float:
     if ss_tot == 0.0:
         return 1.0
     return 1.0 - ss_res / ss_tot
+
+
+def rtrl_space_floats(spec: RnnSpec) -> int:
+    """Float count p * y * (|theta| + |phi|) of the forward Jacobian store.
+
+    For a contiguous lag set it equals rtrl's ``peak_floats`` exactly: p
+    Jacobians of y rows over the packed [theta | phi] vector.  A gapped lag
+    set keeps max(lag) Jacobians alive instead.
+    """
+    return spec.p * spec.y_dim * spec.weight_count
 
 
 def small_spec(lags=(1, 2), h=6, y=1, x=3):
@@ -75,13 +85,9 @@ class TestSweepTau:
 
 class TestSweepNeurons:
     def test_grid_shape_and_gain_rows(self):
-        records = sweep_neurons(
-            engines=("trrl", "rtrl"),
-            lag_sets=((1,), (1, 2)),
-            hidden_dims=(4, 6),
-            tau=8,
-        )
+        records = sweep_neurons(lag_sets=((1,), (1, 2)), hidden_dims=(4, 6))
         assert len(records) == 2 * 2 * 2
+        assert {(r.engine, r.tau) for r in records} == {("trrl", 49), ("rtrl", 49)}
         rows = gain_factors(records)
         assert len(rows) == 4
         by_key = {(r.engine, r.lag_set, r.hidden_dim): r for r in records}
@@ -94,13 +100,8 @@ class TestSweepNeurons:
             assert row.wall_ratio == rtrl.wall_seconds / trrl.wall_seconds
 
     def test_rtrl_peak_floats_matches_formula_on_contiguous_sets(self):
-        records = sweep_neurons(
-            engines=("rtrl",),
-            lag_sets=((1,), (1, 2), (1, 2, 3)),
-            hidden_dims=(5,),
-            tau=6,
-        )
-        for r in records:
+        records = sweep_neurons(lag_sets=((1,), (1, 2), (1, 2, 3)), hidden_dims=(5,))
+        for r in (r for r in records if r.engine == "rtrl"):
             spec = RnnSpec(
                 lag_set=r.lag_set, x_dim=13, hidden_dim=r.hidden_dim, y_dim=r.y_dim
             )

@@ -16,6 +16,7 @@ from rnnp.pipeline import (
     LoadForecastPipeline,
     write_forecast_csv,
 )
+from rnnp.seasonal import HourlyDeseasonalizer
 from rnnp.series import ingest_csv, write_csv
 from rnnp.synth import SynthConfig, synth_generate
 
@@ -252,6 +253,23 @@ class TestConfigValidation:
         assert err.startswith("config error:") and named in err
         assert not checkpoint.exists()
 
+    def test_zero_stride_is_rejected_before_the_deseasonalizer_fit(
+        self, tmp_path, capsys, monkeypatch, one_year_csv
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("train fitted the deseasonalizer")
+
+        monkeypatch.setattr(HourlyDeseasonalizer, "_fit", refuse)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": {"tau": 12}, "train": {"stride": 0}}))
+        checkpoint = tmp_path / "ck.json"
+        argv = ["train", "--config", str(config), "--data", one_year_csv]
+        assert main(argv + ["--out", str(checkpoint)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "train_stride must be >= 1, got 0" in err
+        assert not checkpoint.exists()
+
     @pytest.mark.parametrize(
         "mode, bench, named",
         [
@@ -462,6 +480,7 @@ MALFORMED_ENTRIES = [
     ),
     (("theta", 0), HUGE_INT, "model.json is not valid JSON" if INT_DIGITS_LIMITED else "theta"),
     (("extras", "pipeline_params", "tau"), DELETE, "pipeline_params.tau"),
+    (("extras", "pipeline_params", "train_stride"), 0, "train_stride must be >= 1, got 0"),
 ]
 
 
@@ -521,6 +540,7 @@ class TestMalformedCheckpoint:
             "spec_lags_times_y_dim_above_bound",
             "theta_past_the_int_digit_limit",
             "tau_missing",
+            "train_stride_zero",
         ],
     )
     def test_malformed_entry_exits_with_data_error_naming_it(

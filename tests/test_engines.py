@@ -19,7 +19,6 @@ from rnnp.engines import (
     max_abs_diff,
     max_rel_diff,
     rtrl_gradients,
-    rtrl_space_floats,
     trrl_gradients,
 )
 from rnnp.features import CalendarFeatureEncoder
@@ -38,7 +37,7 @@ from rnnp.pbonacci import build_table
 from rnnp.pipeline import LoadForecastPipeline
 from rnnp.synth import SynthConfig, synth_generate
 from rnnp.training import LossHead, gaussian_nll_loss, mse_loss
-from tests.test_bench import linear_fit_r2
+from tests.test_bench import linear_fit_r2, rtrl_space_floats
 
 LAG_SETS = [(1,), (1, 2), (1, 3), (1, 2, 5)]
 

@@ -1,18 +1,25 @@
 """Feature encoder: trig identities, dummies, holiday flag, normalization."""
 
+import calendar
 import math
 from datetime import date, datetime, timedelta
 
 import pytest
 
 from rnnp.base import NotFittedError
-from rnnp.features import FEATURE_DIM, TWO_PI, CalendarFeatureEncoder, year_fraction
+from rnnp.features import FEATURE_DIM, TWO_PI, CalendarFeatureEncoder
 from tests.test_series import tiny_series
 
 HOLIDAYS = frozenset(
     {date(2007, 1, 1), date(2007, 7, 4), date(2007, 12, 31), date(2008, 2, 29),
      date(2008, 12, 25)}
 )
+
+
+def year_fraction(ts: datetime) -> float:
+    """Fraction of the year elapsed at ``ts``, in [0, 1)."""
+    days = 366.0 if calendar.isleap(ts.year) else 365.0
+    return (ts.timetuple().tm_yday - 1 + ts.hour / 24.0) / days
 
 
 def fitted_encoder(series, holidays=frozenset()):

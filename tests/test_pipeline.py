@@ -395,8 +395,17 @@ class TestParameterCheck:
         ({"hidden_dim": 1001}, ValueError, "hidden_dim must be <= 1000, got 1001"),
         ({"learning_rate": -1}, ConfigError, "learning_rate must be positive"),
         ({"tau": 0}, ValueError, "tau must be >= 1, got 0"),
+        ({"train_stride": 0}, ValueError, "train_stride must be >= 1, got 0"),
     ]
-    IDS = ["engine", "loss", "hidden_dim_0", "hidden_dim_1001", "learning_rate", "tau"]
+    IDS = [
+        "engine",
+        "loss",
+        "hidden_dim_0",
+        "hidden_dim_1001",
+        "learning_rate",
+        "tau",
+        "train_stride",
+    ]
 
     @pytest.fixture
     def encodings(self, monkeypatch):
@@ -428,6 +437,32 @@ class TestParameterCheck:
                 lag_sets=[(1,)],
                 grid=HyperGrid(hidden_dims=(3,), learning_rates=(5e-3,), batch_sizes=(32,)),
                 pipeline_kwargs=dict(engine="bogus", max_epochs=1, tau=12),
+            )
+        assert encodings == []
+
+    # The settings run_walk_forward sets itself: the lag set, the stride and
+    # each grid cell's.
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("lags", (1, 2)),
+            ("train_stride", 500),
+            ("hidden_dim", 4),
+            ("learning_rate", 1e-2),
+            ("batch_size", 8),
+        ],
+    )
+    def test_walk_forward_rejects_a_setting_it_sets_before_encoding(
+        self, encodings, key, value
+    ):
+        series, _ = make_series(years=2, seed=58)
+        with pytest.raises(ValueError, match=f"pipeline_kwargs must not set {key}:"):
+            run_walk_forward(
+                series,
+                build_walk_forward_plan(2007, 1, 1),
+                lag_sets=[(1,)],
+                grid=HyperGrid(hidden_dims=(3,), learning_rates=(5e-3,), batch_sizes=(32,)),
+                pipeline_kwargs={"max_epochs": 1, "tau": 12, key: value},
             )
         assert encodings == []
 

@@ -7,10 +7,11 @@ from datetime import date, datetime, timedelta
 import pytest
 
 from rnnp.base import DataValidationError, NotFittedError
-from rnnp.features import TWO_PI, year_fraction
+from rnnp.features import TWO_PI
 from rnnp.linalg import Rng
 from rnnp.seasonal import HourlyDeseasonalizer, qr_lstsq
 from rnnp.synth import SynthConfig, synth_generate
+from tests.test_features import year_fraction
 
 HOLIDAYS_2008 = frozenset(
     {date(2008, 1, 1), date(2008, 2, 29), date(2008, 7, 4), date(2008, 12, 25),
