@@ -26,9 +26,9 @@ Layers: ``synth_generate`` (5 years), ``write_csv`` (the file's bytes) and
 the same shape cut to tau 14 (8 windows); ``finite_difference_gradients``
 at a gradcheck-sized shape, lags {1, 2, 5}, x 13, h 4, y 2, tau 12;
 ``adam_step`` (20 seeded steps over the production shape's 332 weights);
-``HourlyDeseasonalizer.fit_transform`` and ``CalendarFeatureEncoder.transform``
-on a generated year; and ``make_windows`` (tau 49, stride 1) over 30 days
-of seeded rows.
+``HourlyDeseasonalizer.fit``, ``.transform`` and ``.fit_transform`` and
+``CalendarFeatureEncoder.transform`` on a generated year; and
+``make_windows`` (tau 49, stride 1) over 30 days of seeded rows.
 """
 
 from __future__ import annotations
@@ -219,21 +219,31 @@ def adam_layer(tree: Tree, workdir: str) -> tuple:
     return run, digest
 
 
-def deseasonalizer_layer(tree: Tree, workdir: str) -> tuple:
-    series, _ = generated(tree, 1)
-    model = tree.get("seasonal.HourlyDeseasonalizer")
+def deseasonalizer_layer(method: str):
+    """The layer of ``HourlyDeseasonalizer.<method>`` on a generated year:
+    ``fit`` and ``fit_transform`` fit a new model each run, ``transform``
+    runs one fitted in the setup."""
 
-    def run():
-        fitted = model(holidays=HOLIDAYS)
-        return fitted, fitted.fit_transform(series)
+    def setup(tree: Tree, workdir: str) -> tuple:
+        series, _ = generated(tree, 1)
+        model = tree.get("seasonal.HourlyDeseasonalizer")
+        fitted = model(holidays=HOLIDAYS).fit(series)
 
-    def digest(out):
-        fitted, residuals = out
-        coef = (fitted.coef_[hour] for hour in range(24))
-        dropped = repr(sorted(fitted.dropped_columns_.items()))
-        return floats_sha(residuals.residuals, residuals.seasonal, *coef) + dropped, ()
+        def run():
+            used = fitted if method == "transform" else model(holidays=HOLIDAYS)
+            return used, getattr(used, method)(series)
 
-    return run, digest
+        def digest(out):
+            used, result = out
+            columns = () if method == "fit" else (result.residuals, result.seasonal)
+            coef = (used.coef_[hour] for hour in range(24))
+            stats = [used.log_mean_, used.log_std_]
+            dropped = repr(sorted(used.dropped_columns_.items()))
+            return floats_sha(*columns, stats, *coef) + dropped, ()
+
+        return run, digest
+
+    return setup
 
 
 def encoder_layer(tree: Tree, workdir: str) -> tuple:
@@ -285,10 +295,13 @@ LAYERS = (
         finite_difference_layer,
     ),
     ("adam_step", ("training.adam_step", "training.AdamState.zeros"), adam_layer),
-    (
-        "HourlyDeseasonalizer.fit_transform",
-        ("seasonal.HourlyDeseasonalizer", "seasonal.HourlyDeseasonalizer.fit_transform"),
-        deseasonalizer_layer,
+    *(
+        (
+            f"HourlyDeseasonalizer.{method}",
+            ("seasonal.HourlyDeseasonalizer", f"seasonal.HourlyDeseasonalizer.{method}"),
+            deseasonalizer_layer(method),
+        )
+        for method in ("fit", "transform", "fit_transform")
     ),
     (
         "CalendarFeatureEncoder.transform",

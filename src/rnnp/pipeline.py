@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from datetime import datetime
@@ -33,18 +34,31 @@ from .base import (
     naive_timestamp,
     open_utf8,
 )
-from .engines import check_engine
+from .engines import BPTT_GUARD, BpttInfeasibleError, check_engine
 from .features import FEATURE_DIM, CalendarFeatureEncoder
 from .forecaster import RnnForecaster, _check_lag_reach
-from .metrics import MetricReport, point_metrics, probabilistic_metrics
+from .metrics import (
+    DEFAULT_ALPHAS,
+    DEFAULT_QUANTILES,
+    MetricReport,
+    point_metrics,
+    probabilistic_metrics,
+)
 from .model import load_checkpoint, project_inputs, save_checkpoint
 from .seasonal import YEARLY_HARMONICS, HourlyDeseasonalizer
 from .series import HourlySeries
-from .stats import lognormal_mean, lognormal_quantile
+from .stats import central_z, lognormal_mean, lognormal_quantile, normal_ppf
 from .training import SIGMA_FLOOR, HyperGrid, grid_search
 from .windows import make_windows
 
 FORECAST_CSV_HEADER = ["timestamp", "point", "mu_log", "sigma_log", "q05", "q95"]
+
+# The largest normal score at which ``score_forecasts`` takes a lognormal
+# quantile, and the largest argument ``math.exp`` takes without overflowing.
+_WIDEST_Z = max(
+    normal_ppf(max(DEFAULT_QUANTILES)), central_z(max(DEFAULT_ALPHAS))
+)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 # Settings that older checkpoints carry in pipeline_params and that are now
 # fixed: each loads only at the one value the library uses.
@@ -118,12 +132,16 @@ class LoadForecastPipeline(BaseEstimator):
 
     def _checked_setup(self) -> tuple:
         """(head, spec, config) of the network on encoded rows, once tau,
-        the stride, the engine and the lag reach are checked; a bad
-        parameter raises ``ValueError`` or ``ConfigError`` naming it."""
+        the stride, the engine, bptt's guard and the lag reach are checked;
+        a bad parameter raises ``ValueError`` or ``ConfigError`` naming it."""
         for name in ("tau", "train_stride"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         check_engine(self.engine)
+        if self.engine == "bptt" and self.tau > BPTT_GUARD:
+            raise BpttInfeasibleError(
+                f"tau={self.tau} exceeds the guard ({BPTT_GUARD}) of engine 'bptt'"
+            )
         _check_lag_reach(self.lags, self.tau)
         return self._make_forecaster()._training_setup(FEATURE_DIM)
 
@@ -376,8 +394,10 @@ def read_forecast_csv(path: str) -> list:
     is present but not a finite positive number or that is empty on some
     rows and set on others, ``q05``/``q95`` that are not both finite
     positive numbers with ``q05 <= q95`` where ``sigma_log`` is set, nor
-    both empty where it is not, or a timestamp that an earlier line already
-    holds raises ``DataValidationError`` naming the file or the line, as
+    both empty where it is not, a ``mu_log`` and ``sigma_log`` whose
+    lognormal overflows a float at a level ``score_forecasts`` scores, or a
+    timestamp that an earlier line already holds raises
+    ``DataValidationError`` naming the file or the line, as
     does a row with fewer fields than the header (naming the missing
     columns; a blank line is a row of none) or more.
     """
@@ -408,6 +428,13 @@ def read_forecast_csv(path: str) -> list:
                 ):
                     raise ValueError(
                         f"sigma_log {sigma_log!r} is not a finite positive number"
+                    )
+                if sigma_log is not None and (
+                    mu_log + sigma_log * _WIDEST_Z > _LOG_FLOAT_MAX
+                ):
+                    raise ValueError(
+                        f"mu_log {mu_log!r} and sigma_log {sigma_log!r} overflow "
+                        f"a float at z = {_WIDEST_Z:.3f}, the widest level scored"
                     )
                 if sigma_log is None:
                     if (q05, q95) != ("", ""):

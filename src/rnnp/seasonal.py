@@ -9,13 +9,14 @@ Householder QR; a linearly dependent column (for example a holiday dummy
 with no holidays in the window) is reported and its coefficient forced to
 zero rather than failing the fit.
 
-``fit`` and ``transform`` each build their regressor rows in one batch
-from ``features.calendar_pass``, which finds the calendar part once per
-date, and ``transform`` takes one dot per hour; ``fit_transform`` takes
-those dots on the rows its fit built.  The QR works on a
-column-major copy of the design matrix.  Both keep every floating-point
-operation and its order, so coefficients, residuals and seasonal values
-are bit-identical to a per-hour, row-major computation.
+Rows come from ``features.calendar_pass``, which finds the calendar part
+once per date.  The fit takes one pass over its range, then builds and
+solves one hour of the day's rows at a time (every 24th hour of the
+strictly hourly range); ``fit_transform`` takes their seasonal dots as it
+goes, ``transform`` one dot per hour.  The QR works on a column-major
+copy of the design matrix.  Both keep every floating-point operation and
+its order, so coefficients, residuals and seasonal values are
+bit-identical to a per-hour, row-major computation.
 """
 
 from __future__ import annotations
@@ -132,14 +133,13 @@ class HourlyDeseasonalizer(BaseEstimator):
     def __init__(self, holidays: frozenset = frozenset()) -> None:
         self.holidays = holidays
 
-    def _rows(self, timestamps: list):
-        """Yield the regressor row of each timestamp: intercept, day-of-week
-        dummies, holiday dummy, yearly harmonics, trend since the fit start."""
+    def _rows(self, timestamps: list, calendar):
+        """Yield the regressor row of each timestamp from its ``calendar_pass``
+        item: intercept, day-of-week dummies, holiday dummy, yearly
+        harmonics, trend since the fit start."""
         origin = self.fit_origin_
         sin, cos = math.sin, math.cos
-        for (_, year_angle, day), ts in zip(
-            calendar_pass(timestamps, self.holidays), timestamps
-        ):
+        for (_, year_angle, day), ts in zip(calendar, timestamps):
             row = [1.0, *day]
             for k in range(1, YEARLY_HARMONICS + 1):
                 row.append(sin(k * year_angle))
@@ -156,10 +156,8 @@ class HourlyDeseasonalizer(BaseEstimator):
     def _seasonal(self, timestamps: list) -> list:
         """The fitted seasonal value of each timestamp: one dot per hour."""
         coef = self.coef_
-        return [
-            _dot(coef[ts.hour], row)
-            for ts, row in zip(timestamps, self._rows(timestamps))
-        ]
+        rows = self._rows(timestamps, calendar_pass(timestamps, self.holidays))
+        return [_dot(coef[ts.hour], row) for ts, row in zip(timestamps, rows)]
 
     def fit(
         self,
@@ -177,21 +175,17 @@ class HourlyDeseasonalizer(BaseEstimator):
         end: datetime | None = None,
     ) -> NormalizedResidualSeries:
         """``fit`` on [start, end), then ``transform`` of the same range,
-        its seasonal values taken on the regressor rows the fit built."""
-        timestamps, by_hour_rows = self._fit(series, start, end)
-        by_hour_seasonal = {}
-        for hour, rows in by_hour_rows.items():
-            coef = self.coef_[hour]
-            by_hour_seasonal[hour] = iter([_dot(coef, row) for row in rows])
-            # The hour's rows are done with: the values of the next hours
-            # reuse their memory, so the peak stays that of the fit.
-            rows.clear()
-        seasonal = [next(by_hour_seasonal[ts.hour]) for ts in timestamps]
-        return self._residuals(series, start, end, seasonal)
+        from the z-scores and regressor rows the fit built."""
+        timestamps, zs, seasonal = self._fit(series, start, end, with_seasonal=True)
+        residuals = [z - s for z, s in zip(zs, seasonal)]
+        return NormalizedResidualSeries(timestamps, residuals, seasonal)
 
-    def _fit(self, series: HourlySeries, start, end) -> tuple:
-        """Fit on [start, end); returns the range's timestamps and, per
-        hour of the day, the regressor rows of its hours in time order."""
+    def _fit(self, series: HourlySeries, start, end, with_seasonal=False) -> tuple:
+        """Fit on [start, end), one hour-of-day stride at a time.
+
+        Returns the range's timestamps, their z-scores and, when
+        ``with_seasonal``, their fitted seasonal values (else None).
+        """
         start = series.start if start is None else start
         end = series.end if end is None else end
         if end - start < MIN_WINDOW:
@@ -203,24 +197,25 @@ class HourlyDeseasonalizer(BaseEstimator):
         logs = [math.log(d) for d in series.demand_mwh[i:j]]
         self.log_mean_, self.log_std_ = mean_std(logs)
         self.fit_origin_ = start
-
-        by_hour_rows: dict = {h: [] for h in range(24)}
-        by_hour_z: dict = {h: [] for h in range(24)}
+        zs = list(self._z_scores(logs))
+        del logs
         timestamps = series.timestamps[i:j]
-        for ts, row, z in zip(timestamps, self._rows(timestamps), self._z_scores(logs)):
-            by_hour_rows[ts.hour].append(row)
-            by_hour_z[ts.hour].append(z)
-
+        calendar = list(calendar_pass(timestamps, self.holidays))
+        seasonal = [0.0] * len(zs) if with_seasonal else None
         self.coef_: dict = {}
         self.dropped_columns_: dict = {}
         for hour in range(24):
-            if not by_hour_rows[hour]:
-                raise DataValidationError(f"no observations for hour {hour}")
-            coef, dropped = qr_lstsq(by_hour_rows[hour], by_hour_z[hour])
+            # The range is strictly hourly and a year or longer, so the
+            # hours of this hour of day are every 24th from offset k.
+            k = (hour - start.hour) % 24
+            rows = list(self._rows(timestamps[k::24], calendar[k::24]))
+            coef, dropped = qr_lstsq(rows, zs[k::24])
             self.coef_[hour] = coef
             if dropped:
                 self.dropped_columns_[hour] = dropped
-        return timestamps, by_hour_rows
+            if with_seasonal:
+                seasonal[k::24] = [_dot(coef, row) for row in rows]
+        return timestamps, zs, seasonal
 
     def state(self) -> dict:
         """Fitted state as checkpoint extras: its "normalization" and
@@ -281,22 +276,11 @@ class HourlyDeseasonalizer(BaseEstimator):
     ) -> NormalizedResidualSeries:
         check_fitted(self, ["coef_"])
         i, j = series.index_range(start, end)
-        return self._residuals(
-            series, start, end, self._seasonal(series.timestamps[i:j])
-        )
-
-    def _residuals(
-        self, series: HourlySeries, start, end, seasonal: list
-    ) -> NormalizedResidualSeries:
-        """The z-scored log demand of [start, end) minus ``seasonal``, the
-        range's seasonal values."""
-        i, j = series.index_range(start, end)
-        logs = (math.log(d) for d in series.demand_mwh[i:j])
-        return NormalizedResidualSeries(
-            timestamps=series.timestamps[i:j],
-            residuals=[z - s for z, s in zip(self._z_scores(logs), seasonal)],
-            seasonal=seasonal,
-        )
+        timestamps = series.timestamps[i:j]
+        seasonal = self._seasonal(timestamps)
+        zs = self._z_scores(math.log(d) for d in series.demand_mwh[i:j])
+        residuals = [z - s for z, s in zip(zs, seasonal)]
+        return NormalizedResidualSeries(timestamps, residuals, seasonal)
 
     def to_log_params(self, z_mean: float, z_sigma: float | None) -> tuple:
         """Denormalize a forecast in z-space to log-demand parameters."""

@@ -18,6 +18,8 @@ LAYERS = (
     "bptt_gradients",
     "finite_difference_gradients",
     "adam_step",
+    "HourlyDeseasonalizer.fit",
+    "HourlyDeseasonalizer.transform",
     "HourlyDeseasonalizer.fit_transform",
     "CalendarFeatureEncoder.transform",
     "make_windows",

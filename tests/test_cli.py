@@ -253,21 +253,33 @@ class TestConfigValidation:
         assert err.startswith("config error:") and named in err
         assert not checkpoint.exists()
 
-    def test_zero_stride_is_rejected_before_the_deseasonalizer_fit(
-        self, tmp_path, capsys, monkeypatch, one_year_csv
+    @pytest.mark.parametrize(
+        "model, train, named",
+        [
+            ({"tau": 12}, {"stride": 0}, "train_stride must be >= 1, got 0"),
+            (
+                {"lags": [1], "hidden_dim": 3, "tau": 26},
+                {"engine": "bptt", "stride": 97},
+                "tau=26 exceeds the guard (25)",
+            ),
+        ],
+        ids=["zero_stride", "bptt_above_guard"],
+    )
+    def test_bad_setting_is_rejected_before_the_deseasonalizer_fit(
+        self, tmp_path, capsys, monkeypatch, one_year_csv, model, train, named
     ):
         def refuse(*args, **kwargs):
             raise AssertionError("train fitted the deseasonalizer")
 
         monkeypatch.setattr(HourlyDeseasonalizer, "_fit", refuse)
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"model": {"tau": 12}, "train": {"stride": 0}}))
+        config.write_text(json.dumps({"model": model, "train": train}))
         checkpoint = tmp_path / "ck.json"
         argv = ["train", "--config", str(config), "--data", one_year_csv]
         assert main(argv + ["--out", str(checkpoint)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")
-        assert "train_stride must be >= 1, got 0" in err
+        assert named in err
         assert not checkpoint.exists()
 
     @pytest.mark.parametrize(
@@ -564,6 +576,23 @@ class TestMalformedCheckpoint:
         assert err.startswith("data error:") and named in err
         assert not out.exists()
 
+    def test_bptt_above_its_guard_exits_with_data_error(
+        self, tmp_path, capsys, saved_pipeline
+    ):
+        # Each setting alone is valid; together bptt could not train them.
+        data, record = saved_pipeline
+        record = json.loads(json.dumps(record))
+        record["extras"]["pipeline_params"].update(engine="bptt", tau=26)
+        checkpoint, out = tmp_path / "model.json", tmp_path / "forecast.csv"
+        checkpoint.write_text(json.dumps(record))
+        argv = ["forecast", "--checkpoint", str(checkpoint), "--data", data]
+        argv += ["--start", "2007-06-01T00:00:00", "--end", "2007-06-01T02:00:00"]
+        assert main(argv + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert "pipeline_params are invalid: tau=26 exceeds the guard (25)" in err
+        assert not out.exists()
+
     def test_x_dim_other_than_the_encoder_width_exits_with_data_error(
         self, tmp_path, capsys, saved_pipeline
     ):
@@ -799,6 +828,10 @@ class TestEvaluate:
              "\n"
              "2007-01-01T01:00:00,1.0,0.1,0.2,1.0,2.0\n",
              "line 3: 0 fields, expected 6: no timestamp, point, mu_log"),
+            ("2007-01-01T00:00:00,1.0,2782,0.2,1.0,2.0\n",
+             "line 2: mu_log 2782.0 and sigma_log 0.2 overflow a float"),
+            ("2007-01-01T00:00:00,1.0,0.1,1e308,1.0,2.0\n",
+             "line 2: mu_log 0.1 and sigma_log 1e+308 overflow a float"),
         ],
         ids=[
             "header_only",
@@ -822,6 +855,8 @@ class TestEvaluate:
             "row_cut_to_3_fields",
             "row_with_8_fields",
             "empty_row",
+            "mu_log_overflows",
+            "sigma_log_overflows",
         ],
     )
     def test_malformed_forecasts_exit_with_data_error(

@@ -1,11 +1,14 @@
-"""Seeded mutation runs of two input readers, in process through ``cli.main``.
+"""Seeded mutation runs of the input readers, in process through ``cli.main``.
 
-Mutated checkpoints go through ``rnnp forecast`` and mutated forecast CSVs
-through ``rnnp evaluate``.  Every run must end in exit 0, 3 (data error) or
-4 (numeric error), a failed run must print one line and leave no output
-file, and a checkpoint without a key that ``save`` always writes must not
-forecast.  Both parts read one saved 1-year pipeline and a data CSV cut to
-the hours the forecast reads, so each run takes milliseconds.
+Mutated checkpoints go through ``rnnp forecast``, and mutated forecast and
+series CSVs through ``rnnp evaluate``.  Every run must end in exit 0, 3
+(data error) or 4 (numeric error), a failed run must print one line and
+leave no output file, and a checkpoint without a key that ``save`` always
+writes must not forecast.  These parts read one saved 1-year pipeline and
+a data CSV cut to the hours the forecast reads, so each run takes
+milliseconds.  Mutated configs go through ``rnnp train --config`` on that
+data CSV: each must exit 2 with one line, or pass every check and reach
+the deseasonalizer fit, where a spy stops it; neither writes a checkpoint.
 """
 
 import copy
@@ -20,12 +23,15 @@ import pytest
 from rnnp.cli import main
 from rnnp.linalg import Rng
 from rnnp.pipeline import LoadForecastPipeline
+from rnnp.seasonal import HourlyDeseasonalizer
 from rnnp.series import write_csv
 from rnnp.synth import SynthConfig, synth_generate
 
 SEED = 28
 CHECKPOINT_RUNS = 200
 CSV_RUNS = 300
+SERIES_RUNS = 300
+CONFIG_RUNS = 300
 TAU = 12
 START, END = "2007-06-01T00:00:00", "2007-06-01T06:00:00"
 HOLIDAYS = frozenset({date(2007, 5, 28), date(2007, 7, 4)})
@@ -40,6 +46,31 @@ CELLS = [
     str(2**63), "0", "-1", "True", "2007-06-01T00:00:00", "2007-06-01T00:00:00+00:00",
     "2007-13-01T00:00:00", " 1.0", "1,0",
 ]
+# A config that passes every check on the saved data CSV, which holds the
+# hours from 2007-05-31T13:00 up to END; its dates lie in that range.
+CONFIG = {
+    "seed": 5,
+    "model": {"lags": [1, 2], "hidden_dim": 3, "loss": "gaussian_nll", "tau": 4},
+    "train": {
+        "engine": "trrl",
+        "learning_rate": 0.001,
+        "batch_size": 8,
+        "max_epochs": 1,
+        "patience": 1,
+        "stride": 1,
+        "train_start": "2007-05-31T13:00:00",
+        "train_end": "2007-06-01T00:00:00",
+        "val_start": "2007-06-01T00:00:00",
+        "val_end": END,
+    },
+}
+# PLAIN with its date inside the data CSV: a config date outside the data
+# is a data error, and a config mutation must exit 0 or 2.
+CONFIG_PLAIN = [v if v != "2007-01-01" else "2007-06-01T02:00:00" for v in PLAIN]
+
+
+class Accepted(Exception):
+    """What the deseasonalizer fit spy raises: the config passed every check."""
 
 
 @pytest.fixture(scope="module")
@@ -129,8 +160,9 @@ def swapped(value):
     return 0
 
 
-def mutated_checkpoint(rng: random.Random, record) -> tuple:
-    """(description, mutated record, whether a dict key was dropped)."""
+def mutated_record(rng: random.Random, record, plain=PLAIN) -> tuple:
+    """(description, mutated record, whether a dict key was dropped) of a
+    JSON record; a replaced value is one of SPECIAL or of ``plain``."""
     record = copy.deepcopy(record)
     path = random_path(rng, record)
     parent = record
@@ -143,7 +175,7 @@ def mutated_checkpoint(rng: random.Random, record) -> tuple:
     if kind == "swap":
         parent[key] = swapped(parent[key])
     else:
-        parent[key] = rng.choice(SPECIAL if kind == "special" else PLAIN)
+        parent[key] = rng.choice(SPECIAL if kind == "special" else plain)
     return f"{kind} {path} -> {json.dumps(parent[key])[:40]}", record, False
 
 
@@ -179,13 +211,26 @@ def mutated_csv(rng: random.Random, text: str) -> tuple:
     return f"{kind} row {r} cell {c}", text
 
 
+def mutated_series(rng: random.Random, text: str) -> tuple:
+    """(description, mutated text) of a series CSV: a blank row or a row
+    cut short inserted, or else a forecast CSV mutation."""
+    if rng.random() < 0.2:
+        lines = text.splitlines()
+        cells = lines[rng.randrange(1, len(lines))].split(",")
+        row = ",".join(cells[: rng.randrange(len(cells))])
+        r = rng.randrange(1, len(lines) + 1)
+        lines.insert(r, row)
+        return f"insert line {r + 1}: {row!r}", "\n".join(lines) + "\n"
+    return mutated_csv(rng, text)
+
+
 def test_mutated_checkpoints_forecast_or_fail_cleanly(saved, capsys):
     folder, data, record, _ = saved
     rng = random.Random(SEED)
     checkpoint, out = folder / "mutated.json", folder / "mutated-forecast.csv"
     failures = []
     for _ in range(CHECKPOINT_RUNS):
-        what, mutated, dropped_key = mutated_checkpoint(rng, record)
+        what, mutated, dropped_key = mutated_record(rng, record)
         checkpoint.write_text(json.dumps(mutated))
         problem = outcome(lambda: forecast(str(checkpoint), data, out), out, capsys)
         if problem is None and dropped_key and out.exists():
@@ -206,4 +251,55 @@ def test_mutated_forecast_csvs_score_or_fail_cleanly(saved, capsys):
         problem = outcome(lambda: evaluate(str(forecasts), data, out), out, capsys)
         if problem:
             failures.append(f"{what}: {problem}")
+    assert failures == []
+
+
+def test_mutated_series_csvs_score_or_fail_cleanly(saved, capsys):
+    folder, data, _, _ = saved
+    rng = random.Random(SEED)
+    forecasts, series, out = folder / "forecast.csv", folder / "series.csv", folder / "report.json"
+    with open(data, encoding="utf-8") as f:
+        original = f.read()
+    failures = []
+    for _ in range(SERIES_RUNS):
+        what, mutated = mutated_series(rng, original)
+        series.write_text(mutated, encoding="utf-8")
+        problem = outcome(lambda: evaluate(str(forecasts), str(series), out), out, capsys)
+        if problem:
+            failures.append(f"{what}: {problem}")
+    assert failures == []
+
+
+def test_mutated_configs_reach_the_fit_or_fail_cleanly(saved, capsys, monkeypatch):
+    folder, data, _, _ = saved
+
+    def accept(*args, **kwargs):
+        raise Accepted
+
+    monkeypatch.setattr(HourlyDeseasonalizer, "_fit", accept)
+    config, checkpoint = folder / "config.json", folder / "trained.json"
+    argv = ["train", "--config", str(config), "--data", data, "--out", str(checkpoint)]
+    config.write_text(json.dumps(CONFIG))
+    with pytest.raises(Accepted):
+        main(argv)
+    rng = random.Random(SEED)
+    failures = []
+    for _ in range(CONFIG_RUNS):
+        what, mutated, _ = mutated_record(rng, CONFIG, CONFIG_PLAIN)
+        config.write_text(json.dumps(mutated))
+        try:
+            code = main(argv)
+        except Accepted:
+            code = 0
+        except Exception as exc:  # a reader gap: the test reports it, not pytest
+            failures.append(f"{what}: raised {type(exc).__name__}: {exc}")
+            continue
+        err = capsys.readouterr().err
+        if code == 2 and len(err.strip().splitlines()) != 1:
+            failures.append(f"{what}: exit 2 without a one-line message: {err!r}")
+        elif code not in (0, 2):
+            failures.append(f"{what}: exit {code}: {err!r}")
+        if checkpoint.exists():
+            failures.append(f"{what}: exit {code} but the checkpoint was written")
+            checkpoint.unlink()
     assert failures == []

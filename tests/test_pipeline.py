@@ -396,6 +396,7 @@ class TestParameterCheck:
         ({"learning_rate": -1}, ConfigError, "learning_rate must be positive"),
         ({"tau": 0}, ValueError, "tau must be >= 1, got 0"),
         ({"train_stride": 0}, ValueError, "train_stride must be >= 1, got 0"),
+        ({"engine": "bptt", "tau": 26}, ConfigError, "tau=26 exceeds the guard (25)"),
     ]
     IDS = [
         "engine",
@@ -405,6 +406,7 @@ class TestParameterCheck:
         "learning_rate",
         "tau",
         "train_stride",
+        "bptt_above_guard",
     ]
 
     @pytest.fixture

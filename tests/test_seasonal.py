@@ -1,7 +1,9 @@
 """QR least squares and the per-hour deseasonalizer."""
 
+import gc
 import math
 import random
+import tracemalloc
 from datetime import date, datetime, timedelta
 
 import pytest
@@ -291,3 +293,23 @@ class TestCalendarPassBitIdentity:
         assert nrs.timestamps == want_nrs.timestamps
         assert repr(nrs.seasonal) == repr(want_nrs.seasonal)
         assert repr(nrs.residuals) == repr(want_nrs.residuals)
+
+
+class TestStrideFitMemory:
+    def test_fit_transform_holds_less_than_the_range_rows(self):
+        """The fit holds one hour of the day's regressor rows at a time: its
+        traced peak, less the bytes of the result it returns, stays well
+        below the bytes of the whole range's rows."""
+        series, _ = synth_generate(SynthConfig(years=4), Rng(3))
+        model = HourlyDeseasonalizer()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            nrs = model.fit_transform(series)
+            result_bytes, peak = tracemalloc.get_traced_memory()
+            rows = [reference_regressors(ts, frozenset(), series.start) for ts in nrs.timestamps]
+            rows_bytes = tracemalloc.get_traced_memory()[0] - result_bytes
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == len(series) > 4 * 365 * 24
+        assert peak - result_bytes < 0.6 * rows_bytes, (peak, result_bytes, rows_bytes)
